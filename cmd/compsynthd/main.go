@@ -14,8 +14,9 @@
 // solver consumes it, so killing the daemon at any point loses nothing:
 // on restart sessions are rebuilt from their journals and continue
 // exactly where they left off. SIGINT/SIGTERM triggers a graceful stop
-// bounded by -grace: the listener drains, in-flight synthesis steps
-// finish or are cancelled, and every unfinished session is checkpointed.
+// bounded by -grace: the listener drains and in-flight synthesis steps
+// finish or are cancelled; unfinished sessions resume on restart by
+// replaying their journals.
 // SIGQUIT writes a flight-recorder dump for every resident session into
 // -data (without stopping), for live post-mortems.
 //
@@ -61,7 +62,7 @@ func main() {
 		dataDir     = flag.String("data", "compsynthd-data", "directory for per-session journals (crash recovery)")
 		workers     = flag.Int("workers", 4, "max concurrent synthesis steps (the worker pool)")
 		maxSessions = flag.Int("max-sessions", 64, "max resident sessions")
-		idleTTL     = flag.Duration("idle-ttl", 30*time.Minute, "checkpoint and evict sessions idle this long (0 disables)")
+		idleTTL     = flag.Duration("idle-ttl", 30*time.Minute, "evict sessions idle this long; they reload from their journals on demand (0 disables)")
 		stepTimeout = flag.Duration("step-timeout", 5*time.Minute, "fail a session whose synthesis step exceeds this")
 		acquireWait = flag.Duration("acquire-wait", 2*time.Second, "how long a request queues for a worker slot before 429")
 		longPoll    = flag.Duration("long-poll", 30*time.Second, "cap on the ?wait= query long-poll")
@@ -230,7 +231,7 @@ func run(opts daemonOptions) error {
 		break
 	}
 
-	stderr.Printf("shutting down (grace %v): draining requests, checkpointing sessions", opts.grace)
+	stderr.Printf("shutting down (grace %v): draining requests and synthesis steps", opts.grace)
 	shutCtx, cancel := context.WithTimeout(context.Background(), opts.grace)
 	defer cancel()
 	if err := d.srv.Shutdown(shutCtx); err != nil {

@@ -34,11 +34,10 @@
 // Exit status is non-zero on any transcript mismatch, failed session,
 // malformed log line, or missing metric.
 //
-// Daemons run with the idle janitor disabled (-idle-ttl 0): eviction
-// checkpoint resume is convergent but not bit-identical (ranking-phase
-// answers only commit when the whole ranking finishes), so the chaos
-// vocabulary is crash replay and journal migration — the two paths
-// that are exactly replayable (see DESIGN.md §14).
+// Daemons run with the idle janitor disabled (-idle-ttl 0), so every
+// session stays resident and the chaos vocabulary alone — kill -9,
+// restart, migrate, drain — decides when a session is rebuilt by
+// journal replay (see DESIGN.md §14).
 package main
 
 import (

@@ -54,10 +54,9 @@
 //
 //   - internal/service — the stateful serving layer behind
 //     cmd/compsynthd: session state machine, bounded worker pool,
-//     fsynced JSONL journal (create / answer / checkpoint / final
-//     records, with learned-cache summaries riding on checkpoints),
-//     crash recovery by checkpoint preload plus exact answer replay,
-//     idle eviction, graceful shutdown.
+//     fsynced JSONL journal (create / import checkpoint / answer /
+//     final records), recovery by exact answer replay, idle eviction,
+//     graceful shutdown.
 //   - internal/obs — the observability substrate: metrics registry
 //     (counters, gauges, histograms, read-through func metrics), span
 //     tracer with a JSONL ring buffer, and the HTTP endpoint serving

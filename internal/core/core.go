@@ -400,36 +400,20 @@ func New(cfg Config) (*Synthesizer, error) {
 
 // LearnedSummary exports the refuted regions accumulated in the
 // learned-prune cache, or nil when the cache is disabled or empty. The
-// service layer persists it in session checkpoints; a summary is only
-// meaningful against the same preference history (constraint indices),
-// which recovery guarantees by re-interning transcript scenarios in
-// recorded order.
+// service layer hands it to the fleet's shared learned tier and to
+// migration bundles, from which other sessions warm their caches
+// (WarmLearnedSummary).
 func (s *Synthesizer) LearnedSummary() *solver.LearnedSummary {
 	return s.sys.ExportLearned()
 }
 
-// ImportLearnedSummary seeds the learned-prune cache from a previously
-// exported summary. Every region is re-verified against the current
-// constraint system before anything is installed; a summary that fails
-// verification (tampered, or from a diverging history) is rejected
-// whole with an error and the session simply solves cold. A nil summary
-// or a disabled cache is a no-op. Returns the number of regions
-// installed.
-func (s *Synthesizer) ImportLearnedSummary(sum *solver.LearnedSummary) (int, error) {
-	if s.learned == nil || sum == nil {
-		return 0, nil
-	}
-	return s.sys.ImportLearned(sum)
-}
-
 // WarmLearnedSummary seeds the learned-prune cache best-effort from a
-// summary exported by a *different* session (the fleet's shared learned
+// summary exported by another session (the fleet's shared learned
 // tier): each region is re-proven independently against this session's
 // constraint system and only the regions that verify are installed —
-// see solver.System.WarmLearned. Unlike ImportLearnedSummary it never
-// fails the whole summary; unverifiable regions are simply skipped, so
-// a cross-tenant summary can only speed a session up, never change its
-// answers or poison its cache.
+// see solver.System.WarmLearned. Unverifiable regions are simply
+// skipped, so a cross-tenant summary can only speed a session up, never
+// change its answers or poison its cache.
 func (s *Synthesizer) WarmLearnedSummary(sum *solver.LearnedSummary) (installed, skipped int) {
 	if s.learned == nil || sum == nil {
 		return 0, 0

@@ -90,16 +90,15 @@ type Stepper struct {
 	// the pending round instead of racing for the channel receive.
 	nextMu sync.Mutex
 
-	mu        sync.Mutex
-	started   bool
-	batch     []Query           // current round's queries (nil while computing)
-	judg      []oracle.Judgment // parallel to batch
-	answered  []bool            // parallel to batch
-	left      int               // unanswered queries in the round
-	seq       int               // next sequence number to assign
-	answeredN int               // answers accepted over the stepper's lifetime
-	res       *Result
-	err       error
+	mu       sync.Mutex
+	started  bool
+	batch    []Query           // current round's queries (nil while computing)
+	judg     []oracle.Judgment // parallel to batch
+	answered []bool            // parallel to batch
+	left     int               // unanswered queries in the round
+	seq      int               // next sequence number to assign
+	res      *Result
+	err      error
 }
 
 // stepOracle is the rendezvous oracle installed into the synthesizer:
@@ -174,28 +173,13 @@ func (st *Stepper) Preload(t *Transcript) error {
 	return st.synth.Preload(t)
 }
 
-// ImportLearned seeds the synthesizer's learned-prune cache from a
-// checkpoint summary; see Synthesizer.ImportLearnedSummary for the
-// verification contract. Like Preload it must run before the first
-// Next, while the synthesis goroutine does not exist yet, and it should
-// run after Preload so the summary verifies against the recovered
-// constraint system.
-func (st *Stepper) ImportLearned(sum *solver.LearnedSummary) (int, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.started {
-		return 0, errors.New("core: ImportLearned after the session started")
-	}
-	return st.synth.ImportLearnedSummary(sum)
-}
-
 // WarmLearned seeds the learned-prune cache best-effort from another
-// session's summary (see Synthesizer.WarmLearnedSummary). Unlike
-// ImportLearned it may run mid-session, under the same quiescence rule
-// as Snapshot: while the session is parked on a pending round (or has
-// not started, or has finished) the run goroutine is blocked on the
-// rendezvous channel, so the constraint system is safe to touch; while
-// it is computing WarmLearned fails with ErrSessionBusy. Every
+// session's summary (see Synthesizer.WarmLearnedSummary). It may run
+// mid-session, under the same quiescence rule as Snapshot: while the
+// session is parked on a pending round (or has not started, or has
+// finished) the run goroutine is blocked on the rendezvous channel, so
+// the constraint system is safe to touch; while it is computing
+// WarmLearned fails with ErrSessionBusy. Every
 // installed region is re-proven against the session's own constraints,
 // so warming never changes results — only how much prune work the next
 // step redoes.
@@ -219,8 +203,8 @@ func (st *Stepper) WarmLearned(sum *solver.LearnedSummary) (installed, skipped i
 // LearnedSummary exports the learned-prune cache under the same
 // quiescence rule as Snapshot: it fails with ErrSessionBusy while the
 // synthesis goroutine is computing, and returns nil when the cache is
-// disabled or empty. Checkpoint writers call it alongside Snapshot so a
-// recovered session keeps its accumulated prune work.
+// disabled or empty. Migration bundles and the fleet's shared learned
+// tier carry it to other sessions (WarmLearned).
 func (st *Stepper) LearnedSummary() (*solver.LearnedSummary, error) {
 	select {
 	case <-st.done:
@@ -386,7 +370,6 @@ func (st *Stepper) resolveLocked(i int, j oracle.Judgment) error {
 	st.judg[i] = j
 	st.answered[i] = true
 	st.left--
-	st.answeredN++
 	if st.left > 0 {
 		st.mu.Unlock()
 		return nil
@@ -403,28 +386,6 @@ func (st *Stepper) resolveLocked(i int, j oracle.Judgment) error {
 	case <-st.ctx.Done():
 		return st.ctx.Err()
 	}
-}
-
-// RoundPartiallyAnswered reports whether the pending round has accepted
-// some but not all of its judgments. Those judgments live only inside
-// the stepper until the round completes (resolveLocked hands them to
-// the run goroutine as one batch), so a Snapshot taken in this window
-// does NOT subsume them: a checkpoint written now would make journal
-// recovery — which skips every record before the last checkpoint —
-// silently drop the accepted answers and reuse their sequence numbers.
-// Checkpoint writers must skip checkpointing while this is true and
-// rely on full answer replay instead.
-func (st *Stepper) RoundPartiallyAnswered() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.batch != nil && st.left < len(st.batch)
-}
-
-// Answered returns the number of answers accepted so far.
-func (st *Stepper) Answered() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.answeredN
 }
 
 // Done reports whether the session has finished (converged, failed, or
@@ -453,8 +414,9 @@ func (st *Stepper) Result() (*Result, error) {
 
 // Snapshot exports the session's current state as a transcript: the
 // scenarios shown so far, the preference edges recorded, and — once the
-// session has finished successfully — the final hole vector. It is the
-// checkpoint format of the service layer's journal. Snapshot fails with
+// session has finished successfully — the final hole vector. The service
+// layer serves it as GET transcript and ships it in migration bundles
+// for inspection; it never resumes a session from one. Snapshot fails with
 // ErrSessionBusy while the synthesis goroutine is between a completed
 // round and the next round's queries, because the underlying graph is
 // being mutated then. A partially answered round is quiescent: the run

@@ -153,7 +153,6 @@ func TestStepperBatchSeqContract(t *testing.T) {
 			t.Fatalf("round seqs not consecutive: %d then %d", qs[i-1].Seq, qs[i].Seq)
 		}
 	}
-	answeredBefore := st.Answered()
 
 	// Answer the LAST query of the round by seq; the legacy Next must
 	// still return the first.
@@ -183,9 +182,6 @@ func TestStepperBatchSeqContract(t *testing.T) {
 		if err := st.Answer(user.Compare(qq.A, qq.B)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got, want := st.Answered(), answeredBefore+len(qs); got != want {
-		t.Errorf("Answered() = %d, want %d", got, want)
 	}
 	// The session must proceed to a fresh round (or finish) now.
 	if _, err := st.NextBatch(ctx); err != nil {

@@ -848,7 +848,7 @@ func TestAdoptionPrefersFullestCopy(t *testing.T) {
 	r, srv, ds := newFleet(t, 3, nil)
 	id := createVia(t, srv.URL, spec)
 	drive(t, srv.URL, id, user, 3)
-	time.Sleep(500 * time.Millisecond) // let trailing checkpoint appends settle
+	time.Sleep(500 * time.Millisecond) // let trailing replica pushes settle
 
 	owner := ownerOf(r, id)
 	var holder, third *daemonHandle

@@ -2,20 +2,20 @@ package service
 
 // The journal is the durability layer: one append-only JSON-Lines file
 // per session in the manager's data directory. The first record is the
-// session spec; every accepted answer appends a record before the
-// synthesis loop consumes it; eviction and graceful shutdown append a
-// checkpoint (a core.Transcript of the state so far); completion
-// appends a final record. Appends are fsynced, so the journal survives
-// a crash at any point — at worst the torn last line is dropped on
-// recovery, which loses nothing that was acknowledged to a client
-// (acknowledgement happens after the sync).
+// session spec; a session begun from PUT transcript records the
+// imported transcript next, as a checkpoint record; every accepted
+// answer appends a record before the synthesis loop consumes it;
+// completion appends a final record. Appends are fsynced, so the
+// journal survives a crash at any point — at worst the torn last line
+// is dropped on recovery, which loses nothing that was acknowledged to
+// a client (acknowledgement happens after the sync).
 //
-// Recovery semantics (see manager.go rebuild): the latest checkpoint is
-// preloaded into a fresh stepper, then answers recorded *after* it are
-// replayed against the regenerated queries. A session that never
-// checkpointed replays from the beginning, which reconstructs the exact
-// pre-crash state — query generation is deterministic in (spec,
-// answers), so the replayed session is bit-identical to the lost one.
+// Recovery semantics (see manager.go rebuild): a fresh stepper preloads
+// the import record, if any, then replays every answer against the
+// regenerated queries. Query generation is deterministic in (spec,
+// imported transcript, answers), so the replayed session is
+// bit-identical to the lost one. Checkpoint records anywhere else were
+// written at eviction or shutdown by older builds; replay ignores them.
 
 import (
 	"bufio"
@@ -27,7 +27,6 @@ import (
 	"sync"
 
 	"compsynth/internal/core"
-	"compsynth/internal/solver"
 )
 
 // Journal record types.
@@ -56,13 +55,6 @@ type journalRecord struct {
 	Conf float64 `json:"conf,omitempty"`
 	// checkpoint / final
 	Transcript *core.Transcript `json:"transcript,omitempty"`
-	// checkpoint only: the learned-prune cache summary exported alongside
-	// the transcript, so a recovered session keeps its accumulated prune
-	// work. Optional and advisory — recovery re-verifies every region
-	// against the rebuilt constraint system and solves cold if the
-	// summary fails verification, so a tampered or stale summary can slow
-	// a session down but never change its answers.
-	Learned *solver.LearnedSummary `json:"learned,omitempty"`
 	// final only: the failure message for sessions that ended in error.
 	Err string `json:"error,omitempty"`
 }
@@ -263,4 +255,19 @@ func readJournal(path string) ([]journalRecord, error) {
 		}
 	}
 	return recs, nil
+}
+
+// replayRecords filters a journal down to what rebuilds a session: the
+// create record, the import record (a checkpoint at index 1, written by
+// PUT transcript before any answer), and every answer in order. Any
+// other checkpoint is an eviction or shutdown snapshot from an older
+// build; replaying the answers around it subsumes it.
+func replayRecords(recs []journalRecord) []journalRecord {
+	out := make([]journalRecord, 0, len(recs))
+	for i, rec := range recs {
+		if rec.Type == recCreate || rec.Type == recAnswer || rec.Type == recCheckpoint && i == 1 {
+			out = append(out, rec)
+		}
+	}
+	return out
 }

@@ -31,9 +31,9 @@ type Config struct {
 	Workers int
 	// MaxSessions caps resident sessions; creation beyond it gets 429.
 	MaxSessions int
-	// IdleTTL evicts sessions untouched for this long (checkpointed to
-	// their journal first; a later request reloads them transparently).
-	// Zero disables eviction.
+	// IdleTTL evicts sessions untouched for this long (a later request
+	// replays them from their journal transparently). Zero disables
+	// eviction.
 	IdleTTL time.Duration
 	// JanitorInterval is the eviction sweep period.
 	JanitorInterval time.Duration
@@ -128,10 +128,9 @@ type Manager struct {
 }
 
 // New builds a manager, recovering every journaled session found in the
-// data directory. Unfinished sessions are rebuilt by preloading their
-// latest checkpoint and replaying the answers recorded after it; the
-// replay re-runs synthesis steps, so startup time scales with the
-// un-checkpointed tail of each journal.
+// data directory. Unfinished sessions are rebuilt by replaying every
+// journaled answer; the replay re-runs synthesis steps, so startup time
+// scales with the answers journaled by unfinished sessions.
 func New(cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
 	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
@@ -784,37 +783,19 @@ func (m *Manager) rebuildLocked(id, path string) (*Session, error) {
 	}
 	s.jr = jr
 
-	// Preload the latest checkpoint, then replay the answers recorded
-	// after it. Query generation is deterministic in (spec, preloaded
-	// state, answers), so the replayed queries must reproduce the
-	// journaled pairs exactly — a mismatch means the code changed under
-	// the journal, and resuming would silently answer different
-	// questions.
-	lastCk := -1
-	for i, rec := range recs {
-		if rec.Type == recCheckpoint {
-			lastCk = i
-		}
-	}
-	if lastCk >= 0 {
-		if err := s.stepper.Preload(recs[lastCk].Transcript); err != nil {
+	// Preload the import record, if any, then replay every answer. Query
+	// generation is deterministic in (spec, imported transcript,
+	// answers), so the replayed queries must reproduce the journaled
+	// pairs exactly — a mismatch means the code changed under the
+	// journal, and resuming would silently answer different questions.
+	replay := replayRecords(recs)
+	if len(replay) > 1 && replay[1].Type == recCheckpoint {
+		if err := s.stepper.Preload(replay[1].Transcript); err != nil {
 			jr.close()
 			s.stepper.Close()
-			return nil, fmt.Errorf("preload checkpoint: %w", err)
+			return nil, fmt.Errorf("preload imported transcript: %w", err)
 		}
 		s.imported = true
-		// Re-seed the learned-prune cache from the checkpoint summary.
-		// Strictly best-effort: every region is re-verified against the
-		// constraint system Preload just rebuilt, and a summary that fails
-		// verification (tampered journal, diverging history) is rejected
-		// whole — the session then solves cold, which is slower but
-		// bit-identical.
-		if sum := recs[lastCk].Learned; sum != nil {
-			if _, err := s.stepper.ImportLearned(sum); err != nil {
-				m.log.Warn("session.learned.reject",
-					"session", id, "error", err.Error())
-			}
-		}
 	}
 	// Replay is batch-aware: the journal records judgments in arrival
 	// order, which within a planner round may differ from sequence
@@ -824,8 +805,7 @@ func (m *Manager) rebuildLocked(id, path string) (*Session, error) {
 	// the crash replays its recorded prefix and leaves the rest parked.
 	replayed := 0
 	var open []core.Query
-	for i := lastCk + 1; i < len(recs); i++ {
-		rec := recs[i]
+	for i, rec := range replay {
 		if rec.Type != recAnswer {
 			continue
 		}
@@ -840,7 +820,7 @@ func (m *Manager) rebuildLocked(id, path string) (*Session, error) {
 			}
 			if qs == nil {
 				m.log.Warn("session.replay.truncated",
-					"session", id, "unused_answers", countAnswers(recs[i:]))
+					"session", id, "unused_answers", countAnswers(replay[i:]))
 				break
 			}
 			open = qs
@@ -867,7 +847,6 @@ func (m *Manager) rebuildLocked(id, path string) (*Session, error) {
 		replayed++
 	}
 	s.answers = countAnswers(recs)
-	s.seqBase = s.answers - s.stepper.Answered()
 	m.sessions[id] = s
 	m.met.recovered.Inc()
 	m.met.active.Set(float64(len(m.sessions)))
@@ -943,14 +922,14 @@ func (m *Manager) sweep() {
 		m.met.active.Set(float64(len(m.sessions)))
 		m.mu.Unlock()
 		m.met.evicted.Inc()
-		s.log.Info("session.evict", "checkpointed", true)
+		s.log.Info("session.evict")
 	}
 }
 
 // Close gracefully shuts the manager down: stops the janitor, waits
-// (bounded by ctx) for in-flight steps to park, checkpoints every
-// unfinished session to its journal, and releases all resources. After
-// Close the data directory alone reconstitutes every session.
+// (bounded by ctx) for in-flight steps to park, and releases all
+// resources. After Close the data directory alone reconstitutes every
+// session: finished ones from their final record, the rest by replay.
 func (m *Manager) Close(ctx context.Context) error {
 	m.ready.Store(false)
 	m.mu.Lock()
@@ -978,7 +957,7 @@ func (m *Manager) Close(ctx context.Context) error {
 }
 
 // Abort simulates a crash for tests: every session is dropped without
-// checkpoints, leaving only the fsynced answer trail in the journals.
+// waiting for in-flight steps, leaving only the fsynced journals.
 func (m *Manager) Abort() {
 	m.ready.Store(false)
 	m.mu.Lock()

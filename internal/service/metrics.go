@@ -44,7 +44,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		recovered: reg.Counter("compsynthd_sessions_recovered_total",
 			"Sessions rebuilt from journals (startup recovery or lazy reload)."),
 		evicted: reg.Counter("compsynthd_sessions_evicted_total",
-			"Sessions checkpointed and dropped from memory by the idle TTL."),
+			"Sessions dropped from memory by the idle TTL (reloaded from their journals on demand)."),
 		finished: reg.Counter("compsynthd_sessions_finished_total",
 			"Sessions that completed (converged or hit the iteration cap)."),
 		failed: reg.Counter("compsynthd_sessions_failed_total",

@@ -3,14 +3,18 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
-	"math/rand"
+	"log/slog"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"compsynth/internal/core"
+	"compsynth/internal/obs"
 	"compsynth/internal/oracle"
+	"compsynth/internal/solver"
 )
 
 // answerN drives a session through exactly n answers via the
@@ -38,19 +42,71 @@ func answerN(t *testing.T, s *Session, user oracle.Oracle, n int) {
 	}
 }
 
+// parkQuery waits until the session's next query is parked, so the
+// session is quiescent.
+func parkQuery(t *testing.T, s *Session) *core.Query {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	q, _, err := s.AwaitQuery(ctx)
+	if err != nil || q == nil {
+		t.Fatalf("park next query: %v (q=%v)", err, q)
+	}
+	return q
+}
+
+// evict ages a quiescent session past the TTL and sweeps it out.
+func evict(t *testing.T, m *Manager, s *Session) {
+	t.Helper()
+	parkQuery(t, s)
+	s.mu.Lock()
+	s.lastTouch = time.Now().Add(-time.Hour)
+	s.mu.Unlock()
+	m.sweep()
+	m.mu.Lock()
+	_, resident := m.sessions[s.ID]
+	m.mu.Unlock()
+	if resident {
+		t.Fatal("session still resident after sweep")
+	}
+}
+
+// assertNoCheckpoint fails if the session's journal holds a checkpoint
+// record: only PUT transcript writes one.
+func assertNoCheckpoint(t *testing.T, dir, id string) {
+	t.Helper()
+	recs, err := readJournal(journalPath(dir, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range recs {
+		if rec.Type == recCheckpoint {
+			t.Fatalf("journal record %d is a checkpoint; only a transcript import writes one", i)
+		}
+	}
+}
+
+// finishTranscript drives a session to its end and returns its
+// serialized transcript.
+func finishTranscript(t *testing.T, s *Session, user oracle.Oracle) []byte {
+	t.Helper()
+	if err := driveSession(s, user); err != nil {
+		t.Fatal(err)
+	}
+	return sessionTranscript(t, s)
+}
+
 // TestEvictionCheckpointReload walks a session through the idle-TTL
-// eviction path: the janitor sweep must checkpoint it to its journal,
-// a later Get must reload it transparently, and the resumed session
-// must still converge to a high-agreement objective. (The continuation
-// is not bit-identical to an uninterrupted run — a checkpoint restart
-// reseeds the search — so agreement, not bytes, is the bar here; the
-// bit-exact bar is held by the crash-replay tests, which have no
-// checkpoint.)
+// eviction path: the sweep writes nothing to the journal, a later Get
+// replays it transparently with its seqs continuing, and the finished
+// transcript is byte-identical to the batch run.
 func TestEvictionCheckpointReload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full synthesis runs are not -short friendly")
 	}
 	user := swanUser(t)
+	spec := testSpec(46)
+	want := batchTranscript(t, spec, user)
 	cfg := testConfig(t.TempDir())
 	cfg.IdleTTL = time.Minute
 	m, err := New(cfg)
@@ -59,51 +115,15 @@ func TestEvictionCheckpointReload(t *testing.T) {
 	}
 	defer m.Abort()
 
-	s, err := m.Create(context.Background(), testSpec(46))
+	s, err := m.Create(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := s.ID
-	// Answer past the initial-ranking phase: ranking answers commit to
-	// the preference graph only when the whole ranking finishes, so an
-	// earlier snapshot would be empty and eviction would (correctly)
-	// skip the checkpoint.
 	answerN(t, s, user, 10)
+	evict(t, m, s)
+	assertNoCheckpoint(t, cfg.DataDir, id)
 
-	// Park the next query so the session is quiescent, then age it past
-	// the TTL and sweep.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	if _, _, err := s.AwaitQuery(ctx); err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	s.lastTouch = time.Now().Add(-time.Hour)
-	s.mu.Unlock()
-	m.sweep()
-
-	m.mu.Lock()
-	_, resident := m.sessions[id]
-	m.mu.Unlock()
-	if resident {
-		t.Fatal("session still resident after sweep")
-	}
-	recs, err := readJournal(journalPath(cfg.DataDir, id))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hasCk := false
-	for _, rec := range recs {
-		if rec.Type == recCheckpoint {
-			hasCk = true
-		}
-	}
-	if !hasCk {
-		t.Fatal("eviction did not checkpoint the session")
-	}
-
-	// Lazy reload: the same ID resolves again, with its answers intact
-	// and sequence numbers continuing where they left off.
 	s2, err := m.Get(id)
 	if err != nil {
 		t.Fatalf("reload evicted session: %v", err)
@@ -114,70 +134,42 @@ func TestEvictionCheckpointReload(t *testing.T) {
 	if got := s2.Status().Answers; got != 10 {
 		t.Fatalf("reloaded session has %d answers, want 10", got)
 	}
-	q, _, err := s2.AwaitQuery(ctx)
-	if err != nil || q == nil {
-		t.Fatalf("reloaded session query: %v (q=%v)", err, q)
-	}
-	if q.Seq != 10 {
+	if q := parkQuery(t, s2); q.Seq != 10 {
 		t.Errorf("reloaded session resumed at seq %d, want 10", q.Seq)
 	}
-
-	if err := driveSession(s2, user); err != nil {
-		t.Fatal(err)
-	}
-	st := s2.Status()
-	if st.State != StateDone || !st.Converged {
-		t.Fatalf("resumed session: state %s converged %v (%s)", st.State, st.Converged, st.Error)
-	}
-	s2.mu.Lock()
-	res := s2.result
-	s2.mu.Unlock()
-	if agree := core.Validate(res, user, 1500, rand.New(rand.NewSource(7))); agree < 0.9 {
-		t.Errorf("resumed session agreement %.3f, want >= 0.9", agree)
+	if got := finishTranscript(t, s2, user); !bytes.Equal(got, want) {
+		t.Errorf("evicted-and-reloaded transcript diverged from batch run (%d vs %d bytes)", len(got), len(want))
 	}
 }
 
-// TestGracefulCloseCheckpoints shuts a mid-session manager down and
-// verifies the journal gained a checkpoint, then resumes in a fresh
-// manager without replaying any answers (the checkpoint subsumes them).
+// TestGracefulCloseCheckpoints shuts a mid-session manager down: the
+// journal gains no checkpoint, and a fresh manager replays the session
+// to a transcript byte-identical to the batch run.
 func TestGracefulCloseCheckpoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full synthesis runs are not -short friendly")
 	}
 	user := swanUser(t)
+	spec := testSpec(47)
+	want := batchTranscript(t, spec, user)
 	dir := t.TempDir()
 	m, err := New(testConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := m.Create(context.Background(), testSpec(47))
+	s, err := m.Create(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := s.ID
-	answerN(t, s, user, 10) // past initial ranking, so the snapshot has content
+	answerN(t, s, user, 10)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := m.Close(ctx); err != nil {
 		t.Fatalf("graceful close: %v", err)
 	}
-	recs, err := readJournal(journalPath(dir, id))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckAfterLastAnswer := false
-	for _, rec := range recs {
-		switch rec.Type {
-		case recCheckpoint:
-			ckAfterLastAnswer = true
-		case recAnswer:
-			ckAfterLastAnswer = false
-		}
-	}
-	if !ckAfterLastAnswer {
-		t.Fatal("graceful shutdown did not checkpoint after the last answer")
-	}
+	assertNoCheckpoint(t, dir, id)
 
 	m2, err := New(testConfig(dir))
 	if err != nil {
@@ -191,11 +183,196 @@ func TestGracefulCloseCheckpoints(t *testing.T) {
 	if got := s2.Status().Answers; got != 10 {
 		t.Fatalf("recovered session has %d answers, want 10", got)
 	}
-	if err := driveSession(s2, user); err != nil {
+	if got := finishTranscript(t, s2, user); !bytes.Equal(got, want) {
+		t.Errorf("post-shutdown transcript diverged from batch run (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestEvictThenMigrate evicts a session, reloads and answers it further,
+// then migrates it: the bundle's journal must replay on a fresh manager,
+// and the finished transcript must be byte-identical to the batch run.
+func TestEvictThenMigrate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full synthesis runs are not -short friendly")
+	}
+	user := swanUser(t)
+	spec := testSpec(46)
+	want := batchTranscript(t, spec, user)
+	cfg := testConfig(t.TempDir())
+	cfg.IdleTTL = time.Minute
+	m, err := New(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s2.Status(); st.State != StateDone || !st.Converged {
-		t.Fatalf("resumed session: state %s converged %v (%s)", st.State, st.Converged, st.Error)
+	defer m.Abort()
+
+	s, err := m.Create(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := s.ID
+	answerN(t, s, user, 10)
+	evict(t, m, s)
+	s2, err := m.Get(id)
+	if err != nil {
+		t.Fatalf("reload evicted session: %v", err)
+	}
+	answerN(t, s2, user, 3)
+	parkQuery(t, s2)
+	b, err := s2.Bundle()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m2, err := New(testConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Abort()
+	s3, err := m2.Restore(id, b.Journal)
+	if err != nil {
+		t.Fatalf("restore after eviction: %v", err)
+	}
+	if got := s3.Status().Answers; got != 13 {
+		t.Fatalf("restored session has %d answers, want 13", got)
+	}
+	if got := finishTranscript(t, s3, user); !bytes.Equal(got, want) {
+		t.Errorf("migrated transcript diverged from batch run (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// parentCheckpoint is a checkpoint record as older builds wrote it at
+// eviction and shutdown: a snapshot transcript plus the learned-prune
+// summary that has since left the journal format.
+type parentCheckpoint struct {
+	journalRecord
+	Learned *solver.LearnedSummary `json:"learned,omitempty"`
+}
+
+// appendRaw appends JSON records to a journal file.
+func appendRaw(t *testing.T, path string, recs ...any) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for _, rec := range recs {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(append(line, '\n')); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestParentFormatJournals recovers journals written by builds that
+// checkpointed at eviction and shutdown. A journal ending in such a
+// checkpoint (learned summary included) replays its answers and
+// finishes byte-identical to the batch run. A journal with answers
+// after a mid-session checkpoint was answered by a checkpoint-resumed
+// stepper, so replay from the start diverges: it is a stale journal for
+// this build and is quarantined, while the daemon still starts.
+func TestParentFormatJournals(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full synthesis runs are not -short friendly")
+	}
+	user := swanUser(t)
+	spec := testSpec(52)
+	want := batchTranscript(t, spec, user)
+	dir := t.TempDir()
+
+	// Two identical sessions crashed after 10 answers.
+	m, err := New(testConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids [2]string
+	var snap *core.Transcript
+	for i := range ids {
+		s, err := m.Create(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = s.ID
+		answerN(t, s, user, 10)
+		parkQuery(t, s)
+		if snap, err = s.Transcript(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Abort()
+	ck := parentCheckpoint{
+		journalRecord: journalRecord{Type: recCheckpoint, Transcript: snap},
+		Learned: &solver.LearnedSummary{Refuted: []solver.RefutedRegion{{
+			Box: [][2]float64{{0, 1}, {0, 1}, {0, 1}, {0, 1}}, Index: 3,
+		}}},
+	}
+	trailing, resumed := ids[0], ids[1]
+	appendRaw(t, journalPath(dir, trailing), ck)
+
+	// The resumed journal continues the way an older build resumed a
+	// checkpoint: a fresh stepper preloads the snapshot and asks on.
+	cfg, err := spec.config(nil, &solver.Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := core.NewStepper(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Preload(snap); err != nil {
+		t.Fatal(err)
+	}
+	tail := []any{ck}
+	for len(tail) < 4 {
+		q, err := st.Next(context.Background())
+		if err != nil || q == nil {
+			t.Fatalf("checkpoint-resumed stepper: %v (q=%v)", err, q)
+		}
+		pref := user.Compare(q.A, q.B)
+		if err := st.Answer(pref); err != nil {
+			t.Fatal(err)
+		}
+		tail = append(tail, journalRecord{Type: recAnswer, Seq: 10 + q.Seq, A: q.A, B: q.B, Pref: int(pref)})
+	}
+	appendRaw(t, journalPath(dir, resumed), tail...)
+
+	var sink lockedBuffer
+	cfg2 := testConfig(dir)
+	cfg2.Log = obs.NewLogger(&sink, slog.LevelInfo)
+	m2, err := New(cfg2)
+	if err != nil {
+		t.Fatalf("a stale journal must not fail startup: %v", err)
+	}
+	defer m2.Abort()
+
+	s, err := m2.Get(trailing)
+	if err != nil {
+		t.Fatalf("journal ending in a checkpoint: %v", err)
+	}
+	if got := s.Status().Answers; got != 10 {
+		t.Fatalf("recovered session has %d answers, want 10", got)
+	}
+	if got := finishTranscript(t, s, user); !bytes.Equal(got, want) {
+		t.Errorf("transcript after a trailing checkpoint diverged from batch run (%d vs %d bytes)", len(got), len(want))
+	}
+
+	if _, err := m2.Get(resumed); !errors.Is(err, ErrNotFound) {
+		t.Errorf("journal with answers after a checkpoint should be quarantined, got %v", err)
+	}
+	if _, err := os.Stat(journalPath(dir, resumed) + ".bad"); err != nil {
+		t.Errorf("stale journal not quarantined: %v", err)
+	}
+	fails := findLines(sink.lines(t), "session.recover.fail", "session", resumed)
+	if len(fails) != 1 {
+		t.Fatalf("got %d session.recover.fail lines for the stale journal, want 1", len(fails))
+	}
+	if msg, _ := fails[0]["error"].(string); !strings.Contains(msg, "regenerated query diverged from journal") {
+		t.Errorf("quarantine error %q is not the replay divergence", msg)
 	}
 }
 

@@ -94,11 +94,10 @@ type Session struct {
 	state   State
 	stepper *core.Stepper
 	// pending holds the current round's unanswered queries in sequence
-	// order (external seqs, i.e. seqBase already applied). Legacy
-	// single-query sessions are the k=1 special case: one entry.
+	// order. Legacy single-query sessions are the k=1 special case: one
+	// entry.
 	pending  []core.Query
 	answers  int // accepted answers over the session's whole life (journal count)
-	seqBase  int // journaled answers subsumed by checkpoints before this stepper
 	imported bool
 	jr       *journal
 	// repl mirrors journal appends to the session's replica set; nil
@@ -187,13 +186,11 @@ func (s *Session) advance(release func()) {
 		"dur_ms", time.Since(start).Seconds()*1e3,
 		"error", errAttr(err))
 	if s.closing {
-		// Shutdown or eviction owns the teardown. A completed session
-		// still records its result; anything else parks as idle so the
-		// checkpoint logic sees a quiescent state.
+		// Shutdown owns the teardown. A completed session still records
+		// its result; anything else parks as idle so shutdown stops
+		// waiting.
 		if err == nil && qs == nil {
 			s.finishLocked()
-		} else if err == nil && qs != nil {
-			s.parkRoundLocked(qs)
 		} else {
 			s.state = StateIdle
 		}
@@ -207,22 +204,12 @@ func (s *Session) advance(release func()) {
 		return
 	}
 	if qs != nil {
-		s.parkRoundLocked(qs)
+		s.pending = qs
+		s.state = StateAwaiting
 		s.m.met.queries.Add(int64(len(qs)))
 		return
 	}
 	s.finishLocked()
-}
-
-// parkRoundLocked installs a fresh query round as the pending batch,
-// rebasing the stepper's internal sequence numbers into the session's
-// external numbering.
-func (s *Session) parkRoundLocked(qs []core.Query) {
-	for i := range qs {
-		qs[i].Seq += s.seqBase
-	}
-	s.pending = qs
-	s.state = StateAwaiting
 }
 
 // finishLocked records the completed session outcome and journals the
@@ -428,7 +415,7 @@ func (s *Session) Judge(ctx context.Context, seq int, j oracle.Judgment) (State,
 		s.bumpLocked()
 		return StateFailed, err
 	}
-	if err := s.stepper.AnswerSeq(seq-s.seqBase, j); err != nil {
+	if err := s.stepper.AnswerSeq(seq, j); err != nil {
 		release()
 		s.m.met.rejected.Inc()
 		return s.state, err
@@ -463,8 +450,8 @@ func (s *Session) Progress() *solver.Progress { return s.progress }
 
 // Import preloads a recorded transcript into a fresh session (PUT
 // transcript). Only valid before any query has been asked; the imported
-// transcript is journaled as a checkpoint so recovery replays on top of
-// it.
+// transcript is journaled as a checkpoint record — the one checkpoint a
+// journal holds — so recovery replays on top of it.
 func (s *Session) Import(t *core.Transcript) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -530,9 +517,7 @@ type MigrationBundle struct {
 	// records: the create record, the import checkpoint when the
 	// session began from PUT transcript, and every accepted answer in
 	// order. Restore rebuilds the session by deterministic replay of
-	// these records — the only resume path proven bit-identical to a
-	// single-process run (mid-session snapshot preloads are not; see
-	// Bundle).
+	// these records, exactly as crash recovery does.
 	Journal []json.RawMessage `json:"journal"`
 	// Transcript is a quiescent snapshot of the preference graph for
 	// inspection and backup tooling; nil for sessions with no committed
@@ -551,9 +536,8 @@ type MigrationBundle struct {
 // phase are not yet committed to the preference graph, and resuming
 // from a mid-session preload is convergent but not bit-identical to a
 // single-process run. Deterministic replay of the raw answer records is
-// (the crash-recovery invariant), so the bundle ships those and drops
-// mid-session checkpoints — only an import checkpoint, which replay
-// cannot reconstruct, is kept.
+// (the crash-recovery invariant), so the bundle ships the records
+// recovery replays (replayRecords).
 func (s *Session) Bundle() (*MigrationBundle, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -572,20 +556,7 @@ func (s *Session) Bundle() (*MigrationBundle, error) {
 	}
 	b := &MigrationBundle{ID: s.ID, Spec: s.spec, State: s.state, Answers: s.answers}
 	b.Spec.ID = s.ID
-	answersSeen := false
-	for i, rec := range recs {
-		switch rec.Type {
-		case recCreate, recAnswer:
-			if rec.Type == recAnswer {
-				answersSeen = true
-			}
-		case recCheckpoint:
-			if i != 1 || answersSeen {
-				continue // eviction/shutdown checkpoint: replay subsumes it
-			}
-		default:
-			continue
-		}
+	for i, rec := range replayRecords(recs) {
 		line, err := json.Marshal(rec)
 		if err != nil {
 			return nil, fmt.Errorf("service: bundle journal record %d: %w", i, err)
@@ -602,8 +573,8 @@ func (s *Session) Bundle() (*MigrationBundle, error) {
 		}
 		t.SessionID = s.ID
 		b.Transcript = t
-		// Best-effort, like checkpointing: losing the summary costs the
-		// new owner speed, never correctness.
+		// Best-effort: losing the summary costs the new owner speed,
+		// never correctness.
 		b.Learned, _ = s.stepper.LearnedSummary()
 	}
 	return b, nil
@@ -704,8 +675,9 @@ func (s *Session) Status() SessionStatus {
 	return st
 }
 
-// evictIfIdle checkpoints and drops a session whose idle clock passed
-// the TTL. Computing sessions are never evicted (they hold a slot; the
+// evictIfIdle drops a session whose idle clock passed the TTL; its
+// journal already holds every accepted answer, so a later Get replays
+// it back. Computing sessions are never evicted (they hold a slot; the
 // step timeout bounds them). Returns whether the session was evicted.
 func (s *Session) evictIfIdle(now time.Time, ttl time.Duration) bool {
 	s.mu.Lock()
@@ -713,14 +685,15 @@ func (s *Session) evictIfIdle(now time.Time, ttl time.Duration) bool {
 		s.mu.Unlock()
 		return false
 	}
-	s.teardownLocked(true)
+	s.teardownLocked()
 	return true
 }
 
 // shutdown is the graceful-stop path: wait (bounded by ctx) for an
-// in-flight step to park, cancel it at the deadline, then checkpoint
-// and release everything. The journal already holds every accepted
-// answer, so even the forced path loses nothing.
+// in-flight step to park, so a step that completes the session still
+// journals its final record, cancel it at the deadline, then release
+// everything. The journal already holds every accepted answer, so even
+// the forced path loses nothing.
 func (s *Session) shutdown(ctx context.Context) {
 	s.mu.Lock()
 	s.closing = true
@@ -740,42 +713,20 @@ func (s *Session) shutdown(ctx context.Context) {
 		}
 		s.mu.Lock()
 	}
-	s.teardownLocked(true)
+	s.teardownLocked()
 }
 
-// abort simulates a crash: drop everything without checkpointing, so
-// recovery exercises the answer-replay path. Also the fast path for
-// DELETE (the checkpoint would be dead weight).
+// abort simulates a crash, and is DELETE's teardown: drop everything
+// without waiting for an in-flight step.
 func (s *Session) abort() {
 	s.mu.Lock()
-	s.closing = true
-	s.teardownLocked(false)
+	s.teardownLocked()
 }
 
-// teardownLocked finalizes the session: optional checkpoint of a
-// quiescent unfinished session, then journal close and stepper
+// teardownLocked finalizes the session: journal close and stepper
 // cancellation. Releases s.mu; runs the blocking stepper.Close outside
 // the lock.
-func (s *Session) teardownLocked(checkpoint bool) {
-	var snap *core.Transcript
-	var learned *solver.LearnedSummary
-	// A partially answered round must not be checkpointed: its accepted
-	// judgments are still inside the stepper (they commit when the round
-	// completes), so the snapshot would not subsume the journaled answer
-	// records before it — recovery, which replays only records after the
-	// last checkpoint, would silently drop those answers and reuse their
-	// seqs. Skipping the checkpoint keeps recovery on the full-replay
-	// path, which is exact.
-	if checkpoint && (s.state == StateIdle || s.state == StateAwaiting) && s.stepper != nil &&
-		!s.stepper.RoundPartiallyAnswered() {
-		if t, err := s.stepper.Snapshot(); err == nil && len(t.Scenarios) > 0 {
-			snap = t
-			// Best-effort: the summary rides along with the checkpoint so a
-			// recovered session keeps its prune work; losing it only costs
-			// speed. Quiescence is already guaranteed by the Snapshot above.
-			learned, _ = s.stepper.LearnedSummary()
-		}
-	}
+func (s *Session) teardownLocked() {
 	s.closing = true
 	s.state = StateEvicted
 	s.pending = nil
@@ -783,11 +734,6 @@ func (s *Session) teardownLocked(checkpoint bool) {
 	s.bumpLocked()
 	s.mu.Unlock()
 	if jr != nil {
-		if snap != nil {
-			if err := jr.append(journalRecord{Type: recCheckpoint, Transcript: snap, Learned: learned}); err != nil {
-				s.log.Error("session.journal.error", "record", "checkpoint", "error", err.Error())
-			}
-		}
 		jr.close()
 	}
 	if stepper != nil {

@@ -13,10 +13,10 @@
 // Under the API sits a session manager with a bounded worker pool (429
 // backpressure when saturated), per-session serialization, idle-TTL
 // eviction, and crash recovery: every accepted answer is appended to a
-// per-session journal in the data directory, graceful shutdown
-// checkpoints in-flight sessions, and on restart sessions are rebuilt
-// from their journals (checkpoint → core Preload, then deterministic
-// replay of any answers recorded after it).
+// per-session journal in the data directory, and on restart sessions
+// are rebuilt from their journals by deterministic replay of every
+// answer (on top of the imported transcript, for sessions begun by PUT
+// transcript).
 package service
 
 import (

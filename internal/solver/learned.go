@@ -28,7 +28,6 @@ package solver
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -303,15 +302,14 @@ func (l *Learned) forEachRefuted(fn func(box []interval.Interval, refuter string
 
 // LearnedSummary is the serializable slice of a learned-prune cache: the
 // refuted boxes, each naming the constraint that refuted it by its index
-// in the exporting System's constraint order. It is what the service
-// layer persists in session checkpoints so a recovered session keeps its
-// accumulated prune work.
+// in the exporting System's constraint order. Sessions export it to the
+// fleet's shared learned tier and to migration bundles, and other
+// sessions warm their caches from it (System.WarmLearned).
 //
 // Only refutations are exported: re-verifying one costs a single
-// interval evaluation of the named constraint (importers MUST verify —
-// see System.ImportLearned), whereas an undecided entry's facts would
-// cost as much to verify as to re-derive, so persisting them buys
-// nothing.
+// interval evaluation of a constraint (importers MUST verify), whereas
+// an undecided entry's facts would cost as much to verify as to
+// re-derive, so shipping them buys nothing.
 type LearnedSummary struct {
 	// Refuted lists the proven-infeasible boxes.
 	Refuted []RefutedRegion `json:"refuted"`
@@ -325,42 +323,9 @@ type RefutedRegion struct {
 	// true indexes ties.
 	Tie bool `json:"tie,omitempty"`
 	// Index is the refuting constraint's position in the exporting
-	// System's constraint order. Preference order is canonical (the
-	// synthesizer mirrors prefgraph.Edges, and transcript Preload
-	// re-interns scenarios in recorded order), so the index resolves to
-	// the same constraint after recovery; import re-verifies anyway.
+	// System's constraint order: a hint the importer tries first before
+	// scanning every constraint.
 	Index int `json:"index"`
-}
-
-// Validate checks structural sanity: consistent dimensionality, finite
-// ordered bounds, non-negative indices. Semantic validity (does the
-// named constraint actually refute the box?) is the importing System's
-// job.
-func (s *LearnedSummary) Validate() error {
-	dim := -1
-	for i, r := range s.Refuted {
-		if len(r.Box) == 0 {
-			return fmt.Errorf("solver: learned summary region %d is empty", i)
-		}
-		if dim == -1 {
-			dim = len(r.Box)
-		}
-		if len(r.Box) != dim {
-			return fmt.Errorf("solver: learned summary region %d has %d dims, want %d", i, len(r.Box), dim)
-		}
-		if r.Index < 0 {
-			return fmt.Errorf("solver: learned summary region %d has negative constraint index", i)
-		}
-		for j, b := range r.Box {
-			if math.IsNaN(b[0]) || math.IsInf(b[0], 0) || math.IsNaN(b[1]) || math.IsInf(b[1], 0) {
-				return fmt.Errorf("solver: learned summary region %d dim %d is not finite", i, j)
-			}
-			if b[0] > b[1] {
-				return fmt.Errorf("solver: learned summary region %d dim %d has lo > hi", i, j)
-			}
-		}
-	}
-	return nil
 }
 
 // hashBox is a deterministic FNV-1a hash over the box bounds' float

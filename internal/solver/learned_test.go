@@ -3,8 +3,8 @@ package solver
 // Tests for the learned-prune cache: differential parity of the cached
 // evalPruneBox path against cold evaluation across growing and
 // shrinking constraint sets, the invalidation protocol (refuter
-// presence vs removal epoch), and the checkpoint summary's
-// export/verify-on-import contract.
+// presence vs removal epoch), and the exported summary's
+// export/verify-on-warm contract.
 
 import (
 	"context"
@@ -229,9 +229,10 @@ func unsatSearch(t *testing.T, sys *System) {
 }
 
 // TestLearnedSummaryRoundtrip exports the refutations accumulated while
-// proving a contradictory system Unsat, imports them into a fresh
-// System with the same constraints, and checks the reloaded cache both
-// verifies fully and actually serves hits on the replayed search.
+// proving a contradictory system Unsat, warms a fresh System with the
+// same constraints from them, and checks every faithful region installs
+// and serves hits on the replayed search, while regions no constraint
+// can re-prove are skipped.
 func TestLearnedSummaryRoundtrip(t *testing.T) {
 	p := contradictoryProblem()
 	sys := compileSystem(p, nil)
@@ -241,97 +242,29 @@ func TestLearnedSummaryRoundtrip(t *testing.T) {
 	if sum == nil || len(sum.Refuted) == 0 {
 		t.Fatal("no refutations exported after an Unsat proof")
 	}
-	if err := sum.Validate(); err != nil {
-		t.Fatalf("exported summary fails its own validation: %v", err)
-	}
 
-	sys2 := compileSystem(p, nil)
-	l2 := NewLearned(0)
-	sys2.SetLearned(l2)
-	n, err := sys2.ImportLearned(sum)
-	if err != nil {
-		t.Fatalf("import of a faithful summary failed: %v", err)
-	}
-	if n != len(sum.Refuted) {
-		t.Fatalf("installed %d of %d regions", n, len(sum.Refuted))
-	}
-	unsatSearch(t, sys2)
-	if hits := l2.Snapshot().BoxHits; hits == 0 {
-		t.Error("imported summary served no hits on the replayed search")
-	}
-}
-
-// TestImportLearnedRejectsTampered pins the all-or-nothing verification
-// contract: a summary containing any region the current constraint
-// system cannot re-prove — a box the named constraint does not refute,
-// an out-of-range index, or structural garbage — is rejected whole, and
-// the cache stays empty (the session falls back to cold solving).
-func TestImportLearnedRejectsTampered(t *testing.T) {
-	p := contradictoryProblem()
-	sys := compileSystem(p, nil)
-	sys.SetLearned(NewLearned(0))
-	unsatSearch(t, sys)
-	sum := sys.ExportLearned()
-	if sum == nil || len(sum.Refuted) == 0 {
-		t.Fatal("no refutations to tamper with")
-	}
 	domains := sketch.SWAN().Domains()
 	full := make([][2]float64, len(domains))
 	for i, d := range domains {
 		full[i] = [2]float64{d.Lo, d.Hi}
 	}
-	tamper := func(mod func(s *LearnedSummary)) *LearnedSummary {
-		cp := &LearnedSummary{Refuted: append([]RefutedRegion(nil), sum.Refuted...)}
-		mod(cp)
-		return cp
+	nan := append([][2]float64(nil), sum.Refuted[0].Box...)
+	nan[0][0] = math.NaN()
+	warm := &LearnedSummary{Refuted: append(append([]RefutedRegion(nil), sum.Refuted...),
+		// The whole hole box is not refuted by any single constraint
+		// (the root box splits), and a NaN bound proves nothing.
+		RefutedRegion{Box: full}, RefutedRegion{Box: nan})}
+
+	sys2 := compileSystem(p, nil)
+	l2 := NewLearned(0)
+	sys2.SetLearned(l2)
+	installed, skipped := sys2.WarmLearned(warm)
+	if installed != len(sum.Refuted) || skipped != 2 {
+		t.Fatalf("warm installed %d skipped %d; want %d and 2", installed, skipped, len(sum.Refuted))
 	}
-	cases := []struct {
-		name string
-		sum  *LearnedSummary
-	}{
-		{"unprovable region", tamper(func(s *LearnedSummary) {
-			// The whole hole box is not refuted by any single constraint
-			// (the root box splits), so verification must fail.
-			s.Refuted[len(s.Refuted)/2].Box = full
-		})},
-		{"index out of range", tamper(func(s *LearnedSummary) {
-			s.Refuted[0].Index = 99
-		})},
-		{"negative index", tamper(func(s *LearnedSummary) {
-			s.Refuted[0].Index = -1
-		})},
-		{"dimension mismatch", tamper(func(s *LearnedSummary) {
-			s.Refuted[0].Box = s.Refuted[0].Box[:1]
-		})},
-		{"non-finite bound", tamper(func(s *LearnedSummary) {
-			r := s.Refuted[0]
-			box := append([][2]float64(nil), r.Box...)
-			box[0][0] = math.NaN()
-			s.Refuted[0] = RefutedRegion{Box: box, Tie: r.Tie, Index: r.Index}
-		})},
-		{"inverted bounds", tamper(func(s *LearnedSummary) {
-			r := s.Refuted[0]
-			box := append([][2]float64(nil), r.Box...)
-			box[0][0], box[0][1] = box[0][1]+1, box[0][0]
-			s.Refuted[0] = RefutedRegion{Box: box, Tie: r.Tie, Index: r.Index}
-		})},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			sys2 := compileSystem(p, nil)
-			l2 := NewLearned(0)
-			sys2.SetLearned(l2)
-			n, err := sys2.ImportLearned(tc.sum)
-			if err == nil {
-				t.Fatal("tampered summary was accepted")
-			}
-			if n != 0 {
-				t.Errorf("installed %d regions from a rejected summary", n)
-			}
-			if l2.Len() != 0 {
-				t.Errorf("cache holds %d entries after a rejected import; want 0 (all-or-nothing)", l2.Len())
-			}
-		})
+	unsatSearch(t, sys2)
+	if hits := l2.Snapshot().BoxHits; hits == 0 {
+		t.Error("warmed summary served no hits on the replayed search")
 	}
 }
 

@@ -2,8 +2,6 @@ package solver
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -310,73 +308,9 @@ func (s *System) ExportLearned() *LearnedSummary {
 	return &sum
 }
 
-// ImportLearned verifies a summary against this system's constraints
-// and, if every region checks out, installs the refutations into the
-// attached cache. Verification re-proves each region from scratch — one
-// interval evaluation of the named constraint per box — so a summary
-// that lies (tampered checkpoint, stale journal, changed sketch) is
-// rejected as a whole and the caller falls back to cold solving; the
-// cache can never be poisoned through this path. Returns the number of
-// regions installed.
-func (s *System) ImportLearned(sum *LearnedSummary) (int, error) {
-	if sum == nil || len(sum.Refuted) == 0 {
-		return 0, nil
-	}
-	if s.learned == nil {
-		return 0, errors.New("solver: ImportLearned without an attached cache")
-	}
-	if err := sum.Validate(); err != nil {
-		return 0, err
-	}
-	dim := len(s.sk.Domains())
-	type verified struct {
-		box []interval.Interval
-		key string
-	}
-	regions := make([]verified, 0, len(sum.Refuted))
-	for i, r := range sum.Refuted {
-		if len(r.Box) != dim {
-			return 0, fmt.Errorf("solver: learned region %d has %d dims, sketch has %d", i, len(r.Box), dim)
-		}
-		box := make([]interval.Interval, dim)
-		for j, b := range r.Box {
-			box[j] = interval.New(b[0], b[1])
-		}
-		var key string
-		if r.Tie {
-			if r.Index >= len(s.cts) {
-				return 0, fmt.Errorf("solver: learned region %d names tie %d of %d", i, r.Index, len(s.cts))
-			}
-			ct := s.cts[r.Index]
-			diff := ct.diff.EvalInterval(nil, box)
-			if !(diff.Lo > ct.band || diff.Hi < -ct.band) {
-				return 0, fmt.Errorf("solver: learned region %d fails re-verification against tie %d", i, r.Index)
-			}
-			key = ct.key
-		} else {
-			if r.Index >= len(s.cps) {
-				return 0, fmt.Errorf("solver: learned region %d names constraint %d of %d", i, r.Index, len(s.cps))
-			}
-			cp := s.cps[r.Index]
-			diff := cp.diff.EvalInterval(nil, box)
-			if !(diff.Hi <= s.margin) {
-				return 0, fmt.Errorf("solver: learned region %d fails re-verification against constraint %d", i, r.Index)
-			}
-			key = cp.key
-		}
-		regions = append(regions, verified{box: box, key: key})
-	}
-	// All regions verified; install atomically with respect to failure.
-	for _, v := range regions {
-		s.learned.storeBox(hashBox(v.box), v.box, v.key, false)
-	}
-	return len(regions), nil
-}
-
-// WarmLearned is the advisory sibling of ImportLearned for summaries
-// that came from a *different* session (the fleet's shared learned
-// tier): instead of all-or-nothing verification it re-proves each
-// region independently and installs only the ones that check out,
+// WarmLearned installs a summary exported by another session (the
+// fleet's shared learned tier) into the attached cache. It re-proves
+// each region independently and installs only the ones that check out,
 // skipping the rest. A region first tries the constraint index the
 // exporter named (cheap, and exact for same-history summaries); when
 // that fails — cross-session summaries index a different constraint
@@ -442,9 +376,7 @@ func (s *System) refuterFor(box []interval.Interval, r RefutedRegion) (key strin
 }
 
 // finiteRegion reports whether a region's bounds are finite, ordered
-// intervals — the structural subset of LearnedSummary.Validate that
-// WarmLearned enforces per region instead of rejecting the whole
-// summary.
+// intervals; WarmLearned skips any region that is not.
 func finiteRegion(r RefutedRegion) bool {
 	for _, b := range r.Box {
 		if math.IsNaN(b[0]) || math.IsInf(b[0], 0) || math.IsNaN(b[1]) || math.IsInf(b[1], 0) || b[0] > b[1] {
