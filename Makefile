@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-smoke bench-module bench-json effort-gate experiments examples obs-smoke obs-demo service-smoke log-smoke fleet-smoke fleet-ha-smoke fleet-chaos docs-lint fmt vet clean
+.PHONY: all build test test-short race cover bench bench-smoke bench-module bench-json effort-gate fuzz-smoke experiments examples obs-smoke obs-demo service-smoke log-smoke fleet-smoke fleet-ha-smoke fleet-chaos docs-lint fmt vet clean
 
 # Tier-1 verification: build, vet, the full test suite, the race
 # detector over the packages with real concurrency (parallel solver
@@ -16,8 +16,9 @@ GO ?= go
 # over real HTTP), the replicated-journal failover path (a member
 # SIGKILLed and never restarted, its sessions adopted elsewhere), the
 # oracle-effort regression gate, the end-to-end benchmark module's vet
-# and -short tests, and the documentation gate.
-all: build vet test race bench-smoke bench-module obs-smoke service-smoke log-smoke fleet-smoke fleet-ha-smoke effort-gate docs-lint
+# and -short tests, a short fuzz of the differential evaluation
+# targets, and the documentation gate.
+all: build vet test race bench-smoke bench-module obs-smoke service-smoke log-smoke fleet-smoke fleet-ha-smoke effort-gate fuzz-smoke docs-lint
 
 build:
 	$(GO) build ./...
@@ -62,6 +63,13 @@ bench-json:
 # less than 30% over planner-off. Part of tier-1 `all`.
 effort-gate:
 	$(GO) run ./cmd/effortgate
+
+# Fuzz each differential evaluation target for 10 s: random programs,
+# deep ones included, through both tapes and the batched lanes, checked
+# against the AST interpreter. Part of tier-1 `all`.
+fuzz-smoke:
+	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzDifferentialEval$$' -fuzztime 10s
+	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzDifferentialBatch$$' -fuzztime 10s
 
 # Boot the live observability endpoint: /metrics (Prometheus text),
 # /debug/vars (expvar), /debug/pprof, /trace (JSONL spans).

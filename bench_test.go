@@ -8,6 +8,7 @@
 package compsynth_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -159,7 +160,7 @@ func BenchmarkAblationSolverStrategies(b *testing.B) {
 		b.Run(s.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < b.N; i++ {
-				if _, st := solver.FindCandidate(p, s.opts, rng); st != solver.StatusSat {
+				if _, st, _ := solver.Compile(p, nil).FindCandidate(context.Background(), s.opts, rng); st != solver.StatusSat {
 					b.Fatalf("status %v", st)
 				}
 			}
@@ -179,7 +180,7 @@ func BenchmarkAblationParallelWorkers(b *testing.B) {
 			opts.Workers = workers
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < b.N; i++ {
-				if _, st := solver.FindCandidate(p, opts, rng); st != solver.StatusSat {
+				if _, st, _ := solver.Compile(p, nil).FindCandidate(context.Background(), opts, rng); st != solver.StatusSat {
 					b.Fatalf("status %v", st)
 				}
 			}

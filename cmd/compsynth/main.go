@@ -72,7 +72,6 @@ func main() {
 		progressTick = flag.Duration("progress", 0, "print a live solver progress line to stderr every D (e.g. 2s; 0 disables)")
 		workers      = flag.Int("workers", 0, "sampling/repair worker count (0 keeps the sequential default; changes the seed-deterministic search path)")
 		pruneWorkers = flag.Int("prune-workers", 0, "branch-and-prune worker count (0 means one per CPU; never changes results)")
-		batchLanes   = flag.Int("batch-lanes", 0, "batched-evaluation lane width (0 keeps the solver default, 1 disables batching; never changes results)")
 		planner      = flag.String("planner", "on", "active query planner: on (default) plans rounds of maximally informative queries, off keeps the seed's first-distinguishing-pair behavior")
 		batchQueries = flag.Int("batch-queries", 0, "queries per planner round (the modern spelling of -pairs; 0 defers to -pairs)")
 	)
@@ -85,7 +84,7 @@ func main() {
 		sketchFile: *sketchFile, explain: *explain,
 		obsAddr: *obsAddr, traceFile: *traceFile,
 		logDest: *logDest, logLevel: *logLevel, progressTick: *progressTick,
-		workers: *workers, pruneWorkers: *pruneWorkers, batchLanes: *batchLanes,
+		workers: *workers, pruneWorkers: *pruneWorkers,
 		planner: *planner, batchQueries: *batchQueries,
 	}
 	if err := run(opts); err != nil {
@@ -110,7 +109,6 @@ type options struct {
 	logDest, logLevel     string
 	progressTick          time.Duration
 	workers, pruneWorkers int
-	batchLanes            int
 	planner               string
 	batchQueries          int
 }
@@ -132,7 +130,7 @@ func run(o options) error {
 	targetStr, sketchFile := o.targetStr, o.sketchFile
 	save, resume := o.save, o.resume
 	plot, dot, explain := o.plot, o.dot, o.explain
-	workers, pruneWorkers, batchLanes := o.workers, o.pruneWorkers, o.batchLanes
+	workers, pruneWorkers := o.workers, o.pruneWorkers
 
 	logger, closeLog, err := obs.OpenLogger(o.logDest, o.logLevel)
 	if err != nil {
@@ -246,11 +244,10 @@ func run(o options) error {
 		Obs:               observer,
 		DisablePlanner:    plannerOff,
 	}
-	if workers > 0 || pruneWorkers > 0 || batchLanes > 0 {
+	if workers > 0 || pruneWorkers > 0 {
 		cfg.Solver = solver.DefaultOptions()
 		cfg.Solver.Workers = workers
 		cfg.Solver.PruneWorkers = pruneWorkers
-		cfg.Solver.BatchLanes = batchLanes
 	}
 	if o.progressTick > 0 {
 		prog := &solver.Progress{}

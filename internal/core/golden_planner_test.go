@@ -4,8 +4,8 @@ package core_test
 // pins the planner-OFF transcripts bit-identical to the pre-planner
 // seed files, this file pins the planner-ON path: it too must be a pure
 // function of (config, seed), and — like every other solver knob — the
-// prune-worker pool size and batch lane width must not leak into which
-// queries the planner asks.
+// prune-worker pool size must not leak into which queries the planner
+// asks.
 //
 // Regenerate (only when an intentional planner behavior change is made)
 // with:
@@ -71,27 +71,22 @@ func TestGoldenTranscriptPlanner(t *testing.T) {
 }
 
 // TestGoldenPlannerSolverKnobInvariance crosses the planner with the
-// solver's result-invariant execution knobs: the planner consumes
+// solver's result-invariant execution knob: the planner consumes
 // candidate pools and score matrices whose contents are pinned per
-// (seed, Workers), so PruneWorkers and BatchLanes must not change which
-// queries it plans.
+// (seed, Workers), so PruneWorkers must not change which queries it
+// plans.
 func TestGoldenPlannerSolverKnobInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden synthesis runs are not -short friendly")
 	}
 	base := plannerGoldenCfg()
 	want := plannerTranscript(t, base)
-	for _, tc := range []struct{ pruneWorkers, batchLanes int }{
-		{3, 0},
-		{1, 64},
-		{2, 16},
-	} {
+	for _, pruneWorkers := range []int{1, 2, 3} {
 		cfg := base
-		cfg.Solver.PruneWorkers = tc.pruneWorkers
-		cfg.Solver.BatchLanes = tc.batchLanes
+		cfg.Solver.PruneWorkers = pruneWorkers
 		if got := plannerTranscript(t, cfg); !bytes.Equal(got, want) {
-			t.Errorf("PruneWorkers=%d BatchLanes=%d planner transcript diverged (%d vs %d bytes)",
-				tc.pruneWorkers, tc.batchLanes, len(got), len(want))
+			t.Errorf("PruneWorkers=%d planner transcript diverged (%d vs %d bytes)",
+				pruneWorkers, len(got), len(want))
 		}
 	}
 }

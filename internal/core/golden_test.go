@@ -208,46 +208,3 @@ func TestGoldenPruneWorkerInvariance(t *testing.T) {
 		}
 	}
 }
-
-// TestGoldenBatchLanesInvariance pins the batched evaluation pipeline's
-// matching contract at the session level: BatchLanes only changes how
-// many lanes each tape pass carries, never which points are drawn,
-// which boxes are refuted, or which witnesses are found — so the whole
-// transcript must be bit-identical with batching off (1), at the
-// default width, at the cap, and crossed with a parallel prune pool.
-func TestGoldenBatchLanesInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("golden synthesis runs are not -short friendly")
-	}
-	base := goldenCases()[0] // default-seq
-	run := func(batchLanes, pruneWorkers int) []byte {
-		cfg := base.cfg
-		cfg.Solver.BatchLanes = batchLanes
-		cfg.Solver.PruneWorkers = pruneWorkers
-		synth, err := core.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := synth.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if _, err := core.Export(res).WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	want := run(1, 1) // batching off, sequential prune: the scalar reference
-	for _, tc := range []struct{ lanes, pruneWorkers int }{
-		{0, 1}, // default width
-		{16, 1},
-		{64, 1}, // the cap
-		{16, 3}, // batched spans on a parallel pool
-	} {
-		if got := run(tc.lanes, tc.pruneWorkers); !bytes.Equal(got, want) {
-			t.Errorf("BatchLanes=%d PruneWorkers=%d transcript diverged from the scalar reference (%d vs %d bytes)",
-				tc.lanes, tc.pruneWorkers, len(got), len(want))
-		}
-	}
-}

@@ -14,27 +14,11 @@ import (
 // the same shape, so one pass over the instruction stream evaluates the
 // program for all K lanes: dispatch cost is amortized 1/K and the lane
 // loops over contiguous float64 slices are what the hot path spends its
-// time in. Lane l's result is exactly what scalar evaluation of lane
-// l's input produces (the lane ops are the scalar ops applied
+// time in. Lane l's result is exactly what evaluating lane l's input on
+// its own produces (the lane ops are the scalar ops applied
 // elementwise; see internal/interval lanes.go), which is what lets the
-// solver batch its sweeps without perturbing any transcript.
-
-// MaxBatchLanes caps the lane width of a batch. Wider batches amortize
-// dispatch further but grow the stack rows (tapeMaxFloat+tapeMaxBool
-// rows of lanes values each), and past this width the working set
-// outgrows the win.
-const MaxBatchLanes = 64
-
-// clampLanes normalizes a requested lane width.
-func clampLanes(lanes int) int {
-	if lanes < 1 {
-		return 1
-	}
-	if lanes > MaxBatchLanes {
-		return MaxBatchLanes
-	}
-	return lanes
-}
+// solver batch its sweeps without perturbing any transcript. A batch's
+// stack rows grow to the deepest program it has evaluated.
 
 // IntervalBatch is reusable scratch for evaluating programs over up to
 // Lanes boxes per pass. Construct once (NewIntervalBatch), load lanes
@@ -42,37 +26,27 @@ func clampLanes(lanes int) int {
 // results with Out. A batch is not safe for concurrent use; give each
 // worker its own.
 type IntervalBatch struct {
-	lanes  int
-	nVars  int
-	nHoles int
+	lanes int
 
 	varsLo, varsHi   []float64
 	holesLo, holesHi []float64
 	outLo, outHi     []float64
 
-	fsLo, fsHi []float64 // tapeMaxFloat stack rows of lanes values
-	ts         []int8    // tapeMaxBool Tri stack rows
-
-	avars, aholes []interval.Interval // per-lane fallback scratch
+	fsLo, fsHi []float64 // float stack rows of lanes values
+	ts         []int8    // Tri stack rows
 }
 
-// NewIntervalBatch allocates a batch for programs with the given
-// variable and hole counts. lanes is clamped to [1, MaxBatchLanes].
+// NewIntervalBatch allocates a batch of the given lane width for
+// programs with the given variable and hole counts.
 func NewIntervalBatch(nVars, nHoles, lanes int) *IntervalBatch {
-	lanes = clampLanes(lanes)
 	return &IntervalBatch{
 		lanes:   lanes,
-		nVars:   nVars,
-		nHoles:  nHoles,
 		varsLo:  make([]float64, nVars*lanes),
 		varsHi:  make([]float64, nVars*lanes),
 		holesLo: make([]float64, nHoles*lanes),
 		holesHi: make([]float64, nHoles*lanes),
 		outLo:   make([]float64, lanes),
 		outHi:   make([]float64, lanes),
-		fsLo:    make([]float64, tapeMaxFloat*lanes),
-		fsHi:    make([]float64, tapeMaxFloat*lanes),
-		ts:      make([]int8, tapeMaxBool*lanes),
 	}
 }
 
@@ -107,33 +81,20 @@ func (b *IntervalBatch) Outs(n int) (lo, hi []float64) {
 	return b.outLo[:n], b.outHi[:n]
 }
 
-// EvalIntervalBatch evaluates the program over the first n lanes of b,
-// reporting whether the flat tape ran. false means the program exceeds
-// the tape caps and each lane went through the scalar closure fallback
-// — results are identical either way, only the cost differs.
-func (p *Program) EvalIntervalBatch(b *IntervalBatch, n int) bool {
+// EvalIntervalBatch evaluates the program over the first n lanes of b.
+func (p *Program) EvalIntervalBatch(b *IntervalBatch, n int) {
 	if n > b.lanes {
 		panic("expr: EvalIntervalBatch lane count exceeds batch capacity")
 	}
-	if p.ft == nil {
-		if b.avars == nil {
-			b.avars = make([]interval.Interval, b.nVars)
-			b.aholes = make([]interval.Interval, b.nHoles)
-		}
-		for l := 0; l < n; l++ {
-			for i := 0; i < b.nVars; i++ {
-				b.avars[i] = interval.Interval{Lo: b.varsLo[i*b.lanes+l], Hi: b.varsHi[i*b.lanes+l]}
-			}
-			for i := 0; i < b.nHoles; i++ {
-				b.aholes[i] = interval.Interval{Lo: b.holesLo[i*b.lanes+l], Hi: b.holesHi[i*b.lanes+l]}
-			}
-			r := p.ifn(b.avars, b.aholes)
-			b.outLo[l], b.outHi[l] = r.Lo, r.Hi
-		}
-		return false
+	t := p.ft
+	if len(b.fsLo) < t.maxF*b.lanes {
+		b.fsLo = make([]float64, t.maxF*b.lanes)
+		b.fsHi = make([]float64, t.maxF*b.lanes)
 	}
-	p.ft.evalIvBatch(b, n)
-	return true
+	if len(b.ts) < t.maxB*b.lanes {
+		b.ts = make([]int8, t.maxB*b.lanes)
+	}
+	t.evalIvBatch(b, n)
 }
 
 // evalIvBatch runs the interval interpreter over n lanes in one pass.
@@ -253,35 +214,25 @@ func (t *flatTape) evalIvBatch(b *IntervalBatch, n int) {
 }
 
 // PointBatch is IntervalBatch's point-evaluation sibling: up to Lanes
-// candidate points per pass.
+// points per pass.
 type PointBatch struct {
-	lanes  int
-	nVars  int
-	nHoles int
+	lanes int
 
 	vars  []float64
 	holes []float64
 	out   []float64
 
-	fs []float64 // tapeMaxFloat stack rows of lanes values
-	bl []bool    // tapeMaxBool stack rows
-
-	avars, aholes []float64 // per-lane fallback scratch
+	fs []float64 // float stack rows of lanes values
+	bl []bool    // bool stack rows
 }
 
-// NewPointBatch allocates a point batch; lanes is clamped to
-// [1, MaxBatchLanes].
+// NewPointBatch allocates a point batch of the given lane width.
 func NewPointBatch(nVars, nHoles, lanes int) *PointBatch {
-	lanes = clampLanes(lanes)
 	return &PointBatch{
-		lanes:  lanes,
-		nVars:  nVars,
-		nHoles: nHoles,
-		vars:   make([]float64, nVars*lanes),
-		holes:  make([]float64, nHoles*lanes),
-		out:    make([]float64, lanes),
-		fs:     make([]float64, tapeMaxFloat*lanes),
-		bl:     make([]bool, tapeMaxBool*lanes),
+		lanes: lanes,
+		vars:  make([]float64, nVars*lanes),
+		holes: make([]float64, nHoles*lanes),
+		out:   make([]float64, lanes),
 	}
 }
 
@@ -309,32 +260,19 @@ func (b *PointBatch) Out(l int) float64 { return b.out[l] }
 // aliases the batch and is overwritten by the next evaluation.
 func (b *PointBatch) Outs(n int) []float64 { return b.out[:n] }
 
-// EvalBatch evaluates the program over the first n lanes of b,
-// reporting whether the flat tape ran. false means the program exceeds
-// the flat-tape caps and each lane went through Program.Eval — results
-// are identical either way.
-func (p *Program) EvalBatch(b *PointBatch, n int) bool {
+// EvalBatch evaluates the program over the first n lanes of b.
+func (p *Program) EvalBatch(b *PointBatch, n int) {
 	if n > b.lanes {
 		panic("expr: EvalBatch lane count exceeds batch capacity")
 	}
-	if p.ft == nil {
-		if b.avars == nil {
-			b.avars = make([]float64, b.nVars)
-			b.aholes = make([]float64, b.nHoles)
-		}
-		for l := 0; l < n; l++ {
-			for i := 0; i < b.nVars; i++ {
-				b.avars[i] = b.vars[i*b.lanes+l]
-			}
-			for i := 0; i < b.nHoles; i++ {
-				b.aholes[i] = b.holes[i*b.lanes+l]
-			}
-			b.out[l] = p.Eval(b.avars, b.aholes)
-		}
-		return false
+	t := p.ft
+	if len(b.fs) < t.maxF*b.lanes {
+		b.fs = make([]float64, t.maxF*b.lanes)
 	}
-	p.ft.evalBatch(b, n)
-	return true
+	if len(b.bl) < t.maxB*b.lanes {
+		b.bl = make([]bool, t.maxB*b.lanes)
+	}
+	t.evalBatch(b, n)
 }
 
 // fsRows returns the top two stack rows sliced to exactly n lanes.

@@ -51,7 +51,7 @@ func TestCompileIntervalMatchesEvalInterval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := prog.EvalInterval(vb, hb)
+		got := evalBox(prog, vb, hb)
 		if got != want {
 			t.Fatalf("compiled interval %v != interpreted %v", got, want)
 		}

@@ -2,17 +2,16 @@ package expr
 
 import "compsynth/internal/interval"
 
-// Flat tape: the jump-free lowering behind interval and batched
-// evaluation.
+// Flat tape: the jump-free lowering behind batched evaluation.
 //
-// The point tape (tape.go) lowers If to conditional jumps, which is
-// right for single-point evaluation — only the taken branch runs — but
-// jumps are hostile to the two execution modes this package has grown:
+// The jump tape (tape.go) lowers If to conditional jumps, which is
+// right for a single point — only the taken branch runs — but jumps are
+// hostile to lanes:
 //
-//   - interval evaluation, where a condition over a box is three-valued
-//     and TriUnknown needs BOTH branch values (their hull);
-//   - batched evaluation, where K lanes flow through one instruction
-//     stream and different lanes may take different branches.
+//   - over a box, a condition is three-valued and TriUnknown needs BOTH
+//     branch values (their hull);
+//   - K lanes flow through one instruction stream, and different lanes
+//     may take different branches.
 //
 // The flat tape therefore lowers If to straight-line code: condition,
 // then-branch, else-branch, tSelect. Both branches always execute and
@@ -23,233 +22,22 @@ import "compsynth/internal/interval"
 // IEEE/relational-interval results, so computing and discarding the
 // untaken branch is unobservable. The cost is wasted arithmetic under
 // nested conditionals; the payoff is that one instruction-dispatch pass
-// can evaluate K boxes or K points (see batch.go).
+// evaluates K boxes or K points (see batch.go). A single box is a
+// 1-lane batch.
 //
-// Stack caps are shared with the point tape (tapeMaxFloat /
-// tapeMaxBool). The select lowering holds the then-value and the
-// condition live across branch evaluation, so its depth accounting is
-// stricter than numDepth (see flatNumDepth). Programs beyond the caps
-// get no flat tape and evaluate through the closure tree (interval) or
-// per-lane point fallback (batch); Program dispatches transparently and
-// all engines remain bit-identical — the differential fuzz test holds
-// them to that.
+// The select holds the then-value and the condition live across the
+// else-branch, so the flat tape can need deeper stacks than the jump
+// tape; the emitter records its exact high-water marks and batches size
+// their stack rows from them. There is no depth cap.
 
-// flatTape is a jump-free instruction stream sharing the packed
+// flatTape is a select-lowered instruction stream sharing the packed
 // encoding of tape. constsIv mirrors consts as point intervals so the
-// interval interpreters index a pool instead of constructing intervals
-// on every tConst dispatch.
+// interval interpreter indexes a pool instead of constructing intervals
+// on every tConst dispatch. maxF and maxB are the float and bool stack
+// depths the tape needs.
 type flatTape struct {
-	code     []uint32
-	consts   []float64
-	constsIv []interval.Interval
-}
-
-// newFlatTape lowers e against the given slot maps, or reports ok=false
-// when the select lowering exceeds the stack or operand caps. Callers
-// must have validated name resolution already (compileNum succeeded).
-func newFlatTape(e Expr, varIdx, holeIdx map[string]int) (*flatTape, bool) {
-	if f, b := flatNumDepth(e); f > tapeMaxFloat || b > tapeMaxBool {
-		return nil, false
-	}
-	t := &flatTape{}
-	t.emitNum(e, varIdx, holeIdx)
-	if len(t.code) > tapeMaxArg || len(t.consts) > tapeMaxArg {
-		return nil, false
-	}
-	t.constsIv = make([]interval.Interval, len(t.consts))
-	for i, c := range t.consts {
-		// Constructed directly rather than via interval.Point: the pool is
-		// NaN-free by the invariant poolConst documents, and the interval
-		// interpreters must never take a constructor panic path.
-		t.constsIv[i] = interval.Interval{Lo: c, Hi: c}
-	}
-	return t, true
-}
-
-// flatNumDepth returns the float- and bool-stack high-water marks of
-// the select lowering. Unlike numDepth, an If holds the then-value on
-// the float stack while the else-branch runs (hence ef+1) and the
-// condition result stays on the bool stack across both branches (hence
-// tb+1/eb+1).
-func flatNumDepth(e Expr) (floats, bools int) {
-	switch n := e.(type) {
-	case Bin:
-		lf, lb := flatNumDepth(n.L)
-		rf, rb := flatNumDepth(n.R)
-		return max(lf, rf+1), max(lb, rb)
-	case Neg:
-		return flatNumDepth(n.X)
-	case Abs:
-		return flatNumDepth(n.X)
-	case If:
-		cf, cb := flatBoolDepth(n.Cond)
-		tf, tb := flatNumDepth(n.Then)
-		ef, eb := flatNumDepth(n.Else)
-		return max(cf, tf, ef+1), max(cb, tb+1, eb+1)
-	default: // Const, Var, Hole
-		return 1, 0
-	}
-}
-
-// flatBoolDepth is flatNumDepth for boolean expressions. Like
-// boolDepth, the returned bool depth includes the node's own result.
-func flatBoolDepth(b BoolExpr) (floats, bools int) {
-	switch n := b.(type) {
-	case Cmp:
-		lf, lb := flatNumDepth(n.L)
-		rf, rb := flatNumDepth(n.R)
-		return max(lf, rf+1), max(lb, rb, 1)
-	case BoolBin:
-		lf, lb := flatBoolDepth(n.L)
-		rf, rb := flatBoolDepth(n.R)
-		return max(lf, rf), max(lb, rb+1)
-	case Not:
-		return flatBoolDepth(n.X)
-	default: // BoolConst
-		return 0, 1
-	}
-}
-
-func (t *flatTape) emit(code tapeCode, arg int) {
-	t.code = append(t.code, packInstr(code, arg))
-}
-
-func (t *flatTape) constIndex(v float64) int {
-	var i int
-	t.consts, i = poolConst(t.consts, v)
-	return i
-}
-
-func (t *flatTape) emitNum(e Expr, varIdx, holeIdx map[string]int) {
-	switch n := e.(type) {
-	case Const:
-		t.emit(tConst, t.constIndex(n.Value))
-	case Var:
-		t.emit(tVar, varIdx[n.Name])
-	case Hole:
-		t.emit(tHole, holeIdx[n.Name])
-	case Bin:
-		t.emitNum(n.L, varIdx, holeIdx)
-		t.emitNum(n.R, varIdx, holeIdx)
-		t.emit(binOpCode(n.Op), 0)
-	case Neg:
-		t.emitNum(n.X, varIdx, holeIdx)
-		t.emit(tNeg, 0)
-	case Abs:
-		t.emitNum(n.X, varIdx, holeIdx)
-		t.emit(tAbs, 0)
-	case If:
-		t.emitBool(n.Cond, varIdx, holeIdx)
-		t.emitNum(n.Then, varIdx, holeIdx)
-		t.emitNum(n.Else, varIdx, holeIdx)
-		t.emit(tSelect, 0)
-	}
-}
-
-func (t *flatTape) emitBool(b BoolExpr, varIdx, holeIdx map[string]int) {
-	switch n := b.(type) {
-	case Cmp:
-		t.emitNum(n.L, varIdx, holeIdx)
-		t.emitNum(n.R, varIdx, holeIdx)
-		t.emit(cmpOpCode(n.Op), 0)
-	case BoolBin:
-		t.emitBool(n.L, varIdx, holeIdx)
-		t.emitBool(n.R, varIdx, holeIdx)
-		if n.Op == OpAnd {
-			t.emit(tAnd, 0)
-		} else {
-			t.emit(tOr, 0)
-		}
-	case Not:
-		t.emitBool(n.X, varIdx, holeIdx)
-		t.emit(tNot, 0)
-	case BoolConst:
-		arg := 0
-		if n.Value {
-			arg = 1
-		}
-		t.emit(tBoolConst, arg)
-	}
-}
-
-// evalIv interprets the flat tape over boxes. Bit-identical to the
-// compiledNumIv closure tree: every arithmetic step calls the same
-// interval methods, comparisons reuse cmpInterval/triAnd/triOr, and the
-// select reproduces the closure If (taken branch, or Union on
-// TriUnknown) over values the closures would have computed.
-func (t *flatTape) evalIv(vars, holes []interval.Interval) interval.Interval {
-	var fs [tapeMaxFloat]interval.Interval
-	var bs [tapeMaxBool]Tri
-	fsp, bsp := 0, 0
-	for _, in := range t.code {
-		arg := in & 0xffffff
-		code := tapeCode(in >> 24)
-		switch code {
-		case tConst:
-			fs[fsp] = t.constsIv[arg]
-			fsp++
-		case tVar:
-			fs[fsp] = vars[arg]
-			fsp++
-		case tHole:
-			fs[fsp] = holes[arg]
-			fsp++
-		case tAdd:
-			fs[fsp-2] = fs[fsp-2].Add(fs[fsp-1])
-			fsp--
-		case tSub:
-			fs[fsp-2] = fs[fsp-2].Sub(fs[fsp-1])
-			fsp--
-		case tMul:
-			fs[fsp-2] = fs[fsp-2].Mul(fs[fsp-1])
-			fsp--
-		case tDiv:
-			fs[fsp-2] = fs[fsp-2].Div(fs[fsp-1])
-			fsp--
-		case tMin:
-			fs[fsp-2] = fs[fsp-2].Min(fs[fsp-1])
-			fsp--
-		case tMax:
-			fs[fsp-2] = fs[fsp-2].Max(fs[fsp-1])
-			fsp--
-		case tNeg:
-			fs[fsp-1] = fs[fsp-1].Neg()
-		case tAbs:
-			fs[fsp-1] = fs[fsp-1].Abs()
-		case tCmpGE, tCmpLE, tCmpGT, tCmpLT, tCmpEQ:
-			bs[bsp] = cmpInterval(tapeCmpOp(code), fs[fsp-2], fs[fsp-1])
-			bsp++
-			fsp -= 2
-		case tAnd:
-			bs[bsp-2] = triAnd(bs[bsp-2], bs[bsp-1])
-			bsp--
-		case tOr:
-			bs[bsp-2] = triOr(bs[bsp-2], bs[bsp-1])
-			bsp--
-		case tNot:
-			switch bs[bsp-1] {
-			case TriTrue:
-				bs[bsp-1] = TriFalse
-			case TriFalse:
-				bs[bsp-1] = TriTrue
-			}
-		case tBoolConst:
-			v := TriFalse
-			if arg != 0 {
-				v = TriTrue
-			}
-			bs[bsp] = v
-			bsp++
-		case tSelect:
-			bsp--
-			switch bs[bsp] {
-			case TriFalse:
-				fs[fsp-2] = fs[fsp-1]
-			case TriUnknown:
-				fs[fsp-2] = fs[fsp-2].Union(fs[fsp-1])
-			}
-			fsp--
-		}
-	}
-	return fs[0]
+	code       []uint32
+	consts     []float64
+	constsIv   []interval.Interval
+	maxF, maxB int
 }

@@ -53,10 +53,11 @@ func FuzzParse(f *testing.F) {
 
 // Differential fuzzing of the evaluation engines. A fuzz input is
 // decoded into a random expression plus environments, and every engine
-// must agree:
+// must agree with the AST interpreter (eval.go), the one reference:
 //
-//   - tree-walking Eval, the closure compiler, and the instruction tape
-//     must be bit-identical (same ops in the same order);
+//   - Program.Eval (the jump tape, or the flat tape for programs too
+//     deep for it) and the flat tape must be bit-identical to Eval;
+//   - the flat tape's interval evaluation must match EvalInterval;
 //   - Partial with all variables substituted must match the original up
 //     to the sign of zero (identity folds like x+0 may drop the
 //     operation that would normalize -0 to +0), under both point and
@@ -88,6 +89,35 @@ func (s *byteSrc) next() byte {
 }
 
 func (s *byteSrc) pick() float64 { return fuzzConsts[int(s.next())%len(fuzzConsts)] }
+
+// fuzzDepth caps the nesting genExpr builds. It is well past the jump
+// tape's fixed stacks (tapeMaxFloat, tapeMaxBool), so the fuzzer also
+// reaches programs that only the flat tape evaluates.
+const fuzzDepth = 24
+
+// deepSeeds are fuzz inputs that decode into programs too deep for the
+// jump tape, so plain `go test` runs them against the AST interpreter:
+// a 20-deep right-nested Sub chain (21 float slots) and a 10-deep
+// right-nested Or chain of comparisons between If expressions, under an
+// If (10 bool slots). A tail of non-zero bytes feeds the environments.
+func deepSeeds() [][]byte {
+	tail := []byte{1, 4, 5, 2, 3, 6, 1, 7, 8, 4, 2, 5, 9, 3, 1, 6}
+	var sub []byte
+	for i := 0; i < 20; i++ {
+		sub = append(sub, 3, byte(OpSub), 0, byte(i)) // Bin Sub, L = Const
+	}
+	sub = append(sub, 2, 0) // ??a
+	ifOr := []byte{7}       // If
+	for i := 0; i < 10; i++ {
+		if i < 9 {
+			ifOr = append(ifOr, 4) // Or, L = the Cmp below, R = next level
+		}
+		// Cmp GT, L = (if x < c then y else ??b), R = Const.
+		ifOr = append(ifOr, 1, byte(CmpGT), 7, 1, byte(CmpLT), 1, 0, 0, byte(i), 1, 1, 2, 1, 0, byte(i+1))
+	}
+	ifOr = append(ifOr, 2, 0, 2, 1) // then ??a else ??b
+	return [][]byte{append(sub, tail...), append(ifOr, tail...)}
+}
 
 func genExpr(s *byteSrc, depth int) Expr {
 	b := s.next()
@@ -164,9 +194,12 @@ func FuzzDifferentialEval(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 0, 3, 3, 2, 0, 2, 1})          // a - b style
 	f.Add([]byte{7, 1, 3, 1, 0, 0, 9, 3, 2, 2, 0, 1, 2}) // if with cmp
 	f.Add([]byte{3, 3, 0, 9, 1, 0, 3, 5, 0, 10, 2, 1})   // Inf arithmetic
+	for _, seed := range deepSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &byteSrc{data: data}
-		e := genExpr(s, 5)
+		e := genExpr(s, fuzzDepth)
 
 		varVals := map[string]float64{}
 		varSlice := make([]float64, len(fuzzVars))
@@ -192,16 +225,13 @@ func FuzzDifferentialEval(f *testing.F) {
 			t.Fatalf("eval %s: %v", e, err)
 		}
 
-		// Engine agreement on the original expression: closures and the
-		// tape must reproduce the tree walker bit for bit.
-		if got := prog.fn(varSlice, holeSlice); !eqBits(got, want) {
-			t.Errorf("closure eval of %s = %v, tree = %v", e, got, want)
+		// Engine agreement on the original expression: both tapes must
+		// reproduce the tree walker bit for bit.
+		if got := prog.Eval(varSlice, holeSlice); !eqBits(got, want) {
+			t.Errorf("compiled eval of %s = %v, tree = %v", e, got, want)
 		}
-		if prog.tp == nil {
-			t.Fatalf("depth-5 expression rejected by tape compiler: %s", e)
-		}
-		if got := prog.tp.eval(varSlice, holeSlice); !eqBits(got, want) {
-			t.Errorf("tape eval of %s = %v, tree = %v", e, got, want)
+		if got := evalFlat(prog, varSlice, holeSlice); !eqBits(got, want) {
+			t.Errorf("flat-tape eval of %s = %v, tree = %v", e, got, want)
 		}
 
 		// Partial with every variable bound must leave a hole-only
@@ -250,7 +280,7 @@ func FuzzDifferentialEval(f *testing.F) {
 		if err != nil {
 			t.Fatalf("interval eval %s: %v", e, err)
 		}
-		if got := prog.EvalInterval(varIvSlice, holeIvSlice); !eqInterval(got, wantIv) {
+		if got := evalBox(prog, varIvSlice, holeIvSlice); !eqInterval(got, wantIv) {
 			t.Errorf("compiled interval eval of %s = %v, tree = %v", e, got, wantIv)
 		}
 		piv, err := EvalInterval(pe, IntervalEnv{Holes: holeIvs})
@@ -260,7 +290,7 @@ func FuzzDifferentialEval(f *testing.F) {
 		if !eqInterval(piv, wantIv) {
 			t.Errorf("interval Partial(%s) = %v, original %v", e, piv, wantIv)
 		}
-		if got := pprog.EvalInterval(nil, holeIvSlice); !eqInterval(got, wantIv) {
+		if got := evalBox(pprog, nil, holeIvSlice); !eqInterval(got, wantIv) {
 			t.Errorf("compiled interval Partial(%s) = %v, original %v", e, got, wantIv)
 		}
 	})

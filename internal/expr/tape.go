@@ -1,13 +1,22 @@
 package expr
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
-// Tape compilation: a Program's point-evaluation path lowered to a flat
-// postfix instruction stream executed over fixed-size value stacks.
-// Compared to the closure tree built by compileNum, the tape removes
-// one indirect call per AST node, keeps all state in two stack-local
-// arrays (zero heap traffic per Eval), and walks a contiguous
-// instruction slice instead of chasing closure pointers.
+// Tape compilation: every Program is lowered by one emitter into two
+// postfix instruction streams over value stacks.
+//
+//   - The jump tape (this file) evaluates single points. If lowers to
+//     conditional jumps, so only the taken branch runs, and the stacks
+//     are fixed-size arrays in eval's frame: zero heap traffic per
+//     Eval, and a contiguous instruction slice instead of a tree walk.
+//   - The flat tape (flat.go) evaluates lanes of points or boxes
+//     (batch.go). If lowers to straight-line code ending in tSelect,
+//     because lanes may take different branches and a box's condition
+//     may be undecided. Its stacks are sized from the emitter's
+//     high-water marks, with no cap.
 //
 // Instructions are packed into 4 bytes (8-bit opcode, 24-bit operand;
 // float immediates live in a per-tape constant pool) so that even a
@@ -15,12 +24,12 @@ import "math"
 // cache-resident — instruction footprint, not dispatch, is what
 // dominates the solver's full-sweep evaluations.
 //
-// The tape preserves evaluation semantics exactly: operands are
+// Both tapes preserve evaluation semantics exactly: operands are
 // evaluated left-to-right, both sides of boolean connectives are
-// evaluated (no short-circuit, matching Eval and compileBool), and
-// only the taken branch of an If is executed (via conditional jumps).
-// Expressions whose stack or operand widths exceed the fixed caps fall
-// back to the closure path; Program.Eval dispatches transparently.
+// evaluated (no short-circuit, matching Eval), and a select discards a
+// branch value whose computation is unobservable (evaluation is pure
+// and total). The differential fuzz tests hold both tapes to the AST
+// interpreter in eval.go.
 
 // tapeCode enumerates tape instructions.
 type tapeCode uint32
@@ -46,27 +55,26 @@ const (
 	tOr                         // pop q, p; push p||q
 	tNot                        // invert top of bool stack
 	tBoolConst                  // push arg != 0 onto the bool stack
-	tJmp                        // jump to arg
-	tJmpIfFalse                 // pop bool; jump to arg when false
+	tJmp                        // jump tape only: jump to arg
+	tJmpIfFalse                 // jump tape only: pop bool; jump to arg when false
 	tSelect                     // flat tape only: pop else, then, cond; push taken value
 )
 
-// Stack caps for the fixed-size evaluation arrays, and the operand
-// width limit of the packed encoding. Objective sketches are shallow
-// (the SWAN family needs < 8 float slots), and the caps are deliberately
-// tight: eval zero-initializes both arrays on every call, so their
-// combined size is per-evaluation overhead. Expressions beyond the caps
-// evaluate through the closure fallback.
+// Stack sizes of the jump tape's fixed arrays, and the operand width of
+// the packed encoding. Objective sketches are shallow (the SWAN family
+// needs < 8 float slots), and the arrays are deliberately small: eval
+// zero-initializes both on every call, so their combined size is
+// per-evaluation overhead. Programs deeper than the arrays get no jump
+// tape; Program.Eval runs them as a 1-lane flat batch instead.
 const (
 	tapeMaxFloat = 16
 	tapeMaxBool  = 8
 	tapeMaxArg   = 1<<24 - 1
 )
 
-// tape is a compiled instruction stream. Each instruction packs the
-// opcode into the top 8 bits and the operand (constant-pool index,
-// variable/hole slot, jump target, or tBoolConst value) into the low
-// 24.
+// tape is the jump tape. Each instruction packs the opcode into the top
+// 8 bits and the operand (constant-pool index, variable/hole slot, jump
+// target, or tBoolConst value) into the low 24.
 type tape struct {
 	code   []uint32
 	consts []float64
@@ -76,107 +84,174 @@ func packInstr(code tapeCode, arg int) uint32 {
 	return uint32(code)<<24 | uint32(arg)
 }
 
-// newTape lowers e against the given slot maps, or reports ok=false
-// when the expression exceeds the stack or operand caps. Callers must
-// have validated name resolution already (compileNum succeeded).
-func newTape(e Expr, varIdx, holeIdx map[string]int) (*tape, bool) {
-	if f, b := numDepth(e); f > tapeMaxFloat || b > tapeMaxBool {
-		return nil, false
-	}
-	t := &tape{}
-	t.emitNum(e, varIdx, holeIdx)
-	if len(t.code) > tapeMaxArg || len(t.consts) > tapeMaxArg {
-		return nil, false
-	}
-	return t, true
+// emitter lowers one expression into one tape. jumps selects the jump
+// tape's lowering of If over the flat tape's select. Names resolve
+// against the variable and hole slot maps (an unknown one is
+// ErrUnbound), and
+// the float and bool stack depths are tracked instruction by
+// instruction, so maxF and maxB are exactly the stacks the tape needs.
+type emitter struct {
+	jumps           bool
+	varIdx, holeIdx map[string]int
+	code            []uint32
+	consts          []float64
+	f, b            int // stack depths after the last instruction
+	maxF, maxB      int // their high-water marks
 }
 
-// numDepth returns the float- and bool-stack high-water marks of
-// evaluating e with empty stacks.
-func numDepth(e Expr) (floats, bools int) {
-	switch n := e.(type) {
-	case Bin:
-		lf, lb := numDepth(n.L)
-		rf, rb := numDepth(n.R)
-		return max(lf, rf+1), max(lb, rb)
-	case Neg:
-		return numDepth(n.X)
-	case Abs:
-		return numDepth(n.X)
-	case If:
-		cf, cb := boolDepth(n.Cond)
-		tf, tb := numDepth(n.Then)
-		ef, eb := numDepth(n.Else)
-		return max(cf, tf, ef), max(cb, tb, eb)
-	default: // Const, Var, Hole
-		return 1, 0
-	}
+// op appends one instruction that moves the stacks by df floats and db
+// bools, and returns its index.
+func (em *emitter) op(code tapeCode, arg, df, db int) int {
+	em.code = append(em.code, packInstr(code, arg))
+	em.f += df
+	em.b += db
+	em.maxF = max(em.maxF, em.f)
+	em.maxB = max(em.maxB, em.b)
+	return len(em.code) - 1
 }
 
-// boolDepth is numDepth for boolean expressions. The returned bool
-// depth includes the node's own pushed result — a Cmp occupies one bool
-// slot the moment it lands, so its depth is at least 1 even when both
-// operands are bool-free. (Counting only operand depths here used to
-// under-report right-leaning connective chains by one: nine Cmps under
-// an Or chain computed depth 8, passed the cap check, and overflowed
-// the bool stack at eval time.)
-func boolDepth(b BoolExpr) (floats, bools int) {
-	switch n := b.(type) {
-	case Cmp:
-		lf, lb := numDepth(n.L)
-		rf, rb := numDepth(n.R)
-		return max(lf, rf+1), max(lb, rb, 1)
-	case BoolBin:
-		lf, lb := boolDepth(n.L)
-		rf, rb := boolDepth(n.R)
-		return max(lf, rf), max(lb, rb+1)
-	case Not:
-		return boolDepth(n.X)
-	default: // BoolConst
-		return 0, 1
-	}
-}
-
-func (t *tape) emit(code tapeCode, arg int) int {
-	t.code = append(t.code, packInstr(code, arg))
-	return len(t.code) - 1
-}
-
-// poolConst returns the pool slot for v, reusing an existing slot with
+// constIndex returns the pool slot for v, reusing an existing slot with
 // the same bits (NaN never reaches the pool: Partial and the parser
 // only produce non-NaN constants, and folding guards against it).
-// Shared by the point and flat tapes.
-func poolConst(consts []float64, v float64) ([]float64, int) {
+func (em *emitter) constIndex(v float64) int {
 	bits := math.Float64bits(v)
-	for i, c := range consts {
+	for i, c := range em.consts {
 		if math.Float64bits(c) == bits {
-			return consts, i
+			return i
 		}
 	}
-	return append(consts, v), len(consts)
+	em.consts = append(em.consts, v)
+	return len(em.consts) - 1
 }
 
-func (t *tape) constIndex(v float64) int {
-	var i int
-	t.consts, i = poolConst(t.consts, v)
-	return i
+func (em *emitter) num(e Expr) error {
+	switch n := e.(type) {
+	case Const:
+		em.op(tConst, em.constIndex(n.Value), 1, 0)
+	case Var:
+		i, ok := em.varIdx[n.Name]
+		if !ok {
+			return ErrUnbound{Kind: "var", Name: n.Name}
+		}
+		em.op(tVar, i, 1, 0)
+	case Hole:
+		i, ok := em.holeIdx[n.Name]
+		if !ok {
+			return ErrUnbound{Kind: "hole", Name: n.Name}
+		}
+		em.op(tHole, i, 1, 0)
+	case Bin:
+		code, ok := binOpCode(n.Op)
+		if !ok {
+			return fmt.Errorf("expr: unknown binop %v", n.Op)
+		}
+		if err := em.num(n.L); err != nil {
+			return err
+		}
+		if err := em.num(n.R); err != nil {
+			return err
+		}
+		em.op(code, 0, -1, 0)
+	case Neg:
+		if err := em.num(n.X); err != nil {
+			return err
+		}
+		em.op(tNeg, 0, 0, 0)
+	case Abs:
+		if err := em.num(n.X); err != nil {
+			return err
+		}
+		em.op(tAbs, 0, 0, 0)
+	case If:
+		if err := em.boolean(n.Cond); err != nil {
+			return err
+		}
+		if !em.jumps {
+			if err := em.num(n.Then); err != nil {
+				return err
+			}
+			if err := em.num(n.Else); err != nil {
+				return err
+			}
+			em.op(tSelect, 0, -1, -1)
+			return nil
+		}
+		toElse := em.op(tJmpIfFalse, 0, 0, -1)
+		f, b := em.f, em.b
+		if err := em.num(n.Then); err != nil {
+			return err
+		}
+		toEnd := em.op(tJmp, 0, 0, 0)
+		// The else label: reached by the jump, where the then-value was
+		// never pushed.
+		em.code[toElse] = packInstr(tJmpIfFalse, len(em.code))
+		em.f, em.b = f, b
+		if err := em.num(n.Else); err != nil {
+			return err
+		}
+		em.code[toEnd] = packInstr(tJmp, len(em.code))
+	default:
+		return fmt.Errorf("expr: unknown node %T", e)
+	}
+	return nil
+}
+
+func (em *emitter) boolean(b BoolExpr) error {
+	switch n := b.(type) {
+	case BoolConst:
+		arg := 0
+		if n.Value {
+			arg = 1
+		}
+		em.op(tBoolConst, arg, 0, 1)
+	case Cmp:
+		if err := em.num(n.L); err != nil {
+			return err
+		}
+		if err := em.num(n.R); err != nil {
+			return err
+		}
+		em.op(cmpOpCode(n.Op), 0, -2, 1)
+	case BoolBin:
+		if err := em.boolean(n.L); err != nil {
+			return err
+		}
+		if err := em.boolean(n.R); err != nil {
+			return err
+		}
+		if n.Op == OpAnd {
+			em.op(tAnd, 0, 0, -1)
+		} else {
+			em.op(tOr, 0, 0, -1)
+		}
+	case Not:
+		if err := em.boolean(n.X); err != nil {
+			return err
+		}
+		em.op(tNot, 0, 0, 0)
+	default:
+		return fmt.Errorf("expr: unknown bool node %T", b)
+	}
+	return nil
 }
 
 // binOpCode maps a numeric binary operator to its tape opcode.
-func binOpCode(op BinOp) tapeCode {
+func binOpCode(op BinOp) (tapeCode, bool) {
 	switch op {
 	case OpAdd:
-		return tAdd
+		return tAdd, true
 	case OpSub:
-		return tSub
+		return tSub, true
 	case OpMul:
-		return tMul
+		return tMul, true
 	case OpDiv:
-		return tDiv
+		return tDiv, true
 	case OpMin:
-		return tMin
+		return tMin, true
+	case OpMax:
+		return tMax, true
 	}
-	return tMax
+	return 0, false
 }
 
 // cmpOpCode maps a comparison operator to its tape opcode.
@@ -194,8 +269,8 @@ func cmpOpCode(op CmpOp) tapeCode {
 	return tCmpEQ
 }
 
-// tapeCmpOp inverts cmpOpCode for the interval interpreters, which
-// reuse cmpInterval keyed by CmpOp.
+// tapeCmpOp inverts cmpOpCode for the interval interpreter, which
+// reuses cmpInterval keyed by CmpOp.
 func tapeCmpOp(code tapeCode) CmpOp {
 	switch code {
 	case tCmpGE:
@@ -210,61 +285,6 @@ func tapeCmpOp(code tapeCode) CmpOp {
 	return CmpEQ
 }
 
-func (t *tape) emitNum(e Expr, varIdx, holeIdx map[string]int) {
-	switch n := e.(type) {
-	case Const:
-		t.emit(tConst, t.constIndex(n.Value))
-	case Var:
-		t.emit(tVar, varIdx[n.Name])
-	case Hole:
-		t.emit(tHole, holeIdx[n.Name])
-	case Bin:
-		t.emitNum(n.L, varIdx, holeIdx)
-		t.emitNum(n.R, varIdx, holeIdx)
-		t.emit(binOpCode(n.Op), 0)
-	case Neg:
-		t.emitNum(n.X, varIdx, holeIdx)
-		t.emit(tNeg, 0)
-	case Abs:
-		t.emitNum(n.X, varIdx, holeIdx)
-		t.emit(tAbs, 0)
-	case If:
-		t.emitBool(n.Cond, varIdx, holeIdx)
-		toElse := t.emit(tJmpIfFalse, 0)
-		t.emitNum(n.Then, varIdx, holeIdx)
-		toEnd := t.emit(tJmp, 0)
-		t.code[toElse] = packInstr(tJmpIfFalse, len(t.code))
-		t.emitNum(n.Else, varIdx, holeIdx)
-		t.code[toEnd] = packInstr(tJmp, len(t.code))
-	}
-}
-
-func (t *tape) emitBool(b BoolExpr, varIdx, holeIdx map[string]int) {
-	switch n := b.(type) {
-	case Cmp:
-		t.emitNum(n.L, varIdx, holeIdx)
-		t.emitNum(n.R, varIdx, holeIdx)
-		t.emit(cmpOpCode(n.Op), 0)
-	case BoolBin:
-		t.emitBool(n.L, varIdx, holeIdx)
-		t.emitBool(n.R, varIdx, holeIdx)
-		if n.Op == OpAnd {
-			t.emit(tAnd, 0)
-		} else {
-			t.emit(tOr, 0)
-		}
-	case Not:
-		t.emitBool(n.X, varIdx, holeIdx)
-		t.emit(tNot, 0)
-	case BoolConst:
-		arg := 0
-		if n.Value {
-			arg = 1
-		}
-		t.emit(tBoolConst, arg)
-	}
-}
-
 // eval runs the tape. The stacks live in the goroutine's stack frame,
 // so concurrent evaluation of a shared tape is safe and allocation-free.
 //
@@ -274,8 +294,7 @@ func (t *tape) emitBool(b BoolExpr, varIdx, holeIdx map[string]int) {
 // (comparisons) reload. The invariant is that logical stack item i
 // (0-based, depth fsp) lives in fs[i+1] for i < fsp-1 and in top for
 // i = fsp-1; fs[0] and the slot under a freshly-computed top are dead.
-// This halves the memory traffic of the interpreter loop, which is
-// what lets the tape beat the closure tree on arithmetic-heavy bodies.
+// This halves the memory traffic of the interpreter loop.
 func (t *tape) eval(vars, holes []float64) float64 {
 	var fs [tapeMaxFloat]float64
 	var bs [tapeMaxBool]bool
@@ -314,7 +333,7 @@ func (t *tape) eval(vars, holes []float64) float64 {
 		case tMin:
 			// Builtin min/max match math.Min/math.Max exactly for float64
 			// (NaN in → NaN out, -0 sorts below +0, Go spec §builtins), so
-			// every engine — tree walker, closures, tapes — uses them; the
+			// every engine — tree walker and both tapes — uses them; the
 			// differential fuzz test pins the engines to each other.
 			fsp--
 			top = min(fs[fsp], top)

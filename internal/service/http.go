@@ -230,16 +230,13 @@ func (m *Manager) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 // progressResponse is the live-introspection document (GET
 // /v1/sessions/{id}/progress): the solver's per-wave gauges next to
-// the cumulative effort counters (which carry the batched-vs-scalar
-// evaluation split). Polling it never touches the session's idle clock
+// the cumulative effort counters. Polling it never touches the session's idle clock
 // or its mutex, so monitoring cannot perturb or pin a session.
 type progressResponse struct {
 	ID       string                  `json:"id"`
 	State    State                   `json:"state"`
 	Progress solver.ProgressSnapshot `json:"progress"`
-	// SolverEffort is the session-scoped cumulative counter snapshot;
-	// BatchedEvals/ScalarEvals report how much of the prune work ran
-	// through the batched lanes.
+	// SolverEffort is the session-scoped cumulative counter snapshot.
 	SolverEffort *solver.StatsSnapshot `json:"solver_effort,omitempty"`
 }
 

@@ -268,13 +268,50 @@ func appendRaw(t *testing.T, path string, recs ...any) {
 	}
 }
 
-// TestParentFormatJournals recovers journals written by builds that
-// checkpointed at eviction and shutdown. A journal ending in such a
-// checkpoint (learned summary included) replays its answers and
-// finishes byte-identical to the batch run. A journal with answers
-// after a mid-session checkpoint was answered by a checkpoint-resumed
-// stepper, so replay from the start diverges: it is a stale journal for
-// this build and is quarantined, while the daemon still starts.
+// withParentBatchLanes rewrites a journal's create record the way
+// builds with the solver's batch-lane knob wrote it when a client asked
+// for scalar evaluation: "solver":{"batch_lanes":1}. The knob never
+// changed results, and this build ignores the field when it decodes a
+// journal.
+func withParentBatchLanes(t *testing.T, path string) []json.RawMessage {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []json.RawMessage
+	for _, ln := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+		lines = append(lines, json.RawMessage(ln))
+	}
+	var create map[string]any
+	if err := json.Unmarshal(lines[0], &create); err != nil {
+		t.Fatal(err)
+	}
+	create["spec"].(map[string]any)["solver"].(map[string]any)["batch_lanes"] = 1
+	if lines[0], err = json.Marshal(create); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	for _, ln := range lines {
+		buf.Write(ln)
+		buf.WriteByte('\n')
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return lines
+}
+
+// TestParentFormatJournals recovers journals written by older builds.
+// A journal ending in a checkpoint written at eviction or shutdown
+// (learned summary included) replays its answers and finishes
+// byte-identical to the batch run. A journal with answers after a
+// mid-session checkpoint was answered by a checkpoint-resumed stepper,
+// so replay from the start diverges: it is a stale journal for this
+// build and is quarantined, while the daemon still starts. A journal
+// whose spec carries the retired batch_lanes solver field recovers,
+// and restores from a migration bundle, byte-identical to the batch
+// run.
 func TestParentFormatJournals(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full synthesis runs are not -short friendly")
@@ -284,12 +321,12 @@ func TestParentFormatJournals(t *testing.T) {
 	want := batchTranscript(t, spec, user)
 	dir := t.TempDir()
 
-	// Two identical sessions crashed after 10 answers.
+	// Three identical sessions crashed after 10 answers.
 	m, err := New(testConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ids [2]string
+	var ids [3]string
 	var snap *core.Transcript
 	for i := range ids {
 		s, err := m.Create(context.Background(), spec)
@@ -310,8 +347,9 @@ func TestParentFormatJournals(t *testing.T) {
 			Box: [][2]float64{{0, 1}, {0, 1}, {0, 1}, {0, 1}}, Index: 3,
 		}}},
 	}
-	trailing, resumed := ids[0], ids[1]
+	trailing, resumed, lanes := ids[0], ids[1], ids[2]
 	appendRaw(t, journalPath(dir, trailing), ck)
+	lanesJournal := withParentBatchLanes(t, journalPath(dir, lanes))
 
 	// The resumed journal continues the way an older build resumed a
 	// checkpoint: a fresh stepper preloads the snapshot and asks on.
@@ -373,6 +411,29 @@ func TestParentFormatJournals(t *testing.T) {
 	}
 	if msg, _ := fails[0]["error"].(string); !strings.Contains(msg, "regenerated query diverged from journal") {
 		t.Errorf("quarantine error %q is not the replay divergence", msg)
+	}
+
+	s, err = m2.Get(lanes)
+	if err != nil {
+		t.Fatalf("journal with batch_lanes in its spec: %v", err)
+	}
+	if got := s.Status().Answers; got != 10 {
+		t.Fatalf("recovered batch_lanes session has %d answers, want 10", got)
+	}
+	if got := finishTranscript(t, s, user); !bytes.Equal(got, want) {
+		t.Errorf("recovered batch_lanes transcript diverged from batch run (%d vs %d bytes)", len(got), len(want))
+	}
+	m3, err := New(testConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m3.Abort()
+	s, err = m3.Restore(lanes, lanesJournal)
+	if err != nil {
+		t.Fatalf("restore bundle with batch_lanes in its spec: %v", err)
+	}
+	if got := finishTranscript(t, s, user); !bytes.Equal(got, want) {
+		t.Errorf("restored batch_lanes transcript diverged from batch run (%d vs %d bytes)", len(got), len(want))
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -375,6 +376,11 @@ func TestHTTPErrors(t *testing.T) {
 	}
 	if code, body := status("POST", "/v1/sessions", `{"not_a_field":1}`); code != http.StatusBadRequest {
 		t.Errorf("unknown field: got %d %s, want 400", code, body)
+	}
+	// The solver's batch-lane knob is gone: clients that still send it
+	// are told which field to drop.
+	if code, body := status("POST", "/v1/sessions", `{"seed":2,"solver":{"batch_lanes":16}}`); code != http.StatusBadRequest || !strings.Contains(body, "batch_lanes") {
+		t.Errorf("retired batch_lanes field: got %d %s, want 400 naming the field", code, body)
 	}
 
 	id := createSession(t, srv.URL, testSpec(1))

@@ -95,10 +95,6 @@ type SolverSpec struct {
 	// bit-identical for any value — so the default (0: one worker per
 	// CPU) is right unless a session must be confined for fairness.
 	PruneWorkers int `json:"prune_workers,omitempty"`
-	// BatchLanes sets the lane width of the batched evaluation pipeline
-	// (0 keeps the solver default; 1 disables batching). Like
-	// PruneWorkers it never affects results, only throughput.
-	BatchLanes int `json:"batch_lanes,omitempty"`
 	// Planner selects the active query planner: "on" (or empty, the
 	// default) plans rounds of maximally informative queries; "off"
 	// falls back to the seed's first-distinguishing-pair behavior,
@@ -193,10 +189,6 @@ func (sp *SessionSpec) config(obsv *obs.Observer, stats *solver.Stats) (core.Con
 		}
 		if s.PruneWorkers > 0 {
 			opts.PruneWorkers = s.PruneWorkers
-		}
-		// 1 is meaningful (batching off), so apply any non-zero value.
-		if s.BatchLanes != 0 {
-			opts.BatchLanes = s.BatchLanes
 		}
 		switch strings.ToLower(s.Planner) {
 		case "", "on":

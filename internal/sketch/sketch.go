@@ -137,11 +137,6 @@ func (s *Sketch) Eval(sc scenario.Scenario, holes []float64) float64 {
 	return s.prog.Eval(sc, holes)
 }
 
-// EvalInterval evaluates the sketch over a scenario box and hole box.
-func (s *Sketch) EvalInterval(sc, holes []interval.Interval) interval.Interval {
-	return s.prog.EvalInterval(sc, holes)
-}
-
 // Candidate returns the candidate for the given hole vector. The vector
 // is copied.
 func (s *Sketch) Candidate(holes []float64) (*Candidate, error) {

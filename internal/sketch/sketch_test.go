@@ -167,7 +167,7 @@ func TestEvalIntervalSoundOnSketch(t *testing.T) {
 		for i, d := range sk.Domains() {
 			hBox[i] = randSub(rng, d.Lo, d.Hi)
 		}
-		iv := sk.EvalInterval(scBox, hBox)
+		iv := evalBox(sk.prog, scBox, hBox)
 		for j := 0; j < 10; j++ {
 			sc := scenario.Scenario{sample(rng, scBox[0]), sample(rng, scBox[1])}
 			hv := make([]float64, len(hBox))
@@ -180,6 +180,15 @@ func TestEvalIntervalSoundOnSketch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// evalBox evaluates a program over one box as a 1-lane interval batch.
+func evalBox(prog *expr.Program, vars, holes []interval.Interval) interval.Interval {
+	b := expr.NewIntervalBatch(len(vars), len(holes), 1)
+	b.SetVars(0, vars)
+	b.SetHoles(0, holes)
+	prog.EvalIntervalBatch(b, 1)
+	return b.Out(0)
 }
 
 func randSub(rng *rand.Rand, lo, hi float64) interval.Interval {

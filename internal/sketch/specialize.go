@@ -17,7 +17,7 @@ import (
 // (expr.Partial) and compiles the resulting hole-only program, so those
 // evaluations skip the scenario binding and the scenario-dependent
 // subexpressions entirely. Specialized programs are bit-exact stand-ins
-// for Eval/EvalInterval at that scenario — expr.Partial guarantees it —
+// for evaluating the sketch at that scenario — expr.Partial guarantees it —
 // which is what keeps synthesis transcripts identical when the solver
 // switches to them.
 //
@@ -62,7 +62,7 @@ func appendSpecKey(dst []byte, sc scenario.Scenario) []byte {
 // given scenario, and whether it was served from the cache. The
 // returned program takes (nil, holes) positional arguments with holes
 // in Sketch.Holes order, and its point and interval evaluation agree
-// bit-exactly with Eval/EvalInterval at that scenario.
+// bit-exactly with evaluating the sketch at that scenario.
 func (s *Sketch) Specialize(sc scenario.Scenario) (*expr.Program, bool) {
 	var arr [64]byte
 	key := appendSpecKey(arr[:0], sc)

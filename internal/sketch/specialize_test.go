@@ -47,8 +47,8 @@ func TestSpecializeMatchesEval(t *testing.T) {
 		for i, v := range sc {
 			scIv[i] = interval.Point(v)
 		}
-		want := sk.EvalInterval(scIv, box)
-		got := prog.EvalInterval(nil, box)
+		want := evalBox(sk.prog, scIv, box)
+		got := evalBox(prog, nil, box)
 		if got != want {
 			t.Errorf("Specialize(%v) interval = %v, want %v", sc, got, want)
 		}
@@ -113,8 +113,8 @@ func TestSpecializeDiff(t *testing.T) {
 	}
 	pa, _ := sk.Specialize(a)
 	pb, _ := sk.Specialize(b)
-	want := pa.EvalInterval(nil, box).Sub(pb.EvalInterval(nil, box))
-	if got := diff.EvalInterval(nil, box); got != want {
+	want := evalBox(pa, nil, box).Sub(evalBox(pb, nil, box))
+	if got := evalBox(diff, nil, box); got != want {
 		t.Errorf("SpecializeDiff interval = %v, want %v", got, want)
 	}
 	// The pair is ordered: (a,b) and (b,a) are distinct programs.

@@ -100,53 +100,6 @@ func (d DistinguishOptions) effectiveStrategy() QueryStrategy {
 	return SelectMaxGap
 }
 
-// FindDistinguishing searches for a distinguishing witness.
-//
-// Verdicts:
-//   - StatusSat: witness found (returned).
-//   - StatusUnsat: no pair of consistent candidates disagrees above the
-//     Gamma resolution — the synthesis has converged. A representative
-//     consistent candidate can then be obtained with FindCandidate.
-//   - StatusUnknown: no consistent candidate could be found at all
-//     (over-constrained problem, e.g. inconsistent oracle input).
-//
-// Deprecated: this wrapper cannot be canceled. Use
-// Compile(p, opts.Stats).FindDistinguishing(ctx, opts, dopts, rng).
-func FindDistinguishing(p Problem, opts Options, dopts DistinguishOptions, rng *rand.Rand) (*Distinguishing, Status) {
-	w, st, _ := Compile(p, opts.Stats).FindDistinguishing(context.Background(), opts, dopts, rng)
-	return w, st
-}
-
-// FindDistinguishingMany returns up to k distinguishing witnesses with
-// mutually distinct scenario pairs — used when the synthesizer asks the
-// user to rank several pairs per iteration (paper Figure 4).
-//
-// Deprecated: this wrapper cannot be canceled. Use
-// Compile(p, opts.Stats).FindDistinguishingMany(ctx, k, opts, dopts, rng).
-func FindDistinguishingMany(p Problem, k int, opts Options, dopts DistinguishOptions, rng *rand.Rand) ([]*Distinguishing, Status) {
-	wits, st, _ := Compile(p, opts.Stats).FindDistinguishingMany(context.Background(), k, opts, dopts, rng)
-	return wits, st
-}
-
-// FindDistinguishing is the System-level single-witness variant.
-//
-// Deprecated: this wrapper cannot be canceled. Use
-// NewSearch(s).FindDistinguishing(ctx, opts, dopts, rng).
-func (s *System) FindDistinguishing(opts Options, dopts DistinguishOptions, rng *rand.Rand) (*Distinguishing, Status) {
-	w, st, _ := NewSearch(s).FindDistinguishing(context.Background(), opts, dopts, rng)
-	return w, st
-}
-
-// FindDistinguishingMany is the System-level search; see the package
-// function of the same name.
-//
-// Deprecated: this wrapper cannot be canceled. Use
-// NewSearch(s).FindDistinguishingMany(ctx, k, opts, dopts, rng).
-func (s *System) FindDistinguishingMany(k int, opts Options, dopts DistinguishOptions, rng *rand.Rand) ([]*Distinguishing, Status) {
-	wits, st, _ := NewSearch(s).FindDistinguishingMany(context.Background(), k, opts, dopts, rng)
-	return wits, st
-}
-
 func (s *System) findDistinguishingMany(ctx context.Context, k int, opts Options, dopts DistinguishOptions, rng *rand.Rand) ([]*Distinguishing, Status, error) {
 	if k < 1 {
 		k = 1

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -41,7 +42,7 @@ func TestAllStrategiesFindValidWitnesses(t *testing.T) {
 		if strategy == SelectFirst {
 			dopts.MaximizeGap = false
 		}
-		w, st := FindDistinguishing(p, DefaultOptions(), dopts, rand.New(rand.NewSource(62)))
+		w, st, _ := Compile(p, nil).FindDistinguishing(context.Background(), DefaultOptions(), dopts, rand.New(rand.NewSource(62)))
 		if st != StatusSat {
 			t.Fatalf("%v: status = %v", strategy, st)
 		}
@@ -55,7 +56,7 @@ func TestVoteSplitPrefersEvenSplits(t *testing.T) {
 	dopts.Strategy = SelectVoteSplit
 	dopts.Candidates = 8
 	rng := rand.New(rand.NewSource(64))
-	ws, st := FindDistinguishingMany(p, 3, DefaultOptions(), dopts, rng)
+	ws, st, _ := Compile(p, nil).FindDistinguishingMany(context.Background(), 3, DefaultOptions(), dopts, rng)
 	if st != StatusSat {
 		t.Fatalf("status = %v", st)
 	}
@@ -70,7 +71,7 @@ func TestVoteSplitConvergesInSynthesisShape(t *testing.T) {
 	dopts := DefaultDistinguishOptions()
 	dopts.Strategy = SelectVoteSplit
 	// Unconstrained SWAN sketch: plenty of disagreement exists.
-	if _, st := FindDistinguishing(p, DefaultOptions(), dopts, rand.New(rand.NewSource(66))); st != StatusSat {
+	if _, st, _ := Compile(p, nil).FindDistinguishing(context.Background(), DefaultOptions(), dopts, rand.New(rand.NewSource(66))); st != StatusSat {
 		t.Fatalf("unconstrained status = %v", st)
 	}
 }

@@ -1,13 +1,14 @@
 package solver
 
 // Tests for the learned-prune cache: differential parity of the cached
-// evalPruneBox path against cold evaluation across growing and
-// shrinking constraint sets, the invalidation protocol (refuter
+// evalPruneSpan path against cold evaluation across growing and
+// shrinking constraint sets and lane widths, the invalidation protocol (refuter
 // presence vs removal epoch), and the exported summary's
 // export/verify-on-warm contract.
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -32,12 +33,15 @@ func comparePruneResults(t *testing.T, ctx string, cold, warm pruneResult) {
 	}
 }
 
-// TestEvalPruneBoxCacheParity is the cache's core differential fuzz: a
+// TestEvalPruneSpanCacheParity is the cache's core differential fuzz: a
 // System with a Learned cache attached must decide every box exactly as
 // a cache-free System does — across an empty, growing, shrinking, and
 // rebuilt constraint set, and on repeated evaluation of the same boxes
-// (the second pass is served from the cache).
-func TestEvalPruneBoxCacheParity(t *testing.T) {
+// (the second pass is served from the cache). It is also the prune
+// path's lane-width invariance test: both systems decide the boxes in
+// spans of 1, 3, 16, and 64 lanes, and every width must reproduce the
+// cache-free one-box spans bit for bit.
+func TestEvalPruneSpanCacheParity(t *testing.T) {
 	p, _ := swanProblem(t, 12, 7)
 	sk := p.Sketch
 	domains := sk.Domains()
@@ -73,13 +77,15 @@ func TestEvalPruneBoxCacheParity(t *testing.T) {
 
 	check := func(stage string) {
 		t.Helper()
-		midC := make([]float64, len(domains))
-		midW := make([]float64, len(domains))
+		ref := evalSpans(cold, boxes, 1, minWidths)
 		for pass := 0; pass < 2; pass++ { // pass 1 replays from the cache
-			for bi, box := range boxes {
-				rc := cold.evalPruneBox(append([]interval.Interval(nil), box...), minWidths, midC)
-				rw := warm.evalPruneBox(append([]interval.Interval(nil), box...), minWidths, midW)
-				comparePruneResults(t, stage+": pass "+string(rune('0'+pass))+" box "+string(rune('0'+bi%10)), rc, rw)
+			for _, lanes := range []int{1, 3, 16, 64} {
+				for si, sys := range []*System{cold, warm} {
+					got := evalSpans(sys, boxes, lanes, minWidths)
+					for bi := range boxes {
+						comparePruneResults(t, fmt.Sprintf("%s: pass %d lanes %d cached=%v box %d", stage, pass, lanes, si == 1, bi), ref[bi], got[bi])
+					}
+				}
 			}
 		}
 	}

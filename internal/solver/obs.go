@@ -56,7 +56,6 @@ func NewMetrics(reg *obs.Registry, stats *Stats) *Metrics {
 		view("compsynth_solver_spec_compiles_total", "constraint difference programs compiled", stats.SpecCompiles.Load)
 		view("compsynth_solver_spec_cache_hits_total", "constraint compilations served from the pair cache", stats.SpecCacheHits.Load)
 		view("compsynth_solver_batched_evals_total", "constraint lane evaluations through the batched SoA interpreters", stats.BatchedEvals.Load)
-		view("compsynth_solver_scalar_evals_total", "batch-pipeline lane evaluations that fell back to scalar evaluation", stats.ScalarEvals.Load)
 	}
 	return &Metrics{
 		candidateSearches:   reg.Counter("compsynth_solver_candidate_searches_total", "FindCandidate searches run"),

@@ -73,7 +73,6 @@ func (s *System) parallelWitnesses(ctx context.Context, opts Options, rng *rand.
 	if maxPerWorker <= 0 {
 		maxPerWorker = 1
 	}
-	lanes := opts.batchLanes()
 	results := make([][][]float64, len(jobs))
 	var wg sync.WaitGroup
 	for w, job := range jobs {
@@ -82,7 +81,7 @@ func (s *System) parallelWitnesses(ctx context.Context, opts Options, rng *rand.
 			defer wg.Done()
 			wrng := rand.New(rand.NewSource(job.seed))
 			var found [][]float64
-			if _, err := s.sampleSatisfying(ctx, job.samples, lanes, domains, wrng, stats, func(pt []float64) bool {
+			if _, err := s.sampleSatisfying(ctx, job.samples, batchLanes, domains, wrng, stats, func(pt []float64) bool {
 				found = append(found, append([]float64(nil), pt...))
 				return len(found) < maxPerWorker
 			}); err != nil {

@@ -10,7 +10,7 @@ func TestParallelFindCandidateFindsSolutions(t *testing.T) {
 	p, _ := swanProblem(t, 25, 41)
 	opts := DefaultOptions()
 	opts.Workers = 4
-	h, st := FindCandidate(p, opts, rand.New(rand.NewSource(42)))
+	h, st, _ := Compile(p, opts.Stats).FindCandidate(context.Background(), opts, rand.New(rand.NewSource(42)))
 	if st != StatusSat {
 		t.Fatalf("status = %v", st)
 	}
@@ -24,7 +24,7 @@ func TestParallelDeterministicPerSeed(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Workers = 4
 	run := func() []float64 {
-		h, st := FindCandidate(p, opts, rand.New(rand.NewSource(7)))
+		h, st, _ := Compile(p, opts.Stats).FindCandidate(context.Background(), opts, rand.New(rand.NewSource(7)))
 		if st != StatusSat {
 			t.Fatalf("status = %v", st)
 		}
@@ -42,7 +42,7 @@ func TestParallelFindDiverse(t *testing.T) {
 	p, _ := swanProblem(t, 5, 47)
 	opts := DefaultOptions()
 	opts.Workers = 4
-	cands := FindDiverse(p, 6, opts, rand.New(rand.NewSource(48)))
+	cands, _ := Compile(p, opts.Stats).FindDiverse(context.Background(), 6, opts, rand.New(rand.NewSource(48)))
 	if len(cands) < 2 {
 		t.Fatalf("parallel FindDiverse found %d candidates", len(cands))
 	}
@@ -57,7 +57,7 @@ func TestParallelDistinguishing(t *testing.T) {
 	p, _ := swanProblem(t, 4, 49)
 	opts := DefaultOptions()
 	opts.Workers = 4
-	w, st := FindDistinguishing(p, opts, DefaultDistinguishOptions(), rand.New(rand.NewSource(50)))
+	w, st, _ := Compile(p, opts.Stats).FindDistinguishing(context.Background(), opts, DefaultDistinguishOptions(), rand.New(rand.NewSource(50)))
 	if st != StatusSat {
 		t.Fatalf("status = %v", st)
 	}

@@ -151,7 +151,7 @@ func (s *System) rawConsistentPool(ctx context.Context, k int, opts Options, rng
 		}
 	}
 	if len(pool) < k {
-		if _, err := s.sampleSatisfying(ctx, opts.Samples, opts.batchLanes(), domains, rng, stats, func(pt []float64) bool {
+		if _, err := s.sampleSatisfying(ctx, opts.Samples, batchLanes, domains, rng, stats, func(pt []float64) bool {
 			pool = append(pool, append([]float64(nil), pt...))
 			return len(pool) < k
 		}); err != nil {

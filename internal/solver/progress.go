@@ -16,9 +16,7 @@ import (
 // (pinned by TestGoldenTranscriptLogProgressInvariance).
 //
 // A nil *Progress is a no-op, matching the obs package's nil-safe
-// convention. Batched-vs-scalar evaluation counts live in Stats
-// (BatchedEvals/ScalarEvals); progress consumers report the two side
-// by side.
+// convention.
 type Progress struct {
 	searches atomic.Int64
 	waves    atomic.Int64

@@ -49,14 +49,6 @@ import (
 	"compsynth/internal/interval"
 )
 
-// pruneChunk is the span granularity of the wave deques when batching
-// is off: boxes are handed out (and stolen) in runs of this many slots.
-// Large enough to amortize the deque mutex, small enough that a
-// straggler span cannot serialize a wave tail. With batching on the
-// span size is the lane width instead, so each span is one batched
-// evaluation (see evalPruneSpan in system_batch.go).
-const pruneChunk = 8
-
 // pruneKind classifies one box's outcome.
 type pruneKind uint8
 
@@ -89,8 +81,8 @@ type pruneSpan struct{ lo, hi int }
 // tail (locality: its most recently deferred work); thieves steal FIFO
 // from the head (the oldest — and for the initial block layout the
 // largest remaining — run). A plain mutex is enough: contention is one
-// lock per pruneChunk boxes, and the critical section is a slice
-// header update.
+// lock per span of batchLanes boxes, and the critical section is a
+// slice header update.
 type pruneDeque struct {
 	mu    sync.Mutex
 	spans []pruneSpan
@@ -142,7 +134,7 @@ func (s *System) branchAndPrune(ctx context.Context, domains []interval.Interval
 	// wave; extra batches just sit idle those waves).
 	batches := make([]*Batch, workers)
 	for w := range batches {
-		batches[w] = s.NewBatch(opts.batchLanes())
+		batches[w] = s.NewBatch(batchLanes)
 	}
 
 	frontier := [][]interval.Interval{append([]interval.Interval(nil), domains...)}
@@ -233,16 +225,12 @@ func (s *System) branchAndPrune(ctx context.Context, domains []interval.Interval
 // pruneWave evaluates wave[i] into results[i] for every i, using up to
 // `workers` goroutines over work-stealing span deques. Each span is
 // decided by one batched evaluation (evalPruneSpan; one lane per box),
-// so the span size follows the lane width of the per-worker batches —
-// pruneChunk when batching is off. workers is clamped to the number of
-// spans; at one worker the wave runs inline with no goroutines and no
-// steal accounting.
+// so the span size is the lane width of the per-worker batches. workers
+// is clamped to the number of spans; at one worker the wave runs inline
+// with no goroutines and no steal accounting.
 func (s *System) pruneWave(ctx context.Context, wave [][]interval.Interval, results []pruneResult, minWidths []float64, workers int, batches []*Batch, stats *Stats) error {
 	n := len(wave)
-	span := pruneChunk
-	if lanes := batches[0].lanes; lanes > 1 {
-		span = lanes
-	}
+	span := batches[0].lanes
 	if spans := (n + span - 1) / span; workers > spans {
 		workers = spans
 	}
@@ -308,139 +296,13 @@ func (s *System) pruneWave(ctx context.Context, wave [][]interval.Interval, resu
 	return ctx.Err()
 }
 
-// evalPruneBox decides one box: refuted, witnessed, split, or dropped
-// at the floor. Deterministic with respect to the System and its
-// constraint set (compiled programs are closure-based and read-only;
-// Viable carries the same thread-safety contract the sampling stage
-// already imposes; the learned cache only memoizes deterministic
-// facts), so it is safe and result-identical under any evaluation
-// order. mid is the caller's per-worker scratch vector, len(domains)
-// long.
-//
-// With no learned cache attached this is exactly the cold evaluation.
-// With one attached, a cache miss evaluates cold and records the fact;
-// a hit takes evalPruneBoxCached, which reproduces the cold decision
-// while skipping the probes the cached fact already settles.
-func (s *System) evalPruneBox(box []interval.Interval, minWidths []float64, mid []float64) pruneResult {
-	l := s.learned
-	if l == nil {
-		res, _ := s.evalPruneBoxCold(box, minWidths, mid)
-		return res
-	}
-	h := hashBox(box)
-	if fact, ok := l.lookupBox(h, box); ok {
-		return s.evalPruneBoxCached(h, box, minWidths, mid, fact)
-	}
-	res, refuter := s.evalPruneBoxCold(box, minWidths, mid)
-	switch res.kind {
-	case prunePruned:
-		l.storeBox(h, box, refuter, false)
-	case pruneSplit:
-		// Undecided: no present constraint refutes the box and its
-		// midpoint fails Satisfies — facts that stay true as constraints
-		// are added (see learned.go).
-		l.storeBox(h, box, "", false)
-	case pruneFloor:
-		// As above, plus every corner fails Satisfies.
-		l.storeBox(h, box, "", true)
-	}
-	// pruneWitness is deliberately not cached: a witness ends the search
-	// immediately, and "this point satisfies" is not monotone under
-	// constraint additions.
-	return res
-}
-
-// evalPruneBoxCold is the direct evaluation, shared by the no-cache and
-// cache-miss paths. The decision sequence is exactly the sequential
-// engine's: interval refutation first, then the fully-feasible fast
-// path (midpoint accepted on interval evidence alone — Viable is
-// deliberately not consulted, matching the documented Problem.Viable
-// semantics), then a midpoint probe, then split-or-corner-check.
-//
-// refuter is the cache key of the first refuting constraint when the
-// result is prunePruned and a learned cache is attached; "" otherwise.
-func (s *System) evalPruneBoxCold(box []interval.Interval, minWidths []float64, mid []float64) (res pruneResult, refuter string) {
-	feasible := true
-	for i := range s.cps {
-		diff := s.cps[i].diff.EvalInterval(nil, box)
-		if diff.Hi <= s.margin {
-			return pruneResult{kind: prunePruned}, s.cps[i].key
-		}
-		if !(diff.Lo > s.margin) {
-			feasible = false
-		}
-	}
-	for i := range s.cts {
-		diff := s.cts[i].diff.EvalInterval(nil, box)
-		if diff.Lo > s.cts[i].band || diff.Hi < -s.cts[i].band {
-			return pruneResult{kind: prunePruned}, s.cts[i].key
-		}
-		if !(diff.Lo >= -s.cts[i].band && diff.Hi <= s.cts[i].band) {
-			feasible = false
-		}
-	}
-	fillMidpoint(mid, box)
-	if feasible || s.Satisfies(mid) {
-		return pruneResult{kind: pruneWitness, witness: append([]float64(nil), mid...)}, ""
-	}
-	return s.splitOrFloor(box, minWidths, mid, false, nil, nil), ""
-}
-
-// evalPruneBoxCached reproduces the cold decision for a box the cache
-// already has a valid fact for. Soundness (why each skipped probe would
-// have produced the same answer) is argued entry shape by entry shape
-// in learned.go and DESIGN.md §11; in brief: a refutation holds while
-// its refuting constraint is present, and an undecided entry's negative
-// facts (no refutation at version ≤ v, midpoint/corners unsat) are
-// monotone under the only mutation the entry's guards admit — constraint
-// addition — so only constraints stamped after the entry's version need
-// fresh interval checks.
-func (s *System) evalPruneBoxCached(h uint64, box []interval.Interval, minWidths []float64, mid []float64, fact boxFact) pruneResult {
-	if fact.refuted {
-		return pruneResult{kind: prunePruned}
-	}
-	// Delta-check only the constraints added after the fact's version.
-	// Order matches the cold loop (prefs then ties, index order), so the
-	// first refuter found here is the first the cold path would find
-	// among the new constraints.
-	for i := range s.cps {
-		if s.cps[i].addVersion <= fact.version {
-			continue
-		}
-		if diff := s.cps[i].diff.EvalInterval(nil, box); diff.Hi <= s.margin {
-			s.learned.deltaRefutes.Add(1)
-			s.learned.storeBox(h, box, s.cps[i].key, false)
-			return pruneResult{kind: prunePruned}
-		}
-	}
-	for i := range s.cts {
-		if s.cts[i].addVersion <= fact.version {
-			continue
-		}
-		diff := s.cts[i].diff.EvalInterval(nil, box)
-		if diff.Lo > s.cts[i].band || diff.Hi < -s.cts[i].band {
-			s.learned.deltaRefutes.Add(1)
-			s.learned.storeBox(h, box, s.cts[i].key, false)
-			return pruneResult{kind: prunePruned}
-		}
-	}
-	// No refutation. The entry proves the fully-feasible fast path was
-	// already blocked by a constraint at version ≤ fact.version (still
-	// present — the epoch guard rules out removals) and that the midpoint
-	// fails Satisfies (monotone under additions), so both probes are
-	// skipped: the cold path would reach split-or-floor exactly as we do.
-	return s.splitOrFloor(box, minWidths, mid, fact.cornerUnsat, nil, nil)
-}
-
 // splitOrFloor is the undecided-box tail of the decision: split the
 // widest dimension relative to its resolution floor, or at the floor
-// point-check the corners and drop the box (δ-unsat convention).
+// point-check the corners (cornerWitnessBatch, one sweep pass per
+// lane-width chunk of corners) and drop the box (δ-unsat convention).
 // cornerUnsat short-circuits the corner check with a cached "every
-// corner fails Satisfies" fact. A non-nil multi-lane batch routes the
-// corner check through cornerWitnessBatch (bit-identical witness, one
-// sweep pass per lane-width chunk of corners instead of a Satisfies
-// call per corner); nil or 1-lane batches take the scalar check.
-func (s *System) splitOrFloor(box []interval.Interval, minWidths []float64, mid []float64, cornerUnsat bool, b *Batch, stats *Stats) pruneResult {
+// corner fails Satisfies" fact.
+func (s *System) splitOrFloor(box []interval.Interval, minWidths []float64, cornerUnsat bool, b *Batch, stats *Stats) pruneResult {
 	widest, ratio := -1, 1.0
 	for i, iv := range box {
 		if r := iv.Width() / minWidths[i]; r > ratio {
@@ -452,18 +314,8 @@ func (s *System) splitOrFloor(box []interval.Interval, minWidths []float64, mid 
 			return pruneResult{kind: pruneFloor}
 		}
 		// At the resolution floor and still undecided: point-check the
-		// corners. fillMidpoint seeds the dims beyond cornerWitness's
-		// enumeration cap (on the cached path mid is stale scratch, so
-		// refill it — the cold path arrives with mid already holding the
-		// midpoint, and refilling is idempotent).
-		var w []float64
-		if b != nil && b.lanes > 1 {
-			w = s.cornerWitnessBatch(b, box, stats)
-		} else {
-			fillMidpoint(mid, box)
-			w = s.cornerWitness(box, mid)
-		}
-		if w != nil {
+		// corners.
+		if w := s.cornerWitnessBatch(b, box, stats); w != nil {
 			return pruneResult{kind: pruneWitness, witness: w}
 		}
 		if s.learned != nil {

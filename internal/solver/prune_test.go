@@ -244,31 +244,15 @@ func BenchmarkPruneEngineWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkPruneEngineLanes isolates the batched-evaluation win on the
-// single-threaded prune engine: identical work, lane width varied.
-// lanes=1 is the scalar path through the batch pipeline.
-func BenchmarkPruneEngineLanes(b *testing.B) {
-	p := contradictoryProblem()
-	for _, lanes := range []int{1, 8, 16, 32, 64} {
-		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
-			opts := pruneOnly(1)
-			opts.MinBoxWidth = 1.0 / 64
-			opts.MaxBoxes = 2_000_000
-			opts.BatchLanes = lanes
-			sys := compileSystem(p, nil)
-			rng := rand.New(rand.NewSource(1))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, st, err := NewSearch(sys).FindCandidate(context.Background(), opts, rng)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if st != StatusUnsat {
-					b.Fatalf("status %v", st)
-				}
-			}
-		})
+// evalSpans decides a wave through evalPruneSpan in lane-width spans
+// of one batch, the way pruneWave's single-worker loop does.
+func evalSpans(sys *System, wave [][]interval.Interval, lanes int, minWidths []float64) []pruneResult {
+	results := make([]pruneResult, len(wave))
+	b := sys.NewBatch(lanes)
+	for lo := 0; lo < len(wave); lo += lanes {
+		sys.evalPruneSpan(wave, lo, min(lo+lanes, len(wave)), results, minWidths, b, nil)
 	}
+	return results
 }
 
 // TestPruneColdLanesSurvivorAliasing pins the survivor-scratch copy in
@@ -277,9 +261,8 @@ func BenchmarkPruneEngineLanes(b *testing.B) {
 // cornerWitnessBatch, which rewrites b.act — the backing array of the
 // midpoint-sweep survivor list. Without copying that list first, the
 // later lane's survivor check compares against corner-sweep indices,
-// dropping the true witness (or fabricating a false one). The span must
-// decide bit-identically to the scalar loop — which runs with a nil
-// batch here, also covering evalPruneSpan's documented nil-batch path.
+// dropping the true witness (or fabricating a false one). The 2-lane
+// span must decide bit-identically to one-box spans.
 func TestPruneColdLanesSurvivorAliasing(t *testing.T) {
 	space := scenario.MustNewSpace([]string{"x", "y"},
 		[]interval.Interval{interval.New(0, 1), interval.New(0, 1)})
@@ -301,125 +284,117 @@ func TestPruneColdLanesSurvivorAliasing(t *testing.T) {
 	}
 	minWidths := []float64{0.15}
 
-	scalar := make([]pruneResult, len(wave))
-	sys.evalPruneSpan(wave, 0, len(wave), scalar, minWidths, nil, nil)
-	if scalar[0].kind != pruneFloor || scalar[1].kind != pruneWitness {
-		t.Fatalf("scalar reference: kinds = %v/%v, want %v/%v — scenario construction broke",
-			scalar[0].kind, scalar[1].kind, pruneFloor, pruneWitness)
+	single := evalSpans(sys, wave, 1, minWidths)
+	if single[0].kind != pruneFloor || single[1].kind != pruneWitness {
+		t.Fatalf("one-box spans: kinds = %v/%v, want %v/%v — scenario construction broke",
+			single[0].kind, single[1].kind, pruneFloor, pruneWitness)
 	}
 
 	batched := make([]pruneResult, len(wave))
 	sys.evalPruneSpan(wave, 0, len(wave), batched, minWidths, sys.NewBatch(4), nil)
 	for i := range wave {
-		if batched[i].kind != scalar[i].kind {
-			t.Errorf("lane %d: batched kind = %v, want %v", i, batched[i].kind, scalar[i].kind)
+		if batched[i].kind != single[i].kind {
+			t.Errorf("lane %d: batched kind = %v, want %v", i, batched[i].kind, single[i].kind)
 		}
 	}
-	if w := batched[1].witness; len(w) != 1 || w[0] != scalar[1].witness[0] {
-		t.Errorf("lane 1: batched witness = %v, want %v (bit-identical)", w, scalar[1].witness)
+	if w := batched[1].witness; len(w) != 1 || w[0] != single[1].witness[0] {
+		t.Errorf("lane 1: batched witness = %v, want %v (bit-identical)", w, single[1].witness)
 	}
 }
 
-// TestBatchLanesInvariance extends the engine's central property to the
-// batched evaluation pipeline: for sat, unsat, and budget-truncated
-// instances, the verdict, the witness bits, and the deterministic
-// counters are bit-identical for every BatchLanes value (off, narrow,
-// default, cap) crossed with every PruneWorkers value. BatchLanes is a
-// pure throughput knob; only BatchedEvals/ScalarEvals and wall time may
-// differ.
+// TestBatchLanesInvariance pins the prune engine's outcomes on sat,
+// unsat, and budget-truncated instances as literals: the verdict, the
+// witness bits, and the deterministic counters, recorded from the
+// scalar engine (BatchLanes=1) before it was deleted, must hold for
+// every PruneWorkers value. Lane-width invariance itself is tested one
+// level down, through NewBatch(1|3|16|64), by
+// TestEvalPruneSpanCacheParity and TestBatchLanesSamplingInvariance.
 func TestBatchLanesInvariance(t *testing.T) {
 	sat, _ := swanProblem(t, 20, 31)
 	cases := []struct {
 		name string
 		p    Problem
 		mod  func(*Options)
-		want Status
+		want pruneOutcome
 	}{
-		{"sat", sat, nil, StatusSat},
+		{"sat", sat, nil, pruneOutcome{
+			holes: []float64{50, 2.5, 2.5, 2.5}, status: StatusSat, boxes: 31, pruned: 0}},
 		{"unsat", contradictoryProblem(), func(o *Options) {
 			o.MinBoxWidth = 1.0 / 32
 			o.MaxBoxes = 2_000_000
-		}, StatusUnsat},
+		}, pruneOutcome{status: StatusUnsat, boxes: 66239, pruned: 11904}},
 		{"truncated", contradictoryProblem(), func(o *Options) {
 			o.MinBoxWidth = 1.0 / 1024
 			o.MaxBoxes = 37
-		}, StatusUnknown},
+		}, pruneOutcome{status: StatusUnknown, boxes: 37, pruned: 7}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := runPrune(t, tc.p, func(o *Options) {
-				if tc.mod != nil {
-					tc.mod(o)
+			for _, workers := range []int{1, 3} {
+				got := runPrune(t, tc.p, tc.mod, workers)
+				if got.status != tc.want.status {
+					t.Errorf("workers=%d: status = %v, want %v", workers, got.status, tc.want.status)
 				}
-				o.BatchLanes = 1 // scalar reference
-			}, 1)
-			if base.status != tc.want {
-				t.Fatalf("lanes=1: status = %v, want %v", base.status, tc.want)
-			}
-			for _, lanes := range []int{2, 16, 64} {
-				for _, workers := range []int{1, 3} {
-					got := runPrune(t, tc.p, func(o *Options) {
-						if tc.mod != nil {
-							tc.mod(o)
-						}
-						o.BatchLanes = lanes
-					}, workers)
-					if got.status != base.status {
-						t.Errorf("lanes=%d workers=%d: status = %v, want %v", lanes, workers, got.status, base.status)
-					}
-					if len(got.holes) != len(base.holes) {
-						t.Fatalf("lanes=%d workers=%d: witness length %d, want %d", lanes, workers, len(got.holes), len(base.holes))
-					}
-					for i := range got.holes {
-						if got.holes[i] != base.holes[i] {
-							t.Errorf("lanes=%d workers=%d: witness[%d] = %v, want %v (bit-identical)",
-								lanes, workers, i, got.holes[i], base.holes[i])
-						}
-					}
-					if got.boxes != base.boxes || got.pruned != base.pruned {
-						t.Errorf("lanes=%d workers=%d: boxes/pruned = %d/%d, want %d/%d",
-							lanes, workers, got.boxes, got.pruned, base.boxes, base.pruned)
-					}
+				if !samePoint(got.holes, tc.want.holes) {
+					t.Errorf("workers=%d: witness = %v, want %v (bit-identical)", workers, got.holes, tc.want.holes)
+				}
+				if got.boxes != tc.want.boxes || got.pruned != tc.want.pruned {
+					t.Errorf("workers=%d: boxes/pruned = %d/%d, want %d/%d",
+						workers, got.boxes, got.pruned, tc.want.boxes, tc.want.pruned)
 				}
 			}
 		})
 	}
 }
 
-// TestBatchLanesSamplingInvariance pins the block-RNG contract of the
-// sampling stage: with the prune stage disabled, FindCandidate's
-// verdict, witness, and Samples counter are identical for every lane
-// width — the whole sample block is drawn before any row is evaluated,
-// so the RNG stream and the rows-walked count cannot depend on lanes.
+// TestBatchLanesSamplingInvariance pins the block-RNG contract of
+// sampleSatisfying: the points it yields, where a stopping yield cuts
+// the walk, the Samples counter, and the RNG state it leaves behind are
+// identical for every lane width — the whole sample block is drawn
+// before any row is evaluated, so neither the stream nor the
+// rows-walked count can depend on lanes.
 func TestBatchLanesSamplingInvariance(t *testing.T) {
-	p, _ := swanProblem(t, 12, 47)
-	run := func(lanes int) ([]float64, Status, int64) {
-		stats := &Stats{}
-		opts := DefaultOptions()
-		opts.MaxBoxes = 0 // sampling + repair only
-		opts.BatchLanes = lanes
-		opts.Stats = stats
-		h, st, err := Compile(p, stats).FindCandidate(context.Background(), opts, rand.New(rand.NewSource(23)))
-		if err != nil {
-			t.Fatalf("lanes=%d: unexpected error: %v", lanes, err)
-		}
-		return h, st, stats.Samples.Load()
+	p, _ := swanProblem(t, 20, 47)
+	sys := compileSystem(p, nil)
+	domains := sys.sk.Domains()
+	type walk struct {
+		yielded [][]float64
+		stopped bool
+		samples int64
+		next    int64 // first draw after the walk: the RNG position
 	}
-	baseH, baseSt, baseSamples := run(1)
-	for _, lanes := range []int{2, 16, 64} {
-		h, st, samples := run(lanes)
-		if st != baseSt {
-			t.Errorf("lanes=%d: status = %v, want %v", lanes, st, baseSt)
+	run := func(lanes, stopAfter int) walk {
+		stats := &Stats{}
+		rng := rand.New(rand.NewSource(23))
+		var w walk
+		stopped, err := sys.sampleSatisfying(context.Background(), 400, lanes, domains, rng, stats, func(pt []float64) bool {
+			w.yielded = append(w.yielded, append([]float64(nil), pt...))
+			return len(w.yielded) < stopAfter
+		})
+		if err != nil {
+			t.Fatalf("lanes=%d: %v", lanes, err)
 		}
-		if samples != baseSamples {
-			t.Errorf("lanes=%d: samples = %d, want %d (rows walked must be lane-width-invariant)", lanes, samples, baseSamples)
+		w.stopped, w.samples, w.next = stopped, stats.Samples.Load(), rng.Int63()
+		return w
+	}
+	for _, stopAfter := range []int{1, 3, 1 << 30} {
+		base := run(1, stopAfter)
+		if len(base.yielded) == 0 {
+			t.Fatalf("stopAfter=%d: no satisfying samples; the walk exercised nothing", stopAfter)
 		}
-		if len(h) != len(baseH) {
-			t.Fatalf("lanes=%d: witness length %d, want %d", lanes, len(h), len(baseH))
-		}
-		for i := range h {
-			if h[i] != baseH[i] {
-				t.Errorf("lanes=%d: witness[%d] = %v, want %v (bit-identical)", lanes, i, h[i], baseH[i])
+		for _, lanes := range []int{3, 16, 64} {
+			got := run(lanes, stopAfter)
+			if got.stopped != base.stopped || got.samples != base.samples || got.next != base.next {
+				t.Errorf("lanes=%d stopAfter=%d: (stopped, samples, rng) = (%v, %d, %d), want (%v, %d, %d)",
+					lanes, stopAfter, got.stopped, got.samples, got.next, base.stopped, base.samples, base.next)
+			}
+			if len(got.yielded) != len(base.yielded) {
+				t.Fatalf("lanes=%d stopAfter=%d: yielded %d points, want %d", lanes, stopAfter, len(got.yielded), len(base.yielded))
+			}
+			for i := range got.yielded {
+				if !samePoint(got.yielded[i], base.yielded[i]) {
+					t.Errorf("lanes=%d stopAfter=%d: point %d = %v, want %v", lanes, stopAfter, i, got.yielded[i], base.yielded[i])
+				}
 			}
 		}
 	}

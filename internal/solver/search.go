@@ -19,14 +19,11 @@ import (
 // Methods never invent their own errors: an uncancellable run always
 // terminates with a Status, as before.
 //
-// Migration from the v0 surface (see DESIGN.md §10):
-//
-//	FindCandidate(p, opts, rng)            → Compile(p, opts.Stats).FindCandidate(ctx, opts, rng)
-//	BestEffort(p, opts, rng)               → Compile(p, opts.Stats).BestEffort(ctx, opts, rng)
-//	FindDiverse(p, k, opts, rng)           → Compile(p, opts.Stats).FindDiverse(ctx, k, opts, rng)
-//	FindDistinguishing(p, o, d, rng)       → Compile(p, o.Stats).FindDistinguishing(ctx, o, d, rng)
-//	sys.FindCandidate(opts, rng)           → NewSearch(sys).FindCandidate(ctx, opts, rng)
-//	... and likewise for the other System methods.
+// The v0 surface — context-free FindCandidate, BestEffort,
+// FindDiverse, FindDistinguishing, and FindDistinguishingMany on
+// Problem and on System — is gone: call Compile(p, opts.Stats) or
+// NewSearch(sys) and the method of the same name with a context
+// (DESIGN.md §10).
 //
 // A Search is a small value (one pointer); copy it freely. The
 // underlying System's mutation rules still apply: searches only read,
@@ -110,8 +107,15 @@ func (s Search) FindDiverse(ctx context.Context, k int, opts Options, rng *rand.
 	return out, err
 }
 
-// FindDistinguishing searches for a single distinguishing witness; see
-// the Distinguishing type for the verdict semantics.
+// FindDistinguishing searches for a single distinguishing witness.
+//
+// Verdicts:
+//   - StatusSat: witness found (returned).
+//   - StatusUnsat: no pair of consistent candidates disagrees above the
+//     Gamma resolution — the synthesis has converged. A representative
+//     consistent candidate can then be obtained with FindCandidate.
+//   - StatusUnknown: no consistent candidate could be found at all
+//     (over-constrained problem, e.g. inconsistent oracle input).
 func (s Search) FindDistinguishing(ctx context.Context, opts Options, dopts DistinguishOptions, rng *rand.Rand) (*Distinguishing, Status, error) {
 	wits, st, err := s.FindDistinguishingMany(ctx, 1, opts, dopts, rng)
 	if st != StatusSat {
@@ -122,7 +126,8 @@ func (s Search) FindDistinguishing(ctx context.Context, opts Options, dopts Dist
 
 // FindDistinguishingMany returns up to k distinguishing witnesses with
 // mutually distinct scenario pairs — used when the synthesizer asks the
-// user to rank several pairs per iteration (paper Figure 4).
+// user to rank several pairs per iteration (paper Figure 4). Verdicts
+// are FindDistinguishing's.
 func (s Search) FindDistinguishingMany(ctx context.Context, k int, opts Options, dopts DistinguishOptions, rng *rand.Rand) ([]*Distinguishing, Status, error) {
 	sys := s.sys
 	sys.noteSearch()

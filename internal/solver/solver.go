@@ -21,7 +21,6 @@
 package solver
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -128,18 +127,6 @@ type Budget struct {
 	// in frontier order. ≤ 0 selects runtime.GOMAXPROCS(0), which is
 	// safe precisely because of that invariance.
 	PruneWorkers int
-	// BatchLanes is the lane width of the batched structure-of-arrays
-	// evaluation pipeline (see system_batch.go): prune waves, sample
-	// sweeps, and learned delta-checks evaluate up to this many
-	// boxes/points per instruction-dispatch pass. 0 (the default)
-	// selects the built-in width; 1 disables batching (pure scalar
-	// evaluation); values above expr.MaxBatchLanes are clamped. Like
-	// PruneWorkers this knob NEVER affects results: witnesses,
-	// verdicts, transcripts, and the deterministic effort counters are
-	// bit-identical for every lane width — batching only changes how
-	// many lanes share one dispatch pass (and the config-dependent
-	// BatchedEvals/ScalarEvals counters that report it).
-	BatchLanes int
 }
 
 // Options tune the search. The zero value is not useful; start from
@@ -192,18 +179,11 @@ type Stats struct {
 	SpecCacheHits atomic.Int64
 	// BatchedEvals counts constraint-program lane evaluations executed
 	// through the structure-of-arrays batch interpreters (one count per
-	// lane per tape pass). Like Steals it is configuration-dependent:
-	// the value varies with BatchLanes — it is zero when batching is
-	// disabled — while the search results never do, so it is excluded
-	// from transcript-invariance comparisons.
+	// lane per tape pass). Like Steals it depends on how the work is
+	// cut, not on what it decides: the value varies with the lane width
+	// while the search results never do, so it is excluded from
+	// transcript-invariance comparisons.
 	BatchedEvals atomic.Int64
-	// ScalarEvals counts lane evaluations that entered the batch
-	// pipeline but fell back to per-lane scalar evaluation because the
-	// constraint program exceeds the flat-tape caps (see
-	// expr.MaxBatchLanes and flat.go). Configuration-dependent, like
-	// BatchedEvals. A high ratio of ScalarEvals to BatchedEvals means
-	// the sketch's constraints are too deep to batch.
-	ScalarEvals atomic.Int64
 }
 
 // String renders the counters compactly.
@@ -225,7 +205,8 @@ type StatsSnapshot struct {
 	SpecCompiles  int64
 	SpecCacheHits int64
 	BatchedEvals  int64
-	ScalarEvals   int64
+	// ScalarEvals is always 0; kept for bench/.
+	ScalarEvals int64
 }
 
 // Snapshot copies the current counter values. Each counter is loaded
@@ -242,7 +223,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		SpecCompiles:  s.SpecCompiles.Load(),
 		SpecCacheHits: s.SpecCacheHits.Load(),
 		BatchedEvals:  s.BatchedEvals.Load(),
-		ScalarEvals:   s.ScalarEvals.Load(),
 	}
 }
 
@@ -257,7 +237,6 @@ func (s *Stats) Reset() {
 	s.SpecCompiles.Store(0)
 	s.SpecCacheHits.Store(0)
 	s.BatchedEvals.Store(0)
-	s.ScalarEvals.Store(0)
 }
 
 // Sub returns the per-counter difference a − b: the effort spent
@@ -273,14 +252,13 @@ func (a StatsSnapshot) Sub(b StatsSnapshot) StatsSnapshot {
 		SpecCompiles:  a.SpecCompiles - b.SpecCompiles,
 		SpecCacheHits: a.SpecCacheHits - b.SpecCacheHits,
 		BatchedEvals:  a.BatchedEvals - b.BatchedEvals,
-		ScalarEvals:   a.ScalarEvals - b.ScalarEvals,
 	}
 }
 
 // String renders the snapshot in the Stats.String format.
 func (s StatsSnapshot) String() string {
-	return fmt.Sprintf("samples=%d repairs=%d boxes=%d pruned=%d steals=%d hint-hits=%d spec-compiles=%d spec-hits=%d batch-evals=%d scalar-evals=%d",
-		s.Samples, s.Repairs, s.Boxes, s.BoxesPruned, s.Steals, s.HintHits, s.SpecCompiles, s.SpecCacheHits, s.BatchedEvals, s.ScalarEvals)
+	return fmt.Sprintf("samples=%d repairs=%d boxes=%d pruned=%d steals=%d hint-hits=%d spec-compiles=%d spec-hits=%d batch-evals=%d",
+		s.Samples, s.Repairs, s.Boxes, s.BoxesPruned, s.Steals, s.HintHits, s.SpecCompiles, s.SpecCacheHits, s.BatchedEvals)
 }
 
 // DefaultOptions returns the tuning used by the synthesizer.
@@ -349,25 +327,6 @@ func Satisfies(p Problem, holes []float64) bool {
 	return p.Viable == nil || p.Viable(holes)
 }
 
-// FindCandidate searches the hole box for a vector consistent with all
-// preference constraints.
-//
-// Strategy: (1) uniform sampling, (2) hinge-loss coordinate descent from
-// random starts, (3) exhaustive interval branch-and-prune. Only stage 3
-// can return StatusUnsat; if its box budget is exhausted first the
-// result is StatusUnknown.
-//
-// Deprecated: this wrapper cannot be canceled. Use the context-first v1
-// API instead: Compile(p, opts.Stats).FindCandidate(ctx, opts, rng)
-// (or NewSearch over a long-lived System). Callers that solve a growing
-// problem repeatedly should hold the System themselves to skip the
-// per-call compile; specializations are cached on the sketch, so this
-// wrapper is cheap after the first call per scenario anyway.
-func FindCandidate(p Problem, opts Options, rng *rand.Rand) ([]float64, Status) {
-	h, st, _ := Compile(p, opts.Stats).FindCandidate(context.Background(), opts, rng)
-	return h, st
-}
-
 // clampToBox returns a copy of h with every coordinate clamped into its
 // domain (short vectors are padded with midpoints).
 func clampToBox(h []float64, domains []interval.Interval) []float64 {
@@ -389,30 +348,4 @@ func randomVector(domains []interval.Interval, rng *rand.Rand) []float64 {
 		h[i] = d.Lo + rng.Float64()*d.Width()
 	}
 	return h
-}
-
-// BestEffort returns the lowest-violation hole vector found within the
-// sampling/repair budget, together with its hinge loss (0 means fully
-// consistent) and the per-constraint satisfaction mask. The synthesizer
-// uses it to localize numerically infeasible preference edges when the
-// user's answers are inconsistent.
-//
-// Deprecated: this wrapper cannot be canceled. Use
-// Compile(p, opts.Stats).BestEffort(ctx, opts, rng).
-func BestEffort(p Problem, opts Options, rng *rand.Rand) (holes []float64, loss float64, satisfied []bool) {
-	holes, loss, satisfied, _ = Compile(p, opts.Stats).BestEffort(context.Background(), opts, rng)
-	return holes, loss, satisfied
-}
-
-// FindDiverse returns up to k consistent hole vectors that are mutually
-// spread out in the hole box (greedy max-min distance selection over a
-// pool of found witnesses). Diversity is what gives the distinguishing
-// search leverage: behaviorally different candidates come from distant
-// corners of the version space.
-//
-// Deprecated: this wrapper cannot be canceled. Use
-// Compile(p, opts.Stats).FindDiverse(ctx, k, opts, rng).
-func FindDiverse(p Problem, k int, opts Options, rng *rand.Rand) [][]float64 {
-	out, _ := Compile(p, opts.Stats).FindDiverse(context.Background(), k, opts, rng)
-	return out
 }

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -39,7 +40,7 @@ func swanProblem(t testing.TB, nPrefs int, seed int64) (Problem, *sketch.Candida
 func TestFindCandidateEmptyProblem(t *testing.T) {
 	sk := sketch.SWAN()
 	p := Problem{Sketch: sk}
-	h, st := FindCandidate(p, DefaultOptions(), rand.New(rand.NewSource(1)))
+	h, st, _ := Compile(p, nil).FindCandidate(context.Background(), DefaultOptions(), rand.New(rand.NewSource(1)))
 	if st != StatusSat {
 		t.Fatalf("status = %v", st)
 	}
@@ -51,7 +52,7 @@ func TestFindCandidateEmptyProblem(t *testing.T) {
 func TestFindCandidateSatisfiesConstraints(t *testing.T) {
 	for _, n := range []int{1, 5, 20, 60} {
 		p, _ := swanProblem(t, n, int64(n))
-		h, st := FindCandidate(p, DefaultOptions(), rand.New(rand.NewSource(2)))
+		h, st, _ := Compile(p, nil).FindCandidate(context.Background(), DefaultOptions(), rand.New(rand.NewSource(2)))
 		if st != StatusSat {
 			t.Fatalf("n=%d: status = %v", n, st)
 		}
@@ -87,7 +88,7 @@ func TestFindCandidateUnsat(t *testing.T) {
 	opts.RepairRestarts = 2
 	opts.MinBoxWidth = 1.0 / 32 // keep the exhaustive pass fast
 	opts.MaxBoxes = 2_000_000
-	_, st := FindCandidate(p, opts, rand.New(rand.NewSource(3)))
+	_, st, _ := Compile(p, opts.Stats).FindCandidate(context.Background(), opts, rand.New(rand.NewSource(3)))
 	if st != StatusUnsat {
 		t.Fatalf("contradictory problem status = %v, want unsat", st)
 	}
@@ -109,7 +110,7 @@ func TestFindCandidateTightConstraint(t *testing.T) {
 			{Better: scenario.Scenario{5, 10}, Worse: scenario.Scenario{0.2, 5}},
 		},
 	}
-	h, st := FindCandidate(p, DefaultOptions(), rand.New(rand.NewSource(4)))
+	h, st, _ := Compile(p, nil).FindCandidate(context.Background(), DefaultOptions(), rand.New(rand.NewSource(4)))
 	if st != StatusSat {
 		t.Fatalf("status = %v", st)
 	}
@@ -136,7 +137,7 @@ func TestViolationZeroIffSatisfies(t *testing.T) {
 
 func TestFindDiverse(t *testing.T) {
 	p, _ := swanProblem(t, 5, 9)
-	cands := FindDiverse(p, 6, DefaultOptions(), rand.New(rand.NewSource(7)))
+	cands, _ := Compile(p, nil).FindDiverse(context.Background(), 6, DefaultOptions(), rand.New(rand.NewSource(7)))
 	if len(cands) < 2 {
 		t.Fatalf("only %d diverse candidates for weak constraints", len(cands))
 	}
@@ -174,7 +175,7 @@ func TestFindDiverseOverconstrained(t *testing.T) {
 	opts.Samples = 40
 	opts.RepairRestarts = 2
 	opts.MinBoxWidth = 1.0 / 16
-	if cands := FindDiverse(p, 4, opts, rand.New(rand.NewSource(8))); len(cands) != 0 {
+	if cands, _ := Compile(p, opts.Stats).FindDiverse(context.Background(), 4, opts, rand.New(rand.NewSource(8))); len(cands) != 0 {
 		t.Errorf("found %d candidates for contradictory constraints", len(cands))
 	}
 }
@@ -183,7 +184,7 @@ func TestFindDistinguishingFindsWitness(t *testing.T) {
 	// With few constraints the version space is wide: a distinguishing
 	// pair must exist.
 	p, _ := swanProblem(t, 3, 11)
-	w, st := FindDistinguishing(p, DefaultOptions(), DefaultDistinguishOptions(), rand.New(rand.NewSource(12)))
+	w, st, _ := Compile(p, nil).FindDistinguishing(context.Background(), DefaultOptions(), DefaultDistinguishOptions(), rand.New(rand.NewSource(12)))
 	if st != StatusSat {
 		t.Fatalf("status = %v", st)
 	}
@@ -214,7 +215,7 @@ func validateWitness(t *testing.T, p Problem, w *Distinguishing, gamma float64) 
 
 func TestFindDistinguishingManyDistinctPairs(t *testing.T) {
 	p, _ := swanProblem(t, 3, 13)
-	ws, st := FindDistinguishingMany(p, 3, DefaultOptions(), DefaultDistinguishOptions(), rand.New(rand.NewSource(14)))
+	ws, st, _ := Compile(p, nil).FindDistinguishingMany(context.Background(), 3, DefaultOptions(), DefaultDistinguishOptions(), rand.New(rand.NewSource(14)))
 	if st != StatusSat {
 		t.Fatalf("status = %v", st)
 	}
@@ -249,7 +250,7 @@ func TestFindDistinguishingUnknownWhenOverconstrained(t *testing.T) {
 	opts.RepairRestarts = 1
 	opts.MinBoxWidth = 1.0 / 8
 	opts.MaxBoxes = 2000
-	_, st := FindDistinguishing(p, opts, DefaultDistinguishOptions(), rand.New(rand.NewSource(15)))
+	_, st, _ := Compile(p, opts.Stats).FindDistinguishing(context.Background(), opts, DefaultDistinguishOptions(), rand.New(rand.NewSource(15)))
 	if st != StatusUnknown {
 		t.Fatalf("status = %v, want unknown (no consistent candidate)", st)
 	}
@@ -264,7 +265,7 @@ func TestFindDistinguishingConvergesOnPointSketch(t *testing.T) {
 		map[string]interval.Interval{"s": interval.Point(2)},
 	)
 	p := Problem{Sketch: sk}
-	_, st := FindDistinguishing(p, DefaultOptions(), DefaultDistinguishOptions(), rand.New(rand.NewSource(16)))
+	_, st, _ := Compile(p, nil).FindDistinguishing(context.Background(), DefaultOptions(), DefaultDistinguishOptions(), rand.New(rand.NewSource(16)))
 	if st != StatusUnsat {
 		t.Fatalf("status = %v, want unsat (behaviorally unique)", st)
 	}
@@ -286,7 +287,7 @@ func TestBranchAndPruneDirect(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Samples = 0
 	opts.RepairRestarts = 0
-	h, st := FindCandidate(p, opts, rand.New(rand.NewSource(22)))
+	h, st, _ := Compile(p, opts.Stats).FindCandidate(context.Background(), opts, rand.New(rand.NewSource(22)))
 	if st != StatusSat {
 		t.Fatalf("pure branch-and-prune status = %v", st)
 	}
@@ -298,7 +299,7 @@ func TestBranchAndPruneDirect(t *testing.T) {
 func TestMarginRespected(t *testing.T) {
 	p, _ := swanProblem(t, 10, 31)
 	p.Margin = 5.0
-	h, st := FindCandidate(p, DefaultOptions(), rand.New(rand.NewSource(32)))
+	h, st, _ := Compile(p, nil).FindCandidate(context.Background(), DefaultOptions(), rand.New(rand.NewSource(32)))
 	if st != StatusSat {
 		t.Skipf("margin too strict for these constraints: %v", st)
 	}
@@ -315,7 +316,7 @@ func TestStatsCounters(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Stats = stats
 	rng := rand.New(rand.NewSource(92))
-	h, st := FindCandidate(p, opts, rng)
+	h, st, _ := Compile(p, opts.Stats).FindCandidate(context.Background(), opts, rng)
 	if st != StatusSat {
 		t.Fatalf("status = %v", st)
 	}
@@ -324,7 +325,7 @@ func TestStatsCounters(t *testing.T) {
 	}
 	// Warm-start hit: re-solve with the witness as hint.
 	opts.Hints = [][]float64{h}
-	if _, st := FindCandidate(p, opts, rng); st != StatusSat {
+	if _, st, _ := Compile(p, opts.Stats).FindCandidate(context.Background(), opts, rng); st != StatusSat {
 		t.Fatalf("hinted status = %v", st)
 	}
 	if stats.HintHits.Load() != 1 {
@@ -341,7 +342,7 @@ func TestStatsCountersParallelRaceFree(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Stats = stats
 	opts.Workers = 4
-	if _, st := FindCandidate(p, opts, rand.New(rand.NewSource(94))); st != StatusSat {
+	if _, st, _ := Compile(p, opts.Stats).FindCandidate(context.Background(), opts, rand.New(rand.NewSource(94))); st != StatusSat {
 		t.Fatalf("status = %v", st)
 	}
 	if stats.Samples.Load()+stats.Repairs.Load() == 0 {
@@ -365,7 +366,7 @@ func TestTieConstraints(t *testing.T) {
 			{A: scenario.Scenario{3, 100}, B: scenario.Scenario{6, 100}, Band: 5},
 		},
 	}
-	h, st := FindCandidate(p, DefaultOptions(), rand.New(rand.NewSource(101)))
+	h, st, _ := Compile(p, nil).FindCandidate(context.Background(), DefaultOptions(), rand.New(rand.NewSource(101)))
 	if st != StatusSat {
 		t.Fatalf("status = %v", st)
 	}
@@ -394,7 +395,7 @@ func TestTieUnsatisfiable(t *testing.T) {
 	opts.RepairRestarts = 2
 	opts.MinBoxWidth = 1.0 / 16
 	opts.MaxBoxes = 2_000_000
-	if _, st := FindCandidate(p, opts, rand.New(rand.NewSource(102))); st != StatusUnsat {
+	if _, st, _ := Compile(p, opts.Stats).FindCandidate(context.Background(), opts, rand.New(rand.NewSource(102))); st != StatusUnsat {
 		t.Errorf("contradictory tie status = %v, want unsat", st)
 	}
 }

@@ -317,44 +317,49 @@ func (s *System) ExportLearned() *LearnedSummary {
 // order — every constraint is scanned for one that refutes the box.
 // Every installed fact is therefore proven against *this* system, so
 // warming can never change results, only skip work the prune engine
-// would have redone. Returns how many regions were installed and how
-// many were skipped.
+// would have redone. The proofs run through the system's pooled batch
+// scratch, as the prune engine's do. Returns how many regions were
+// installed and how many were skipped.
 func (s *System) WarmLearned(sum *LearnedSummary) (installed, skipped int) {
 	if sum == nil || s.learned == nil {
 		return 0, 0
 	}
 	dim := len(s.sk.Domains())
-	box := make([]interval.Interval, dim)
+	b := s.getBatch(batchLanes)
+	defer s.putBatch(b)
+	box := [][]interval.Interval{make([]interval.Interval, dim)}
 	for _, r := range sum.Refuted {
 		if len(r.Box) != dim || !finiteRegion(r) {
 			skipped++
 			continue
 		}
-		for j, b := range r.Box {
-			box[j] = interval.New(b[0], b[1])
+		for j, iv := range r.Box {
+			box[0][j] = interval.New(iv[0], iv[1])
 		}
-		key, ok := s.refuterFor(box, r)
+		key, ok := s.refuterFor(b, box, r)
 		if !ok {
 			skipped++
 			continue
 		}
-		s.learned.storeBox(hashBox(box), append([]interval.Interval(nil), box...), key, false)
+		s.learned.storeBox(hashBox(box[0]), append([]interval.Interval(nil), box[0]...), key, false)
 		installed++
 	}
 	return installed, skipped
 }
 
 // refuterFor finds a constraint of this system that provably refutes
-// the box, preferring the index the exporting system recorded.
-func (s *System) refuterFor(box []interval.Interval, r RefutedRegion) (key string, ok bool) {
+// box[0], preferring the index the exporting system recorded. Each
+// check is one 1-lane interval pass through b.
+func (s *System) refuterFor(b *Batch, box [][]interval.Interval, r RefutedRegion) (key string, ok bool) {
+	lane := []int{0}
 	refutesPref := func(i int) bool {
-		diff := s.cps[i].diff.EvalInterval(nil, box)
-		return diff.Hi <= s.margin
+		_, hi := s.ivLanes(b, s.cps[i].diff, box, lane, nil)
+		return hi[0] <= s.margin
 	}
 	refutesTie := func(i int) bool {
 		ct := s.cts[i]
-		diff := ct.diff.EvalInterval(nil, box)
-		return diff.Lo > ct.band || diff.Hi < -ct.band
+		lo, hi := s.ivLanes(b, ct.diff, box, lane, nil)
+		return lo[0] > ct.band || hi[0] < -ct.band
 	}
 	if r.Tie && r.Index >= 0 && r.Index < len(s.cts) && refutesTie(r.Index) {
 		return s.cts[r.Index].key, true
@@ -452,16 +457,6 @@ func (s *System) statsOf(opts Options) *Stats {
 	return s.stats
 }
 
-// FindCandidate searches the hole box for a vector consistent with all
-// constraints; see the Problem-level FindCandidate for the staging.
-//
-// Deprecated: this wrapper cannot be canceled. Use
-// NewSearch(s).FindCandidate(ctx, opts, rng).
-func (s *System) FindCandidate(opts Options, rng *rand.Rand) ([]float64, Status) {
-	h, st, _ := NewSearch(s).FindCandidate(context.Background(), opts, rng)
-	return h, st
-}
-
 func (s *System) findCandidate(ctx context.Context, opts Options, rng *rand.Rand) ([]float64, Status, error) {
 	domains := s.sk.Domains()
 	stats := s.statsOf(opts)
@@ -500,7 +495,7 @@ func (s *System) findCandidate(ctx context.Context, opts Options, rng *rand.Rand
 		}
 	} else {
 		var witness []float64
-		found, err := s.sampleSatisfying(ctx, opts.Samples, opts.batchLanes(), domains, rng, stats, func(pt []float64) bool {
+		found, err := s.sampleSatisfying(ctx, opts.Samples, batchLanes, domains, rng, stats, func(pt []float64) bool {
 			witness = append([]float64(nil), pt...)
 			return false
 		})
@@ -604,39 +599,6 @@ func (s *System) repair(start []float64, domains []interval.Interval, steps int,
 	return h, loss == 0 && s.Satisfies(h)
 }
 
-// cornerWitness point-checks the corners of a box (up to 2^8 of them)
-// and returns a copy of the first satisfying corner, or nil. h must
-// hold the box midpoint on entry and is used as scratch.
-func (s *System) cornerWitness(box []interval.Interval, h []float64) []float64 {
-	d := len(box)
-	if d > 8 {
-		d = 8 // cap the enumeration; remaining dims stay at midpoint
-	}
-	for mask := 0; mask < 1<<d; mask++ {
-		for i := 0; i < d; i++ {
-			if mask&(1<<i) != 0 {
-				h[i] = box[i].Hi
-			} else {
-				h[i] = box[i].Lo
-			}
-		}
-		if s.Satisfies(h) {
-			return append([]float64(nil), h...)
-		}
-	}
-	return nil
-}
-
-// BestEffort returns the lowest-violation hole vector found within the
-// sampling/repair budget; see the Problem-level BestEffort.
-//
-// Deprecated: this wrapper cannot be canceled. Use
-// NewSearch(s).BestEffort(ctx, opts, rng).
-func (s *System) BestEffort(opts Options, rng *rand.Rand) (holes []float64, loss float64, satisfied []bool) {
-	holes, loss, satisfied, _ = NewSearch(s).BestEffort(context.Background(), opts, rng)
-	return holes, loss, satisfied
-}
-
 func (s *System) bestEffort(ctx context.Context, opts Options, rng *rand.Rand) (holes []float64, loss float64, satisfied []bool, err error) {
 	domains := s.sk.Domains()
 	best := randomVector(domains, rng)
@@ -670,16 +632,6 @@ func (s *System) bestEffort(ctx context.Context, opts Options, rng *rand.Rand) (
 		consider(repaired)
 	}
 	return best, bestLoss, s.SatisfiedMask(best, nil), nil
-}
-
-// FindDiverse returns up to k consistent hole vectors that are mutually
-// spread out in the hole box; see the Problem-level FindDiverse.
-//
-// Deprecated: this wrapper cannot be canceled. Use
-// NewSearch(s).FindDiverse(ctx, k, opts, rng).
-func (s *System) FindDiverse(k int, opts Options, rng *rand.Rand) [][]float64 {
-	out, _ := NewSearch(s).FindDiverse(context.Background(), k, opts, rng)
-	return out
 }
 
 func (s *System) findDiverse(ctx context.Context, k int, opts Options, rng *rand.Rand) ([][]float64, error) {
@@ -734,7 +686,7 @@ func (s *System) findDiverse(ctx context.Context, k int, opts Options, rng *rand
 		pool = append(pool, ws...)
 	} else {
 		if len(pool) < 8*k {
-			if _, err := s.sampleSatisfying(ctx, opts.Samples, opts.batchLanes(), domains, rng, stats, func(pt []float64) bool {
+			if _, err := s.sampleSatisfying(ctx, opts.Samples, batchLanes, domains, rng, stats, func(pt []float64) bool {
 				pool = append(pool, append([]float64(nil), pt...))
 				return len(pool) < 8*k
 			}); err != nil {

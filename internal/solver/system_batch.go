@@ -9,19 +9,22 @@ package solver
 // ordered constraint programs. Batching turns each of those loops
 // inside out: instead of walking constraints per input, it walks inputs
 // per constraint, K lanes per instruction-dispatch pass, with an active
-// lane set that shrinks as constraints decide lanes (preserving the
-// scalar path's early-exit economics in constraint-major form).
+// lane set that shrinks as constraints decide lanes (keeping the
+// early-exit economics of checking one input at a time, in
+// constraint-major form). Every box the prune engine decides goes
+// through here; a single box is a 1-lane pass.
 //
-// Determinism contract, mirrored from prune.go: BatchLanes NEVER
+// Determinism contract, mirrored from prune.go: the lane width NEVER
 // affects results. Every lane op is the scalar op applied elementwise
 // (see internal/interval lanes.go and the expr fuzz tests), decisions
 // are applied in lane order (= frontier/draw order), side effects
-// (learned-cache stores, Viable probes, witness copies) fire for
-// exactly the lanes and in exactly the order the scalar path fires
-// them, and the sampling stages draw randomness in fixed-size blocks so
-// RNG consumption is lane-width-invariant (see sampleSatisfying). The
-// only observable differences are the config-dependent
-// BatchedEvals/ScalarEvals counters and wall-clock time.
+// (learned-cache stores, Viable probes, witness copies) fire per lane
+// in lane order exactly as they would one input at a time, and the
+// sampling stages draw randomness in fixed-size blocks so RNG
+// consumption is lane-width-invariant (see sampleSatisfying). The only
+// observable differences are the BatchedEvals counter and wall-clock
+// time. The solver runs at one width, batchLanes; the tests vary it
+// through NewBatch.
 
 import (
 	"context"
@@ -31,30 +34,16 @@ import (
 	"compsynth/internal/interval"
 )
 
-// defaultBatchLanes is the lane width used when Budget.BatchLanes is 0
-// (batching on by default). Chosen to keep a batch's stack rows inside
-// L1 while amortizing dispatch well past the knee; MaxBatchLanes-wide
+// batchLanes is the solver's lane width. It keeps a batch's stack rows
+// inside L1 while amortizing dispatch well past the knee; 64-lane
 // batches pay cache misses for little extra amortization.
-const defaultBatchLanes = 16
+const batchLanes = 16
 
 // sampleBlock is the draw granularity of the batched sampling stages:
-// RNG rows are drawn this many at a time, independent of BatchLanes, so
-// the random stream consumed by a search is identical for every lane
-// width (including 1). See sampleSatisfying.
+// RNG rows are drawn this many at a time, independent of the lane
+// width, so the random stream consumed by a search is identical for
+// every width. See sampleSatisfying.
 const sampleBlock = 64
-
-// batchLanes resolves the BatchLanes knob to an effective lane width.
-func (b Budget) batchLanes() int {
-	switch {
-	case b.BatchLanes == 1:
-		return 1
-	case b.BatchLanes <= 0:
-		return defaultBatchLanes
-	case b.BatchLanes > expr.MaxBatchLanes:
-		return expr.MaxBatchLanes
-	}
-	return b.BatchLanes
-}
 
 // Batch is reusable lane scratch for a System's batched entry points.
 // Construct one per goroutine with NewBatch (a Batch is not safe for
@@ -67,7 +56,6 @@ type Batch struct {
 	iv *expr.IntervalBatch // interval lanes (constraint diffs are hole-only)
 	pt *expr.PointBatch    // point lanes
 
-	mid     []float64 // one midpoint / scalar-path scratch row
 	mids    []float64 // lanes midpoint rows, row-major
 	corners []float64 // lanes corner rows for the floor check, row-major
 	block   []float64 // sampleBlock sample rows, row-major
@@ -86,24 +74,15 @@ type Batch struct {
 	hashes                                      []uint64
 }
 
-// NewBatch returns lane scratch for batched evaluation against this
-// system's sketch. lanes is clamped to [1, expr.MaxBatchLanes]; a
-// 1-lane batch is valid and makes every batched entry point take its
-// scalar path.
+// NewBatch returns lane scratch of the given width (at least 1) for
+// batched evaluation against this system's sketch.
 func (s *System) NewBatch(lanes int) *Batch {
-	if lanes < 1 {
-		lanes = 1
-	}
-	if lanes > expr.MaxBatchLanes {
-		lanes = expr.MaxBatchLanes
-	}
 	dim := len(s.sk.Domains())
 	return &Batch{
 		lanes:   lanes,
 		dim:     dim,
 		iv:      expr.NewIntervalBatch(0, dim, lanes),
 		pt:      expr.NewPointBatch(0, dim, lanes),
-		mid:     make([]float64, dim),
 		mids:    make([]float64, lanes*dim),
 		corners: make([]float64, lanes*dim),
 		block:   make([]float64, sampleBlock*dim),
@@ -142,39 +121,6 @@ func (s *System) putBatch(b *Batch) {
 	}
 }
 
-// SatisfiesBatch evaluates Satisfies for every point, writing the
-// verdicts into out (grown as needed and returned). Points may
-// outnumber the batch's lanes; they are swept in lane-width chunks.
-// Verdicts are identical to calling Satisfies per point; Viable is
-// probed, in point order, only for points that pass every constraint —
-// exactly the scalar call pattern.
-func (s *System) SatisfiesBatch(b *Batch, points [][]float64, out []bool) []bool {
-	if cap(out) < len(points) {
-		out = make([]bool, len(points))
-	}
-	out = out[:len(points)]
-	if b.lanes <= 1 {
-		for i, pt := range points {
-			out[i] = s.Satisfies(pt)
-		}
-		return out
-	}
-	for lo := 0; lo < len(points); lo += b.lanes {
-		k := min(b.lanes, len(points)-lo)
-		seq := b.seq[:0]
-		for l := 0; l < k; l++ {
-			copy(b.mids[l*b.dim:(l+1)*b.dim], points[lo+l])
-			seq = append(seq, l)
-			out[lo+l] = false
-		}
-		for _, l := range s.sweepSurvivors(b, b.mids, b.dim, seq, s.stats) {
-			pt := b.mids[l*b.dim : (l+1)*b.dim]
-			out[lo+l] = s.viable == nil || s.viable(pt)
-		}
-	}
-	return out
-}
-
 // pointLanes evaluates prog over the listed rows of the row-major point
 // storage (stride dim) in one batch pass, returning the output column
 // parallel to lanes. The column aliases b.pt and is overwritten by the
@@ -183,12 +129,9 @@ func (s *System) pointLanes(b *Batch, prog *expr.Program, rows []float64, dim in
 	for x, r := range lanes {
 		b.pt.SetHoles(x, rows[r*dim:(r+1)*dim])
 	}
-	if prog.EvalBatch(b.pt, len(lanes)) {
-		if stats != nil {
-			stats.BatchedEvals.Add(int64(len(lanes)))
-		}
-	} else if stats != nil {
-		stats.ScalarEvals.Add(int64(len(lanes)))
+	prog.EvalBatch(b.pt, len(lanes))
+	if stats != nil {
+		stats.BatchedEvals.Add(int64(len(lanes)))
 	}
 	return b.pt.Outs(len(lanes))
 }
@@ -199,12 +142,9 @@ func (s *System) ivLanes(b *Batch, prog *expr.Program, boxes [][]interval.Interv
 	for x, j := range lanes {
 		b.iv.SetHoles(x, boxes[j])
 	}
-	if prog.EvalIntervalBatch(b.iv, len(lanes)) {
-		if stats != nil {
-			stats.BatchedEvals.Add(int64(len(lanes)))
-		}
-	} else if stats != nil {
-		stats.ScalarEvals.Add(int64(len(lanes)))
+	prog.EvalIntervalBatch(b.iv, len(lanes))
+	if stats != nil {
+		stats.BatchedEvals.Add(int64(len(lanes)))
 	}
 	return b.iv.Outs(len(lanes))
 }
@@ -258,24 +198,18 @@ func (s *System) sweepSurvivors(b *Batch, rows []float64, dim int, lanesIn []int
 // Randomness is consumed in fixed blocks of sampleBlock rows — the
 // whole block is drawn before any of it is evaluated — so the RNG
 // stream position depends only on which block the walk stopped in,
-// never on the lane width: every BatchLanes value (including 1, the
-// scalar path) draws identically and leaves rng in the same state.
-// Stats.Samples counts exactly the rows walked up to and including the
-// stopping row, which is likewise lane-width-invariant.
+// never on the lane width: every width draws identically and leaves
+// rng in the same state. Stats.Samples counts exactly the rows walked
+// up to and including the stopping row, which is likewise
+// lane-width-invariant.
 func (s *System) sampleSatisfying(ctx context.Context, samples, lanes int, domains []interval.Interval, rng *rand.Rand, stats *Stats, yield func(pt []float64) bool) (stopped bool, err error) {
 	if samples <= 0 {
 		return false, nil
 	}
 	dim := len(domains)
-	var b *Batch
-	var block []float64
-	if lanes > 1 {
-		b = s.getBatch(lanes)
-		defer s.putBatch(b)
-		block = b.block
-	} else {
-		block = make([]float64, sampleBlock*dim)
-	}
+	b := s.getBatch(lanes)
+	defer s.putBatch(b)
+	block := b.block
 	for done := 0; done < samples; {
 		if err := ctx.Err(); err != nil {
 			return false, err
@@ -285,32 +219,22 @@ func (s *System) sampleSatisfying(ctx context.Context, samples, lanes int, domai
 			fillRandomVector(block[r*dim:(r+1)*dim], domains, rng)
 		}
 		walked, stop := 0, false
-		if b == nil {
-			for r := 0; r < n && !stop; r++ {
-				walked++
-				pt := block[r*dim : (r+1)*dim]
-				if s.Satisfies(pt) && !yield(pt) {
-					stop = true
-				}
+		for c := 0; c < n && !stop; c += lanes {
+			k := min(lanes, n-c)
+			seq := b.seq[:0]
+			for l := 0; l < k; l++ {
+				seq = append(seq, c+l)
 			}
-		} else {
-			for c := 0; c < n && !stop; c += lanes {
-				k := min(lanes, n-c)
-				seq := b.seq[:0]
-				for l := 0; l < k; l++ {
-					seq = append(seq, c+l)
-				}
-				surv := s.sweepSurvivors(b, block, dim, seq, stats)
-				si := 0
-				for l := 0; l < k && !stop; l++ {
-					walked++
-					row := c + l
-					if si < len(surv) && surv[si] == row {
-						si++
-						pt := block[row*dim : (row+1)*dim]
-						if (s.viable == nil || s.viable(pt)) && !yield(pt) {
-							stop = true
-						}
+			surv := s.sweepSurvivors(b, block, dim, seq, stats)
+			si := 0
+			for l := 0; l < k && !stop; l++ {
+				walked++
+				row := c + l
+				if si < len(surv) && surv[si] == row {
+					si++
+					pt := block[row*dim : (row+1)*dim]
+					if (s.viable == nil || s.viable(pt)) && !yield(pt) {
+						stop = true
 					}
 				}
 			}
@@ -326,13 +250,13 @@ func (s *System) sampleSatisfying(ctx context.Context, samples, lanes int, domai
 	return false, nil
 }
 
-// cornerWitnessBatch is cornerWitness through the batch pipeline: the
-// same corner enumeration (mask order, midpoint beyond the enumeration
-// cap), swept constraint-major in lane-width chunks, with Viable probed
-// in corner order only for constraint-passing corners and the walk
-// stopping at the first accepted corner — so the returned witness (a
-// copy, or nil) is bit-identical to cornerWitness's. Chunks past the
-// accepted corner are never evaluated, matching the scalar early exit.
+// cornerWitnessBatch point-checks the corners of a floor-level box (up
+// to 2^8 of them, in mask order; dims beyond the enumeration cap stay
+// at the midpoint) and returns a copy of the first corner that
+// satisfies every constraint and Viable, or nil. Corners are swept
+// constraint-major in lane-width chunks, with Viable probed in corner
+// order only for constraint-passing corners; chunks past the accepted
+// corner are never evaluated.
 func (s *System) cornerWitnessBatch(b *Batch, box []interval.Interval, stats *Stats) []float64 {
 	d := len(box)
 	if d > 8 {
@@ -366,26 +290,25 @@ func (s *System) cornerWitnessBatch(b *Batch, box []interval.Interval, stats *St
 	return nil
 }
 
-// evalPruneSpan decides frontier boxes wave[lo:hi] into the matching
-// results slots: the batched form of calling evalPruneBox per box.
-// Outcomes, learned-cache stores (keys, corner flags, first-refuter
-// identity), and Viable/corner probes are identical to the scalar
-// loop's, per lane in lane order; see the file comment for the
-// determinism argument. A nil or 1-lane batch takes the scalar loop.
+// evalPruneSpan decides frontier boxes wave[lo:hi] (at most b's lane
+// width) into the matching results slots: each box is refuted,
+// witnessed, split, or dropped at the resolution floor. Outcomes,
+// learned-cache stores (keys, corner flags, first-refuter identity),
+// and Viable/corner probes do not depend on the span's width or on
+// which boxes share it; see the file comment for the determinism
+// argument.
+//
+// Each box is a pure function of the System and its constraint set
+// (compiled programs are read-only; Viable carries the same
+// thread-safety contract the sampling stage already imposes; the
+// learned cache only memoizes deterministic facts), so spans are safe
+// and result-identical under any evaluation order. With a learned
+// cache attached, boxes with a valid cached fact take pruneCachedLanes,
+// which reproduces the cold decision while skipping the probes the
+// fact already settles; the rest are decided cold and their facts
+// recorded.
 func (s *System) evalPruneSpan(wave [][]interval.Interval, lo, hi int, results []pruneResult, minWidths []float64, b *Batch, stats *Stats) {
 	k := hi - lo
-	if b == nil || b.lanes <= 1 || k <= 1 {
-		var mid []float64
-		if b != nil {
-			mid = b.mid
-		} else {
-			mid = make([]float64, len(minWidths))
-		}
-		for i := lo; i < hi; i++ {
-			results[i] = s.evalPruneBox(wave[i], minWidths, mid)
-		}
-		return
-	}
 	boxes := wave[lo:hi]
 	l := s.learned
 	cold := b.coldL[:0]
@@ -418,12 +341,16 @@ func (s *System) evalPruneSpan(wave [][]interval.Interval, lo, hi int, results [
 	}
 }
 
-// pruneColdLanes is evalPruneBoxCold over a lane set: interval
-// refutation constraint-major with active-lane compaction, then the
-// fully-feasible fast path, then the batched midpoint probe, then
-// split-or-floor. Store rules per lane mirror evalPruneBox's cache-miss
-// switch (witnesses never cached; the floor path double-stores exactly
-// as the scalar path does via splitOrFloor's internal store).
+// pruneColdLanes decides a lane set directly: interval refutation
+// constraint-major with active-lane compaction, then the fully-feasible
+// fast path (midpoint accepted on interval evidence alone — Viable is
+// deliberately not consulted, matching the documented Problem.Viable
+// semantics), then the batched midpoint probe, then split-or-floor.
+// With a learned cache attached it records each lane's fact: the first
+// refuting constraint, or an undecided entry for a split (splitOrFloor
+// records floor drops). Witnesses are never cached: a witness ends the search
+// immediately, and "this point satisfies" is not monotone under
+// constraint additions.
 func (s *System) pruneColdLanes(boxes [][]interval.Interval, lo int, lanes []int, results []pruneResult, minWidths []float64, b *Batch, stats *Stats) {
 	l := s.learned
 	for _, j := range lanes {
@@ -469,9 +396,8 @@ func (s *System) pruneColdLanes(boxes [][]interval.Interval, lo int, lanes []int
 		active = keep
 	}
 	// Survivors: midpoint probe. Fully-feasible lanes witness their
-	// midpoint on interval evidence alone (Viable deliberately not
-	// consulted — evalPruneBoxCold's documented semantics); the rest go
-	// through the batched Satisfies sweep with Viable probed only for
+	// midpoint on interval evidence alone; the rest go through the
+	// batched Satisfies sweep with Viable probed only for
 	// constraint-passing midpoints, in lane order.
 	dim := b.dim
 	midL := b.midL[:0]
@@ -503,26 +429,33 @@ func (s *System) pruneColdLanes(boxes [][]interval.Interval, lo int, lanes []int
 				continue
 			}
 		}
-		res := s.splitOrFloor(boxes[j], minWidths, b.mid, false, b, stats)
+		res := s.splitOrFloor(boxes[j], minWidths, false, b, stats)
 		results[lo+j] = res
-		if l != nil {
-			switch res.kind {
-			case pruneSplit:
-				l.storeBox(b.hashes[j], boxes[j], "", false)
-			case pruneFloor:
-				l.storeBox(b.hashes[j], boxes[j], "", true)
-			}
-			// A corner witness at the floor is not cached, matching
-			// evalPruneBox.
+		if l != nil && res.kind == pruneSplit {
+			// Undecided: no present constraint refutes the box and its
+			// midpoint fails Satisfies — facts that stay true as
+			// constraints are added (see learned.go). A floor drop adds
+			// "every corner fails Satisfies"; splitOrFloor records that
+			// fact itself.
+			l.storeBox(b.hashes[j], boxes[j], "", false)
 		}
 	}
 }
 
-// pruneCachedLanes is evalPruneBoxCached over a lane set: for each
-// constraint stamped after a lane's cached fact, delta-check the
-// still-undecided lanes in one batch pass (prefs then ties, index
-// order, so the first refuter matches the scalar delta loop), then
-// split-or-floor the rest with their cached corner facts.
+// pruneCachedLanes reproduces the cold decision for lanes the cache
+// already has a valid undecided fact for. Soundness (why each skipped
+// probe would have produced the same answer) is argued entry shape by
+// entry shape in learned.go and DESIGN.md §11; in brief: an undecided
+// entry's negative facts (no refutation at version ≤ v, midpoint and
+// corners unsat) are monotone under the only mutation the entry's
+// guards admit — constraint addition — so only constraints stamped
+// after the entry's version need fresh interval checks. For each such
+// constraint the still-undecided lanes are delta-checked in one batch
+// pass (prefs then ties, index order, so the first refuter is the one
+// the cold path would find among the new constraints); the rest skip
+// the fully-feasible and midpoint probes, which the entry proves
+// blocked, and go straight to split-or-floor with their cached corner
+// facts.
 func (s *System) pruneCachedLanes(boxes [][]interval.Interval, lo int, lanes []int, results []pruneResult, minWidths []float64, b *Batch, stats *Stats) {
 	l := s.learned
 	for _, j := range lanes {
@@ -594,6 +527,6 @@ func (s *System) pruneCachedLanes(boxes [][]interval.Interval, lo int, lanes []i
 		}
 	}
 	for _, j := range active {
-		results[lo+j] = s.splitOrFloor(boxes[j], minWidths, b.mid, b.facts[j].cornerUnsat, b, stats)
+		results[lo+j] = s.splitOrFloor(boxes[j], minWidths, b.facts[j].cornerUnsat, b, stats)
 	}
 }

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -78,7 +79,7 @@ func BenchmarkFindCandidateSystem(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(82))
-		if _, st := sys.FindCandidate(opts, rng); st != StatusSat {
+		if _, st, _ := NewSearch(sys).FindCandidate(context.Background(), opts, rng); st != StatusSat {
 			b.Fatalf("status = %v", st)
 		}
 	}
