@@ -9,11 +9,12 @@ GO ?= go
 # detector over the packages with real concurrency (parallel solver
 # workers, the work-stealing branch-and-prune engine and its steal
 # hammer, the batched tape interpreters, the sketch specialization
-# cache, the synthesis service's worker pool), a one-iteration compile
-# check of every benchmark, smoke tests of the observability HTTP
-# endpoint, the compsynthd service layer, the structured log
-# stream, the multi-node fleet (router + daemons + chaos loadgen
-# over real HTTP), the replicated-journal failover path (a member
+# cache, the synthesis service's worker pool, and ten runs over the
+# point checks' pooled lane scratch from concurrent goroutines), a
+# one-iteration compile check of every benchmark, smoke tests of the
+# observability HTTP endpoint, the compsynthd service layer, the
+# structured log stream, the multi-node fleet (router + daemons + chaos
+# loadgen over real HTTP), the replicated-journal failover path (a member
 # SIGKILLed and never restarted, its sessions adopted elsewhere), the
 # oracle-effort regression gate, the end-to-end benchmark module's vet
 # and -short tests, a short fuzz of the differential evaluation
@@ -30,6 +31,7 @@ test-short:
 	$(GO) test -short ./...
 
 race:
+	$(GO) test -race -count=10 -run '^TestSystemPointChecks$$' ./internal/solver/
 	$(GO) test -race ./internal/sketch/ ./internal/solver/ ./internal/core/ ./internal/obs/ ./internal/service/ ./internal/fleet/ ./internal/expr/
 
 cover:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -43,9 +44,12 @@ func checkSystemSync(t *testing.T, s *Synthesizer) {
 			t.Fatalf("tie %d: system %+v, problem %+v", i, sysTies[i], tie)
 		}
 	}
-	// Spot-check behavioral agreement on a few random hole vectors.
+	// Spot-check behavioral agreement on a few random hole vectors: the
+	// point checks must reproduce, bit for bit, the reference built
+	// from one Sketch.Eval per constraint side.
 	rng := rand.New(rand.NewSource(int64(len(edges))))
 	domains := s.cfg.Sketch.Domains()
+	var mask []bool
 	for n := 0; n < 8; n++ {
 		h := make([]float64, len(domains))
 		for i, d := range domains {
@@ -54,7 +58,41 @@ func checkSystemSync(t *testing.T, s *Synthesizer) {
 		if got, want := s.sys.Satisfies(h), solver.Satisfies(p, h); got != want {
 			t.Fatalf("Satisfies(%v): system %v, problem %v", h, got, want)
 		}
+		wantLoss, wantMask := referencePointChecks(p, h)
+		if got := s.sys.Violation(h); math.Float64bits(got) != math.Float64bits(wantLoss) {
+			t.Fatalf("Violation(%v): system %v (%#x), reference %v (%#x)",
+				h, got, math.Float64bits(got), wantLoss, math.Float64bits(wantLoss))
+		}
+		mask = s.sys.SatisfiedMask(h, mask)
+		if len(mask) != len(wantMask) {
+			t.Fatalf("SatisfiedMask(%v) has %d entries, want %d", h, len(mask), len(wantMask))
+		}
+		for i := range wantMask {
+			if mask[i] != wantMask[i] {
+				t.Fatalf("SatisfiedMask(%v)[%d] = %v, reference %v", h, i, mask[i], wantMask[i])
+			}
+		}
 	}
+}
+
+// referencePointChecks computes the hinge loss and the per-preference
+// satisfaction mask of holes against p from one Sketch.Eval per
+// constraint side, in constraint order.
+func referencePointChecks(p solver.Problem, holes []float64) (loss float64, mask []bool) {
+	for _, c := range p.Prefs {
+		diff := p.Sketch.Eval(c.Better, holes) - p.Sketch.Eval(c.Worse, holes)
+		if slack := p.Margin - diff; slack > 0 {
+			loss += slack
+		}
+		mask = append(mask, diff > p.Margin)
+	}
+	for _, tie := range p.Ties {
+		diff := math.Abs(p.Sketch.Eval(tie.A, holes) - p.Sketch.Eval(tie.B, holes))
+		if over := diff - tie.Band; over > 0 {
+			loss += over
+		}
+	}
+	return loss, mask
 }
 
 // TestIncrementalSystemTracksGraph runs full sessions under every
@@ -67,7 +105,13 @@ func TestIncrementalSystemTracksGraph(t *testing.T) {
 	}{
 		{"default", func(c *Config) {}},
 		{"transitive-reduction", func(c *Config) { c.TransitiveReduction = true }},
-		{"learn-ties", func(c *Config) { c.LearnTies = true; c.TieBand = 3 }},
+		// A wide oracle tie band makes Indifferent answers, so ties
+		// are recorded and checked too.
+		{"learn-ties", func(c *Config) {
+			c.LearnTies = true
+			c.TieBand = 100
+			c.Oracle.(*oracle.GroundTruth).TieEps = 50
+		}},
 		{"noise-repair", func(c *Config) {
 			c.Noise = NoiseRepair
 			c.Oracle = &oracle.Noisy{

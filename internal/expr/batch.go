@@ -253,6 +253,18 @@ func (b *PointBatch) SetHoles(l int, holes []float64) {
 	}
 }
 
+// BroadcastHoles loads the same hole values into the first n lanes,
+// one row fill per hole: one hole vector evaluated against n variable
+// lanes (scenarios) in a single pass.
+func (b *PointBatch) BroadcastHoles(holes []float64, n int) {
+	for i, v := range holes {
+		row := b.holes[i*b.lanes : i*b.lanes+n]
+		for l := range row {
+			row[l] = v
+		}
+	}
+}
+
 // Out returns lane l's result from the last evaluation.
 func (b *PointBatch) Out(l int) float64 { return b.out[l] }
 

@@ -11,13 +11,16 @@ import (
 // EvalBatch / EvalIntervalBatch must reproduce the AST interpreter's
 // Eval / EvalInterval result for that lane's input, for every lane
 // width and fill count — programs too deep for the jump tape included.
-// This is the contract that lets the solver batch its sweeps without
-// perturbing transcripts.
+// On about half the inputs the point lanes share one hole vector loaded
+// with BroadcastHoles, the way the solver's point checks evaluate the
+// sketch body over its scenarios. This is the contract that lets the
+// solver batch its sweeps without perturbing transcripts.
 
 // fuzzLaneWidths exercises a single lane (how one point or box is
 // evaluated), a width that divides nothing evenly (3), the solver's
-// width (16), and a wide batch.
-var fuzzLaneWidths = []int{1, 3, 16, 64}
+// width (16), a wide batch, and a width past 64 such as the solver's
+// scenario lanes reach on large constraint systems.
+var fuzzLaneWidths = []int{1, 3, 16, 64, 128}
 
 // evalBox evaluates prog over one box as a 1-lane interval batch.
 func evalBox(prog *Program, vars, holes []interval.Interval) interval.Interval {
@@ -38,6 +41,19 @@ func evalFlat(prog *Program, vars, holes []float64) float64 {
 	return b.Out(0)
 }
 
+// broadcastSeed decodes into if x >= ??a then ??a*y - ??b else z / ??b
+// over 120 filled lanes of a 128-lane batch whose point holes are one
+// broadcast vector (??a = 2, ??b = 0.5), so plain `go test` runs the
+// broadcast entry point past 64 lanes.
+func broadcastSeed() []byte {
+	seed := []byte{7, 1, 0, 1, 0, 2, 0, 3, 1, 3, 2, 2, 0, 1, 1, 2, 1, 3, 3, 1, 2, 2, 1}
+	seed = append(seed, 4, 119, 1, 3, 4) // width 128, 120 lanes, broadcast 2 and 0.5
+	for i := 0; i < 120*7; i++ {
+		seed = append(seed, byte(i*7%11)) // per lane: 3 variables, 2 hole boxes
+	}
+	return seed
+}
+
 func FuzzDifferentialBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 1, 0, 3, 3, 2, 0, 2, 1})          // a - b style
@@ -46,6 +62,7 @@ func FuzzDifferentialBatch(f *testing.F) {
 	for _, seed := range deepSeeds() {
 		f.Add(seed)
 	}
+	f.Add(broadcastSeed())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &byteSrc{data: data}
 		e := genExpr(s, fuzzDepth)
@@ -57,6 +74,14 @@ func FuzzDifferentialBatch(f *testing.F) {
 		pb := NewPointBatch(len(fuzzVars), len(fuzzHoles), lanes)
 		ib := NewIntervalBatch(len(fuzzVars), len(fuzzHoles), lanes)
 		n := 1 + int(s.next())%lanes // fill count in [1, lanes]
+		var shared []float64         // the broadcast hole vector, if any
+		if s.next()%2 == 1 {
+			shared = make([]float64, len(fuzzHoles))
+			for i := range shared {
+				shared[i] = s.pick()
+			}
+			pb.BroadcastHoles(shared, n)
+		}
 
 		// Draw per-lane environments and load both batches.
 		envs := make([]Env, n)
@@ -74,7 +99,11 @@ func FuzzDifferentialBatch(f *testing.F) {
 			holes := make([]float64, len(fuzzHoles))
 			holeIvs := make([]interval.Interval, len(fuzzHoles))
 			for i, name := range fuzzHoles {
-				holes[i] = s.pick()
+				if shared != nil {
+					holes[i] = shared[i]
+				} else {
+					holes[i] = s.pick()
+				}
 				lo, hi := s.pick(), s.pick()
 				if hi < lo {
 					lo, hi = hi, lo
@@ -83,7 +112,9 @@ func FuzzDifferentialBatch(f *testing.F) {
 				env.Holes[name], ivEnv.Holes[name] = holes[i], holeIvs[i]
 			}
 			pb.SetVars(l, vars)
-			pb.SetHoles(l, holes)
+			if shared == nil {
+				pb.SetHoles(l, holes)
+			}
 			ib.SetVars(l, varIvs)
 			ib.SetHoles(l, holeIvs)
 			envs[l], ivEnvs[l] = env, ivEnv

@@ -20,9 +20,8 @@ import (
 //
 // Instructions are packed into 4 bytes (8-bit opcode, 24-bit operand;
 // float immediates live in a per-tape constant pool) so that even a
-// solver system holding dozens of specialized constraint tapes stays
-// cache-resident — instruction footprint, not dispatch, is what
-// dominates the solver's full-sweep evaluations.
+// solver system holding dozens of specialized constraint tapes keeps a
+// small instruction footprint.
 //
 // Both tapes preserve evaluation semantics exactly: operands are
 // evaluated left-to-right, both sides of boolean connectives are

@@ -137,6 +137,11 @@ func (s *Sketch) Eval(sc scenario.Scenario, holes []float64) float64 {
 	return s.prog.Eval(sc, holes)
 }
 
+// Program returns the compiled body Eval runs: variables in
+// Space().Names() order, holes in Holes() order. Batched callers
+// evaluate it over many scenarios at once (Program.EvalBatch).
+func (s *Sketch) Program() *expr.Program { return s.prog }
+
 // Candidate returns the candidate for the given hole vector. The vector
 // is copied.
 func (s *Sketch) Candidate(holes []float64) (*Candidate, error) {

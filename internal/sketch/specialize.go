@@ -10,16 +10,20 @@ import (
 	"compsynth/internal/scenario"
 )
 
-// Scenario specialization: the solver evaluates a sketch thousands of
-// times at the same scenario with different hole vectors (once per
-// sample, repair step, and branch-and-prune box, for every preference
-// edge). Specialize partial-evaluates the scenario into the body
-// (expr.Partial) and compiles the resulting hole-only program, so those
-// evaluations skip the scenario binding and the scenario-dependent
-// subexpressions entirely. Specialized programs are bit-exact stand-ins
-// for evaluating the sketch at that scenario — expr.Partial guarantees it —
-// which is what keeps synthesis transcripts identical when the solver
-// switches to them.
+// Scenario specialization: the solver's sweeps evaluate a sketch
+// thousands of times at the same scenario with different hole vectors
+// or boxes (every sampled point, branch-and-prune box, floor corner and
+// learned-cache check, for every preference edge). Specialize
+// partial-evaluates the scenario into the body (expr.Partial) and
+// compiles the resulting hole-only program, so those evaluations skip
+// the scenario binding and the scenario-dependent subexpressions
+// entirely. (The solver's point checks — one hole vector against every
+// constraint, as in each repair step — take the other route: one pass
+// of the unspecialized body with the constraint scenarios as lanes.)
+// Specialized programs are bit-exact stand-ins for evaluating the
+// sketch at that scenario — expr.Partial guarantees it — which is what
+// keeps synthesis transcripts identical when the solver switches to
+// them.
 //
 // Programs are cached per scenario: preference edges reference a slowly
 // growing set of scenarios (a handful per synthesis iteration), and the

@@ -123,20 +123,9 @@ func (s *System) findDistinguishingMany(ctx context.Context, k int, opts Options
 	x1s := space.RandomN(rng, dopts.PairSamples)
 	x2s := space.RandomN(rng, dopts.PairSamples)
 
-	// Score matrix: scores[c][s] = f_c(x1s[s]) - f_c(x2s[s]). The pool
-	// is fresh random scenarios every call, so specializing them would
-	// churn the sketch cache for single-use programs; this loop
-	// deliberately stays on the sketch's shared compiled body.
-	scores := make([][]float64, len(cands))
-	for ci, c := range cands {
-		if err := ctx.Err(); err != nil {
-			return nil, StatusUnknown, err
-		}
-		row := make([]float64, dopts.PairSamples)
-		for si := 0; si < dopts.PairSamples; si++ {
-			row[si] = s.sk.Eval(x1s[si], c) - s.sk.Eval(x2s[si], c)
-		}
-		scores[ci] = row
+	scores, err := scoreMatrix(ctx, s.sk, cands, x1s, x2s)
+	if err != nil {
+		return nil, StatusUnknown, err
 	}
 
 	strategy := dopts.effectiveStrategy()

@@ -60,8 +60,9 @@ func splitBudget(opts Options, rng *rand.Rand) []searchJob {
 // the result is deterministic for a fixed seed and worker count).
 // maxPerWorker bounds each worker's output; 0 means "stop after the
 // first witness" (the FindCandidate use), larger values build pools
-// for FindDiverse. Workers only read the system (Violation/Satisfies
-// over immutable specialized programs), so no mutation races exist.
+// for FindDiverse. Workers only read the system (its constraints and
+// their immutable programs) and each draws its own lane scratch from
+// the pool, so no mutation races exist.
 //
 // Cancellation: workers poll ctx between budget units and bail; the
 // call then returns (nil, ctx.Err()) and any partial findings are

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"time"
 
+	"compsynth/internal/expr"
 	"compsynth/internal/scenario"
+	"compsynth/internal/sketch"
 )
 
 // DistinguishPool is the raw material of an active query-planning
@@ -89,22 +91,12 @@ func (s *System) findDistinguishPool(ctx context.Context, opts Options, dopts Di
 
 	space := s.sk.Space()
 	// Pre-draw the scenario pair pool once; all candidates are scored
-	// against the same pool so that disagreements are comparable. As in
-	// findDistinguishingMany, the pool is fresh random scenarios every
-	// call, so evaluation stays on the sketch's shared compiled body
-	// rather than churning the specialization cache.
+	// against the same pool so that disagreements are comparable.
 	x1s := space.RandomN(rng, dopts.PairSamples)
 	x2s := space.RandomN(rng, dopts.PairSamples)
-	scores := make([][]float64, len(cands))
-	for ci, c := range cands {
-		if err := ctx.Err(); err != nil {
-			return nil, StatusUnknown, err
-		}
-		row := make([]float64, dopts.PairSamples)
-		for si := 0; si < dopts.PairSamples; si++ {
-			row[si] = s.sk.Eval(x1s[si], c) - s.sk.Eval(x2s[si], c)
-		}
-		scores[ci] = row
+	scores, err := scoreMatrix(ctx, s.sk, cands, x1s, x2s)
+	if err != nil {
+		return nil, StatusUnknown, err
 	}
 	return &DistinguishPool{
 		Cands:  cands,
@@ -114,6 +106,37 @@ func (s *System) findDistinguishPool(ctx context.Context, opts Options, dopts Di
 		Gamma:  dopts.Gamma,
 		Space:  space,
 	}, StatusSat, nil
+}
+
+// scoreMatrix returns scores[c][s] = f_c(x1s[s]) − f_c(x2s[s]) for
+// every candidate hole vector c, bit-identical to two Sketch.Eval calls
+// per entry. The pair pool is loaded once as 2·len(x1s) scenario lanes
+// of the sketch body, and each candidate is one flat-tape pass with its
+// holes broadcast. The pool is fresh random scenarios every call, so it
+// stays on the shared body rather than churning the specialization
+// cache. Cancellation is checked before each candidate.
+func scoreMatrix(ctx context.Context, sk *sketch.Sketch, cands [][]float64, x1s, x2s []scenario.Scenario) ([][]float64, error) {
+	n := len(x1s)
+	b := expr.NewPointBatch(sk.Space().Dim(), sk.NumHoles(), 2*n)
+	for si := range x1s {
+		b.SetVars(si, x1s[si])
+		b.SetVars(n+si, x2s[si])
+	}
+	scores := make([][]float64, len(cands))
+	for ci, c := range cands {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		b.BroadcastHoles(c, 2*n)
+		sk.Program().EvalBatch(b, 2*n)
+		out := b.Outs(2 * n)
+		row := make([]float64, n)
+		for si := range row {
+			row[si] = out[si] - out[n+si]
+		}
+		scores[ci] = row
+	}
+	return scores, nil
 }
 
 // rawConsistentPool gathers up to k consistent hole vectors WITHOUT

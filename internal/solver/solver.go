@@ -179,10 +179,12 @@ type Stats struct {
 	SpecCacheHits atomic.Int64
 	// BatchedEvals counts constraint-program lane evaluations executed
 	// through the structure-of-arrays batch interpreters (one count per
-	// lane per tape pass). Like Steals it depends on how the work is
-	// cut, not on what it decides: the value varies with the lane width
-	// while the search results never do, so it is excluded from
-	// transcript-invariance comparisons.
+	// lane per tape pass); the point checks and score matrices, which
+	// run the sketch body over scenario lanes, are not counted. Like
+	// Steals it depends on how the work is cut, not on what it decides:
+	// the value varies with the lane width while the search results
+	// never do, so it is excluded from transcript-invariance
+	// comparisons.
 	BatchedEvals atomic.Int64
 }
 
@@ -277,11 +279,12 @@ func DefaultOptions() Options {
 // violation returns the hinge loss of θ against the constraints: 0 iff
 // every constraint holds with the margin.
 //
-// This is the uncompiled reference implementation — it evaluates the
-// sketch with per-call scenario binding. The hot path uses the
-// bit-identical System.Violation over pre-specialized programs; this
-// one is kept as the differential baseline for tests and the
-// BenchmarkViolation comparison.
+// This is the reference implementation: two Sketch.Eval calls per
+// constraint. The hot path uses the bit-identical System.Violation,
+// which computes the same differences from one lane pass of the body
+// over the constraints' scenarios; this one is kept as the
+// differential baseline for tests and the BenchmarkViolation
+// comparison.
 func violation(p Problem, holes []float64) float64 {
 	var loss float64
 	for _, c := range p.Prefs {

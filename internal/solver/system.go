@@ -13,20 +13,26 @@ import (
 )
 
 // System is a compiled conjunction of preference constraints: the
-// Problem representation lowered for the solver's hot path. Each
-// constraint's two scenarios are partial-evaluated into the sketch body
-// (sketch.Specialize), so violation, satisfaction, and interval pruning
-// run hole-only programs — no scenario binding, no map lookups, no AST
-// walks — while remaining bit-exact with the Problem-based reference
-// path (violation/Satisfies in solver.go), which is what keeps
-// synthesis transcripts identical for fixed seeds.
+// Problem representation lowered for the solver's hot paths, bit-exact
+// with the Problem-based reference path (violation/Satisfies in
+// solver.go), which is what keeps synthesis transcripts identical for
+// fixed seeds. It evaluates the constraints two ways:
+//
+//   - the point checks (Violation, Satisfies, SatisfiedMask) run the
+//     sketch body once for a hole vector, with the constraints' sides
+//     as scenario lanes, and read each f(better) − f(worse) off the
+//     output column;
+//   - one fused hole-only difference program per constraint
+//     (sketch.SpecializeDiff), so the sampling sweeps, prune waves,
+//     floor corners, and learned-cache checks run each constraint over
+//     lanes of hole vectors or boxes.
 //
 // A System is built once and mutated incrementally as preference edges
 // are recorded (AddPref/InsertPref/RemovePref/AddTie), so the per-
 // iteration cost of the synthesis loop is one specialization pair per
 // new edge instead of a full problem rebuild. Mutation is not
-// goroutine-safe; the search methods only read and may be called with
-// Workers > 1.
+// goroutine-safe; the point checks and the search methods only read and
+// may be called concurrently (and with Workers > 1).
 type System struct {
 	sk     *sketch.Sketch
 	margin float64
@@ -53,9 +59,13 @@ type System struct {
 	ties  []Tie
 	cts   []compiledTie
 
-	// batchPool recycles Batch scratch across searches (sampling draws
-	// one per call; see getBatch). Pooled batches may have any lane
-	// width, so getBatch re-checks the width on the way out.
+	// scenVer changes with every constraint mutation, so a pooled Batch
+	// knows when its loaded scenario lanes are stale (see scenarioOuts).
+	scenVer uint64
+
+	// batchPool recycles Batch scratch across searches and point checks
+	// (see getBatch). Pooled batches may have any lane width, so
+	// getBatch re-checks the width on the way out.
 	batchPool sync.Pool
 }
 
@@ -201,6 +211,7 @@ func (s *System) Ties() []Tie { return append([]Tie(nil), s.ties...) }
 func (s *System) AddPref(c Pref) {
 	s.prefs = append(s.prefs, c)
 	s.cps = append(s.cps, s.compilePref(c))
+	s.scenVer++
 }
 
 // compilePref lowers one preference constraint, registering it with the
@@ -225,6 +236,7 @@ func (s *System) InsertPref(i int, c Pref) {
 	s.cps = append(s.cps, compiledPref{})
 	copy(s.cps[i+1:], s.cps[i:])
 	s.cps[i] = s.compilePref(c)
+	s.scenVer++
 }
 
 // RemovePref removes the preference constraint at index i. With a
@@ -238,6 +250,7 @@ func (s *System) RemovePref(i int) {
 	}
 	s.prefs = append(s.prefs[:i], s.prefs[i+1:]...)
 	s.cps = append(s.cps[:i], s.cps[i+1:]...)
+	s.scenVer++
 }
 
 // AddTie appends an indifference constraint.
@@ -249,6 +262,7 @@ func (s *System) AddTie(t Tie) {
 	}
 	s.ties = append(s.ties, t)
 	s.cts = append(s.cts, ct)
+	s.scenVer++
 }
 
 // Reset drops all constraints, keeping the sketch and its
@@ -268,6 +282,7 @@ func (s *System) Reset() {
 	}
 	s.prefs, s.cps = s.prefs[:0], s.cps[:0]
 	s.ties, s.cts = s.ties[:0], s.cts[:0]
+	s.scenVer++
 }
 
 // ExportLearned serializes the attached learned cache's refuted boxes,
@@ -395,15 +410,17 @@ func finiteRegion(r RefutedRegion) bool {
 // every constraint holds with the margin. Bit-identical to the
 // Problem-based violation reference.
 func (s *System) Violation(holes []float64) float64 {
+	b := s.getBatch(batchLanes)
+	defer s.putBatch(b)
+	prefs, ties := s.scenarioOuts(b, holes)
 	var loss float64
-	for i := range s.cps {
-		diff := s.cps[i].diff.Eval(nil, holes)
-		if slack := s.margin - diff; slack > 0 {
+	for i := 0; i < len(prefs); i += 2 {
+		if slack := s.margin - (prefs[i] - prefs[i+1]); slack > 0 {
 			loss += slack
 		}
 	}
 	for i := range s.cts {
-		diff := s.cts[i].diff.Eval(nil, holes)
+		diff := ties[2*i] - ties[2*i+1]
 		if diff < 0 {
 			diff = -diff
 		}
@@ -417,13 +434,16 @@ func (s *System) Violation(holes []float64) float64 {
 // Satisfies reports whether the hole vector satisfies every constraint
 // with the margin, and the viability check if set.
 func (s *System) Satisfies(holes []float64) bool {
-	for i := range s.cps {
-		if s.cps[i].diff.Eval(nil, holes) <= s.margin {
+	b := s.getBatch(batchLanes)
+	defer s.putBatch(b)
+	prefs, ties := s.scenarioOuts(b, holes)
+	for i := 0; i < len(prefs); i += 2 {
+		if prefs[i]-prefs[i+1] <= s.margin {
 			return false
 		}
 	}
 	for i := range s.cts {
-		diff := s.cts[i].diff.Eval(nil, holes)
+		diff := ties[2*i] - ties[2*i+1]
 		if diff < 0 {
 			diff = -diff
 		}
@@ -442,8 +462,11 @@ func (s *System) SatisfiedMask(holes []float64, mask []bool) []bool {
 		mask = make([]bool, len(s.cps))
 	}
 	mask = mask[:len(s.cps)]
-	for i := range s.cps {
-		mask[i] = s.cps[i].diff.Eval(nil, holes) > s.margin
+	b := s.getBatch(batchLanes)
+	defer s.putBatch(b)
+	prefs, _ := s.scenarioOuts(b, holes)
+	for i := range mask {
+		mask[i] = prefs[2*i]-prefs[2*i+1] > s.margin
 	}
 	return mask
 }

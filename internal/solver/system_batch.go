@@ -12,7 +12,9 @@ package solver
 // lane set that shrinks as constraints decide lanes (keeping the
 // early-exit economics of checking one input at a time, in
 // constraint-major form). Every box the prune engine decides goes
-// through here; a single box is a 1-lane pass.
+// through here; a single box is a 1-lane pass. The point checks turn
+// the other way (scenarioOuts): one hole vector, the constraints'
+// sides as scenario lanes of the sketch body.
 //
 // Determinism contract, mirrored from prune.go: the lane width NEVER
 // affects results. Every lane op is the scalar op applied elementwise
@@ -55,6 +57,13 @@ type Batch struct {
 
 	iv *expr.IntervalBatch // interval lanes (constraint diffs are hole-only)
 	pt *expr.PointBatch    // point lanes
+
+	// scn holds the constraints' sides as variable lanes of the sketch
+	// body for the point checks (see scenarioOuts); scnVer is the
+	// constraint version they were loaded from. Nil until the first
+	// point check.
+	scn    *expr.PointBatch
+	scnVer uint64
 
 	mids    []float64 // lanes midpoint rows, row-major
 	corners []float64 // lanes corner rows for the floor check, row-major
@@ -106,9 +115,11 @@ func (b *Batch) Lanes() int { return b.lanes }
 // getBatch returns pooled lane scratch of the requested width,
 // allocating when the pool is empty or holds a different width. Pair
 // with putBatch; the pool only ever amortizes allocation, it never
-// changes results (a Batch carries no state across calls).
+// changes results (the only state a Batch carries across calls is its
+// scenario lanes, stamped with the constraint version they were
+// loaded from and reloaded when the constraints change).
 func (s *System) getBatch(lanes int) *Batch {
-	if b, ok := s.batchPool.Get().(*Batch); ok && b.lanes == lanes && b.dim == len(s.sk.Domains()) {
+	if b, ok := s.batchPool.Get().(*Batch); ok && b.lanes == lanes && b.dim == s.sk.NumHoles() {
 		return b
 	}
 	return s.NewBatch(lanes)
@@ -119,6 +130,43 @@ func (s *System) putBatch(b *Batch) {
 	if b != nil {
 		s.batchPool.Put(b)
 	}
+}
+
+// scenarioOuts evaluates the sketch body at one hole vector over
+// every constraint side in a single flat-tape pass — the sides'
+// scenarios are the lanes, the holes are broadcast — and returns the
+// output column split in two: prefs holds preference i's better side
+// at 2i and its worse side at 2i+1, ties tie j's A and B sides at 2j
+// and 2j+1. Each constraint is the difference of its pair, the value
+// its fused difference program computes (specialization is bit-exact).
+// b's scenario lanes are reloaded only when the constraints have
+// changed since they were loaded. The columns alias b and are
+// overwritten by the next call. Point checks are not counted in
+// Stats.BatchedEvals, which counts constraint-program lanes.
+func (s *System) scenarioOuts(b *Batch, holes []float64) (prefs, ties []float64) {
+	np, n := 2*len(s.prefs), 2*(len(s.prefs)+len(s.ties))
+	if b.scn == nil || b.scnVer != s.scenVer {
+		if b.scn == nil || b.scn.Lanes() < n {
+			lanes := batchLanes
+			for lanes < n {
+				lanes *= 2
+			}
+			b.scn = expr.NewPointBatch(s.sk.Space().Dim(), b.dim, lanes)
+		}
+		for i, c := range s.prefs {
+			b.scn.SetVars(2*i, c.Better)
+			b.scn.SetVars(2*i+1, c.Worse)
+		}
+		for i, t := range s.ties {
+			b.scn.SetVars(np+2*i, t.A)
+			b.scn.SetVars(np+2*i+1, t.B)
+		}
+		b.scnVer = s.scenVer
+	}
+	b.scn.BroadcastHoles(holes, n)
+	s.sk.Program().EvalBatch(b.scn, n)
+	out := b.scn.Outs(n)
+	return out[:np], out[np:]
 }
 
 // pointLanes evaluates prog over the listed rows of the row-major point

@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// Benchmarks comparing the uncompiled reference path (violation /
-// Satisfies over Problem, which re-binds scenarios into the sketch on
-// every evaluation) against the compiled System path (pre-specialized
-// hole-only programs). Same constraints, same hole vectors.
+// Benchmarks comparing the reference path (violation / Satisfies over
+// Problem: two jump-tape Sketch.Eval calls per constraint) against the
+// System's point checks (one flat-tape pass of the sketch body with the
+// constraints' sides as lanes, holes broadcast). Same constraints, same
+// hole vectors.
 
 func benchHoles(p Problem, seed int64) [][]float64 {
 	rng := rand.New(rand.NewSource(seed))
@@ -81,6 +82,23 @@ func BenchmarkFindCandidateSystem(b *testing.B) {
 		rng := rand.New(rand.NewSource(82))
 		if _, st, _ := NewSearch(sys).FindCandidate(context.Background(), opts, rng); st != StatusSat {
 			b.Fatalf("status = %v", st)
+		}
+	}
+}
+
+// BenchmarkScoreMatrix scores the default planning round's shape: 8
+// candidates against 600 scenario pairs.
+func BenchmarkScoreMatrix(b *testing.B) {
+	p, _ := swanProblem(b, 1, 83)
+	rng := rand.New(rand.NewSource(84))
+	cands := benchHoles(p, 85)[:8]
+	space := p.Sketch.Space()
+	x1s, x2s := space.RandomN(rng, 600), space.RandomN(rng, 600)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := scoreMatrix(context.Background(), p.Sketch, cands, x1s, x2s); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
