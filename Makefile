@@ -3,14 +3,15 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-smoke bench-module bench-json effort-gate fuzz-smoke experiments examples obs-smoke obs-demo service-smoke log-smoke fleet-smoke fleet-ha-smoke fleet-chaos docs-lint fmt vet clean
+.PHONY: all build test test-short race cover bench bench-smoke bench-module bench-json effort-gate fuzz-smoke experiments examples obs-smoke obs-demo service-smoke log-smoke fleet-smoke fleet-ha-smoke fleet-chaos docs-lint fmt fmt-check vet clean
 
-# Tier-1 verification: build, vet, the full test suite, the race
-# detector over the packages with real concurrency (parallel solver
-# workers, the work-stealing branch-and-prune engine and its steal
-# hammer, the batched tape interpreters, the sketch specialization
-# cache, the synthesis service's worker pool, and ten runs over the
-# point checks' pooled lane scratch from concurrent goroutines), a
+# Tier-1 verification: build, the gofmt check, vet, the full test
+# suite, the race detector over the packages with real concurrency
+# (parallel solver workers, the work-stealing branch-and-prune engine
+# and its steal hammer, the batched tape interpreters, the sketch
+# specialization cache, the synthesis service's worker pool, and ten
+# runs each over the point checks' pooled lane scratch and
+# Program.Eval's pooled 1-lane batches from concurrent goroutines), a
 # one-iteration compile check of every benchmark, smoke tests of the
 # observability HTTP endpoint, the compsynthd service layer, the
 # structured log stream, the multi-node fleet (router + daemons + chaos
@@ -19,7 +20,7 @@ GO ?= go
 # oracle-effort regression gate, the end-to-end benchmark module's vet
 # and -short tests, a short fuzz of the differential evaluation
 # targets, and the documentation gate.
-all: build vet test race bench-smoke bench-module obs-smoke service-smoke log-smoke fleet-smoke fleet-ha-smoke effort-gate fuzz-smoke docs-lint
+all: build fmt-check vet test race bench-smoke bench-module obs-smoke service-smoke log-smoke fleet-smoke fleet-ha-smoke effort-gate fuzz-smoke docs-lint
 
 build:
 	$(GO) build ./...
@@ -32,6 +33,7 @@ test-short:
 
 race:
 	$(GO) test -race -count=10 -run '^TestSystemPointChecks$$' ./internal/solver/
+	$(GO) test -race -count=10 -run '^TestProgramEvalConcurrent$$' ./internal/expr/
 	$(GO) test -race ./internal/sketch/ ./internal/solver/ ./internal/core/ ./internal/obs/ ./internal/service/ ./internal/fleet/ ./internal/expr/
 
 cover:
@@ -67,8 +69,9 @@ effort-gate:
 	$(GO) run ./cmd/effortgate
 
 # Fuzz each differential evaluation target for 10 s: random programs,
-# deep ones included, through both tapes and the batched lanes, checked
-# against the AST interpreter. Part of tier-1 `all`.
+# deep ones included, through Program.Eval and the batched point and
+# interval lanes of the one tape, checked against the AST interpreter.
+# Part of tier-1 `all`.
 fuzz-smoke:
 	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzDifferentialEval$$' -fuzztime 10s
 	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzDifferentialBatch$$' -fuzztime 10s
@@ -156,6 +159,13 @@ docs-lint:
 
 fmt:
 	gofmt -w .
+
+# Fail when gofmt would rewrite a tracked Go file. Listing files with
+# git skips build output such as .bench_build/ and .fleet-smoke/. Part
+# of tier-1 `all`.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')) || exit 1; \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

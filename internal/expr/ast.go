@@ -8,9 +8,13 @@
 //
 //   - a typed AST split into numeric expressions (Expr) and boolean
 //     expressions (BoolExpr),
-//   - point evaluation over float64 environments,
-//   - interval evaluation (sound over-approximation used by the solver),
-//   - a compiler to slot-indexed closures for hot-loop evaluation,
+//   - point evaluation over float64 environments and interval
+//     evaluation (a sound over-approximation used by the solver), both
+//     by walking the AST: the reference semantics,
+//   - a compiler (Compile) that lowers a program to one tape of packed
+//     postfix instructions, evaluated over lanes of points (PointBatch)
+//     or boxes (IntervalBatch); Program.Eval runs a single point as a
+//     1-lane point batch,
 //   - a parser and printer for a small concrete syntax matching the
 //     paper's Figure 2.
 package expr

@@ -5,6 +5,12 @@ import (
 	"testing"
 )
 
+// swanVars and swanHoles are swanBody's variable and hole orderings.
+var (
+	swanVars  = []string{"throughput", "latency"}
+	swanHoles = []string{"tp_thrsh", "l_thrsh", "slope1", "slope2"}
+)
+
 // swanBody is the paper's Figure 2a sketch body.
 func swanBody() Expr {
 	return Ite(

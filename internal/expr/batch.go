@@ -6,7 +6,7 @@ import (
 	"compsynth/internal/interval"
 )
 
-// Batched evaluation: structure-of-arrays lanes over the flat tape.
+// Batched evaluation: structure-of-arrays lanes over the tape.
 //
 // A batch holds K independent inputs (boxes or points) in column-major
 // lane storage — component row r of an input occupies indices
@@ -86,7 +86,7 @@ func (p *Program) EvalIntervalBatch(b *IntervalBatch, n int) {
 	if n > b.lanes {
 		panic("expr: EvalIntervalBatch lane count exceeds batch capacity")
 	}
-	t := p.ft
+	t := p.tape
 	if len(b.fsLo) < t.maxF*b.lanes {
 		b.fsLo = make([]float64, t.maxF*b.lanes)
 		b.fsHi = make([]float64, t.maxF*b.lanes)
@@ -98,7 +98,7 @@ func (p *Program) EvalIntervalBatch(b *IntervalBatch, n int) {
 }
 
 // evalIvBatch runs the interval interpreter over n lanes in one pass.
-func (t *flatTape) evalIvBatch(b *IntervalBatch, n int) {
+func (t *tape) evalIvBatch(b *IntervalBatch, n int) {
 	k := b.lanes
 	fsp, bsp := 0, 0
 	for _, in := range t.code {
@@ -277,7 +277,7 @@ func (p *Program) EvalBatch(b *PointBatch, n int) {
 	if n > b.lanes {
 		panic("expr: EvalBatch lane count exceeds batch capacity")
 	}
-	t := p.ft
+	t := p.tape
 	if len(b.fs) < t.maxF*b.lanes {
 		b.fs = make([]float64, t.maxF*b.lanes)
 	}
@@ -295,7 +295,7 @@ func fsRows(fs []float64, fsp, k, n int) (a, c []float64) {
 }
 
 // evalBatch runs the point interpreter over n lanes in one pass.
-func (t *flatTape) evalBatch(b *PointBatch, n int) {
+func (t *tape) evalBatch(b *PointBatch, n int) {
 	k := b.lanes
 	fsp, bsp := 0, 0
 	for _, in := range t.code {

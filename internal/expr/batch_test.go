@@ -10,7 +10,7 @@ import (
 // expression and a batch of random lane environments, every lane of
 // EvalBatch / EvalIntervalBatch must reproduce the AST interpreter's
 // Eval / EvalInterval result for that lane's input, for every lane
-// width and fill count — programs too deep for the jump tape included.
+// width and fill count — deep programs included.
 // On about half the inputs the point lanes share one hole vector loaded
 // with BroadcastHoles, the way the solver's point checks evaluate the
 // sketch body over its scenarios. This is the contract that lets the
@@ -28,16 +28,6 @@ func evalBox(prog *Program, vars, holes []interval.Interval) interval.Interval {
 	b.SetVars(0, vars)
 	b.SetHoles(0, holes)
 	prog.EvalIntervalBatch(b, 1)
-	return b.Out(0)
-}
-
-// evalFlat evaluates prog at one point as a 1-lane point batch: the
-// flat tape, whether or not the program also has a jump tape.
-func evalFlat(prog *Program, vars, holes []float64) float64 {
-	b := NewPointBatch(len(vars), len(holes), 1)
-	b.SetVars(0, vars)
-	b.SetHoles(0, holes)
-	prog.EvalBatch(b, 1)
 	return b.Out(0)
 }
 
@@ -151,19 +141,16 @@ func subChain(depth int) Expr {
 	return e
 }
 
-// TestDeepProgram pins evaluation of programs too deep for the jump
-// tape's fixed stacks: Eval runs them as a 1-lane flat batch, and the
-// batch entry points size their stack rows from the program, so every
-// lane width agrees with the AST interpreter — including a batch that
-// evaluated a shallow program first and must grow its stacks.
+// TestDeepProgram pins evaluation of a deep program (21 float stack
+// rows): the batch entry points size their stack rows from the
+// program, so every lane width and Eval agree with the AST
+// interpreter — including a batch that evaluated a shallow program
+// first and must grow its stacks.
 func TestDeepProgram(t *testing.T) {
-	deep := subChain(tapeMaxFloat + 4)
+	deep := subChain(20)
 	prog, err := Compile(deep, fuzzVars, fuzzHoles)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if prog.tp != nil {
-		t.Fatalf("a %d-deep chain fits the jump tape's %d float slots; the test exercises nothing", tapeMaxFloat+4, tapeMaxFloat)
 	}
 	shallow := MustCompile(Hole{Name: "b"}, fuzzVars, fuzzHoles)
 	vars := []float64{1, 2, 3}
@@ -233,12 +220,10 @@ func TestBatchLaneOverflowPanics(t *testing.T) {
 // TestBoolDepthDeepCmpChain is a regression test for the bool-depth
 // accounting of comparisons: a right-nested Or chain of comparisons
 // needs one bool-stack slot per level plus the comparison's own slot,
-// and an undercount would index past a stack. Chains past the jump
-// tape's bool array evaluate through the flat tape; every chain must
-// match the tree walker through Eval, a point batch, and an interval
-// batch.
+// and an undercount would index past a stack. Every chain must match
+// the tree walker through Eval, a point batch, and an interval batch.
 func TestBoolDepthDeepCmpChain(t *testing.T) {
-	for chain := 1; chain <= tapeMaxBool+2; chain++ {
+	for chain := 1; chain <= 10; chain++ {
 		var b BoolExpr = Cmp{Op: CmpGT, L: Var{Name: "x"}, R: Const{Value: 0}}
 		for i := 1; i < chain; i++ {
 			// Right-nested: the left result is held while the right
@@ -249,9 +234,6 @@ func TestBoolDepthDeepCmpChain(t *testing.T) {
 		prog, err := Compile(e, []string{"x"}, nil)
 		if err != nil {
 			t.Fatalf("chain=%d: compile: %v", chain, err)
-		}
-		if fits := chain <= tapeMaxBool; (prog.tp != nil) != fits {
-			t.Errorf("chain=%d: jump tape present = %v, want %v", chain, prog.tp != nil, fits)
 		}
 		for _, x := range []float64{-1, 0.5, float64(chain) + 1} {
 			want, err := Eval(e, Env{Vars: map[string]float64{"x": x}})

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"sync"
 
 	"compsynth/internal/interval"
 )
@@ -13,8 +14,7 @@ type Program struct {
 	expr  Expr
 	vars  []string
 	holes []string
-	tp    *tape // nil when the program is too deep for its fixed stacks
-	ft    *flatTape
+	tape  *tape
 }
 
 // Compile binds e's variables and holes to positions in the given
@@ -40,29 +40,21 @@ func Compile(e Expr, vars, holes []string) (*Program, error) {
 		}
 		holeIdx[h] = i
 	}
-	// One emitter, two lowerings (tape.go): the jump tape for single
-	// points, the select-lowered flat tape for lanes of points and boxes.
-	jt := &emitter{jumps: true, varIdx: varIdx, holeIdx: holeIdx}
-	if err := jt.num(e); err != nil {
+	em := &emitter{varIdx: varIdx, holeIdx: holeIdx}
+	if err := em.num(e); err != nil {
 		return nil, err
 	}
-	ft := &emitter{varIdx: varIdx, holeIdx: holeIdx}
-	if err := ft.num(e); err != nil {
-		return nil, err
-	}
-	if max(len(jt.code), len(ft.code), len(ft.consts), len(vars), len(holes)) > tapeMaxArg {
+	// Operands index the constant pool and the variable and hole slots.
+	if max(len(em.consts), len(vars), len(holes)) > tapeMaxArg {
 		return nil, fmt.Errorf("expr: program exceeds the tape's %d-entry operand range", tapeMaxArg)
 	}
-	if jt.maxF <= tapeMaxFloat && jt.maxB <= tapeMaxBool {
-		p.tp = &tape{code: jt.code, consts: jt.consts}
-	}
-	p.ft = &flatTape{code: ft.code, consts: ft.consts, maxF: ft.maxF, maxB: ft.maxB}
-	p.ft.constsIv = make([]interval.Interval, len(ft.consts))
-	for i, c := range ft.consts {
+	p.tape = &tape{code: em.code, consts: em.consts, maxF: em.maxF, maxB: em.maxB}
+	p.tape.constsIv = make([]interval.Interval, len(em.consts))
+	for i, c := range em.consts {
 		// Constructed directly rather than via interval.Point: the pool is
 		// NaN-free by the invariant constIndex documents, and the interval
 		// interpreter must never take a constructor panic path.
-		p.ft.constsIv[i] = interval.Interval{Lo: c, Hi: c}
+		p.tape.constsIv[i] = interval.Interval{Lo: c, Hi: c}
 	}
 	return p, nil
 }
@@ -92,24 +84,25 @@ func (p *Program) NumHoles() int { return len(p.holes) }
 // NumVars returns the number of variables in the ordering.
 func (p *Program) NumVars() int { return len(p.vars) }
 
-// Eval evaluates the program. vars and holes are positional per the
-// orderings given to Compile.
-func (p *Program) Eval(vars, holes []float64) float64 {
-	if p.tp == nil {
-		return p.evalDeep(vars, holes)
-	}
-	return p.tp.eval(vars, holes)
-}
+// pointBatches holds the 1-lane point batches Eval evaluates through,
+// so concurrent calls never share one and a warm call allocates
+// nothing.
+var pointBatches = sync.Pool{New: func() any {
+	return &PointBatch{lanes: 1, out: make([]float64, 1)}
+}}
 
-// evalDeep evaluates a program too deep for the jump tape's fixed
-// stacks as a 1-lane flat batch. Kept out of line so the jump-tape path
-// through Eval carries none of its code.
-//
-//go:noinline
-func (p *Program) evalDeep(vars, holes []float64) float64 {
-	b := NewPointBatch(len(vars), len(holes), 1)
-	b.SetVars(0, vars)
-	b.SetHoles(0, holes)
+// Eval evaluates the program at one point. vars and holes are
+// positional per the orderings given to Compile. Eval is safe for
+// concurrent use.
+func (p *Program) Eval(vars, holes []float64) float64 {
+	// A 1-lane batch's column-major rows are exactly the positional
+	// slices, so the batch reads them in place. It lets go of them
+	// before it returns to the pool, which must not keep caller memory.
+	b := pointBatches.Get().(*PointBatch)
+	b.vars, b.holes = vars, holes
 	p.EvalBatch(b, 1)
-	return b.Out(0)
+	out := b.out[0]
+	b.vars, b.holes = nil, nil
+	pointBatches.Put(b)
+	return out
 }

@@ -3,6 +3,7 @@ package expr
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"compsynth/internal/interval"
@@ -146,6 +147,56 @@ func TestCompiledNaNDivision(t *testing.T) {
 	prog := MustCompile(Div(C(1), V("x")), []string{"x"}, nil)
 	if v := prog.Eval([]float64{0}, nil); !math.IsInf(v, 1) {
 		t.Errorf("1/0 = %v, want +Inf", v)
+	}
+}
+
+// TestProgramEvalConcurrent evaluates one shared Program from several
+// goroutines at distinct points, the way clients sharing a ground-truth
+// candidate do. Each call borrows its own pooled batch, so every result
+// must match the AST interpreter bit for bit; `make race` runs this ten
+// times under the race detector.
+func TestProgramEvalConcurrent(t *testing.T) {
+	const workers, points = 4, 2000
+	for _, c := range []struct {
+		name        string
+		e           Expr
+		vars, holes []string
+	}{
+		{"swan", swanBody(), swanVars, swanHoles},
+		{"subChain(20)", subChain(20), fuzzVars, fuzzHoles},
+	} {
+		prog := MustCompile(c.e, c.vars, c.holes)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				vars := make([]float64, len(c.vars))
+				holes := make([]float64, len(c.holes))
+				env := Env{Vars: map[string]float64{}, Holes: map[string]float64{}}
+				for i := 0; i < points; i++ {
+					for j, name := range c.vars {
+						vars[j] = rng.Float64() * 200
+						env.Vars[name] = vars[j]
+					}
+					for j, name := range c.holes {
+						holes[j] = rng.Float64() * 200
+						env.Holes[name] = holes[j]
+					}
+					want, err := Eval(c.e, env)
+					if err != nil {
+						t.Errorf("%s: tree eval: %v", c.name, err)
+						return
+					}
+					if got := prog.Eval(vars, holes); !eqBits(got, want) {
+						t.Errorf("%s worker %d: Eval(%v, %v) = %v, tree = %v", c.name, seed, vars, holes, got, want)
+						return
+					}
+				}
+			}(int64(w))
+		}
+		wg.Wait()
 	}
 }
 

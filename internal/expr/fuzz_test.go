@@ -55,9 +55,8 @@ func FuzzParse(f *testing.F) {
 // decoded into a random expression plus environments, and every engine
 // must agree with the AST interpreter (eval.go), the one reference:
 //
-//   - Program.Eval (the jump tape, or the flat tape for programs too
-//     deep for it) and the flat tape must be bit-identical to Eval;
-//   - the flat tape's interval evaluation must match EvalInterval;
+//   - Program.Eval must be bit-identical to Eval;
+//   - the tape's interval evaluation must match EvalInterval;
 //   - Partial with all variables substituted must match the original up
 //     to the sign of zero (identity folds like x+0 may drop the
 //     operation that would normalize -0 to +0), under both point and
@@ -90,16 +89,18 @@ func (s *byteSrc) next() byte {
 
 func (s *byteSrc) pick() float64 { return fuzzConsts[int(s.next())%len(fuzzConsts)] }
 
-// fuzzDepth caps the nesting genExpr builds. It is well past the jump
-// tape's fixed stacks (tapeMaxFloat, tapeMaxBool), so the fuzzer also
-// reaches programs that only the flat tape evaluates.
+// fuzzDepth caps the nesting genExpr builds. It leaves room for the
+// 20-level chains of deepSeeds and their mutations, so the fuzzer
+// holds the emitter's stack sizing to programs far deeper than any
+// sketch body.
 const fuzzDepth = 24
 
-// deepSeeds are fuzz inputs that decode into programs too deep for the
-// jump tape, so plain `go test` runs them against the AST interpreter:
-// a 20-deep right-nested Sub chain (21 float slots) and a 10-deep
+// deepSeeds are fuzz inputs that decode into deep programs, so plain
+// `go test` runs the tape's stack sizing against the AST interpreter: a
+// 20-deep right-nested Sub chain (21 float stack rows) and a 10-deep
 // right-nested Or chain of comparisons between If expressions, under an
-// If (10 bool slots). A tail of non-zero bytes feeds the environments.
+// If (10 bool stack rows). A tail of non-zero bytes feeds the
+// environments.
 func deepSeeds() [][]byte {
 	tail := []byte{1, 4, 5, 2, 3, 6, 1, 7, 8, 4, 2, 5, 9, 3, 1, 6}
 	var sub []byte
@@ -225,13 +226,10 @@ func FuzzDifferentialEval(f *testing.F) {
 			t.Fatalf("eval %s: %v", e, err)
 		}
 
-		// Engine agreement on the original expression: both tapes must
+		// Engine agreement on the original expression: the tape must
 		// reproduce the tree walker bit for bit.
 		if got := prog.Eval(varSlice, holeSlice); !eqBits(got, want) {
 			t.Errorf("compiled eval of %s = %v, tree = %v", e, got, want)
-		}
-		if got := evalFlat(prog, varSlice, holeSlice); !eqBits(got, want) {
-			t.Errorf("flat-tape eval of %s = %v, tree = %v", e, got, want)
 		}
 
 		// Partial with every variable bound must leave a hole-only

@@ -3,94 +3,86 @@ package expr
 import (
 	"fmt"
 	"math"
+
+	"compsynth/internal/interval"
 )
 
-// Tape compilation: every Program is lowered by one emitter into two
-// postfix instruction streams over value stacks.
+// Tape compilation: every Program is lowered by one emitter into one
+// postfix instruction stream over value stacks, which the batch
+// interpreters (batch.go) run over lanes of points or boxes. A single
+// point (Program.Eval) or box is a 1-lane batch.
 //
-//   - The jump tape (this file) evaluates single points. If lowers to
-//     conditional jumps, so only the taken branch runs, and the stacks
-//     are fixed-size arrays in eval's frame: zero heap traffic per
-//     Eval, and a contiguous instruction slice instead of a tree walk.
-//   - The flat tape (flat.go) evaluates lanes of points or boxes
-//     (batch.go). If lowers to straight-line code ending in tSelect,
-//     because lanes may take different branches and a box's condition
-//     may be undecided. Its stacks are sized from the emitter's
-//     high-water marks, with no cap.
+// If lowers to straight-line code: condition, then-branch, else-branch,
+// tSelect. Both branches always execute and the select keeps the taken
+// value per lane (or the branch hull when the condition is TriUnknown
+// over a box), because different lanes may take different branches and
+// a box's condition may be undecided. This is semantically identical
+// to branch-only evaluation because expression evaluation is pure and
+// total: no operation traps or panics, division yields IEEE/relational-
+// interval results, so computing and discarding the untaken branch is
+// unobservable. Operands are evaluated left-to-right and both sides of
+// boolean connectives are evaluated (no short-circuit, matching Eval).
+// The differential fuzz tests hold the tape to the AST interpreter in
+// eval.go.
+//
+// The select holds the then-value and the condition live across the
+// else-branch; the emitter records the exact stack high-water marks and
+// batches size their stack rows from them. There is no depth cap.
 //
 // Instructions are packed into 4 bytes (8-bit opcode, 24-bit operand;
 // float immediates live in a per-tape constant pool) so that even a
 // solver system holding dozens of specialized constraint tapes keeps a
 // small instruction footprint.
-//
-// Both tapes preserve evaluation semantics exactly: operands are
-// evaluated left-to-right, both sides of boolean connectives are
-// evaluated (no short-circuit, matching Eval), and a select discards a
-// branch value whose computation is unobservable (evaluation is pure
-// and total). The differential fuzz tests hold both tapes to the AST
-// interpreter in eval.go.
 
 // tapeCode enumerates tape instructions.
 type tapeCode uint32
 
 const (
-	tConst      tapeCode = iota // push consts[arg] onto the float stack
-	tVar                        // push vars[arg]
-	tHole                       // push holes[arg]
-	tAdd                        // pop b, a; push a+b
-	tSub                        // pop b, a; push a-b
-	tMul                        // pop b, a; push a*b
-	tDiv                        // pop b, a; push a/b
-	tMin                        // pop b, a; push min(a, b)
-	tMax                        // pop b, a; push max(a, b)
-	tNeg                        // negate top of float stack
-	tAbs                        // absolute value of top of float stack
-	tCmpGE                      // pop b, a; push a>=b onto the bool stack
-	tCmpLE                      // pop b, a; push a<=b
-	tCmpGT                      // pop b, a; push a>b
-	tCmpLT                      // pop b, a; push a<b
-	tCmpEQ                      // pop b, a; push a==b
-	tAnd                        // pop q, p; push p&&q
-	tOr                         // pop q, p; push p||q
-	tNot                        // invert top of bool stack
-	tBoolConst                  // push arg != 0 onto the bool stack
-	tJmp                        // jump tape only: jump to arg
-	tJmpIfFalse                 // jump tape only: pop bool; jump to arg when false
-	tSelect                     // flat tape only: pop else, then, cond; push taken value
+	tConst     tapeCode = iota // push consts[arg] onto the float stack
+	tVar                       // push vars[arg]
+	tHole                      // push holes[arg]
+	tAdd                       // pop b, a; push a+b
+	tSub                       // pop b, a; push a-b
+	tMul                       // pop b, a; push a*b
+	tDiv                       // pop b, a; push a/b
+	tMin                       // pop b, a; push min(a, b)
+	tMax                       // pop b, a; push max(a, b)
+	tNeg                       // negate top of float stack
+	tAbs                       // absolute value of top of float stack
+	tCmpGE                     // pop b, a; push a>=b onto the bool stack
+	tCmpLE                     // pop b, a; push a<=b
+	tCmpGT                     // pop b, a; push a>b
+	tCmpLT                     // pop b, a; push a<b
+	tCmpEQ                     // pop b, a; push a==b
+	tAnd                       // pop q, p; push p&&q
+	tOr                        // pop q, p; push p||q
+	tNot                       // invert top of bool stack
+	tBoolConst                 // push arg != 0 onto the bool stack
+	tSelect                    // pop else, then, cond; push taken value
 )
 
-// Stack sizes of the jump tape's fixed arrays, and the operand width of
-// the packed encoding. Objective sketches are shallow (the SWAN family
-// needs < 8 float slots), and the arrays are deliberately small: eval
-// zero-initializes both on every call, so their combined size is
-// per-evaluation overhead. Programs deeper than the arrays get no jump
-// tape; Program.Eval runs them as a 1-lane flat batch instead.
-const (
-	tapeMaxFloat = 16
-	tapeMaxBool  = 8
-	tapeMaxArg   = 1<<24 - 1
-)
+// tapeMaxArg is the largest operand the packed encoding holds.
+const tapeMaxArg = 1<<24 - 1
 
-// tape is the jump tape. Each instruction packs the opcode into the top
-// 8 bits and the operand (constant-pool index, variable/hole slot, jump
-// target, or tBoolConst value) into the low 24.
+// tape is a compiled instruction stream. Each instruction packs the
+// opcode into the top 8 bits and the operand (constant-pool index,
+// variable/hole slot, or tBoolConst value) into the low 24. constsIv
+// mirrors consts as point intervals so the interval interpreter
+// indexes a pool instead of constructing intervals on every tConst
+// dispatch. maxF and maxB are the float and bool stack depths the tape
+// needs.
 type tape struct {
-	code   []uint32
-	consts []float64
+	code       []uint32
+	consts     []float64
+	constsIv   []interval.Interval
+	maxF, maxB int
 }
 
-func packInstr(code tapeCode, arg int) uint32 {
-	return uint32(code)<<24 | uint32(arg)
-}
-
-// emitter lowers one expression into one tape. jumps selects the jump
-// tape's lowering of If over the flat tape's select. Names resolve
-// against the variable and hole slot maps (an unknown one is
-// ErrUnbound), and
+// emitter lowers one expression into one tape. Names resolve against
+// the variable and hole slot maps (an unknown one is ErrUnbound), and
 // the float and bool stack depths are tracked instruction by
 // instruction, so maxF and maxB are exactly the stacks the tape needs.
 type emitter struct {
-	jumps           bool
 	varIdx, holeIdx map[string]int
 	code            []uint32
 	consts          []float64
@@ -99,14 +91,13 @@ type emitter struct {
 }
 
 // op appends one instruction that moves the stacks by df floats and db
-// bools, and returns its index.
-func (em *emitter) op(code tapeCode, arg, df, db int) int {
-	em.code = append(em.code, packInstr(code, arg))
+// bools.
+func (em *emitter) op(code tapeCode, arg, df, db int) {
+	em.code = append(em.code, uint32(code)<<24|uint32(arg))
 	em.f += df
 	em.b += db
 	em.maxF = max(em.maxF, em.f)
 	em.maxB = max(em.maxB, em.b)
-	return len(em.code) - 1
 }
 
 // constIndex returns the pool slot for v, reusing an existing slot with
@@ -165,30 +156,13 @@ func (em *emitter) num(e Expr) error {
 		if err := em.boolean(n.Cond); err != nil {
 			return err
 		}
-		if !em.jumps {
-			if err := em.num(n.Then); err != nil {
-				return err
-			}
-			if err := em.num(n.Else); err != nil {
-				return err
-			}
-			em.op(tSelect, 0, -1, -1)
-			return nil
-		}
-		toElse := em.op(tJmpIfFalse, 0, 0, -1)
-		f, b := em.f, em.b
 		if err := em.num(n.Then); err != nil {
 			return err
 		}
-		toEnd := em.op(tJmp, 0, 0, 0)
-		// The else label: reached by the jump, where the then-value was
-		// never pushed.
-		em.code[toElse] = packInstr(tJmpIfFalse, len(em.code))
-		em.f, em.b = f, b
 		if err := em.num(n.Else); err != nil {
 			return err
 		}
-		em.code[toEnd] = packInstr(tJmp, len(em.code))
+		em.op(tSelect, 0, -1, -1)
 	default:
 		return fmt.Errorf("expr: unknown node %T", e)
 	}
@@ -282,111 +256,4 @@ func tapeCmpOp(code tapeCode) CmpOp {
 		return CmpLT
 	}
 	return CmpEQ
-}
-
-// eval runs the tape. The stacks live in the goroutine's stack frame,
-// so concurrent evaluation of a shared tape is safe and allocation-free.
-//
-// The top float value is cached in a register (top) rather than the
-// spill array: pushes spill the previous top, binary ops combine the
-// spilled second operand into the register, and only multi-value pops
-// (comparisons) reload. The invariant is that logical stack item i
-// (0-based, depth fsp) lives in fs[i+1] for i < fsp-1 and in top for
-// i = fsp-1; fs[0] and the slot under a freshly-computed top are dead.
-// This halves the memory traffic of the interpreter loop.
-func (t *tape) eval(vars, holes []float64) float64 {
-	var fs [tapeMaxFloat]float64
-	var bs [tapeMaxBool]bool
-	var top float64
-	fsp, bsp := 0, 0
-	code := t.code
-	consts := t.consts
-	for pc := 0; pc < len(code); pc++ {
-		in := code[pc]
-		arg := in & 0xffffff
-		switch tapeCode(in >> 24) {
-		case tConst:
-			fs[fsp] = top
-			fsp++
-			top = consts[arg]
-		case tVar:
-			fs[fsp] = top
-			fsp++
-			top = vars[arg]
-		case tHole:
-			fs[fsp] = top
-			fsp++
-			top = holes[arg]
-		case tAdd:
-			fsp--
-			top = fs[fsp] + top
-		case tSub:
-			fsp--
-			top = fs[fsp] - top
-		case tMul:
-			fsp--
-			top = fs[fsp] * top
-		case tDiv:
-			fsp--
-			top = fs[fsp] / top
-		case tMin:
-			// Builtin min/max match math.Min/math.Max exactly for float64
-			// (NaN in → NaN out, -0 sorts below +0, Go spec §builtins), so
-			// every engine — tree walker and both tapes — uses them; the
-			// differential fuzz test pins the engines to each other.
-			fsp--
-			top = min(fs[fsp], top)
-		case tMax:
-			fsp--
-			top = max(fs[fsp], top)
-		case tNeg:
-			top = -top
-		case tAbs:
-			top = math.Abs(top)
-		case tCmpGE:
-			bs[bsp] = fs[fsp-1] >= top
-			bsp++
-			fsp -= 2
-			top = fs[fsp]
-		case tCmpLE:
-			bs[bsp] = fs[fsp-1] <= top
-			bsp++
-			fsp -= 2
-			top = fs[fsp]
-		case tCmpGT:
-			bs[bsp] = fs[fsp-1] > top
-			bsp++
-			fsp -= 2
-			top = fs[fsp]
-		case tCmpLT:
-			bs[bsp] = fs[fsp-1] < top
-			bsp++
-			fsp -= 2
-			top = fs[fsp]
-		case tCmpEQ:
-			bs[bsp] = fs[fsp-1] == top
-			bsp++
-			fsp -= 2
-			top = fs[fsp]
-		case tAnd:
-			bsp--
-			bs[bsp-1] = bs[bsp-1] && bs[bsp]
-		case tOr:
-			bsp--
-			bs[bsp-1] = bs[bsp-1] || bs[bsp]
-		case tNot:
-			bs[bsp-1] = !bs[bsp-1]
-		case tBoolConst:
-			bs[bsp] = arg != 0
-			bsp++
-		case tJmp:
-			pc = int(arg) - 1
-		case tJmpIfFalse:
-			bsp--
-			if !bs[bsp] {
-				pc = int(arg) - 1
-			}
-		}
-	}
-	return top
 }

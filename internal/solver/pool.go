@@ -111,7 +111,7 @@ func (s *System) findDistinguishPool(ctx context.Context, opts Options, dopts Di
 // scoreMatrix returns scores[c][s] = f_c(x1s[s]) − f_c(x2s[s]) for
 // every candidate hole vector c, bit-identical to two Sketch.Eval calls
 // per entry. The pair pool is loaded once as 2·len(x1s) scenario lanes
-// of the sketch body, and each candidate is one flat-tape pass with its
+// of the sketch body, and each candidate is one batched pass with its
 // holes broadcast. The pool is fresh random scenarios every call, so it
 // stays on the shared body rather than churning the specialization
 // cache. Cancellation is checked before each candidate.

@@ -133,7 +133,7 @@ func (s *System) putBatch(b *Batch) {
 }
 
 // scenarioOuts evaluates the sketch body at one hole vector over
-// every constraint side in a single flat-tape pass — the sides'
+// every constraint side in a single batched pass — the sides'
 // scenarios are the lanes, the holes are broadcast — and returns the
 // output column split in two: prefs holds preference i's better side
 // at 2i and its worse side at 2i+1, ties tie j's A and B sides at 2j

@@ -7,8 +7,8 @@ import (
 )
 
 // Benchmarks comparing the reference path (violation / Satisfies over
-// Problem: two jump-tape Sketch.Eval calls per constraint) against the
-// System's point checks (one flat-tape pass of the sketch body with the
+// Problem: two single-point Sketch.Eval calls per constraint) against
+// the System's point checks (one pass of the sketch body with the
 // constraints' sides as lanes, holes broadcast). Same constraints, same
 // hole vectors.
 
