@@ -10,8 +10,9 @@ GO ?= go
 # (parallel solver workers, the work-stealing branch-and-prune engine
 # and its steal hammer, the batched tape interpreters, the sketch
 # specialization cache, the synthesis service's worker pool, and ten
-# runs each over the point checks' pooled lane scratch and
-# Program.Eval's pooled 1-lane batches from concurrent goroutines), a
+# runs each over the point checks' pooled lane scratch, repairs holding
+# pooled scenario batches on one shared system, and Program.Eval's
+# pooled 1-lane batches from concurrent goroutines), a
 # one-iteration compile check of every benchmark, smoke tests of the
 # observability HTTP endpoint, the compsynthd service layer, the
 # structured log stream, the multi-node fleet (router + daemons + chaos
@@ -33,6 +34,7 @@ test-short:
 
 race:
 	$(GO) test -race -count=10 -run '^TestSystemPointChecks$$' ./internal/solver/
+	$(GO) test -race -count=10 -run '^TestRepairMatchesReference$$' ./internal/solver/
 	$(GO) test -race -count=10 -run '^TestProgramEvalConcurrent$$' ./internal/expr/
 	$(GO) test -race ./internal/sketch/ ./internal/solver/ ./internal/core/ ./internal/obs/ ./internal/service/ ./internal/fleet/ ./internal/expr/
 
@@ -69,12 +71,13 @@ effort-gate:
 	$(GO) run ./cmd/effortgate
 
 # Fuzz each differential evaluation target for 10 s: random programs,
-# deep ones included, through Program.Eval and the batched point and
-# interval lanes of the one tape, checked against the AST interpreter.
-# Part of tier-1 `all`.
+# deep ones included, through Program.Eval, the batched point and
+# interval lanes of the one tape, and a scenario batch's hole moves and
+# commits, checked against the AST interpreter. Part of tier-1 `all`.
 fuzz-smoke:
 	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzDifferentialEval$$' -fuzztime 10s
 	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzDifferentialBatch$$' -fuzztime 10s
+	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzDifferentialMove$$' -fuzztime 10s
 
 # Boot the live observability endpoint: /metrics (Prometheus text),
 # /debug/vars (expvar), /debug/pprof, /trace (JSONL spans).

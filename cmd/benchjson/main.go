@@ -13,6 +13,11 @@
 // that commit's entry instead of duplicating it. Legacy single-run
 // files from older benchjson versions are migrated in place.
 //
+// With -count N above 1, each benchmark's N results are folded into one
+// entry: the median ns/op with its quartiles and N (and the medians of
+// the other values), so an archived row carries its own spread. At
+// -count 1 every entry is one run, exactly as go test printed it.
+//
 // Without package arguments it covers the solver-adjacent hot-path
 // packages. Invoked by `make bench-json`.
 package main
@@ -104,6 +109,9 @@ func run(out, benchRE, benchtime, commit string, count int, pkgs []string) error
 	}
 	if len(results) == 0 {
 		return fmt.Errorf("no benchmark results parsed (regex %q over %v)", benchRE, pkgs)
+	}
+	if count > 1 {
+		results = benchfmt.Fold(results)
 	}
 
 	if commit == "" {

@@ -1,6 +1,9 @@
 package benchfmt
 
 import (
+	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -94,5 +97,50 @@ func TestParseExtraMetrics(t *testing.T) {
 	}
 	if len(results[0].Extra) != 0 {
 		t.Errorf("non-numeric custom value leaked into Extra: %v", results[0].Extra)
+	}
+}
+
+// TestFold folds the lines `go test -count N` prints for each benchmark
+// into one entry of medians with the ns/op quartiles and N, and leaves
+// a benchmark that ran once exactly as parsed.
+func TestFold(t *testing.T) {
+	var in strings.Builder
+	for i := 10; i >= 1; i-- { // out of order: folding sorts
+		fmt.Fprintf(&in, "BenchmarkRepair-2 \t %d\t %d ns/op\t 26.00 repaired/op\t 84000 B/op\t %d allocs/op\n", 100+i, 1000*i, 2450+i%2)
+	}
+	in.WriteString("BenchmarkOnce-2 \t 7\t 333 ns/op\t 8 B/op\t 1 allocs/op\n")
+	in.WriteString("BenchmarkPair-2 \t 5\t 100 ns/op\t 3 boxes/op\n")
+	in.WriteString("BenchmarkPair-2 \t 5\t 200 ns/op\t 5 boxes/op\n")
+	results, err := Parse(strings.NewReader(in.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	folded := Fold(results)
+	if len(folded) != 3 {
+		t.Fatalf("folded into %d entries, want 3: %+v", len(folded), folded)
+	}
+	// Quartiles of 1000..10000 by Python's statistics.quantiles(n=4).
+	r := folded[0]
+	if r.Name != "BenchmarkRepair-2" || r.Runs != 10 || r.NsPerOp != 5500 || r.NsPerOpQ1 != 2750 || r.NsPerOpQ3 != 8250 ||
+		r.Iterations != 106 || r.BytesPerOp != 84000 || r.AllocsPerOp != 2451 || r.Extra["repaired/op"] != 26 {
+		t.Errorf("folded -count 10 entry = %+v", r)
+	}
+	if once := folded[1]; !reflect.DeepEqual(once, results[10]) {
+		t.Errorf("single run changed by folding: %+v, parsed %+v", once, results[10])
+	}
+	// The exclusive method extrapolates two runs' quartiles past them,
+	// as Python does: [75, 150, 225].
+	if p := folded[2]; p.Runs != 2 || p.NsPerOp != 150 || p.NsPerOpQ1 != 75 || p.NsPerOpQ3 != 225 || p.Extra["boxes/op"] != 4 {
+		t.Errorf("folded -count 2 entry = %+v", p)
+	}
+	// A single run's JSON keeps the fields it had before folding existed.
+	buf, err := json.Marshal(folded[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"runs", "ns_per_op_q1", "ns_per_op_q3"} {
+		if strings.Contains(string(buf), key) {
+			t.Errorf("single-run JSON %s carries %q", buf, key)
+		}
 	}
 }

@@ -460,7 +460,9 @@ func TestRunVariantTargets(t *testing.T) {
 
 func TestRunContextCancellation(t *testing.T) {
 	cfg := fastConfig(t, 71)
-	cfg.Distinguish.Gamma = 1e-9 // never converge
+	// Gamma=1e-9 runs dozens of iterations before converging, so the
+	// canceled context is what ends it.
+	cfg.Distinguish.Gamma = 1e-9
 	cfg.MaxIterations = 10000
 	s, err := New(cfg)
 	if err != nil {
@@ -479,16 +481,23 @@ func TestRunContextTimeout(t *testing.T) {
 	cfg.Distinguish.Gamma = 1e-9
 	cfg.MaxIterations = 10000
 	// This test is about cancellation machinery, so it needs a run that
-	// outlives the deadline. The baseline search at Gamma=1e-9 churns on
-	// sub-resolution disagreements forever; the planner's support filter
-	// would legitimately converge within the deadline.
+	// outlives the deadline by construction rather than by being slow:
+	// the first iteration's callback blocks until the deadline passes.
+	// The baseline search at Gamma=1e-9 runs dozens of iterations, so
+	// the run is still going when the callback returns; the planner's
+	// support filter would converge much sooner.
 	cfg.DisablePlanner = true
+	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	defer cancel()
+	cfg.OnIteration = func(st IterationStat) {
+		if st.Index == 1 {
+			<-ctx.Done()
+		}
+	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
-	defer cancel()
 	start := time.Now()
 	_, err = s.RunContext(ctx)
 	if err == nil || !errors.Is(err, context.DeadlineExceeded) {

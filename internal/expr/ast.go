@@ -14,7 +14,10 @@
 //   - a compiler (Compile) that lowers a program to one tape of packed
 //     postfix instructions, evaluated over lanes of points (PointBatch)
 //     or boxes (IntervalBatch); Program.Eval runs a single point as a
-//     1-lane point batch,
+//     1-lane point batch, and a ScenarioBatch runs the tape in register
+//     form over lanes of variables, keeping every instruction's row so
+//     that moving one hole re-runs only the instructions downstream of
+//     it,
 //   - a parser and printer for a small concrete syntax matching the
 //     paper's Figure 2.
 package expr

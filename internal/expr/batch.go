@@ -1,8 +1,6 @@
 package expr
 
 import (
-	"math"
-
 	"compsynth/internal/interval"
 )
 
@@ -287,14 +285,15 @@ func (p *Program) EvalBatch(b *PointBatch, n int) {
 	t.evalBatch(b, n)
 }
 
-// fsRows returns the top two stack rows sliced to exactly n lanes.
-// Slicing both to the same length lets the compiler prove the paired
-// index loops in bounds and drop the per-lane checks.
+// fsRows returns the top two stack rows sliced to exactly the n lanes
+// a kernel runs over.
 func fsRows(fs []float64, fsp, k, n int) (a, c []float64) {
 	return fs[(fsp-2)*k : (fsp-2)*k+n], fs[(fsp-1)*k : (fsp-1)*k+n]
 }
 
-// evalBatch runs the point interpreter over n lanes in one pass.
+// evalBatch runs the point interpreter over n lanes in one pass. Each
+// opcode applies its lane kernel (lanes.go) to the top stack rows,
+// writing the result over the lower operand's row.
 func (t *tape) evalBatch(b *PointBatch, n int) {
 	k := b.lanes
 	fsp, bsp := 0, 0
@@ -303,11 +302,7 @@ func (t *tape) evalBatch(b *PointBatch, n int) {
 		code := tapeCode(in >> 24)
 		switch code {
 		case tConst:
-			c := t.consts[arg]
-			fs := b.fs[fsp*k : fsp*k+n]
-			for l := range fs {
-				fs[l] = c
-			}
+			fillLanes(b.fs[fsp*k:fsp*k+n], t.consts[arg])
 			fsp++
 		case tVar:
 			copy(b.fs[fsp*k:fsp*k+n], b.vars[arg*k:arg*k+n])
@@ -317,125 +312,77 @@ func (t *tape) evalBatch(b *PointBatch, n int) {
 			fsp++
 		case tAdd:
 			a, c := fsRows(b.fs, fsp, k, n)
-			for l := range a {
-				a[l] += c[l]
-			}
+			addLanes(a, a, c)
 			fsp--
 		case tSub:
 			a, c := fsRows(b.fs, fsp, k, n)
-			for l := range a {
-				a[l] -= c[l]
-			}
+			subLanes(a, a, c)
 			fsp--
 		case tMul:
 			a, c := fsRows(b.fs, fsp, k, n)
-			for l := range a {
-				a[l] *= c[l]
-			}
+			mulLanes(a, a, c)
 			fsp--
 		case tDiv:
 			a, c := fsRows(b.fs, fsp, k, n)
-			for l := range a {
-				a[l] /= c[l]
-			}
+			divLanes(a, a, c)
 			fsp--
 		case tMin:
 			a, c := fsRows(b.fs, fsp, k, n)
-			for l := range a {
-				a[l] = min(a[l], c[l])
-			}
+			minLanes(a, a, c)
 			fsp--
 		case tMax:
 			a, c := fsRows(b.fs, fsp, k, n)
-			for l := range a {
-				a[l] = max(a[l], c[l])
-			}
+			maxLanes(a, a, c)
 			fsp--
 		case tNeg:
 			a := b.fs[(fsp-1)*k : (fsp-1)*k+n]
-			for l := range a {
-				a[l] = -a[l]
-			}
+			negLanes(a, a)
 		case tAbs:
 			a := b.fs[(fsp-1)*k : (fsp-1)*k+n]
-			for l := range a {
-				a[l] = math.Abs(a[l])
-			}
+			absLanes(a, a)
 		case tCmpGE:
 			a, c := fsRows(b.fs, fsp, k, n)
-			bl := b.bl[bsp*k : bsp*k+n]
-			for l := range a {
-				bl[l] = a[l] >= c[l]
-			}
+			geLanes(b.bl[bsp*k:bsp*k+n], a, c)
 			bsp++
 			fsp -= 2
 		case tCmpLE:
 			a, c := fsRows(b.fs, fsp, k, n)
-			bl := b.bl[bsp*k : bsp*k+n]
-			for l := range a {
-				bl[l] = a[l] <= c[l]
-			}
+			leLanes(b.bl[bsp*k:bsp*k+n], a, c)
 			bsp++
 			fsp -= 2
 		case tCmpGT:
 			a, c := fsRows(b.fs, fsp, k, n)
-			bl := b.bl[bsp*k : bsp*k+n]
-			for l := range a {
-				bl[l] = a[l] > c[l]
-			}
+			gtLanes(b.bl[bsp*k:bsp*k+n], a, c)
 			bsp++
 			fsp -= 2
 		case tCmpLT:
 			a, c := fsRows(b.fs, fsp, k, n)
-			bl := b.bl[bsp*k : bsp*k+n]
-			for l := range a {
-				bl[l] = a[l] < c[l]
-			}
+			ltLanes(b.bl[bsp*k:bsp*k+n], a, c)
 			bsp++
 			fsp -= 2
 		case tCmpEQ:
 			a, c := fsRows(b.fs, fsp, k, n)
-			bl := b.bl[bsp*k : bsp*k+n]
-			for l := range a {
-				bl[l] = a[l] == c[l]
-			}
+			eqLanes(b.bl[bsp*k:bsp*k+n], a, c)
 			bsp++
 			fsp -= 2
 		case tAnd:
 			pq := b.bl[(bsp-2)*k : (bsp-2)*k+n]
-			q := b.bl[(bsp-1)*k : (bsp-1)*k+n]
-			for l := range pq {
-				pq[l] = pq[l] && q[l]
-			}
+			andLanes(pq, pq, b.bl[(bsp-1)*k:(bsp-1)*k+n])
 			bsp--
 		case tOr:
 			pq := b.bl[(bsp-2)*k : (bsp-2)*k+n]
-			q := b.bl[(bsp-1)*k : (bsp-1)*k+n]
-			for l := range pq {
-				pq[l] = pq[l] || q[l]
-			}
+			orLanes(pq, pq, b.bl[(bsp-1)*k:(bsp-1)*k+n])
 			bsp--
 		case tNot:
-			bl := b.bl[(bsp-1)*k : (bsp-1)*k+n]
-			for l := range bl {
-				bl[l] = !bl[l]
-			}
+			p := b.bl[(bsp-1)*k : (bsp-1)*k+n]
+			notLanes(p, p)
 		case tBoolConst:
-			v := arg != 0
-			bl := b.bl[bsp*k : bsp*k+n]
-			for l := range bl {
-				bl[l] = v
-			}
+			fillBoolLanes(b.bl[bsp*k:bsp*k+n], arg != 0)
 			bsp++
 		case tSelect:
 			bsp--
-			cond := b.bl[bsp*k : bsp*k+n]
 			a, c := fsRows(b.fs, fsp, k, n)
-			for l := range a {
-				if !cond[l] {
-					a[l] = c[l]
-				}
-			}
+			selectLanes(a, b.bl[bsp*k:bsp*k+n], a, c)
 			fsp--
 		}
 	}

@@ -15,6 +15,11 @@ type Program struct {
 	vars  []string
 	holes []string
 	tape  *tape
+
+	// reg is the tape's register form for scenario batches, derived on
+	// first use (see regs).
+	regOnce sync.Once
+	reg     *regPlan
 }
 
 // Compile binds e's variables and holes to positions in the given

@@ -25,3 +25,23 @@ func TestProgramEvalAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestScenarioMoveAllocFree pins that a warm scenario batch's Move and
+// Commit allocate nothing.
+func TestScenarioMoveAllocFree(t *testing.T) {
+	sb := NewScenarioBatch(MustCompile(swanBody(), swanVars, swanHoles), 64)
+	for l := 0; l < 40; l++ {
+		sb.SetVars(l, []float64{float64(l % 10), float64(5 * l)})
+	}
+	sb.Eval([]float64{1, 50, 1, 5}, 40)
+	v := 0.0
+	for name, fn := range map[string]func(){
+		"Move":   func() { sb.Move(int(v)%4, v) },
+		"Commit": func() { sb.Commit(int(v)%4, v) },
+	} {
+		fn() // warm
+		if a := testing.AllocsPerRun(200, func() { fn(); v++ }); a != 0 {
+			t.Errorf("warm %s allocates %.0f times per call", name, a)
+		}
+	}
+}

@@ -10,7 +10,8 @@ import (
 // Tape compilation: every Program is lowered by one emitter into one
 // postfix instruction stream over value stacks, which the batch
 // interpreters (batch.go) run over lanes of points or boxes. A single
-// point (Program.Eval) or box is a 1-lane batch.
+// point (Program.Eval) or box is a 1-lane batch. A scenario batch
+// (scenario.go) runs the same stream in register form.
 //
 // If lowers to straight-line code: condition, then-branch, else-branch,
 // tSelect. Both branches always execute and the select keeps the taken

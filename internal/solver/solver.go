@@ -18,6 +18,13 @@
 // provides fast SAT witnesses. This mirrors dReal's δ-decisions, which
 // are exactly what the paper's convergence check ("the SMT solver may
 // return unsatisfiable") requires over a bounded metric box.
+//
+// Repair is coordinate descent on the hinge loss: each trial moves one
+// hole by its step and is kept when the loss falls. It runs on a
+// scenario batch of the sketch body that keeps its rows
+// (expr.ScenarioBatch), so a trial re-evaluates only the instructions
+// downstream of the moved hole, bit-identical to a full evaluation at
+// the moved vector.
 package solver
 
 import (

@@ -21,7 +21,8 @@ import (
 //   - the point checks (Violation, Satisfies, SatisfiedMask) run the
 //     sketch body once for a hole vector, with the constraints' sides
 //     as scenario lanes, and read each f(better) − f(worse) off the
-//     output column;
+//     output column; repair keeps those lanes' rows across its descent
+//     and re-runs only the moved hole's cone per trial;
 //   - one fused hole-only difference program per constraint
 //     (sketch.SpecializeDiff), so the sampling sweeps, prune waves,
 //     floor corners, and learned-cache checks run each constraint over
@@ -59,14 +60,18 @@ type System struct {
 	ties  []Tie
 	cts   []compiledTie
 
-	// scenVer changes with every constraint mutation, so a pooled Batch
-	// knows when its loaded scenario lanes are stale (see scenarioOuts).
+	// scenVer changes with every constraint mutation, so a pooled
+	// scenario batch knows when its loaded lanes are stale (see
+	// getScenarios).
 	scenVer uint64
 
-	// batchPool recycles Batch scratch across searches and point checks
-	// (see getBatch). Pooled batches may have any lane width, so
-	// getBatch re-checks the width on the way out.
+	// batchPool recycles Batch scratch across searches (see getBatch).
+	// Pooled batches may have any lane width, so getBatch re-checks the
+	// width on the way out.
 	batchPool sync.Pool
+	// scnPool recycles the scenario batches of the point checks and
+	// repair (see getScenarios).
+	scnPool sync.Pool
 }
 
 // compiledPref is a preference edge lowered to one hole-only program
@@ -410,48 +415,17 @@ func finiteRegion(r RefutedRegion) bool {
 // every constraint holds with the margin. Bit-identical to the
 // Problem-based violation reference.
 func (s *System) Violation(holes []float64) float64 {
-	b := s.getBatch(batchLanes)
-	defer s.putBatch(b)
-	prefs, ties := s.scenarioOuts(b, holes)
-	var loss float64
-	for i := 0; i < len(prefs); i += 2 {
-		if slack := s.margin - (prefs[i] - prefs[i+1]); slack > 0 {
-			loss += slack
-		}
-	}
-	for i := range s.cts {
-		diff := ties[2*i] - ties[2*i+1]
-		if diff < 0 {
-			diff = -diff
-		}
-		if over := diff - s.cts[i].band; over > 0 {
-			loss += over
-		}
-	}
-	return loss
+	sl := s.getScenarios()
+	defer s.putScenarios(sl)
+	return s.hinge(s.scenarioOuts(sl, holes))
 }
 
 // Satisfies reports whether the hole vector satisfies every constraint
 // with the margin, and the viability check if set.
 func (s *System) Satisfies(holes []float64) bool {
-	b := s.getBatch(batchLanes)
-	defer s.putBatch(b)
-	prefs, ties := s.scenarioOuts(b, holes)
-	for i := 0; i < len(prefs); i += 2 {
-		if prefs[i]-prefs[i+1] <= s.margin {
-			return false
-		}
-	}
-	for i := range s.cts {
-		diff := ties[2*i] - ties[2*i+1]
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > s.cts[i].band {
-			return false
-		}
-	}
-	return s.viable == nil || s.viable(holes)
+	sl := s.getScenarios()
+	defer s.putScenarios(sl)
+	return s.satisfied(s.scenarioOuts(sl, holes), holes)
 }
 
 // SatisfiedMask writes the per-preference satisfaction of θ into mask
@@ -462,11 +436,11 @@ func (s *System) SatisfiedMask(holes []float64, mask []bool) []bool {
 		mask = make([]bool, len(s.cps))
 	}
 	mask = mask[:len(s.cps)]
-	b := s.getBatch(batchLanes)
-	defer s.putBatch(b)
-	prefs, _ := s.scenarioOuts(b, holes)
+	sl := s.getScenarios()
+	defer s.putScenarios(sl)
+	out := s.scenarioOuts(sl, holes)
 	for i := range mask {
-		mask[i] = prefs[2*i]-prefs[2*i+1] > s.margin
+		mask[i] = out[2*i]-out[2*i+1] > s.margin
 	}
 	return mask
 }
@@ -570,11 +544,24 @@ func (s *System) hintSatisfies(h []float64) bool {
 
 // repair runs coordinate descent on the hinge loss; see the package
 // documentation of the algorithm in solver.go. start is not retained.
+//
+// The descent holds one scenario batch throughout: one full pass at
+// the start, then each trial moves one hole and re-runs only that
+// hole's cone of the sketch body (expr.ScenarioBatch.Move), and an
+// accepted trial is committed into the kept rows. A move is
+// bit-identical to a full pass at the moved vector and the loss comes
+// from the same hinge sum as Violation, so every accept/reject
+// decision, the RNG draws and the result are exactly those of a full
+// Violation per trial. The final Satisfies is read off the committed
+// outputs.
 func (s *System) repair(start []float64, domains []interval.Interval, steps int, rng *rand.Rand) ([]float64, bool) {
+	sl := s.getScenarios()
+	defer s.putScenarios(sl)
+	sb := sl.sb
 	h := append([]float64(nil), start...)
-	loss := s.Violation(h)
+	loss := s.hinge(s.scenarioOuts(sl, h))
 	if loss == 0 {
-		return h, s.Satisfies(h)
+		return h, s.satisfied(sb.Outs(), h)
 	}
 	step := make([]float64, len(domains))
 	for i, d := range domains {
@@ -590,18 +577,17 @@ func (s *System) repair(start []float64, domains []interval.Interval, steps int,
 				if cand < domains[i].Lo || cand > domains[i].Hi {
 					continue
 				}
-				old := h[i]
-				h[i] = cand
-				if l := s.Violation(h); l < loss {
+				if l := s.hinge(sb.Move(i, cand)); l < loss {
+					sb.Commit(i, cand)
+					h[i] = cand
 					loss = l
 					improved = true
 					break
 				}
-				h[i] = old
 			}
 		}
 		if loss == 0 {
-			return h, s.Satisfies(h)
+			return h, s.satisfied(sb.Outs(), h)
 		}
 		if !improved {
 			for i := range step {
@@ -619,7 +605,7 @@ func (s *System) repair(start []float64, domains []interval.Interval, steps int,
 			}
 		}
 	}
-	return h, loss == 0 && s.Satisfies(h)
+	return h, loss == 0 && s.satisfied(sb.Outs(), h)
 }
 
 func (s *System) bestEffort(ctx context.Context, opts Options, rng *rand.Rand) (holes []float64, loss float64, satisfied []bool, err error) {

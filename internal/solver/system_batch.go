@@ -12,9 +12,11 @@ package solver
 // lane set that shrinks as constraints decide lanes (keeping the
 // early-exit economics of checking one input at a time, in
 // constraint-major form). Every box the prune engine decides goes
-// through here; a single box is a 1-lane pass. The point checks turn
-// the other way (scenarioOuts): one hole vector, the constraints'
-// sides as scenario lanes of the sketch body.
+// through here; a single box is a 1-lane pass. The point checks and
+// repair turn the other way (scenarioOuts): one hole vector, the
+// constraints' sides as scenario lanes of the sketch body, in a
+// scenario batch that keeps its rows so repair's trials re-run only
+// the moved hole's cone.
 //
 // Determinism contract, mirrored from prune.go: the lane width NEVER
 // affects results. Every lane op is the scalar op applied elementwise
@@ -57,13 +59,6 @@ type Batch struct {
 
 	iv *expr.IntervalBatch // interval lanes (constraint diffs are hole-only)
 	pt *expr.PointBatch    // point lanes
-
-	// scn holds the constraints' sides as variable lanes of the sketch
-	// body for the point checks (see scenarioOuts); scnVer is the
-	// constraint version they were loaded from. Nil until the first
-	// point check.
-	scn    *expr.PointBatch
-	scnVer uint64
 
 	mids    []float64 // lanes midpoint rows, row-major
 	corners []float64 // lanes corner rows for the floor check, row-major
@@ -115,9 +110,7 @@ func (b *Batch) Lanes() int { return b.lanes }
 // getBatch returns pooled lane scratch of the requested width,
 // allocating when the pool is empty or holds a different width. Pair
 // with putBatch; the pool only ever amortizes allocation, it never
-// changes results (the only state a Batch carries across calls is its
-// scenario lanes, stamped with the constraint version they were
-// loaded from and reloaded when the constraints change).
+// changes results (a Batch carries no state across calls).
 func (s *System) getBatch(lanes int) *Batch {
 	if b, ok := s.batchPool.Get().(*Batch); ok && b.lanes == lanes && b.dim == s.sk.NumHoles() {
 		return b
@@ -132,41 +125,104 @@ func (s *System) putBatch(b *Batch) {
 	}
 }
 
-// scenarioOuts evaluates the sketch body at one hole vector over
-// every constraint side in a single batched pass — the sides'
-// scenarios are the lanes, the holes are broadcast — and returns the
-// output column split in two: prefs holds preference i's better side
-// at 2i and its worse side at 2i+1, ties tie j's A and B sides at 2j
-// and 2j+1. Each constraint is the difference of its pair, the value
-// its fused difference program computes (specialization is bit-exact).
-// b's scenario lanes are reloaded only when the constraints have
-// changed since they were loaded. The columns alias b and are
-// overwritten by the next call. Point checks are not counted in
-// Stats.BatchedEvals, which counts constraint-program lanes.
-func (s *System) scenarioOuts(b *Batch, holes []float64) (prefs, ties []float64) {
-	np, n := 2*len(s.prefs), 2*(len(s.prefs)+len(s.ties))
-	if b.scn == nil || b.scnVer != s.scenVer {
-		if b.scn == nil || b.scn.Lanes() < n {
-			lanes := batchLanes
-			for lanes < n {
-				lanes *= 2
-			}
-			b.scn = expr.NewPointBatch(s.sk.Space().Dim(), b.dim, lanes)
+// scenarioLanes is a pooled scenario batch of the sketch body whose
+// variable lanes hold the constraints' sides: preference i's better
+// side at lane 2i and its worse side at 2i+1, tie j's A and B sides at
+// 2(P+j) and 2(P+j)+1 for P preferences. ver is the constraint version
+// they were loaded from.
+type scenarioLanes struct {
+	sb  *expr.ScenarioBatch
+	ver uint64
+}
+
+// sides returns the number of scenario lanes: two per constraint.
+func (s *System) sides() int { return 2 * (len(s.prefs) + len(s.ties)) }
+
+// getScenarios returns a pooled scenario batch loaded with the current
+// constraints, reloading its lanes only when the constraints changed
+// since they were loaded. Every call draws its own batch, so concurrent
+// point checks and repairs never share one. Pair with putScenarios.
+func (s *System) getScenarios() *scenarioLanes {
+	n := s.sides()
+	sl, _ := s.scnPool.Get().(*scenarioLanes)
+	if sl == nil || sl.sb.Lanes() < n {
+		lanes := batchLanes
+		for lanes < n {
+			lanes *= 2
 		}
-		for i, c := range s.prefs {
-			b.scn.SetVars(2*i, c.Better)
-			b.scn.SetVars(2*i+1, c.Worse)
-		}
-		for i, t := range s.ties {
-			b.scn.SetVars(np+2*i, t.A)
-			b.scn.SetVars(np+2*i+1, t.B)
-		}
-		b.scnVer = s.scenVer
+		sl = &scenarioLanes{sb: expr.NewScenarioBatch(s.sk.Program(), lanes)}
+	} else if sl.ver == s.scenVer {
+		return sl
 	}
-	b.scn.BroadcastHoles(holes, n)
-	s.sk.Program().EvalBatch(b.scn, n)
-	out := b.scn.Outs(n)
-	return out[:np], out[np:]
+	np := 2 * len(s.prefs)
+	for i, c := range s.prefs {
+		sl.sb.SetVars(2*i, c.Better)
+		sl.sb.SetVars(2*i+1, c.Worse)
+	}
+	for i, t := range s.ties {
+		sl.sb.SetVars(np+2*i, t.A)
+		sl.sb.SetVars(np+2*i+1, t.B)
+	}
+	sl.ver = s.scenVer
+	return sl
+}
+
+// putScenarios returns a scenario batch to the pool.
+func (s *System) putScenarios(sl *scenarioLanes) { s.scnPool.Put(sl) }
+
+// scenarioOuts evaluates the sketch body at one hole vector over every
+// constraint side in one full pass of sl's batch. Each constraint is
+// the difference of its pair of outputs, the value its fused difference
+// program computes (specialization is bit-exact). The column aliases
+// the batch. Point checks are not counted in Stats.BatchedEvals, which
+// counts constraint-program lanes.
+func (s *System) scenarioOuts(sl *scenarioLanes, holes []float64) []float64 {
+	return sl.sb.Eval(holes, s.sides())
+}
+
+// hinge returns the hinge loss of a scenario output column: each
+// preference's shortfall below the margin, then each tie's excess over
+// its band, summed in constraint order.
+func (s *System) hinge(out []float64) float64 {
+	np := 2 * len(s.prefs)
+	var loss float64
+	for i := 0; i < np; i += 2 {
+		if slack := s.margin - (out[i] - out[i+1]); slack > 0 {
+			loss += slack
+		}
+	}
+	for i := range s.cts {
+		diff := out[np+2*i] - out[np+2*i+1]
+		if diff < 0 {
+			diff = -diff
+		}
+		if over := diff - s.cts[i].band; over > 0 {
+			loss += over
+		}
+	}
+	return loss
+}
+
+// satisfied reports whether a scenario output column meets every
+// constraint with the margin and holes, the vector it was computed at,
+// passes the viability check if set.
+func (s *System) satisfied(out, holes []float64) bool {
+	np := 2 * len(s.prefs)
+	for i := 0; i < np; i += 2 {
+		if out[i]-out[i+1] <= s.margin {
+			return false
+		}
+	}
+	for i := range s.cts {
+		diff := out[np+2*i] - out[np+2*i+1]
+		if diff < 0 {
+			diff = -diff
+		}
+		if diff > s.cts[i].band {
+			return false
+		}
+	}
+	return s.viable == nil || s.viable(holes)
 }
 
 // pointLanes evaluates prog over the listed rows of the row-major point
