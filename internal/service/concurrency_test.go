@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -209,6 +210,65 @@ func TestManySessionsSmallPool(t *testing.T) {
 		}
 		if st := s.Status(); !st.Converged {
 			t.Errorf("session %s did not converge", s.ID)
+		}
+	}
+}
+
+// TestGetRacesDelete races Get against Delete. Delete drops the session
+// from the table and unlinks its journal; a Get that lands between the
+// two must not rebuild the session from the journal it is about to
+// lose. Once Delete returns, the session is gone for good: Get answers
+// ErrNotFound and no journal is left. Resurrected sessions would also
+// pile up until Create hits MaxSessions.
+func TestGetRacesDelete(t *testing.T) {
+	dir := t.TempDir()
+	m, err := New(testConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Abort()
+	for i := 0; i < 40; i++ {
+		s, err := m.Create(context.Background(), testSpec(int64(200+i)))
+		if err != nil {
+			t.Fatalf("create %d: %v", i, err)
+		}
+		id := s.ID
+		// Start the first synthesis step, so Delete tears down a
+		// computing session.
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		s.AwaitQuery(ctx) //nolint:errcheck // the poll is meant to time out
+		cancel()
+		stop := make(chan struct{})
+		var wg, spinning sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			spinning.Add(1)
+			go func() {
+				defer wg.Done()
+				m.Get(id) //nolint:errcheck // resident: cannot fail
+				spinning.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					m.Get(id) //nolint:errcheck // only the race matters here
+				}
+			}()
+		}
+		spinning.Wait()
+		delErr := m.Delete(id)
+		close(stop)
+		wg.Wait()
+		if delErr != nil {
+			t.Fatalf("delete %s: %v", id, delErr)
+		}
+		if _, err := m.Get(id); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get(%s) after Delete = %v, want ErrNotFound", id, err)
+		}
+		if _, err := os.Stat(journalPath(dir, id)); !os.IsNotExist(err) {
+			t.Fatalf("journal of %s survives Delete (stat err %v)", id, err)
 		}
 	}
 }

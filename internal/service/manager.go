@@ -626,6 +626,10 @@ func (m *Manager) remove(id string, propagate bool) error {
 		delete(m.sessions, id)
 		m.met.active.Set(float64(len(m.sessions)))
 	}
+	// Unlink before releasing m.mu: a Get that finds the session gone
+	// from the table would otherwise rebuild it from this journal.
+	os.Remove(flightPath(m.cfg.DataDir, id))
+	err := os.Remove(journalPath(m.cfg.DataDir, id))
 	m.mu.Unlock()
 	if s != nil {
 		s.abort()
@@ -633,9 +637,6 @@ func (m *Manager) remove(id string, propagate bool) error {
 			go m.propagateDelete(s)
 		}
 	}
-	os.Remove(flightPath(m.cfg.DataDir, id))
-	path := journalPath(m.cfg.DataDir, id)
-	err := os.Remove(path)
 	if !ok && os.IsNotExist(err) {
 		return ErrNotFound
 	}
