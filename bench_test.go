@@ -158,9 +158,11 @@ func BenchmarkAblationSolverStrategies(b *testing.B) {
 	}
 	for _, s := range strategies {
 		b.Run(s.name, func(b *testing.B) {
+			search := solver.Compile(p, nil)
 			rng := rand.New(rand.NewSource(1))
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, st, _ := solver.Compile(p, nil).FindCandidate(context.Background(), s.opts, rng); st != solver.StatusSat {
+				if _, st, _ := search.FindCandidate(context.Background(), s.opts, rng); st != solver.StatusSat {
 					b.Fatalf("status %v", st)
 				}
 			}
@@ -178,9 +180,11 @@ func BenchmarkAblationParallelWorkers(b *testing.B) {
 			opts.Samples = 2000 // force the search to work for it
 			opts.RepairRestarts = 32
 			opts.Workers = workers
+			search := solver.Compile(p, nil)
 			rng := rand.New(rand.NewSource(1))
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, st, _ := solver.Compile(p, nil).FindCandidate(context.Background(), opts, rng); st != solver.StatusSat {
+				if _, st, _ := search.FindCandidate(context.Background(), opts, rng); st != solver.StatusSat {
 					b.Fatalf("status %v", st)
 				}
 			}

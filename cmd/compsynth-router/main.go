@@ -1,6 +1,6 @@
 // Command compsynth-router fronts a fleet of compsynthd processes with
-// consistent-hash session routing, live migration, and a shared
-// learned-prune tier (see internal/fleet).
+// consistent-hash session routing, live migration, and replica
+// failover (see internal/fleet).
 //
 // Usage:
 //
@@ -8,7 +8,7 @@
 //	                 [-member name=url]... | [-member-file PATH]
 //	                 [-replicas R] [-failover-after N]
 //	                 [-health-interval D] [-migrate-timeout D]
-//	                 [-warm-interval N] [-log DEST] [-log-level LVL] [-v]
+//	                 [-log DEST] [-log-level LVL] [-v]
 //
 // Sessions created through the router are placed on a healthy member
 // by rendezvous hashing and every /v1 session route is forwarded to
@@ -26,7 +26,7 @@
 //
 // The observability endpoints (/metrics, /debug/vars, /debug/pprof/,
 // /trace) are mounted on the same listener; fleet_* metrics cover
-// proxy traffic, member health, migrations, and the learned tier.
+// proxy traffic, member health, migrations, and adoptions.
 package main
 
 import (
@@ -74,7 +74,6 @@ func main() {
 		healthInterval = flag.Duration("health-interval", time.Second, "member /readyz probe period")
 		watchInterval  = flag.Duration("watch-interval", time.Second, "member-file poll period")
 		migrateTimeout = flag.Duration("migrate-timeout", 60*time.Second, "end-to-end bound on one session migration, drain included")
-		warmInterval   = flag.Int("warm-interval", 2, "warm active sessions from the shared learned tier every N accepted answers (<0 disables)")
 		replicas       = flag.Int("replicas", 2, "journal copies per session, owner included (1 disables replication)")
 		failoverAfter  = flag.Int("failover-after", 2, "consecutive failed health probes before a member's sessions fail over (<0 disables)")
 		logDest        = flag.String("log", "stderr", "structured JSON log destination: stderr, stdout, a file path, or off")
@@ -88,13 +87,13 @@ func main() {
 	if *verbose {
 		level = "debug"
 	}
-	if err := run(*addr, members, *memberFile, *healthInterval, *watchInterval, *migrateTimeout, *warmInterval, *replicas, *failoverAfter, *logDest, level); err != nil {
+	if err := run(*addr, members, *memberFile, *healthInterval, *watchInterval, *migrateTimeout, *replicas, *failoverAfter, *logDest, level); err != nil {
 		fmt.Fprintln(os.Stderr, "compsynth-router:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, members []fleet.Member, memberFile string, healthInterval, watchInterval, migrateTimeout time.Duration, warmInterval, replicas, failoverAfter int, logDest, logLevel string) error {
+func run(addr string, members []fleet.Member, memberFile string, healthInterval, watchInterval, migrateTimeout time.Duration, replicas, failoverAfter int, logDest, logLevel string) error {
 	if len(members) == 0 && memberFile == "" {
 		return fmt.Errorf("no members: pass -member name=url or -member-file")
 	}
@@ -115,7 +114,6 @@ func run(addr string, members []fleet.Member, memberFile string, healthInterval,
 		HealthInterval: healthInterval,
 		WatchInterval:  watchInterval,
 		MigrateTimeout: migrateTimeout,
-		WarmInterval:   warmInterval,
 		Replicas:       replicas,
 		FailoverAfter:  failoverAfter,
 		Obs:            observer,

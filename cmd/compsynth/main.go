@@ -264,8 +264,8 @@ func run(o options) error {
 				case <-tick.C:
 					ps := prog.Snapshot()
 					fmt.Fprintf(os.Stderr,
-						"progress: searches=%d waves=%d depth=%d frontier=%d pruned=%d cache-hits=%d\n",
-						ps.Searches, ps.Waves, ps.Depth, ps.Frontier, ps.BoxesPruned, ps.CacheHits)
+						"progress: searches=%d waves=%d depth=%d frontier=%d pruned=%d\n",
+						ps.Searches, ps.Waves, ps.Depth, ps.Frontier, ps.BoxesPruned)
 				}
 			}
 		}()

@@ -1032,7 +1032,6 @@ func checkMetrics(base string, migrateOK, deadKills int) error {
 		"fleet_proxied_requests_total",
 		"fleet_migrations_total",
 		"fleet_adoptions_total",
-		"fleet_learned_regions",
 	}
 	for _, name := range required {
 		if !strings.Contains(text, name) {

@@ -27,8 +27,8 @@
 //     spaces, dedup stores, and random generation.
 //   - internal/sketch — sketches: an expr body plus bounded hole
 //     domains. Includes the paper's SWAN sketch and the multi-region
-//     generalization, plus per-scenario and ordered-pair
-//     specialization caches feeding the solver.
+//     generalization, plus the per-scenario and ordered-pair
+//     specializations the solver compiles its constraints into.
 //   - internal/prefgraph — the preference DAG G of the paper's §4.2:
 //     cycle detection, reachability, transitive reduction, consistency
 //     checks, DOT export.
@@ -40,10 +40,8 @@
 //     hinge-loss repair descent, and an interval branch-and-prune
 //     engine (parallel work-stealing waves with a deterministic
 //     frontier-order merge). Hosts the compiled constraint System,
-//     the context-first Search API, the distinguishing-query search,
-//     and the cross-iteration learned-prune cache (Learned) that
-//     memoizes refuted boxes as the constraint set monotonically
-//     tightens — see DESIGN.md §11 for the soundness argument.
+//     the context-first Search API and the distinguishing-query
+//     search.
 //   - internal/core — the comparative synthesizer, the paper's
 //     contribution: initial ranking, distinguishing queries,
 //     convergence detection (two consecutive UNSAT verdicts),

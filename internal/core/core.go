@@ -120,9 +120,9 @@ type Config struct {
 	// Noise selects the inconsistent-answer policy.
 	Noise NoisePolicy
 
-	// Obs optionally attaches observability: a metrics registry (solver,
-	// sketch-cache, and loop counters become scrapeable) and/or a span
-	// tracer recording per-iteration events. Nil, or an Observer with
+	// Obs optionally attaches observability: a metrics registry (solver
+	// and loop counters become scrapeable) and/or a span tracer
+	// recording per-iteration events. Nil, or an Observer with
 	// nil fields, costs nothing on the synthesis path and never touches
 	// the session's randomness — transcripts are bit-identical with and
 	// without it.
@@ -141,21 +141,13 @@ type Config struct {
 	Solver      solver.Options
 	Distinguish solver.DistinguishOptions
 
-	// DisableLearnedCache turns off the cross-iteration learned-prune
-	// cache (solver.Learned). The cache is result-invariant — transcripts
-	// are bit-identical with it on or off, pinned by
-	// TestGoldenTranscriptLearnedCacheInvariance — so the zero value
-	// (enabled) is right for every production session; the knob exists
-	// for A/B benchmarks and as a kill switch.
-	DisableLearnedCache bool
-
 	// DisablePlanner turns off the active query planner and falls back
 	// to the solver's first-found/max-gap distinguishing search — the
 	// seed behavior, pinned bit-identical by TestGoldenTranscriptPlannerOff.
-	// Unlike the learned cache, the planner intentionally changes which
-	// queries are asked (that is its job: fewer, more informative ones),
-	// so the zero value (enabled) changes transcripts relative to older
-	// versions; this kill switch preserves the old behavior exactly.
+	// The planner intentionally changes which queries are asked (that
+	// is its job: fewer, more informative ones), so the zero value
+	// (enabled) changes transcripts relative to older versions; this
+	// kill switch preserves the old behavior exactly.
 	DisablePlanner bool
 	// Planner tunes the active query planner (zero = defaults). Ignored
 	// when DisablePlanner is set.
@@ -277,24 +269,17 @@ type Synthesizer struct {
 	store *scenario.Store
 	// sys is the compiled constraint system, built incrementally as
 	// preference edges are recorded: each new edge costs one fused
-	// difference-program compile (over cached per-scenario
-	// specializations) instead of re-deriving the whole problem every
-	// iteration. sysEdges parallels its constraint order and always
-	// matches prefgraph.Edges() — the order the reference problem()
-	// materialization would produce — which keeps transcripts
-	// bit-identical to the uncompiled path.
+	// difference-program compile instead of re-deriving the whole
+	// problem every iteration. sysEdges parallels its constraint order
+	// and always matches prefgraph.Edges() — the order the reference
+	// problem() materialization would produce — which keeps
+	// transcripts bit-identical to the uncompiled path.
 	sys      *solver.System
 	sysEdges []prefgraph.Edge
 	// search is the context-first view over sys; every solver query the
 	// loop issues goes through it so RunContext's ctx reaches down to
 	// individual samples, repair restarts, and prune waves.
 	search solver.Search
-	// learned is the cross-iteration learned-prune cache (nil when
-	// disabled). It is attached to sys once at construction and survives
-	// every insertEdge/rebuildSystem cycle; invalidation on relax flows
-	// through System.RemovePref, which retires the removed constraint's
-	// key and bumps the cache epoch.
-	learned *solver.Learned
 	// hints are warm-start hole vectors carried between iterations:
 	// witnesses found in earlier rounds anchor the solver in the
 	// remaining version space, which shrinks as constraints accumulate.
@@ -383,42 +368,13 @@ func New(cfg Config) (*Synthesizer, error) {
 	if !cfg.DisablePlanner {
 		s.planner = planner.New(cfg.Planner)
 	}
-	if !cfg.DisableLearnedCache {
-		s.learned = solver.NewLearned(0)
-		s.sys.SetLearned(s.learned)
-	}
 	if reg := cfg.Obs.Reg(); reg != nil {
 		s.om = newCoreMetrics(reg)
 		s.sys.SetMetrics(solver.NewMetrics(reg, cfg.Solver.Stats))
-		solver.RegisterLearnedMetrics(reg, s.learned)
-		sketch.RegisterMetrics(reg, cfg.Sketch)
 	}
 	s.sys.SetProgress(cfg.Progress)
 	s.sys.SetLogger(cfg.Obs.Log())
 	return s, nil
-}
-
-// LearnedSummary exports the refuted regions accumulated in the
-// learned-prune cache, or nil when the cache is disabled or empty. The
-// service layer hands it to the fleet's shared learned tier and to
-// migration bundles, from which other sessions warm their caches
-// (WarmLearnedSummary).
-func (s *Synthesizer) LearnedSummary() *solver.LearnedSummary {
-	return s.sys.ExportLearned()
-}
-
-// WarmLearnedSummary seeds the learned-prune cache best-effort from a
-// summary exported by another session (the fleet's shared learned
-// tier): each region is re-proven independently against this session's
-// constraint system and only the regions that verify are installed —
-// see solver.System.WarmLearned. Unverifiable regions are simply
-// skipped, so a cross-tenant summary can only speed a session up, never
-// change its answers or poison its cache.
-func (s *Synthesizer) WarmLearnedSummary(sum *solver.LearnedSummary) (installed, skipped int) {
-	if s.learned == nil || sum == nil {
-		return 0, 0
-	}
-	return s.sys.WarmLearned(sum)
 }
 
 // Run executes the synthesis session to convergence (or the iteration
@@ -819,10 +775,8 @@ func (s *Synthesizer) insertEdge(e prefgraph.Edge) {
 }
 
 // rebuildSystem recompiles the system from the graph after a bulk
-// mutation (cycle repair, transitive reduction, transcript preload).
-// Per-scenario specializations come from the sketch's cache, so a
-// rebuild costs one fused difference compile per edge, not a full
-// re-specialization.
+// mutation (cycle repair, transitive reduction, transcript preload):
+// one fused difference compile per edge.
 func (s *Synthesizer) rebuildSystem() {
 	sp := s.tracer().Begin("system-rebuild")
 	s.sys.Reset()

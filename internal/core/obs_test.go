@@ -46,8 +46,8 @@ func TestEffortAccounting(t *testing.T) {
 	}
 }
 
-// TestObserverWiring attaches a full Observer and checks that loop,
-// solver, and sketch metrics all land in the registry, that the solver
+// TestObserverWiring attaches a full Observer and checks that loop and
+// solver metrics all land in the registry, that the solver
 // snapshot reaches the Result, and that the tracer saw the loop's span
 // vocabulary.
 func TestObserverWiring(t *testing.T) {
@@ -82,7 +82,6 @@ func TestObserverWiring(t *testing.T) {
 		"compsynth_core_edges_total",
 		"compsynth_solver_distinguish_searches_total",
 		"compsynth_solver_spec_compiles_total",
-		"compsynth_sketch_spec_cache_size",
 	}
 	num := func(v any) (float64, bool) {
 		switch x := v.(type) {

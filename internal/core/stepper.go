@@ -28,7 +28,6 @@ import (
 
 	"compsynth/internal/oracle"
 	"compsynth/internal/scenario"
-	"compsynth/internal/solver"
 )
 
 // Query is one pending preference question: "which of these two
@@ -171,52 +170,6 @@ func (st *Stepper) Preload(t *Transcript) error {
 		return errors.New("core: Preload after the session started")
 	}
 	return st.synth.Preload(t)
-}
-
-// WarmLearned seeds the learned-prune cache best-effort from another
-// session's summary (see Synthesizer.WarmLearnedSummary). It may run
-// mid-session, under the same quiescence rule as Snapshot: while the
-// session is parked on a pending round (or has not started, or has
-// finished) the run goroutine is blocked on the rendezvous channel, so
-// the constraint system is safe to touch; while it is computing
-// WarmLearned fails with ErrSessionBusy. Every
-// installed region is re-proven against the session's own constraints,
-// so warming never changes results — only how much prune work the next
-// step redoes.
-func (st *Stepper) WarmLearned(sum *solver.LearnedSummary) (installed, skipped int, err error) {
-	select {
-	case <-st.done:
-		// Finished: nothing left to speed up, and the synthesizer is
-		// quiescent. Accept as a no-op rather than erroring.
-		return 0, 0, nil
-	default:
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.started && st.batch == nil {
-		return 0, 0, ErrSessionBusy
-	}
-	installed, skipped = st.synth.WarmLearnedSummary(sum)
-	return installed, skipped, nil
-}
-
-// LearnedSummary exports the learned-prune cache under the same
-// quiescence rule as Snapshot: it fails with ErrSessionBusy while the
-// synthesis goroutine is computing, and returns nil when the cache is
-// disabled or empty. Migration bundles and the fleet's shared learned
-// tier carry it to other sessions (WarmLearned).
-func (st *Stepper) LearnedSummary() (*solver.LearnedSummary, error) {
-	select {
-	case <-st.done:
-		return st.synth.LearnedSummary(), nil
-	default:
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.started && st.batch == nil {
-		return nil, ErrSessionBusy
-	}
-	return st.synth.LearnedSummary(), nil
 }
 
 // run executes the synthesis loop; it is the only goroutine that

@@ -108,7 +108,6 @@ func (r *Router) adoptRoute(rt *route, deadName string) error {
 		rt.drained = nil
 		if winner != nil {
 			rt.owner = winner.Name
-			rt.warmGen = 0 // the new owner has none of the pushed regions
 		}
 		close(rt.unblocked)
 		rt.mu.Unlock()

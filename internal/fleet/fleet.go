@@ -5,22 +5,13 @@
 // owning daemon with the correlation headers (X-Request-Id,
 // Traceparent) preserved end-to-end, and sessions move between members
 // by live migration: drain the session's traffic at the router, export
-// its migration bundle (spec + partial transcript + learned summary)
-// from the old owner, re-create and import it on the new owner, then
-// flip the routing entry. Migration is triggered by the admin API
-// (POST /v1/admin/migrate) and automatically when a member leaves the
-// watched member file while still healthy.
-//
-// The router also maintains the fleet's shared learned tier: finished
-// sessions' learned-prune summaries are harvested and merged per
-// sketch, and active sessions are periodically warmed with the merged
-// summary (PUT /v1/sessions/{id}/learned). Warming is advisory by
-// construction — the receiving daemon re-proves every region against
-// the session's own constraints and skips the rest — so one tenant's
-// refutations can speed every replica up but can never change any
-// session's answers, which is what keeps fleet transcripts
-// bit-identical to single-process batch runs (the invariance
-// cmd/synthload asserts under chaos).
+// its migration bundle (spec + journal + partial transcript) from the
+// old owner, rebuild it on the new owner by deterministic replay of the
+// journal, then flip the routing entry. Migration is triggered by the
+// admin API (POST /v1/admin/migrate) and automatically when a member
+// leaves the watched member file while still healthy. Replay keeps
+// fleet transcripts bit-identical to single-process batch runs (the
+// invariance cmd/synthload asserts under chaos).
 //
 // Sessions are replicated for failover (DESIGN.md §16): at create time
 // the router injects a replica set — the next Replicas-1 members in
@@ -84,14 +75,7 @@ type Config struct {
 	// the old owner's session is mid-step (default 50ms; the daemon's
 	// Retry-After, when longer, wins).
 	DrainRetry time.Duration
-	// LearnedCap bounds the shared learned tier's region count per
-	// sketch (default 4096; oldest evicted first).
-	LearnedCap int
-	// WarmInterval is how often active sessions are re-warmed from the
-	// shared learned tier, counted in accepted answers: after every
-	// WarmInterval-th answer the router schedules a warm if the tier
-	// has new regions for the session's sketch (default 2; <0
-	// disables warming).
+	// WarmInterval is ignored; kept for bench/.
 	WarmInterval int
 	// RouteTTL evicts routing entries untouched for this long; the
 	// probe path rebuilds them on demand (default 1h).
@@ -132,12 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainRetry <= 0 {
 		c.DrainRetry = 50 * time.Millisecond
-	}
-	if c.LearnedCap <= 0 {
-		c.LearnedCap = 4096
-	}
-	if c.WarmInterval == 0 {
-		c.WarmInterval = 2
 	}
 	if c.RouteTTL <= 0 {
 		c.RouteTTL = time.Hour

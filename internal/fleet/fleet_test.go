@@ -27,7 +27,6 @@ import (
 	"compsynth/internal/scenario"
 	"compsynth/internal/service"
 	"compsynth/internal/sketch"
-	"compsynth/internal/solver"
 )
 
 func testSpec(seed int64) service.SessionSpec {
@@ -308,34 +307,6 @@ func TestReadMemberFile(t *testing.T) {
 	}
 }
 
-func TestLearnedStoreMergeDedupCap(t *testing.T) {
-	s := newLearnedStore(3)
-	region := func(lo float64) solver.RefutedRegion {
-		return solver.RefutedRegion{Box: [][2]float64{{lo, lo + 1}}, Index: 0}
-	}
-	added, gen := s.Merge("swan", &solver.LearnedSummary{Refuted: []solver.RefutedRegion{region(0), region(1)}})
-	if added != 2 || gen != 1 {
-		t.Fatalf("first merge: added=%d gen=%d, want 2, 1", added, gen)
-	}
-	// Duplicates (same bits) do not re-add and do not bump the generation.
-	added, gen = s.Merge("swan", &solver.LearnedSummary{Refuted: []solver.RefutedRegion{region(0)}})
-	if added != 0 || gen != 1 {
-		t.Fatalf("dup merge: added=%d gen=%d, want 0, 1", added, gen)
-	}
-	// Beyond the cap the oldest regions are evicted.
-	s.Merge("swan", &solver.LearnedSummary{Refuted: []solver.RefutedRegion{region(2), region(3)}})
-	if s.Len() != 3 {
-		t.Fatalf("len after cap overflow = %d, want 3", s.Len())
-	}
-	sum, _ := s.Summary("swan")
-	if len(sum.Refuted) != 3 || sum.Refuted[0].Box[0][0] != 1 {
-		t.Fatalf("post-eviction summary wrong: %+v", sum.Refuted)
-	}
-	if sum2, _ := s.Summary("other"); sum2 != nil {
-		t.Fatal("unknown sketch returned a summary")
-	}
-}
-
 // TestRouterGolden is the fleet acceptance core: sessions created and
 // driven entirely through the router finish with transcripts
 // bit-identical to the batch run, and correlation IDs survive the hop.
@@ -593,62 +564,6 @@ func TestRouterRestartProbe(t *testing.T) {
 	if got := fetchTranscript(t, srv2.URL, id); !bytes.Equal(got, want) {
 		t.Fatalf("transcript via restarted router differs from batch (%d vs %d bytes)", len(got), len(want))
 	}
-}
-
-// TestSharedLearnedTier covers harvest and warm: one finished session
-// seeds the tier (best-effort — refutations only arise when prune
-// proves subboxes infeasible), a synthetic region stands in for another
-// tenant's harvest so the tier is never empty, a second session on the
-// same sketch gets warm pushes, and — the invariance that makes the
-// tier safe at all — its transcript is still bit-identical to an
-// unwarmed batch run. The synthetic region has the wrong
-// dimensionality on purpose: the daemon must skip what it cannot
-// re-prove, so even a poisoned tier cannot change results.
-func TestSharedLearnedTier(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full synthesis runs are not -short friendly")
-	}
-	user := swanUser(t)
-	r, srv, _ := newFleet(t, 2, func(c *Config) { c.WarmInterval = 1 })
-
-	first := testSpec(106)
-	first.ID = "learn-seed"
-	idA := createVia(t, srv.URL, first)
-	if _, done := drive(t, srv.URL, idA, user, -1); !done {
-		t.Fatal("seed session did not finish")
-	}
-	// Give the async harvest a moment, then log what it found (often
-	// zero — the default spec rarely proves boxes infeasible).
-	time.Sleep(200 * time.Millisecond)
-	t.Logf("tier holds %d regions after harvest", r.learned.Len())
-
-	// Another tenant's harvest, faked: one region the daemon cannot
-	// verify (1-D box against the 4-hole swan sketch).
-	added, _ := r.learned.Merge("swan", &solver.LearnedSummary{
-		Refuted: []solver.RefutedRegion{{Box: [][2]float64{{0, 1}}, Index: 0}},
-	})
-	if added != 1 {
-		t.Fatalf("synthetic merge added %d regions, want 1", added)
-	}
-
-	second := testSpec(107)
-	second.ID = "learn-warmed"
-	want := batchTranscript(t, second, user)
-	idB := createVia(t, srv.URL, second)
-	if _, done := drive(t, srv.URL, idB, user, -1); !done {
-		t.Fatal("warmed session did not finish")
-	}
-	if got := fetchTranscript(t, srv.URL, idB); !bytes.Equal(got, want) {
-		t.Fatalf("warmed transcript differs from batch (%d vs %d bytes)", len(got), len(want))
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for r.met.learnedWarmed.Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no warm pushes reached the session's owner")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Logf("warm pushes delivered: %d", r.met.learnedWarmed.Value())
 }
 
 // ---------------------------------------------------------------------

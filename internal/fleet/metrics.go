@@ -22,13 +22,10 @@ type metrics struct {
 	adoptions        *obs.Counter
 	adoptionFailures *obs.Counter
 	adoptSeconds     *obs.Histogram
-
-	learnedHarvested *obs.Counter
-	learnedWarmed    *obs.Counter
 }
 
-func newMetrics(reg *obs.Registry, store *learnedStore) *metrics {
-	m := &metrics{
+func newMetrics(reg *obs.Registry) *metrics {
+	return &metrics{
 		members: reg.Gauge("fleet_members",
 			"Members currently in the routing set (departed included)."),
 		memberUnhealthy: reg.Gauge("fleet_member_unhealthy",
@@ -53,15 +50,5 @@ func newMetrics(reg *obs.Registry, store *learnedStore) *metrics {
 		adoptSeconds: reg.Histogram("fleet_adopt_seconds",
 			"End-to-end failover adoption latency per session.",
 			obs.SecondsBuckets()),
-		learnedHarvested: reg.Counter("fleet_learned_harvested_regions_total",
-			"Refuted regions merged into the shared learned tier."),
-		learnedWarmed: reg.Counter("fleet_learned_warm_pushes_total",
-			"Warm pushes (PUT learned) delivered to member sessions."),
 	}
-	if reg != nil && store != nil {
-		reg.GaugeFunc("fleet_learned_regions",
-			"Refuted regions resident in the shared learned tier.",
-			func() float64 { return float64(store.Len()) })
-	}
-	return m
 }

@@ -12,9 +12,8 @@ package fleet
 //     travels inside the bundle) and import the partial transcript —
 //     the daemon's session_id tamper check makes a misrouted import a
 //     hard 409 instead of a silently corrupted session;
-//  4. push the learned summary (advisory; the new owner re-proves every
-//     region) and delete the session, journal included, from the old
-//     owner so a later migration back is clean;
+//  4. delete the session, journal included, from the old owner so a
+//     later migration back is clean;
 //  5. flip the routing entry and reopen the gate.
 //
 // A failure before step 3's create leaves the session untouched on the
@@ -33,7 +32,6 @@ import (
 	"time"
 
 	"compsynth/internal/service"
-	"compsynth/internal/solver"
 )
 
 var (
@@ -110,7 +108,6 @@ func (r *Router) Migrate(ctx context.Context, id, target string) (from, to strin
 		rt.drained = nil
 		if success {
 			rt.owner = dst.Name
-			rt.warmGen = 0 // the new owner has none of the pushed regions
 		}
 		close(rt.unblocked)
 		rt.mu.Unlock()
@@ -142,8 +139,7 @@ func (r *Router) Migrate(ctx context.Context, id, target string) (from, to strin
 
 	// One call adopts the session on the target: the daemon rebuilds it
 	// by deterministic replay of the bundle's journal records (the
-	// bit-equal resume path) and warms its learned cache from the
-	// bundle's summary. The raw bytes pass through untouched — no
+	// bit-equal resume path). The raw bytes pass through untouched — no
 	// re-encode between export and import.
 	status, body, err := r.do(dctx, http.MethodPut, dst.URL+"/v1/sessions/"+id+"/restore", rawBundle)
 	if err != nil {
@@ -236,107 +232,9 @@ func (r *Router) drainMember(m *member) {
 	r.log.Info("fleet.drain", "member", m.Name, "sessions", len(ids), "migrated", moved)
 }
 
-// learnedPayload mirrors the daemon's GET learned response shape.
-type learnedPayload struct {
-	Sketch  string                 `json:"sketch"`
-	Learned *solver.LearnedSummary `json:"learned,omitempty"`
-}
-
-// harvestRoute pulls a finished session's learned summary into the
-// shared tier.
-func (r *Router) harvestRoute(rt *route) {
-	defer r.wg.Done()
-	lp, ok := r.fetchLearned(rt)
-	if !ok {
-		return
-	}
-	added, _ := r.learned.Merge(lp.Sketch, lp.Learned)
-	if added > 0 {
-		r.met.learnedHarvested.Add(int64(added))
-		r.log.Info("fleet.learned.harvest", "session", rt.id, "sketch", lp.Sketch, "regions", added)
-	}
-}
-
-// warmRoute pushes the shared tier's merged summary into an active
-// session (skipped when the tier hasn't changed since the last push).
-func (r *Router) warmRoute(rt *route) {
-	defer r.wg.Done()
-	defer func() {
-		rt.mu.Lock()
-		rt.warming = false
-		rt.mu.Unlock()
-	}()
-	rt.mu.Lock()
-	sketch := rt.sketch
-	rt.mu.Unlock()
-	if sketch == "" {
-		lp, ok := r.fetchLearned(rt)
-		if !ok {
-			return
-		}
-		sketch = lp.Sketch
-		rt.mu.Lock()
-		rt.sketch = sketch
-		rt.mu.Unlock()
-		// The pull is a free harvest: the session's own refutations join
-		// the tier even before it finishes.
-		if added, _ := r.learned.Merge(sketch, lp.Learned); added > 0 {
-			r.met.learnedHarvested.Add(int64(added))
-		}
-	}
-	sum, gen := r.learned.Summary(sketch)
-	rt.mu.Lock()
-	stale := sum == nil || gen == rt.warmGen
-	owner := rt.owner
-	rt.mu.Unlock()
-	if stale {
-		return
-	}
-	m := r.memberByName(owner)
-	if m == nil {
-		return
-	}
-	raw, err := json.Marshal(sum)
-	if err != nil {
-		return
-	}
-	ctx, cancel := timeoutContext(r.stop, r.cfg.HealthTimeout)
-	defer cancel()
-	status, _, err := r.do(ctx, http.MethodPut, m.URL+"/v1/sessions/"+rt.id+"/learned", raw)
-	if err != nil || status != http.StatusOK {
-		return // busy or restarting; the next interval retries
-	}
-	rt.mu.Lock()
-	rt.warmGen = gen
-	rt.mu.Unlock()
-	r.met.learnedWarmed.Inc()
-}
-
-// fetchLearned GETs a session's learned export from its owner.
-func (r *Router) fetchLearned(rt *route) (*learnedPayload, bool) {
-	rt.mu.Lock()
-	owner := rt.owner
-	rt.mu.Unlock()
-	m := r.memberByName(owner)
-	if m == nil {
-		return nil, false
-	}
-	ctx, cancel := timeoutContext(r.stop, r.cfg.HealthTimeout)
-	defer cancel()
-	status, raw, err := r.do(ctx, http.MethodGet, m.URL+"/v1/sessions/"+rt.id+"/learned", nil)
-	if err != nil || status != http.StatusOK {
-		return nil, false
-	}
-	var lp learnedPayload
-	if json.Unmarshal(raw, &lp) != nil || lp.Sketch == "" {
-		return nil, false
-	}
-	return &lp, true
-}
-
 // do is the control-plane request helper (bundle/create/import/delete
-// and learned traffic — not the proxy path, which streams the client's
-// own headers through).
+// traffic — not the proxy path, which streams the client's own headers
+// through).
 func (r *Router) do(ctx context.Context, method, url string, body []byte) (int, []byte, error) {
 	var rd io.Reader
 	if body != nil {

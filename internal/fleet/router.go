@@ -2,9 +2,8 @@ package fleet
 
 // The router proper: the routing table, the reverse proxy for the /v1
 // session API, and the admin/health surface. One routing entry per
-// session tracks the owning member, the in-flight request count (so
-// migration can drain), and the learned-tier bookkeeping (sketch name,
-// answer count, last warm generation).
+// session tracks the owning member and the in-flight request count (so
+// migration can drain).
 
 import (
 	"bytes"
@@ -44,23 +43,17 @@ type route struct {
 	unblocked chan struct{}
 	drained   chan struct{}
 
-	answers   int
-	sketch    string
-	warmGen   uint64
-	warming   bool
-	harvested bool
-	lastSeen  time.Time
+	lastSeen time.Time
 }
 
-// Router fronts the fleet: it owns the member set, the routing table,
-// and the shared learned tier.
+// Router fronts the fleet: it owns the member set and the routing
+// table.
 type Router struct {
-	cfg     Config
-	client  *http.Client
-	log     *obs.Logger
-	met     *metrics
-	learned *learnedStore
-	nonce   string
+	cfg    Config
+	client *http.Client
+	log    *obs.Logger
+	met    *metrics
+	nonce  string
 
 	mu          sync.Mutex
 	members     map[string]*member
@@ -85,7 +78,6 @@ func New(cfg Config) (*Router, error) {
 		cfg:     cfg,
 		client:  cfg.Client,
 		log:     cfg.Obs.Log(),
-		learned: newLearnedStore(cfg.LearnedCap),
 		nonce:   hex.EncodeToString(nonce),
 		members: make(map[string]*member),
 		routes:  make(map[string]*route),
@@ -94,7 +86,7 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Log != nil {
 		r.log = cfg.Log
 	}
-	r.met = newMetrics(cfg.Obs.Reg(), r.learned)
+	r.met = newMetrics(cfg.Obs.Reg())
 	initial := cfg.Members
 	if cfg.MemberFile != "" {
 		if ms, err := ReadMemberFile(cfg.MemberFile); err == nil {
@@ -507,7 +499,12 @@ func (r *Router) handleSession(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	relay(w, resp, raw)
-	r.afterProxy(rt, req.Method, verb, resp.StatusCode, raw)
+	// A deleted session's route goes with it, as does a route whose
+	// owner answers a DELETE with 404.
+	deleted := resp.StatusCode < 300 && verb == ""
+	if req.Method == http.MethodDelete && (deleted || resp.StatusCode == http.StatusNotFound) {
+		r.dropRoute(id)
+	}
 }
 
 // probeForSession asks every member for the session's status and
@@ -537,68 +534,6 @@ func (r *Router) probeForSession(ctx context.Context, id string) *member {
 		}
 	}
 	return nil
-}
-
-// afterProxy is the learned-tier hook on the response path: it counts
-// accepted answers toward the warm schedule, and harvests the session's
-// learned summary once it finishes or is deleted.
-func (r *Router) afterProxy(rt *route, method, verb string, status int, body []byte) {
-	if status >= 300 {
-		if method == http.MethodDelete && status == http.StatusNotFound {
-			r.dropRoute(rt.id)
-		}
-		return
-	}
-	switch {
-	case method == http.MethodDelete && verb == "":
-		r.dropRoute(rt.id)
-		return
-	case method == http.MethodPost && verb == "answer",
-		method == http.MethodPost && verb == "judgments",
-		method == http.MethodGet && verb == "query",
-		method == http.MethodGet && verb == "queries":
-	default:
-		return
-	}
-	var qr struct {
-		State string `json:"state"`
-		// Accepted is the batch judgments route's applied count; the
-		// single answer route always applies exactly one.
-		Accepted int `json:"accepted"`
-	}
-	if json.Unmarshal(body, &qr) != nil {
-		return
-	}
-	rt.mu.Lock()
-	applied := 0
-	if method == http.MethodPost {
-		applied = 1
-		if verb == "judgments" {
-			applied = qr.Accepted
-		}
-		rt.answers += applied
-	}
-	finished := qr.State == "done" || qr.State == "failed"
-	wantHarvest := finished && !rt.harvested
-	if wantHarvest {
-		rt.harvested = true
-	}
-	// A batch may step over the exact warm multiple, so warm whenever
-	// this POST crossed a WarmInterval boundary rather than landed on it.
-	wantWarm := !finished && r.cfg.WarmInterval > 0 && !rt.warming &&
-		applied > 0 && rt.answers/r.cfg.WarmInterval > (rt.answers-applied)/r.cfg.WarmInterval
-	if wantWarm {
-		rt.warming = true
-	}
-	rt.mu.Unlock()
-	if wantHarvest {
-		r.wg.Add(1)
-		go r.harvestRoute(rt)
-	}
-	if wantWarm {
-		r.wg.Add(1)
-		go r.warmRoute(rt)
-	}
 }
 
 func (r *Router) handleMembers(w http.ResponseWriter, req *http.Request) {

@@ -7,9 +7,8 @@
 // The paper's whole evaluation is about *effort* — oracle queries,
 // iterations, synthesis time — so effort must be measurable in a live
 // process, not only in post-hoc result structs. Every layer of the
-// stack (solver searches, sketch specialization caches, the synthesis
-// loop, experiment runs) registers instruments here when observability
-// is enabled.
+// stack (solver searches, the synthesis loop, experiment runs)
+// registers instruments here when observability is enabled.
 //
 // Design constraints, in order:
 //
@@ -187,8 +186,8 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 
 // funcMetric is a read-through instrument: the value is produced by a
 // callback at scrape time. It is how the registry exposes counters
-// that already live elsewhere as atomics (solver.Stats, the sketch
-// specialization caches) without adding a second write on hot paths.
+// that already live elsewhere as atomics (solver.Stats) without adding
+// a second write on hot paths.
 type funcMetric struct {
 	name, helpText, typ string
 	fn                  func() float64

@@ -1,9 +1,9 @@
 package service
 
 // Tests for the fleet-era API surface added alongside internal/fleet:
-// client-assigned session IDs, the migration bundle endpoint, the
-// learned export/warm endpoints, the derived Retry-After backpressure
-// header, and the transcript session_id conflict check.
+// client-assigned session IDs, the migration bundle and restore
+// endpoints, the derived Retry-After backpressure header, and the
+// transcript session_id conflict check.
 
 import (
 	"bytes"
@@ -161,12 +161,12 @@ func TestRetryAfterOn429(t *testing.T) {
 	}
 }
 
-// TestBundleFreshAndLearnedEndpoints smokes the migration-bundle and
-// learned-tier endpoints on a fresh (history-less) session: the bundle
-// carries the spec re-keyed to the session ID and no transcript, the
-// learned export is empty, and warming with an empty summary is an
-// accepted no-op.
-func TestBundleFreshAndLearnedEndpoints(t *testing.T) {
+// TestBundleFresh smokes the migration-bundle endpoint on a fresh
+// (history-less) session: the bundle carries the spec re-keyed to the
+// session ID and no transcript. The bundle, with the "learned" summary
+// older daemons added to it, then restores on a second daemon — the
+// shape a rolling upgrade migrates.
+func TestBundleFresh(t *testing.T) {
 	m, err := New(testConfig(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
@@ -181,12 +181,15 @@ func TestBundleFreshAndLearnedEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
 		t.Fatalf("bundle = %d %s", resp.StatusCode, raw)
 	}
 	var b MigrationBundle
-	if err := json.NewDecoder(resp.Body).Decode(&b); err != nil {
+	if err := json.Unmarshal(raw, &b); err != nil {
 		t.Fatal(err)
 	}
 	if b.ID != id || b.Spec.ID != id {
@@ -196,25 +199,22 @@ func TestBundleFreshAndLearnedEndpoints(t *testing.T) {
 		t.Errorf("fresh session bundle carries a transcript: %+v", b.Transcript)
 	}
 
-	resp, err = http.Get(srv.URL + "/v1/sessions/" + id + "/learned")
+	var legacy map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &legacy); err != nil {
+		t.Fatal(err)
+	}
+	legacy["learned"] = json.RawMessage(`{"refuted":[{"box":[[0,1],[0,1],[0,1],[0,1]],"index":3}]}`)
+	if raw, err = json.Marshal(legacy); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := New(testConfig(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var lr struct {
-		ID      string `json:"id"`
-		Sketch  string `json:"sketch"`
-		Regions int    `json:"regions"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
-		t.Fatal(err)
-	}
-	if lr.ID != id || lr.Sketch == "" || lr.Regions != 0 {
-		t.Errorf("learned export = %+v, want id=%s, a sketch name, 0 regions", lr, id)
-	}
-
-	req, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/sessions/"+id+"/learned",
-		strings.NewReader(`{"refuted": []}`))
+	srv2 := httptest.NewServer(Handler(m2))
+	defer srv2.Close()
+	defer m2.Abort()
+	req, err := http.NewRequest(http.MethodPut, srv2.URL+"/v1/sessions/"+id+"/restore", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +223,8 @@ func TestBundleFreshAndLearnedEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var warm struct{ Installed, Skipped int }
-	if err := json.NewDecoder(resp.Body).Decode(&warm); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || warm.Installed != 0 {
-		t.Errorf("empty warm = %d %+v, want 200 and 0 installed", resp.StatusCode, warm)
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("restore of a bundle with a legacy learned summary = %d %s, want 200", resp.StatusCode, body)
 	}
 }

@@ -83,11 +83,9 @@ func Handler(m *Manager) http.Handler {
 	mux.HandleFunc("POST /v1/sessions/{id}/judgments", m.handleJudgments)
 	mux.HandleFunc("GET /v1/sessions/{id}/progress", m.handleProgress)
 	// Fleet-era routes (v1-only, no unversioned aliases): the migration
-	// bundle and the shared-learned-tier export/warm endpoints.
+	// bundle export and import.
 	mux.HandleFunc("GET /v1/sessions/{id}/bundle", m.handleBundle)
 	mux.HandleFunc("PUT /v1/sessions/{id}/restore", m.handleRestore)
-	mux.HandleFunc("GET /v1/sessions/{id}/learned", m.handleLearnedExport)
-	mux.HandleFunc("PUT /v1/sessions/{id}/learned", m.handleLearnedWarm)
 	// The replica surface (fleet-internal; see replicahttp.go): the
 	// /v1/replica/ prefix keeps it out of the router's session proxy.
 	m.mountReplicaRoutes(mux)
@@ -521,7 +519,7 @@ func (m *Manager) handleJudgments(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBundle serves GET /v1/sessions/{id}/bundle: the live-migration
-// export (spec + partial transcript + learned summary). 409 with a
+// export (spec + journal + partial transcript). 409 with a
 // Retry-After while a step is computing; the router's drain loop
 // retries until the session parks.
 func (m *Manager) handleBundle(w http.ResponseWriter, r *http.Request) {
@@ -539,10 +537,11 @@ func (m *Manager) handleBundle(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRestore serves PUT /v1/sessions/{id}/restore: the import half
-// of live migration. The body is a MigrationBundle; only its Journal
-// (and, best-effort, Learned) are used — the session is rebuilt by
-// deterministic replay of the journal records, the one resume path
-// that reproduces single-process transcripts bit-identically.
+// of live migration. The body is a MigrationBundle; only its Journal is
+// used — the session is rebuilt by deterministic replay of the journal
+// records, the one resume path that reproduces single-process
+// transcripts bit-identically. Unknown fields are ignored, so bundles
+// from older daemons (which carried a "learned" summary) still import.
 func (m *Manager) handleRestore(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var b MigrationBundle
@@ -560,67 +559,7 @@ func (m *Manager) handleRestore(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 		return
 	}
-	if b.Learned != nil && len(b.Learned.Refuted) > 0 {
-		if installed, _, err := s.WarmLearned(b.Learned); err == nil {
-			m.met.warmInstalled.Add(int64(installed))
-		}
-	}
 	writeJSON(w, http.StatusOK, s.Status())
-}
-
-// learnedResponse is the GET /v1/sessions/{id}/learned document: the
-// summary plus the sketch identity the fleet's shared tier keys it by.
-type learnedResponse struct {
-	ID     string `json:"id"`
-	Sketch string `json:"sketch"`
-	// Holes is the hole-space dimensionality of the summary's regions
-	// (0 when the summary is empty).
-	Holes   int                    `json:"holes"`
-	Regions int                    `json:"regions"`
-	Learned *solver.LearnedSummary `json:"learned,omitempty"`
-}
-
-func (m *Manager) handleLearnedExport(w http.ResponseWriter, r *http.Request) {
-	s, ok := m.session(w, r)
-	if !ok {
-		return
-	}
-	sum, sk, holes, err := s.LearnedExport()
-	if err != nil {
-		m.writeError(w, err, "")
-		return
-	}
-	resp := learnedResponse{ID: s.ID, Sketch: sk, Holes: holes}
-	if sum != nil {
-		resp.Regions = len(sum.Refuted)
-		resp.Learned = sum
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleLearnedWarm serves PUT /v1/sessions/{id}/learned: best-effort
-// cross-session cache warming. The body is a solver.LearnedSummary;
-// every region is re-proven against this session's own constraints and
-// unverifiable regions are skipped, so the endpoint is purely advisory
-// — it can speed the session up but never change its results.
-func (m *Manager) handleLearnedWarm(w http.ResponseWriter, r *http.Request) {
-	s, ok := m.session(w, r)
-	if !ok {
-		return
-	}
-	var sum solver.LearnedSummary
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	if err := dec.Decode(&sum); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "decode learned summary: " + err.Error()})
-		return
-	}
-	installed, skipped, err := s.WarmLearned(&sum)
-	if err != nil {
-		m.writeError(w, err, "")
-		return
-	}
-	m.met.warmInstalled.Add(int64(installed))
-	writeJSON(w, http.StatusOK, map[string]int{"installed": installed, "skipped": skipped})
 }
 
 func (m *Manager) handleExport(w http.ResponseWriter, r *http.Request) {

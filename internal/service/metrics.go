@@ -21,9 +21,8 @@ type metrics struct {
 	saturated   *obs.Counter
 	stepSeconds *obs.Histogram
 
-	bundles       *obs.Counter
-	restored      *obs.Counter
-	warmInstalled *obs.Counter
+	bundles  *obs.Counter
+	restored *obs.Counter
 
 	// Replication & failover (DESIGN.md §16). replLag carries the fleet_
 	// prefix because it is the per-member half of the fleet-level HA
@@ -64,8 +63,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Migration bundles exported (GET /v1/sessions/{id}/bundle)."),
 		restored: reg.Counter("compsynthd_sessions_restored_total",
 			"Sessions adopted from migrated journals (PUT /v1/sessions/{id}/restore)."),
-		warmInstalled: reg.Counter("compsynthd_learned_warm_installed_total",
-			"Learned regions installed via cross-session warming (PUT learned)."),
 		replLag: reg.Histogram("fleet_replication_lag_seconds",
 			"Time to push a journal record to every replica (full-set acks only).",
 			obs.SecondsBuckets()),

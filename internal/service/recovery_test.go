@@ -243,10 +243,10 @@ func TestEvictThenMigrate(t *testing.T) {
 
 // parentCheckpoint is a checkpoint record as older builds wrote it at
 // eviction and shutdown: a snapshot transcript plus the learned-prune
-// summary that has since left the journal format.
+// summary that has since left the journal format (kept as raw JSON).
 type parentCheckpoint struct {
 	journalRecord
-	Learned *solver.LearnedSummary `json:"learned,omitempty"`
+	Learned json.RawMessage `json:"learned,omitempty"`
 }
 
 // appendRaw appends JSON records to a journal file.
@@ -343,9 +343,7 @@ func TestParentFormatJournals(t *testing.T) {
 	m.Abort()
 	ck := parentCheckpoint{
 		journalRecord: journalRecord{Type: recCheckpoint, Transcript: snap},
-		Learned: &solver.LearnedSummary{Refuted: []solver.RefutedRegion{{
-			Box: [][2]float64{{0, 1}, {0, 1}, {0, 1}, {0, 1}}, Index: 3,
-		}}},
+		Learned:       json.RawMessage(`{"refuted":[{"box":[[0,1],[0,1],[0,1],[0,1]],"index":3}]}`),
 	}
 	trailing, resumed, lanes := ids[0], ids[1], ids[2]
 	appendRaw(t, journalPath(dir, trailing), ck)

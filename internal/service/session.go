@@ -502,9 +502,8 @@ func (s *Session) Transcript() (*core.Transcript, error) {
 
 // MigrationBundle is the portable form of a live session: everything a
 // new owner needs to adopt it — the original spec (re-keyed to the
-// session's ID), the replayable journal of its history, a snapshot
-// transcript for inspection, and the learned summary riding along so
-// the adopted session keeps its prune work. The transcript carries the
+// session's ID), the replayable journal of its history, and a snapshot
+// transcript for inspection. The transcript carries the
 // session ID (core.Transcript.SessionID) as tamper protection, and the
 // journal's create record carries the same: the importing daemon
 // refuses history addressed to a different session.
@@ -522,8 +521,7 @@ type MigrationBundle struct {
 	// Transcript is a quiescent snapshot of the preference graph for
 	// inspection and backup tooling; nil for sessions with no committed
 	// history yet. Restore does NOT use it.
-	Transcript *core.Transcript       `json:"transcript,omitempty"`
-	Learned    *solver.LearnedSummary `json:"learned,omitempty"`
+	Transcript *core.Transcript `json:"transcript,omitempty"`
 }
 
 // Bundle exports the session for live migration. Only quiescent,
@@ -573,72 +571,8 @@ func (s *Session) Bundle() (*MigrationBundle, error) {
 		}
 		t.SessionID = s.ID
 		b.Transcript = t
-		// Best-effort: losing the summary costs the new owner speed,
-		// never correctness.
-		b.Learned, _ = s.stepper.LearnedSummary()
 	}
 	return b, nil
-}
-
-// LearnedExport returns the session's learned-prune summary together
-// with the sketch name and hole count the fleet's shared tier keys it
-// by. Finished sessions export their final summary; computing is
-// ErrBusy; sessions without live solver state (recovered-finished)
-// export nil.
-func (s *Session) LearnedExport() (sum *solver.LearnedSummary, sketchName string, holes int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.touchLocked()
-	switch s.state {
-	case StateComputing:
-		return nil, "", 0, ErrBusy
-	case StateEvicted:
-		return nil, "", 0, ErrGone
-	}
-	if s.stepper == nil {
-		return nil, s.skName, 0, nil
-	}
-	sum, err = s.stepper.LearnedSummary()
-	if errors.Is(err, core.ErrSessionBusy) {
-		return nil, "", 0, ErrBusy
-	}
-	holes = 0
-	if sum != nil && len(sum.Refuted) > 0 {
-		holes = len(sum.Refuted[0].Box)
-	}
-	return sum, s.skName, holes, err
-}
-
-// WarmLearned seeds the session's learned-prune cache best-effort from
-// a cross-session summary (the fleet's shared learned tier). Each
-// region is re-proven against this session's own constraints before
-// installation (core.Stepper.WarmLearned), so warming is purely
-// advisory: it can only skip prune work, never change results.
-// Finished sessions and sessions without live solver state accept the
-// call as a no-op; computing is ErrBusy.
-func (s *Session) WarmLearned(sum *solver.LearnedSummary) (installed, skipped int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.touchLocked()
-	switch s.state {
-	case StateComputing:
-		return 0, 0, ErrBusy
-	case StateEvicted:
-		return 0, 0, ErrGone
-	case StateDone, StateFailed:
-		return 0, 0, nil
-	}
-	if s.stepper == nil {
-		return 0, 0, nil
-	}
-	installed, skipped, err = s.stepper.WarmLearned(sum)
-	if errors.Is(err, core.ErrSessionBusy) {
-		return 0, 0, ErrBusy
-	}
-	if installed > 0 {
-		s.log.Debug("session.learned.warm", "installed", installed, "skipped", skipped)
-	}
-	return installed, skipped, err
 }
 
 // Status reports the session without touching its idle clock, so

@@ -153,10 +153,7 @@ func BatchRun(spec SessionSpec, user oracle.Oracle) (*core.Result, error) {
 	return synth.Run()
 }
 
-// config materializes a core.Config for a stepper. Each call builds a
-// fresh sketch so per-session specialization caches are not shared
-// across sessions (session isolation beats cache reuse here: a hung
-// session must not pin another session's memory).
+// config materializes a core.Config for a stepper, on a fresh sketch.
 func (sp *SessionSpec) config(obsv *obs.Observer, stats *solver.Stats) (core.Config, error) {
 	sk, err := sp.sketchFor()
 	if err != nil {

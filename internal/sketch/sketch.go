@@ -27,11 +27,6 @@ type Sketch struct {
 	space   *scenario.Space
 	holes   []string
 	domains []interval.Interval
-	spec    specCache
-	// diff caches fused difference programs by ordered scenario pair
-	// (see SpecializeDiff); entries reference spec's per-scenario
-	// programs.
-	diff specCache
 }
 
 // New builds a sketch from an expression body. Every variable of the

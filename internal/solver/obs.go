@@ -29,11 +29,6 @@ type Metrics struct {
 	// (one observation per processed box, bulked per wave). Deep tails
 	// mean the constraint surface resists interval refutation.
 	pruneDepth *obs.Histogram
-	// seededDepth distributes learned-cache box hits over frontier
-	// depth: at which depths cached facts displaced cold evaluation.
-	// Mass at shallow depths means whole early waves are replayed from
-	// the cache; empty means the cache is cold or detached.
-	seededDepth *obs.Histogram
 }
 
 // NewMetrics registers the solver instruments on the registry and, if
@@ -54,7 +49,6 @@ func NewMetrics(reg *obs.Registry, stats *Stats) *Metrics {
 		view("compsynth_solver_prune_steals_total", "work-stealing span steals in the parallel prune engine", stats.Steals.Load)
 		view("compsynth_solver_hint_hits_total", "warm-start hints that were directly feasible", stats.HintHits.Load)
 		view("compsynth_solver_spec_compiles_total", "constraint difference programs compiled", stats.SpecCompiles.Load)
-		view("compsynth_solver_spec_cache_hits_total", "constraint compilations served from the pair cache", stats.SpecCacheHits.Load)
 		view("compsynth_solver_batched_evals_total", "constraint lane evaluations through the batched SoA interpreters", stats.BatchedEvals.Load)
 	}
 	return &Metrics{
@@ -67,28 +61,7 @@ func NewMetrics(reg *obs.Registry, stats *Stats) *Metrics {
 		unknownVerdicts:     reg.Counter("compsynth_solver_unknown_total", "searches ending unknown"),
 		searchSeconds:       reg.Histogram("compsynth_solver_search_seconds", "per-search wall-clock latency", obs.SecondsBuckets()),
 		pruneDepth:          reg.Histogram("compsynth_solver_prune_depth", "branch-and-prune frontier depth per box processed", obs.ExpBuckets(1, 2, 10)),
-		seededDepth:         reg.Histogram("compsynth_solver_seeded_wave_depth", "frontier depth of boxes served from the learned-prune cache", obs.ExpBuckets(1, 2, 10)),
 	}
-}
-
-// RegisterLearnedMetrics registers read-through views over a learned
-// cache's counters, mirroring the Stats views in NewMetrics. Safe to
-// call with either argument nil.
-func RegisterLearnedMetrics(reg *obs.Registry, l *Learned) {
-	if reg == nil || l == nil {
-		return
-	}
-	view := func(name, help string, load func() int64) {
-		reg.CounterFunc(name, help, func() float64 { return float64(load()) })
-	}
-	view("compsynth_solver_learned_box_hits_total", "prune boxes served from the learned cache", l.boxHits.Load)
-	view("compsynth_solver_learned_box_misses_total", "prune boxes evaluated cold and recorded", l.boxMisses.Load)
-	view("compsynth_solver_learned_delta_refutes_total", "cached undecided boxes refuted by delta-checking newly added constraints", l.deltaRefutes.Load)
-	view("compsynth_solver_learned_point_hits_total", "hint points skipped via cached Satisfies failures", l.pointHits.Load)
-	view("compsynth_solver_learned_invalidations_total", "constraint removals that bumped the cache epoch", l.invalidations.Load)
-	reg.GaugeFunc("compsynth_solver_learned_entries", "live box entries in the learned cache", func() float64 {
-		return float64(l.Len())
-	})
 }
 
 // observePruneDepth records `boxes` processed boxes at one frontier
@@ -98,15 +71,6 @@ func (m *Metrics) observePruneDepth(depth, boxes int) {
 		return
 	}
 	m.pruneDepth.ObserveN(float64(depth), int64(boxes))
-}
-
-// observeSeededDepth records `hits` learned-cache hits at one frontier
-// depth — called once per wave when any box was served from the cache.
-func (m *Metrics) observeSeededDepth(depth int, hits int64) {
-	if m == nil {
-		return
-	}
-	m.seededDepth.ObserveN(float64(depth), hits)
 }
 
 // observe records one completed search. kind is nil when the search

@@ -113,8 +113,8 @@ func (s *System) findDistinguishPool(ctx context.Context, opts Options, dopts Di
 // per entry. The pair pool is loaded once as 2·len(x1s) scenario lanes
 // of the sketch body, and each candidate is one batched pass with its
 // holes broadcast. The pool is fresh random scenarios every call, so it
-// stays on the shared body rather than churning the specialization
-// cache. Cancellation is checked before each candidate.
+// stays on the shared body rather than compiling a specialization per
+// scenario. Cancellation is checked before each candidate.
 func scoreMatrix(ctx context.Context, sk *sketch.Sketch, cands [][]float64, x1s, x2s []scenario.Scenario) ([][]float64, error) {
 	n := len(x1s)
 	b := expr.NewPointBatch(sk.Space().Dim(), sk.NumHoles(), 2*n)
@@ -159,7 +159,7 @@ func (s *System) rawConsistentPool(ctx context.Context, k int, opts Options, rng
 			return nil, err
 		}
 		h := clampToBox(hint, domains)
-		if s.hintSatisfies(h) {
+		if s.Satisfies(h) {
 			if stats != nil {
 				stats.HintHits.Add(1)
 			}

@@ -23,7 +23,6 @@ type Progress struct {
 	depth    atomic.Int64
 	frontier atomic.Int64
 	pruned   atomic.Int64
-	hits     atomic.Int64
 }
 
 // ProgressSnapshot is a plain copy of the progress gauges at one
@@ -40,8 +39,6 @@ type ProgressSnapshot struct {
 	Frontier int64 `json:"frontier"`
 	// BoxesPruned counts boxes refuted by interval bounds.
 	BoxesPruned int64 `json:"boxes_pruned"`
-	// CacheHits counts learned-cache box hits.
-	CacheHits int64 `json:"cache_hits"`
 }
 
 // Snapshot copies the current gauge values. Nil-safe.
@@ -55,7 +52,6 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 		Depth:       p.depth.Load(),
 		Frontier:    p.frontier.Load(),
 		BoxesPruned: p.pruned.Load(),
-		CacheHits:   p.hits.Load(),
 	}
 }
 
@@ -92,7 +88,7 @@ func (s *System) startSearch(boxes int) {
 // Called once per wave, off the per-box hot path; with neither surface
 // attached it must cost nothing — pinned by
 // TestEmitWaveDisabledZeroAlloc.
-func (s *System) emitWave(depth, boxes, pruned int, cacheHits int64) {
+func (s *System) emitWave(depth, boxes, pruned int) {
 	if p := s.progress; p != nil {
 		p.waves.Add(1)
 		p.depth.Store(int64(depth))
@@ -100,15 +96,11 @@ func (s *System) emitWave(depth, boxes, pruned int, cacheHits int64) {
 		if pruned > 0 {
 			p.pruned.Add(int64(pruned))
 		}
-		if cacheHits > 0 {
-			p.hits.Add(cacheHits)
-		}
 	}
 	if l := s.log; l != nil {
 		l.Event(slog.LevelDebug, "solver.prune.wave",
 			obs.Num("depth", float64(depth)),
 			obs.Num("boxes", float64(boxes)),
-			obs.Num("pruned", float64(pruned)),
-			obs.Num("cache_hits", float64(cacheHits)))
+			obs.Num("pruned", float64(pruned)))
 	}
 }

@@ -19,7 +19,7 @@ import (
 func TestEmitWaveDisabledZeroAlloc(t *testing.T) {
 	sys := NewSystem(sketch.SWAN(), 0, nil, nil)
 	if a := testing.AllocsPerRun(200, func() {
-		sys.emitWave(3, 128, 64, 2)
+		sys.emitWave(3, 128, 64)
 	}); a != 0 {
 		t.Fatalf("emitWave with no sinks: %v allocs/op, want 0", a)
 	}
@@ -27,7 +27,7 @@ func TestEmitWaveDisabledZeroAlloc(t *testing.T) {
 	// Progress alone is pure atomics — still zero.
 	sys.SetProgress(&Progress{})
 	if a := testing.AllocsPerRun(200, func() {
-		sys.emitWave(3, 128, 64, 2)
+		sys.emitWave(3, 128, 64)
 	}); a != 0 {
 		t.Fatalf("emitWave with Progress attached: %v allocs/op, want 0", a)
 	}
@@ -37,7 +37,7 @@ func TestEmitWaveDisabledZeroAlloc(t *testing.T) {
 	sys.SetProgress(nil)
 	sys.SetLogger(nil)
 	if a := testing.AllocsPerRun(200, func() {
-		sys.emitWave(5, 64, 32, 0)
+		sys.emitWave(5, 64, 32)
 	}); a != 0 {
 		t.Fatalf("emitWave with nil logger: %v allocs/op, want 0", a)
 	}

@@ -10,20 +10,12 @@ package solver
 // The engine achieves that with a wave (frontier-at-a-time) traversal:
 //
 //   - The frontier is the ordered list of surviving boxes at one
-//     depth. Every frontier box still originates from the root split
-//     tree — the learned-prune cache (learned.go) seeds waves by
-//     *skipping evaluation work* for boxes whose outcome is already
-//     proven, never by changing which boxes a wave contains, so
-//     frontier composition and budget accounting are bit-identical
-//     with the cache on or off.
+//     depth, all originating from the root split tree.
 //   - Evaluating one box is a deterministic function of the box and
 //     the constraint set (interval evaluation of compiled constraint
 //     programs, a midpoint check, a corner check at the resolution
-//     floor — no RNG). With a learned cache attached the evaluation
-//     also consults shared memoized facts, but those facts are
-//     themselves deterministic consequences of (box, constraints), so
-//     boxes of a wave can still be evaluated in any order, by any
-//     worker, into a slot-addressed results array.
+//     floor — no RNG), so boxes of a wave can be evaluated in any
+//     order, by any worker, into a slot-addressed results array.
 //   - Work within a wave is distributed through per-worker deques of
 //     index spans: owners pop LIFO from the tail, idle workers steal
 //     FIFO from the head of the next deque over. Stealing reshuffles
@@ -164,10 +156,6 @@ func (s *System) branchAndPrune(ctx context.Context, domains []interval.Interval
 			results = make([]pruneResult, n)
 		}
 		results = results[:n]
-		var waveHits0 int64
-		if s.learned != nil && (s.metrics != nil || s.progress != nil || s.log != nil) {
-			waveHits0 = s.learned.boxHits.Load()
-		}
 		if err := s.pruneWave(ctx, frontier[:n], results, minWidths, workers, batches, stats); err != nil {
 			return nil, StatusUnknown, err
 		}
@@ -189,20 +177,8 @@ func (s *System) branchAndPrune(ctx context.Context, domains []interval.Interval
 		if stats != nil && pruned > 0 {
 			stats.BoxesPruned.Add(int64(pruned))
 		}
-		var waveHits int64
-		if s.learned != nil && (s.metrics != nil || s.progress != nil || s.log != nil) {
-			waveHits = s.learned.boxHits.Load() - waveHits0
-		}
-		if s.metrics != nil {
-			s.metrics.observePruneDepth(depth, n)
-			// A "seeded" wave is one where cached facts displaced cold
-			// evaluations; the histogram records at which depths the
-			// cache is earning its keep.
-			if s.learned != nil && waveHits > 0 {
-				s.metrics.observeSeededDepth(depth, waveHits)
-			}
-		}
-		s.emitWave(depth, n, pruned, waveHits)
+		s.metrics.observePruneDepth(depth, n)
+		s.emitWave(depth, n, pruned)
 		if witness >= 0 {
 			return results[witness].witness, StatusSat, nil
 		}
@@ -300,9 +276,7 @@ func (s *System) pruneWave(ctx context.Context, wave [][]interval.Interval, resu
 // widest dimension relative to its resolution floor, or at the floor
 // point-check the corners (cornerWitnessBatch, one sweep pass per
 // lane-width chunk of corners) and drop the box (δ-unsat convention).
-// cornerUnsat short-circuits the corner check with a cached "every
-// corner fails Satisfies" fact.
-func (s *System) splitOrFloor(box []interval.Interval, minWidths []float64, cornerUnsat bool, b *Batch, stats *Stats) pruneResult {
+func (s *System) splitOrFloor(box []interval.Interval, minWidths []float64, b *Batch, stats *Stats) pruneResult {
 	widest, ratio := -1, 1.0
 	for i, iv := range box {
 		if r := iv.Width() / minWidths[i]; r > ratio {
@@ -310,16 +284,10 @@ func (s *System) splitOrFloor(box []interval.Interval, minWidths []float64, corn
 		}
 	}
 	if widest < 0 {
-		if cornerUnsat {
-			return pruneResult{kind: pruneFloor}
-		}
 		// At the resolution floor and still undecided: point-check the
 		// corners.
 		if w := s.cornerWitnessBatch(b, box, stats); w != nil {
 			return pruneResult{kind: pruneWitness, witness: w}
-		}
-		if s.learned != nil {
-			s.learned.storeBox(hashBox(box), box, "", true)
 		}
 		return pruneResult{kind: pruneFloor}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -255,8 +256,113 @@ func evalSpans(sys *System, wave [][]interval.Interval, lanes int, minWidths []f
 	return results
 }
 
+// samePoint reports whether two hole vectors are bitwise identical.
+func samePoint(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameBox reports whether two boxes have bitwise identical bounds.
+func sameBox(a, b []interval.Interval) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i].Lo) != math.Float64bits(b[i].Lo) ||
+			math.Float64bits(a[i].Hi) != math.Float64bits(b[i].Hi) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestEvalPruneSpanWidthInvariance is the prune path's lane-width
+// invariance test: 150 random boxes, from root-sized to below the
+// resolution floor, are decided in spans of 1, 3, 16 and 64 lanes, and
+// every width must reproduce one-box spans bit for bit — across an
+// empty, growing, tied, shrinking and rebuilt constraint set.
+func TestEvalPruneSpanWidthInvariance(t *testing.T) {
+	p, _ := swanProblem(t, 12, 7)
+	sk := p.Sketch
+	domains := sk.Domains()
+	minWidths := make([]float64, len(domains))
+	for i, d := range domains {
+		minWidths[i] = math.Max(d.Width()/64, 1e-12)
+	}
+	sys := NewSystem(sk, 1e-9, nil, nil)
+
+	rng := rand.New(rand.NewSource(41))
+	randBox := func(scale float64) []interval.Interval {
+		box := make([]interval.Interval, len(domains))
+		for i, d := range domains {
+			w := d.Width() * scale * rng.Float64()
+			lo := d.Lo + rng.Float64()*(d.Width()-w)
+			box[i] = interval.New(lo, lo+w)
+		}
+		return box
+	}
+	var boxes [][]interval.Interval
+	for i := 0; i < 60; i++ {
+		boxes = append(boxes, randBox(1.0)) // large: mostly splits
+	}
+	for i := 0; i < 60; i++ {
+		boxes = append(boxes, randBox(0.05)) // small: refutations/witnesses
+	}
+	for i := 0; i < 30; i++ {
+		boxes = append(boxes, randBox(0.005)) // sub-floor: corner checks
+	}
+
+	check := func(stage string) {
+		t.Helper()
+		ref := evalSpans(sys, boxes, 1, minWidths)
+		for _, lanes := range []int{1, 3, 16, 64} {
+			got := evalSpans(sys, boxes, lanes, minWidths)
+			for bi := range boxes {
+				want, got := ref[bi], got[bi]
+				ctx := fmt.Sprintf("%s: lanes %d box %d", stage, lanes, bi)
+				if want.kind != got.kind {
+					t.Fatalf("%s: kind = %d, want %d", ctx, got.kind, want.kind)
+				}
+				if !samePoint(want.witness, got.witness) {
+					t.Fatalf("%s: witness = %v, want %v", ctx, got.witness, want.witness)
+				}
+				if !sameBox(want.left, got.left) || !sameBox(want.right, got.right) {
+					t.Fatalf("%s: split children = %v | %v, want %v | %v",
+						ctx, got.left, got.right, want.left, want.right)
+				}
+			}
+		}
+	}
+
+	check("empty")
+	for i, c := range p.Prefs {
+		sys.AddPref(c)
+		if i%4 == 3 {
+			check("grow")
+		}
+	}
+	sys.AddTie(Tie{A: scenario.Scenario{4, 40}, B: scenario.Scenario{6, 30}, Band: 0.5})
+	check("tie")
+	for i := 0; i < 4; i++ {
+		sys.RemovePref(len(p.Prefs) - 1 - i)
+	}
+	check("shrink")
+	sys.Reset()
+	for _, c := range p.Prefs[:6] {
+		sys.AddPref(c)
+	}
+	check("rebuild")
+}
+
 // TestPruneColdLanesSurvivorAliasing pins the survivor-scratch copy in
-// pruneColdLanes. A floor-level lane ordered ahead of a midpoint
+// evalPruneSpan. A floor-level lane ordered ahead of a midpoint
 // witness in the same span re-enters sweepSurvivors via splitOrFloor →
 // cornerWitnessBatch, which rewrites b.act — the backing array of the
 // midpoint-sweep survivor list. Without copying that list first, the
@@ -308,7 +414,7 @@ func TestPruneColdLanesSurvivorAliasing(t *testing.T) {
 // scalar engine (BatchLanes=1) before it was deleted, must hold for
 // every PruneWorkers value. Lane-width invariance itself is tested one
 // level down, through NewBatch(1|3|16|64), by
-// TestEvalPruneSpanCacheParity and TestBatchLanesSamplingInvariance.
+// TestEvalPruneSpanWidthInvariance and TestBatchLanesSamplingInvariance.
 func TestBatchLanesInvariance(t *testing.T) {
 	sat, _ := swanProblem(t, 20, 31)
 	cases := []struct {
@@ -382,7 +488,7 @@ func TestBatchLanesSamplingInvariance(t *testing.T) {
 		if len(base.yielded) == 0 {
 			t.Fatalf("stopAfter=%d: no satisfying samples; the walk exercised nothing", stopAfter)
 		}
-		for _, lanes := range []int{3, 16, 64} {
+		for _, lanes := range []int{1, 3, 16, 64} {
 			got := run(lanes, stopAfter)
 			if got.stopped != base.stopped || got.samples != base.samples || got.next != base.next {
 				t.Errorf("lanes=%d stopAfter=%d: (stopped, samples, rng) = (%v, %d, %d), want (%v, %d, %d)",

@@ -39,8 +39,9 @@ type Search struct {
 func NewSearch(sys *System) Search { return Search{sys: sys} }
 
 // Compile lowers a Problem and returns its Search — the one-shot
-// entry point. Specializations are served from the sketch's cache, so
-// repeated compiles of overlapping problems stay cheap.
+// entry point. It compiles one difference program per constraint, so
+// callers that solve a growing problem repeatedly hold one System
+// instead (NewSearch).
 func Compile(p Problem, stats *Stats) Search {
 	return Search{sys: compileSystem(p, stats)}
 }

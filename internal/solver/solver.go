@@ -176,14 +176,9 @@ type Stats struct {
 	Steals atomic.Int64
 	// HintHits counts warm-start hints that were directly feasible.
 	HintHits atomic.Int64
-	// SpecCompiles counts constraint difference programs compiled into
-	// the sketch's pair cache (one per distinct ordered scenario pair
-	// per sketch; each miss also specializes its two scenarios unless
-	// they are already cached).
+	// SpecCompiles counts constraint difference programs compiled (one
+	// per constraint added to a System).
 	SpecCompiles atomic.Int64
-	// SpecCacheHits counts constraint compilations served from the
-	// pair cache.
-	SpecCacheHits atomic.Int64
 	// BatchedEvals counts constraint-program lane evaluations executed
 	// through the structure-of-arrays batch interpreters (one count per
 	// lane per tape pass); the point checks and score matrices, which
@@ -205,15 +200,16 @@ func (s *Stats) String() string {
 // the live atomics, which is how callers attribute effort to phases of
 // a session (e.g. initial ranking vs the query loop).
 type StatsSnapshot struct {
-	Samples       int64
-	Repairs       int64
-	Boxes         int64
-	BoxesPruned   int64
-	Steals        int64
-	HintHits      int64
-	SpecCompiles  int64
+	Samples      int64
+	Repairs      int64
+	Boxes        int64
+	BoxesPruned  int64
+	Steals       int64
+	HintHits     int64
+	SpecCompiles int64
+	BatchedEvals int64
+	// SpecCacheHits is always 0; kept for bench/.
 	SpecCacheHits int64
-	BatchedEvals  int64
 	// ScalarEvals is always 0; kept for bench/.
 	ScalarEvals int64
 }
@@ -223,15 +219,14 @@ type StatsSnapshot struct {
 // counters, which is fine for effort accounting (counters only grow).
 func (s *Stats) Snapshot() StatsSnapshot {
 	return StatsSnapshot{
-		Samples:       s.Samples.Load(),
-		Repairs:       s.Repairs.Load(),
-		Boxes:         s.Boxes.Load(),
-		BoxesPruned:   s.BoxesPruned.Load(),
-		Steals:        s.Steals.Load(),
-		HintHits:      s.HintHits.Load(),
-		SpecCompiles:  s.SpecCompiles.Load(),
-		SpecCacheHits: s.SpecCacheHits.Load(),
-		BatchedEvals:  s.BatchedEvals.Load(),
+		Samples:      s.Samples.Load(),
+		Repairs:      s.Repairs.Load(),
+		Boxes:        s.Boxes.Load(),
+		BoxesPruned:  s.BoxesPruned.Load(),
+		Steals:       s.Steals.Load(),
+		HintHits:     s.HintHits.Load(),
+		SpecCompiles: s.SpecCompiles.Load(),
+		BatchedEvals: s.BatchedEvals.Load(),
 	}
 }
 
@@ -244,7 +239,6 @@ func (s *Stats) Reset() {
 	s.Steals.Store(0)
 	s.HintHits.Store(0)
 	s.SpecCompiles.Store(0)
-	s.SpecCacheHits.Store(0)
 	s.BatchedEvals.Store(0)
 }
 
@@ -252,22 +246,21 @@ func (s *Stats) Reset() {
 // between two snapshots of the same Stats.
 func (a StatsSnapshot) Sub(b StatsSnapshot) StatsSnapshot {
 	return StatsSnapshot{
-		Samples:       a.Samples - b.Samples,
-		Repairs:       a.Repairs - b.Repairs,
-		Boxes:         a.Boxes - b.Boxes,
-		BoxesPruned:   a.BoxesPruned - b.BoxesPruned,
-		Steals:        a.Steals - b.Steals,
-		HintHits:      a.HintHits - b.HintHits,
-		SpecCompiles:  a.SpecCompiles - b.SpecCompiles,
-		SpecCacheHits: a.SpecCacheHits - b.SpecCacheHits,
-		BatchedEvals:  a.BatchedEvals - b.BatchedEvals,
+		Samples:      a.Samples - b.Samples,
+		Repairs:      a.Repairs - b.Repairs,
+		Boxes:        a.Boxes - b.Boxes,
+		BoxesPruned:  a.BoxesPruned - b.BoxesPruned,
+		Steals:       a.Steals - b.Steals,
+		HintHits:     a.HintHits - b.HintHits,
+		SpecCompiles: a.SpecCompiles - b.SpecCompiles,
+		BatchedEvals: a.BatchedEvals - b.BatchedEvals,
 	}
 }
 
 // String renders the snapshot in the Stats.String format.
 func (s StatsSnapshot) String() string {
-	return fmt.Sprintf("samples=%d repairs=%d boxes=%d pruned=%d steals=%d hint-hits=%d spec-compiles=%d spec-hits=%d batch-evals=%d",
-		s.Samples, s.Repairs, s.Boxes, s.BoxesPruned, s.Steals, s.HintHits, s.SpecCompiles, s.SpecCacheHits, s.BatchedEvals)
+	return fmt.Sprintf("samples=%d repairs=%d boxes=%d pruned=%d steals=%d hint-hits=%d spec-compiles=%d batch-evals=%d",
+		s.Samples, s.Repairs, s.Boxes, s.BoxesPruned, s.Steals, s.HintHits, s.SpecCompiles, s.BatchedEvals)
 }
 
 // DefaultOptions returns the tuning used by the synthesizer.

@@ -24,16 +24,16 @@ import (
 //     output column; repair keeps those lanes' rows across its descent
 //     and re-runs only the moved hole's cone per trial;
 //   - one fused hole-only difference program per constraint
-//     (sketch.SpecializeDiff), so the sampling sweeps, prune waves,
-//     floor corners, and learned-cache checks run each constraint over
-//     lanes of hole vectors or boxes.
+//     (sketch.SpecializeDiff), so the sampling sweeps, prune waves and
+//     floor corners run each constraint over lanes of hole vectors or
+//     boxes.
 //
 // A System is built once and mutated incrementally as preference edges
 // are recorded (AddPref/InsertPref/RemovePref/AddTie), so the per-
-// iteration cost of the synthesis loop is one specialization pair per
-// new edge instead of a full problem rebuild. Mutation is not
-// goroutine-safe; the point checks and the search methods only read and
-// may be called concurrently (and with Workers > 1).
+// iteration cost of the synthesis loop is one difference-program
+// compile per new edge instead of a full problem rebuild. Mutation is
+// not goroutine-safe; the point checks and the search methods only
+// read and may be called concurrently (and with Workers > 1).
 type System struct {
 	sk     *sketch.Sketch
 	margin float64
@@ -43,11 +43,6 @@ type System struct {
 	// (see SetMetrics). Nil means zero instrumentation cost: the
 	// wrappers skip even the clock reads.
 	metrics *Metrics
-	// learned, when non-nil, is the cross-search learned-prune cache
-	// (see SetLearned and learned.go). Every constraint mutation is
-	// reported to it so cached facts are invalidated exactly when the
-	// constraints supporting them go away.
-	learned *Learned
 	// progress, when non-nil, receives per-wave live-introspection
 	// stores (see SetProgress and progress.go); log, when non-nil,
 	// receives wave-level debug events. Both are updated once per wave,
@@ -83,12 +78,6 @@ type System struct {
 // semantics).
 type compiledPref struct {
 	diff *expr.Program
-	// key and addVersion identify the constraint to the learned-prune
-	// cache: key is the content identity (exact scenario float bits),
-	// addVersion the cache's monotone addition counter. Both are zero
-	// when no cache is attached.
-	key        string
-	addVersion uint64
 }
 
 // compiledTie is an indifference constraint lowered the same way:
@@ -96,22 +85,18 @@ type compiledPref struct {
 type compiledTie struct {
 	diff *expr.Program
 	band float64
-	// key and addVersion: see compiledPref.
-	key        string
-	addVersion uint64
 }
 
 // NewSystem returns an empty compiled system over the sketch's hole
 // box. margin and viable have Problem.Margin/Problem.Viable semantics.
-// stats, when non-nil, accumulates specialization counters (and is also
+// stats, when non-nil, counts difference-program compiles (and is also
 // the default Stats sink for searches run through the system).
 func NewSystem(sk *sketch.Sketch, margin float64, viable func(holes []float64) bool, stats *Stats) *System {
 	return &System{sk: sk, margin: margin, viable: viable, stats: stats}
 }
 
-// compileSystem lowers a Problem. Specializations hit the sketch's
-// cache after the first compile of each distinct scenario, so repeated
-// solver calls over a growing problem stay cheap.
+// compileSystem lowers a Problem, compiling one difference program per
+// constraint.
 func compileSystem(p Problem, stats *Stats) *System {
 	s := NewSystem(p.Sketch, p.Margin, p.Viable, stats)
 	s.prefs = make([]Pref, 0, len(p.Prefs))
@@ -127,19 +112,13 @@ func compileSystem(p Problem, stats *Stats) *System {
 	return s
 }
 
-// compileDiff obtains the fused difference program f(a) - f(b) for a
-// constraint, served from the sketch's pair cache (which in turn builds
-// on the per-scenario specialization cache), with counter accounting.
+// compileDiff compiles the fused difference program f(a) - f(b) for a
+// constraint and counts the compile.
 func (s *System) compileDiff(a, b []float64) *expr.Program {
-	prog, hit := s.sk.SpecializeDiff(a, b)
 	if s.stats != nil {
-		if hit {
-			s.stats.SpecCacheHits.Add(1)
-		} else {
-			s.stats.SpecCompiles.Add(1)
-		}
+		s.stats.SpecCompiles.Add(1)
 	}
-	return prog
+	return s.sk.SpecializeDiff(a, b)
 }
 
 // SetMetrics attaches registry-backed instruments (obtained from
@@ -147,52 +126,6 @@ func (s *System) compileDiff(a, b []float64) *expr.Program {
 // Like constraint mutation, SetMetrics is not goroutine-safe with
 // concurrent searches.
 func (s *System) SetMetrics(m *Metrics) { s.metrics = m }
-
-// SetLearned attaches a learned-prune cache. Constraints already in the
-// system are registered with it, so attaching to a non-empty system is
-// safe; detaching (nil) leaves the cache's bookkeeping consistent for a
-// later re-attach. Like constraint mutation, SetLearned is not
-// goroutine-safe with concurrent searches.
-//
-// One cache must serve one constraint stream: attach a Learned to a
-// single System for its lifetime (the synthesizer holds exactly one of
-// each per session).
-func (s *System) SetLearned(l *Learned) {
-	if s.learned == l {
-		return
-	}
-	if s.learned != nil {
-		// Retire this system's constraints from the old cache so its
-		// presence counts do not leak.
-		for i := range s.cps {
-			s.learned.constraintRemoved(s.cps[i].key)
-		}
-		for i := range s.cts {
-			s.learned.constraintRemoved(s.cts[i].key)
-		}
-	}
-	s.learned = l
-	if l == nil {
-		for i := range s.cps {
-			s.cps[i].key, s.cps[i].addVersion = "", 0
-		}
-		for i := range s.cts {
-			s.cts[i].key, s.cts[i].addVersion = "", 0
-		}
-		return
-	}
-	for i := range s.cps {
-		s.cps[i].key = prefKey(s.prefs[i])
-		s.cps[i].addVersion = l.constraintAdded(s.cps[i].key)
-	}
-	for i := range s.cts {
-		s.cts[i].key = tieKey(s.ties[i])
-		s.cts[i].addVersion = l.constraintAdded(s.cts[i].key)
-	}
-}
-
-// Learned returns the attached learned-prune cache (nil if none).
-func (s *System) Learned() *Learned { return s.learned }
 
 // Sketch returns the sketch the system is compiled against.
 func (s *System) Sketch() *sketch.Sketch { return s.sk }
@@ -215,19 +148,8 @@ func (s *System) Ties() []Tie { return append([]Tie(nil), s.ties...) }
 // AddPref appends a preference constraint.
 func (s *System) AddPref(c Pref) {
 	s.prefs = append(s.prefs, c)
-	s.cps = append(s.cps, s.compilePref(c))
+	s.cps = append(s.cps, compiledPref{diff: s.compileDiff(c.Better, c.Worse)})
 	s.scenVer++
-}
-
-// compilePref lowers one preference constraint, registering it with the
-// learned cache when one is attached.
-func (s *System) compilePref(c Pref) compiledPref {
-	cp := compiledPref{diff: s.compileDiff(c.Better, c.Worse)}
-	if s.learned != nil {
-		cp.key = prefKey(c)
-		cp.addVersion = s.learned.constraintAdded(cp.key)
-	}
-	return cp
 }
 
 // InsertPref inserts a preference constraint at index i. Constraint
@@ -240,19 +162,12 @@ func (s *System) InsertPref(i int, c Pref) {
 	s.prefs[i] = c
 	s.cps = append(s.cps, compiledPref{})
 	copy(s.cps[i+1:], s.cps[i:])
-	s.cps[i] = s.compilePref(c)
+	s.cps[i] = compiledPref{diff: s.compileDiff(c.Better, c.Worse)}
 	s.scenVer++
 }
 
-// RemovePref removes the preference constraint at index i. With a
-// learned cache attached this bumps the cache's removal epoch: cached
-// point-level facts are no longer monotone once the constraint set can
-// shrink, and refutations proved by this constraint die with its last
-// instance.
+// RemovePref removes the preference constraint at index i.
 func (s *System) RemovePref(i int) {
-	if s.learned != nil {
-		s.learned.constraintRemoved(s.cps[i].key)
-	}
 	s.prefs = append(s.prefs[:i], s.prefs[i+1:]...)
 	s.cps = append(s.cps[:i], s.cps[i+1:]...)
 	s.scenVer++
@@ -260,155 +175,16 @@ func (s *System) RemovePref(i int) {
 
 // AddTie appends an indifference constraint.
 func (s *System) AddTie(t Tie) {
-	ct := compiledTie{diff: s.compileDiff(t.A, t.B), band: t.Band}
-	if s.learned != nil {
-		ct.key = tieKey(t)
-		ct.addVersion = s.learned.constraintAdded(ct.key)
-	}
 	s.ties = append(s.ties, t)
-	s.cts = append(s.cts, ct)
+	s.cts = append(s.cts, compiledTie{diff: s.compileDiff(t.A, t.B), band: t.Band})
 	s.scenVer++
 }
 
-// Reset drops all constraints, keeping the sketch and its
-// specialization cache. A rebuild (Reset + re-adding the same
-// constraints) keeps the learned cache's refutations alive: each re-add
-// restores its key's presence count, so refuted boxes stay valid, while
-// point-level facts lapse with the epoch bump — exactly the
-// conservative direction.
+// Reset drops all constraints, keeping the sketch.
 func (s *System) Reset() {
-	if s.learned != nil {
-		for i := range s.cps {
-			s.learned.constraintRemoved(s.cps[i].key)
-		}
-		for i := range s.cts {
-			s.learned.constraintRemoved(s.cts[i].key)
-		}
-	}
 	s.prefs, s.cps = s.prefs[:0], s.cps[:0]
 	s.ties, s.cts = s.ties[:0], s.cts[:0]
 	s.scenVer++
-}
-
-// ExportLearned serializes the attached learned cache's refuted boxes,
-// naming each refuting constraint by its current index in this system's
-// constraint order. Returns nil when no cache is attached or nothing is
-// cached. Call only while the constraint set is quiescent (same rule as
-// mutation).
-func (s *System) ExportLearned() *LearnedSummary {
-	if s.learned == nil {
-		return nil
-	}
-	prefIdx := make(map[string]int, len(s.cps))
-	for i := len(s.cps) - 1; i >= 0; i-- {
-		prefIdx[s.cps[i].key] = i // first instance wins
-	}
-	tieIdx := make(map[string]int, len(s.cts))
-	for i := len(s.cts) - 1; i >= 0; i-- {
-		tieIdx[s.cts[i].key] = i
-	}
-	var sum LearnedSummary
-	s.learned.forEachRefuted(func(box []interval.Interval, refuter string) {
-		r := RefutedRegion{Box: make([][2]float64, len(box))}
-		for i, iv := range box {
-			r.Box[i] = [2]float64{iv.Lo, iv.Hi}
-		}
-		if i, ok := prefIdx[refuter]; ok {
-			r.Index = i
-		} else if i, ok := tieIdx[refuter]; ok {
-			r.Tie, r.Index = true, i
-		} else {
-			return // constraint no longer in this system; drop the entry
-		}
-		sum.Refuted = append(sum.Refuted, r)
-	})
-	if len(sum.Refuted) == 0 {
-		return nil
-	}
-	return &sum
-}
-
-// WarmLearned installs a summary exported by another session (the
-// fleet's shared learned tier) into the attached cache. It re-proves
-// each region independently and installs only the ones that check out,
-// skipping the rest. A region first tries the constraint index the
-// exporter named (cheap, and exact for same-history summaries); when
-// that fails — cross-session summaries index a different constraint
-// order — every constraint is scanned for one that refutes the box.
-// Every installed fact is therefore proven against *this* system, so
-// warming can never change results, only skip work the prune engine
-// would have redone. The proofs run through the system's pooled batch
-// scratch, as the prune engine's do. Returns how many regions were
-// installed and how many were skipped.
-func (s *System) WarmLearned(sum *LearnedSummary) (installed, skipped int) {
-	if sum == nil || s.learned == nil {
-		return 0, 0
-	}
-	dim := len(s.sk.Domains())
-	b := s.getBatch(batchLanes)
-	defer s.putBatch(b)
-	box := [][]interval.Interval{make([]interval.Interval, dim)}
-	for _, r := range sum.Refuted {
-		if len(r.Box) != dim || !finiteRegion(r) {
-			skipped++
-			continue
-		}
-		for j, iv := range r.Box {
-			box[0][j] = interval.New(iv[0], iv[1])
-		}
-		key, ok := s.refuterFor(b, box, r)
-		if !ok {
-			skipped++
-			continue
-		}
-		s.learned.storeBox(hashBox(box[0]), append([]interval.Interval(nil), box[0]...), key, false)
-		installed++
-	}
-	return installed, skipped
-}
-
-// refuterFor finds a constraint of this system that provably refutes
-// box[0], preferring the index the exporting system recorded. Each
-// check is one 1-lane interval pass through b.
-func (s *System) refuterFor(b *Batch, box [][]interval.Interval, r RefutedRegion) (key string, ok bool) {
-	lane := []int{0}
-	refutesPref := func(i int) bool {
-		_, hi := s.ivLanes(b, s.cps[i].diff, box, lane, nil)
-		return hi[0] <= s.margin
-	}
-	refutesTie := func(i int) bool {
-		ct := s.cts[i]
-		lo, hi := s.ivLanes(b, ct.diff, box, lane, nil)
-		return lo[0] > ct.band || hi[0] < -ct.band
-	}
-	if r.Tie && r.Index >= 0 && r.Index < len(s.cts) && refutesTie(r.Index) {
-		return s.cts[r.Index].key, true
-	}
-	if !r.Tie && r.Index >= 0 && r.Index < len(s.cps) && refutesPref(r.Index) {
-		return s.cps[r.Index].key, true
-	}
-	for i := range s.cps {
-		if refutesPref(i) {
-			return s.cps[i].key, true
-		}
-	}
-	for i := range s.cts {
-		if refutesTie(i) {
-			return s.cts[i].key, true
-		}
-	}
-	return "", false
-}
-
-// finiteRegion reports whether a region's bounds are finite, ordered
-// intervals; WarmLearned skips any region that is not.
-func finiteRegion(r RefutedRegion) bool {
-	for _, b := range r.Box {
-		if math.IsNaN(b[0]) || math.IsInf(b[0], 0) || math.IsNaN(b[1]) || math.IsInf(b[1], 0) || b[0] > b[1] {
-			return false
-		}
-	}
-	return true
 }
 
 // Violation returns the hinge loss of θ against the constraints: 0 iff
@@ -466,7 +242,7 @@ func (s *System) findCandidate(ctx context.Context, opts Options, rng *rand.Rand
 			return nil, StatusUnknown, err
 		}
 		h := clampToBox(hint, domains)
-		if s.hintSatisfies(h) {
+		if s.Satisfies(h) {
 			if stats != nil {
 				stats.HintHits.Add(1)
 			}
@@ -519,27 +295,6 @@ func (s *System) findCandidate(ctx context.Context, opts Options, rng *rand.Rand
 
 	// Stage 3: branch-and-prune (the parallel wave engine; prune.go).
 	return s.branchAndPrune(ctx, domains, opts)
-}
-
-// hintSatisfies is Satisfies with the learned point cache in front: a
-// hint that failed once stays failing while the constraint set only
-// grows (epoch-guarded against removals), so the full evaluation is
-// skipped; fresh failures are recorded. The boolean is identical to
-// Satisfies(h) — the cache only skips re-deriving it — which keeps the
-// hint stage's control flow, counters, and RNG consumption bit-exact
-// with the uncached path.
-func (s *System) hintSatisfies(h []float64) bool {
-	if s.learned == nil {
-		return s.Satisfies(h)
-	}
-	if s.learned.pointKnownUnsat(h) {
-		return false
-	}
-	if s.Satisfies(h) {
-		return true
-	}
-	s.learned.notePointUnsat(h)
-	return false
 }
 
 // repair runs coordinate descent on the hinge loss; see the package
@@ -668,7 +423,7 @@ func (s *System) findDiverse(ctx context.Context, k int, opts Options, rng *rand
 			return nil, err
 		}
 		h := clampToBox(hint, domains)
-		if s.hintSatisfies(h) {
+		if s.Satisfies(h) {
 			if stats != nil {
 				stats.HintHits.Add(1)
 			}

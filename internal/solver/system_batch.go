@@ -3,10 +3,9 @@ package solver
 // Batched structure-of-arrays evaluation: the solver side of the
 // expr batch interpreters (internal/expr/batch.go).
 //
-// The hot loops of every search stage — the uniform-sampling sweep, the
-// prune wave, and the learned-cache delta-check — share one shape: many
-// independent inputs (points or boxes) evaluated against the same
-// ordered constraint programs. Batching turns each of those loops
+// The hot loops of every search stage — the uniform-sampling sweep and
+// the prune wave — share one shape: many independent inputs (points or
+// boxes) evaluated against the same ordered constraint programs. Batching turns each of those loops
 // inside out: instead of walking constraints per input, it walks inputs
 // per constraint, K lanes per instruction-dispatch pass, with an active
 // lane set that shrinks as constraints decide lanes (keeping the
@@ -22,10 +21,10 @@ package solver
 // affects results. Every lane op is the scalar op applied elementwise
 // (see internal/interval lanes.go and the expr fuzz tests), decisions
 // are applied in lane order (= frontier/draw order), side effects
-// (learned-cache stores, Viable probes, witness copies) fire per lane
-// in lane order exactly as they would one input at a time, and the
-// sampling stages draw randomness in fixed-size blocks so RNG
-// consumption is lane-width-invariant (see sampleSatisfying). The only
+// (Viable probes, witness copies) fire per lane in lane order exactly
+// as they would one input at a time, and the sampling stages draw
+// randomness in fixed-size blocks so RNG consumption is
+// lane-width-invariant (see sampleSatisfying). The only
 // observable differences are the BatchedEvals counter and wall-clock
 // time. The solver runs at one width, batchLanes; the tests vary it
 // through NewBatch.
@@ -67,15 +66,12 @@ type Batch struct {
 	// Index-list and flag scratch. Each list has a single owner per
 	// call path so lists never alias each other: act is owned by
 	// sweepSurvivors (its return value), seq by sequential-lane callers,
-	// coldL/cachedL by evalPruneSpan's classification, midL by the
-	// midpoint sweep, subL by the delta-check subsets, survL by
-	// pruneColdLanes' retained copy of the midpoint-sweep survivors
-	// (act itself is clobbered by any re-entrant sweepSurvivors call —
-	// see pruneColdLanes).
-	act, seq, coldL, cachedL, midL, subL, survL []int
-	feas, decided                               []bool
-	facts                                       []boxFact
-	hashes                                      []uint64
+	// spanL by evalPruneSpan's interval refutation, midL by the
+	// midpoint sweep, survL by evalPruneSpan's retained copy of the
+	// midpoint-sweep survivors (act itself is clobbered by any
+	// re-entrant sweepSurvivors call — see evalPruneSpan).
+	act, seq, spanL, midL, survL []int
+	feas                         []bool
 }
 
 // NewBatch returns lane scratch of the given width (at least 1) for
@@ -92,15 +88,10 @@ func (s *System) NewBatch(lanes int) *Batch {
 		block:   make([]float64, sampleBlock*dim),
 		act:     make([]int, 0, lanes),
 		seq:     make([]int, 0, lanes),
-		coldL:   make([]int, 0, lanes),
-		cachedL: make([]int, 0, lanes),
+		spanL:   make([]int, 0, lanes),
 		midL:    make([]int, 0, lanes),
-		subL:    make([]int, 0, lanes),
 		survL:   make([]int, 0, lanes),
 		feas:    make([]bool, lanes),
-		decided: make([]bool, lanes),
-		facts:   make([]boxFact, lanes),
-		hashes:  make([]uint64, lanes),
 	}
 }
 
@@ -263,7 +254,7 @@ func (s *System) ivLanes(b *Batch, prog *expr.Program, boxes [][]interval.Interv
 // sweepSurvivors call on the same batch rewrites b.act's backing array,
 // so a caller that can re-enter the batch pipeline before it is done
 // with the result (splitOrFloor reaches back in via cornerWitnessBatch)
-// must copy it first — see pruneColdLanes.
+// must copy it first — see evalPruneSpan.
 func (s *System) sweepSurvivors(b *Batch, rows []float64, dim int, lanesIn []int, stats *Stats) []int {
 	active := append(b.act[:0], lanesIn...)
 	for i := 0; i < len(s.cps) && len(active) > 0; i++ {
@@ -396,81 +387,33 @@ func (s *System) cornerWitnessBatch(b *Batch, box []interval.Interval, stats *St
 
 // evalPruneSpan decides frontier boxes wave[lo:hi] (at most b's lane
 // width) into the matching results slots: each box is refuted,
-// witnessed, split, or dropped at the resolution floor. Outcomes,
-// learned-cache stores (keys, corner flags, first-refuter identity),
-// and Viable/corner probes do not depend on the span's width or on
-// which boxes share it; see the file comment for the determinism
-// argument.
+// witnessed, split, or dropped at the resolution floor. Outcomes and
+// Viable/corner probes do not depend on the span's width or on which
+// boxes share it; see the file comment for the determinism argument.
 //
 // Each box is a pure function of the System and its constraint set
 // (compiled programs are read-only; Viable carries the same
-// thread-safety contract the sampling stage already imposes; the
-// learned cache only memoizes deterministic facts), so spans are safe
-// and result-identical under any evaluation order. With a learned
-// cache attached, boxes with a valid cached fact take pruneCachedLanes,
-// which reproduces the cold decision while skipping the probes the
-// fact already settles; the rest are decided cold and their facts
-// recorded.
-func (s *System) evalPruneSpan(wave [][]interval.Interval, lo, hi int, results []pruneResult, minWidths []float64, b *Batch, stats *Stats) {
-	k := hi - lo
-	boxes := wave[lo:hi]
-	l := s.learned
-	cold := b.coldL[:0]
-	cached := b.cachedL[:0]
-	if l == nil {
-		for j := 0; j < k; j++ {
-			cold = append(cold, j)
-		}
-	} else {
-		for j := 0; j < k; j++ {
-			h := hashBox(boxes[j])
-			b.hashes[j] = h
-			if fact, ok := l.lookupBox(h, boxes[j]); ok {
-				if fact.refuted {
-					results[lo+j] = pruneResult{kind: prunePruned}
-				} else {
-					b.facts[j] = fact
-					cached = append(cached, j)
-				}
-			} else {
-				cold = append(cold, j)
-			}
-		}
-	}
-	if len(cold) > 0 {
-		s.pruneColdLanes(boxes, lo, cold, results, minWidths, b, stats)
-	}
-	if len(cached) > 0 {
-		s.pruneCachedLanes(boxes, lo, cached, results, minWidths, b, stats)
-	}
-}
-
-// pruneColdLanes decides a lane set directly: interval refutation
+// thread-safety contract the sampling stage already imposes), so spans
+// are safe and result-identical under any evaluation order.
+//
+// The decision runs in four steps: interval refutation
 // constraint-major with active-lane compaction, then the fully-feasible
 // fast path (midpoint accepted on interval evidence alone — Viable is
 // deliberately not consulted, matching the documented Problem.Viable
 // semantics), then the batched midpoint probe, then split-or-floor.
-// With a learned cache attached it records each lane's fact: the first
-// refuting constraint, or an undecided entry for a split (splitOrFloor
-// records floor drops). Witnesses are never cached: a witness ends the search
-// immediately, and "this point satisfies" is not monotone under
-// constraint additions.
-func (s *System) pruneColdLanes(boxes [][]interval.Interval, lo int, lanes []int, results []pruneResult, minWidths []float64, b *Batch, stats *Stats) {
-	l := s.learned
-	for _, j := range lanes {
+func (s *System) evalPruneSpan(wave [][]interval.Interval, lo, hi int, results []pruneResult, minWidths []float64, b *Batch, stats *Stats) {
+	boxes := wave[lo:hi]
+	active := b.spanL[:0] // filtered in place
+	for j := range boxes {
 		b.feas[j] = true
+		active = append(active, j)
 	}
-	active := lanes // filtered in place (aliases b.coldL, which this path owns)
 	for ci := 0; ci < len(s.cps) && len(active) > 0; ci++ {
-		cp := &s.cps[ci]
-		outLo, outHi := s.ivLanes(b, cp.diff, boxes, active, stats)
+		outLo, outHi := s.ivLanes(b, s.cps[ci].diff, boxes, active, stats)
 		keep := active[:0]
 		for x, j := range active {
 			if outHi[x] <= s.margin {
 				results[lo+j] = pruneResult{kind: prunePruned}
-				if l != nil {
-					l.storeBox(b.hashes[j], boxes[j], cp.key, false)
-				}
 				continue
 			}
 			if !(outLo[x] > s.margin) {
@@ -487,9 +430,6 @@ func (s *System) pruneColdLanes(boxes [][]interval.Interval, lo int, lanes []int
 		for x, j := range active {
 			if outLo[x] > ct.band || outHi[x] < -ct.band {
 				results[lo+j] = pruneResult{kind: prunePruned}
-				if l != nil {
-					l.storeBox(b.hashes[j], boxes[j], ct.key, false)
-				}
 				continue
 			}
 			if !(outLo[x] >= -ct.band && outHi[x] <= ct.band) {
@@ -533,104 +473,6 @@ func (s *System) pruneColdLanes(boxes [][]interval.Interval, lo int, lanes []int
 				continue
 			}
 		}
-		res := s.splitOrFloor(boxes[j], minWidths, false, b, stats)
-		results[lo+j] = res
-		if l != nil && res.kind == pruneSplit {
-			// Undecided: no present constraint refutes the box and its
-			// midpoint fails Satisfies — facts that stay true as
-			// constraints are added (see learned.go). A floor drop adds
-			// "every corner fails Satisfies"; splitOrFloor records that
-			// fact itself.
-			l.storeBox(b.hashes[j], boxes[j], "", false)
-		}
-	}
-}
-
-// pruneCachedLanes reproduces the cold decision for lanes the cache
-// already has a valid undecided fact for. Soundness (why each skipped
-// probe would have produced the same answer) is argued entry shape by
-// entry shape in learned.go and DESIGN.md §11; in brief: an undecided
-// entry's negative facts (no refutation at version ≤ v, midpoint and
-// corners unsat) are monotone under the only mutation the entry's
-// guards admit — constraint addition — so only constraints stamped
-// after the entry's version need fresh interval checks. For each such
-// constraint the still-undecided lanes are delta-checked in one batch
-// pass (prefs then ties, index order, so the first refuter is the one
-// the cold path would find among the new constraints); the rest skip
-// the fully-feasible and midpoint probes, which the entry proves
-// blocked, and go straight to split-or-floor with their cached corner
-// facts.
-func (s *System) pruneCachedLanes(boxes [][]interval.Interval, lo int, lanes []int, results []pruneResult, minWidths []float64, b *Batch, stats *Stats) {
-	l := s.learned
-	for _, j := range lanes {
-		b.decided[j] = false
-	}
-	active := lanes // filtered in place (aliases b.cachedL, which this path owns)
-	for ci := 0; ci < len(s.cps) && len(active) > 0; ci++ {
-		cp := &s.cps[ci]
-		sub := b.subL[:0]
-		for _, j := range active {
-			if cp.addVersion > b.facts[j].version {
-				sub = append(sub, j)
-			}
-		}
-		if len(sub) == 0 {
-			continue
-		}
-		_, outHi := s.ivLanes(b, cp.diff, boxes, sub, stats)
-		removed := false
-		for x, j := range sub {
-			if outHi[x] <= s.margin {
-				l.deltaRefutes.Add(1)
-				l.storeBox(b.hashes[j], boxes[j], cp.key, false)
-				results[lo+j] = pruneResult{kind: prunePruned}
-				b.decided[j] = true
-				removed = true
-			}
-		}
-		if removed {
-			keep := active[:0]
-			for _, j := range active {
-				if !b.decided[j] {
-					keep = append(keep, j)
-				}
-			}
-			active = keep
-		}
-	}
-	for ci := 0; ci < len(s.cts) && len(active) > 0; ci++ {
-		ct := &s.cts[ci]
-		sub := b.subL[:0]
-		for _, j := range active {
-			if ct.addVersion > b.facts[j].version {
-				sub = append(sub, j)
-			}
-		}
-		if len(sub) == 0 {
-			continue
-		}
-		outLo, outHi := s.ivLanes(b, ct.diff, boxes, sub, stats)
-		removed := false
-		for x, j := range sub {
-			if outLo[x] > ct.band || outHi[x] < -ct.band {
-				l.deltaRefutes.Add(1)
-				l.storeBox(b.hashes[j], boxes[j], ct.key, false)
-				results[lo+j] = pruneResult{kind: prunePruned}
-				b.decided[j] = true
-				removed = true
-			}
-		}
-		if removed {
-			keep := active[:0]
-			for _, j := range active {
-				if !b.decided[j] {
-					keep = append(keep, j)
-				}
-			}
-			active = keep
-		}
-	}
-	for _, j := range active {
-		results[lo+j] = s.splitOrFloor(boxes[j], minWidths, b.facts[j].cornerUnsat, b, stats)
+		results[lo+j] = s.splitOrFloor(boxes[j], minWidths, b, stats)
 	}
 }
