@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,12 +62,14 @@ func batchTranscript(t *testing.T, spec service.SessionSpec, user oracle.Oracle)
 	return buf.Bytes()
 }
 
-// daemonHandle is one in-process member.
+// daemonHandle is one in-process member. While down is set its
+// listener answers every request 503, as a member mid-restart does.
 type daemonHandle struct {
 	name string
 	dir  string
 	mgr  *service.Manager
 	srv  *httptest.Server
+	down atomic.Bool
 }
 
 func newDaemon(t *testing.T, name string) *daemonHandle {
@@ -84,9 +87,17 @@ func newDaemon(t *testing.T, name string) *daemonHandle {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(service.Handler(m))
-	t.Cleanup(func() { srv.Close(); m.Abort() })
-	return &daemonHandle{name: name, dir: dir, mgr: m, srv: srv}
+	d := &daemonHandle{name: name, dir: dir, mgr: m}
+	h := service.Handler(m)
+	d.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if d.down.Load() {
+			http.Error(w, "restarting", http.StatusServiceUnavailable)
+			return
+		}
+		h.ServeHTTP(w, req)
+	}))
+	t.Cleanup(func() { d.srv.Close(); m.Abort() })
+	return d
 }
 
 func newFleet(t *testing.T, n int, tweak func(*Config)) (*Router, *httptest.Server, []*daemonHandle) {
@@ -803,6 +814,64 @@ func TestAdoptionPrefersFullestCopy(t *testing.T) {
 	// never be promoted later.
 	if st, ok := replicaStatusOf(t, holder.srv.URL, id); ok && st.Epoch == 0 {
 		t.Fatalf("lagging copy on %s was not fenced (epoch still 0)", holder.name)
+	}
+
+	if _, done := drive(t, srv.URL, id, user, -1); !done {
+		t.Fatal("session did not finish after adoption")
+	}
+	if got := fetchTranscript(t, srv.URL, id); !bytes.Equal(got, want) {
+		t.Fatalf("post-adoption transcript differs from batch (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestFailoverRetriesWhenReplicaHolderReturns: the owner dies for good
+// while its only replica holder is down, so the first adoption scan
+// finds no copy to promote. When the holder answers again, the scan
+// must re-run and adopt the session from it, and the session must
+// finish bit-identical to batch.
+func TestFailoverRetriesWhenReplicaHolderReturns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full synthesis runs are not -short friendly")
+	}
+	user := swanUser(t)
+	spec := testSpec(111)
+	spec.ID = "adopt-retry"
+	want := batchTranscript(t, spec, user)
+
+	r, srv, ds := newFleet(t, 3, nil) // defaults: Replicas=2, FailoverAfter=2
+	id := createVia(t, srv.URL, spec)
+	drive(t, srv.URL, id, user, 2)
+
+	owner := ownerOf(r, id)
+	var holder *daemonHandle
+	for _, d := range ds {
+		if d.name == owner {
+			continue
+		}
+		if _, ok := replicaStatusOf(t, d.srv.URL, id); ok {
+			holder = d
+		}
+	}
+	if holder == nil {
+		t.Fatal("no non-owner holds a replica copy")
+	}
+	holder.down.Store(true)
+	handleFor(t, ds, owner).srv.Close()
+
+	deadline := time.Now().Add(15 * time.Second)
+	for r.met.adoptionFailures.Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the adoption scan never ran while the replica holder was down")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if got := r.met.adoptions.Value(); got != 0 {
+		t.Fatalf("fleet_adoptions_total = %d with the only replica holder down", got)
+	}
+	holder.down.Store(false)
+	waitAdoptions(t, r, 1, 15*time.Second)
+	if got := ownerOf(r, id); got != holder.name {
+		t.Fatalf("adoption promoted %s, want the replica holder %s", got, holder.name)
 	}
 
 	if _, done := drive(t, srv.URL, id, user, -1); !done {

@@ -127,6 +127,7 @@ func (r *Router) checkHealth() {
 	}
 	r.mu.Unlock()
 	unhealthy := 0
+	revived := false
 	for _, m := range ms {
 		ok := r.probe(m)
 		was := m.healthy.Swap(ok)
@@ -142,6 +143,7 @@ func (r *Router) checkHealth() {
 				if r.cfg.Replicas > 1 {
 					r.wg.Add(1)
 					go r.resyncFleet(m.Name)
+					revived = true
 				}
 			} else {
 				r.log.Warn("fleet.member.unhealthy", "member", m.Name, "url", m.URL)
@@ -162,6 +164,19 @@ func (r *Router) checkHealth() {
 			m.adopting.CompareAndSwap(false, true) {
 			r.wg.Add(1)
 			go r.adoptFrom(m)
+		}
+	}
+	// A member that came back may hold the only replica copy of a dead
+	// member's session: that dead member's scan found nothing to adopt
+	// while it was down. Re-run the scan of every member still declared
+	// dead; adoptFrom returns at once for a member with no routes left.
+	if revived && r.cfg.FailoverAfter > 0 {
+		for _, m := range ms {
+			if !m.healthy.Load() && int(m.failStreak.Load()) >= r.cfg.FailoverAfter &&
+				m.adopting.CompareAndSwap(false, true) {
+				r.wg.Add(1)
+				go r.adoptFrom(m)
+			}
 		}
 	}
 	r.met.memberUnhealthy.Set(float64(unhealthy))
