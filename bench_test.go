@@ -170,28 +170,6 @@ func BenchmarkAblationSolverStrategies(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationParallelWorkers measures the parallel candidate
-// search (solver.Options.Workers) on a 30-constraint problem.
-func BenchmarkAblationParallelWorkers(b *testing.B) {
-	p := benchProblem(b, 30)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := solver.DefaultOptions()
-			opts.Samples = 2000 // force the search to work for it
-			opts.RepairRestarts = 32
-			opts.Workers = workers
-			search := solver.Compile(p, nil)
-			rng := rand.New(rand.NewSource(1))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, st, _ := search.FindCandidate(context.Background(), opts, rng); st != solver.StatusSat {
-					b.Fatalf("status %v", st)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationQuerySelection compares the query-selection
 // strategies: first-found, maximum-gap, and vote-split (DESIGN.md §5).
 func BenchmarkAblationQuerySelection(b *testing.B) {
@@ -201,7 +179,6 @@ func BenchmarkAblationQuerySelection(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r, err := runWithDistinguish(int64(i+1), func(d *solver.DistinguishOptions) {
 					d.Strategy = strategy
-					d.MaximizeGap = strategy == solver.SelectMaxGap
 				}, nil)
 				if err != nil {
 					b.Fatal(err)

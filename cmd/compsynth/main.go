@@ -9,16 +9,14 @@
 //
 //	compsynth [-seed N] [-init K] [-pairs P] [-interactive]
 //	          [-target tp,l,s1,s2] [-sketch file] [-v]
-//	          [-workers N] [-prune-workers N]
+//	          [-prune-workers N]
 //	          [-save file] [-resume file] [-plot] [-dot file] [-explain]
 //	          [-obs addr] [-trace file.jsonl]
 //	          [-log DEST] [-log-level LVL] [-progress D]
 //
-// -workers partitions the sampling/repair budget across N goroutines
-// (results are deterministic per seed and worker count). -prune-workers
-// sizes the branch-and-prune engine's pool; its results are identical
-// for any value, so the default (one worker per CPU) only ever needs
-// lowering to keep the process off other tenants' cores.
+// -prune-workers sizes the branch-and-prune engine's pool; its results
+// are identical for any value, so the default (one worker per CPU) only
+// ever needs lowering to keep the process off other tenants' cores.
 //
 // -obs serves live observability over HTTP while the session runs:
 // Prometheus-text /metrics, expvar /debug/vars, pprof under
@@ -70,10 +68,8 @@ func main() {
 		logDest      = flag.String("log", "", "structured JSON log destination: stderr, stdout, a file path, or off (default off)")
 		logLevel     = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		progressTick = flag.Duration("progress", 0, "print a live solver progress line to stderr every D (e.g. 2s; 0 disables)")
-		workers      = flag.Int("workers", 0, "sampling/repair worker count (0 keeps the sequential default; changes the seed-deterministic search path)")
 		pruneWorkers = flag.Int("prune-workers", 0, "branch-and-prune worker count (0 means one per CPU; never changes results)")
 		planner      = flag.String("planner", "on", "active query planner: on (default) plans rounds of maximally informative queries, off keeps the seed's first-distinguishing-pair behavior")
-		batchQueries = flag.Int("batch-queries", 0, "queries per planner round (the modern spelling of -pairs; 0 defers to -pairs)")
 	)
 	flag.Parse()
 
@@ -84,8 +80,7 @@ func main() {
 		sketchFile: *sketchFile, explain: *explain,
 		obsAddr: *obsAddr, traceFile: *traceFile,
 		logDest: *logDest, logLevel: *logLevel, progressTick: *progressTick,
-		workers: *workers, pruneWorkers: *pruneWorkers,
-		planner: *planner, batchQueries: *batchQueries,
+		pruneWorkers: *pruneWorkers, planner: *planner,
 	}
 	if err := run(opts); err != nil {
 		fmt.Fprintln(os.Stderr, "compsynth:", err)
@@ -96,28 +91,24 @@ func main() {
 // options carries every compsynth flag; one struct so run's signature
 // survives new knobs.
 type options struct {
-	seed                  int64
-	initN, pairs          int
-	interactive           bool
-	targetStr             string
-	verbose               bool
-	save, resume          string
-	plot                  bool
-	dot, sketchFile       string
-	explain               bool
-	obsAddr, traceFile    string
-	logDest, logLevel     string
-	progressTick          time.Duration
-	workers, pruneWorkers int
-	planner               string
-	batchQueries          int
+	seed               int64
+	initN, pairs       int
+	interactive        bool
+	targetStr          string
+	verbose            bool
+	save, resume       string
+	plot               bool
+	dot, sketchFile    string
+	explain            bool
+	obsAddr, traceFile string
+	logDest, logLevel  string
+	progressTick       time.Duration
+	pruneWorkers       int
+	planner            string
 }
 
 func run(o options) error {
 	seed, initN, pairs := o.seed, o.initN, o.pairs
-	if o.batchQueries > 0 {
-		pairs = o.batchQueries
-	}
 	plannerOff := false
 	switch o.planner {
 	case "", "on":
@@ -130,7 +121,7 @@ func run(o options) error {
 	targetStr, sketchFile := o.targetStr, o.sketchFile
 	save, resume := o.save, o.resume
 	plot, dot, explain := o.plot, o.dot, o.explain
-	workers, pruneWorkers := o.workers, o.pruneWorkers
+	pruneWorkers := o.pruneWorkers
 
 	logger, closeLog, err := obs.OpenLogger(o.logDest, o.logLevel)
 	if err != nil {
@@ -244,9 +235,8 @@ func run(o options) error {
 		Obs:               observer,
 		DisablePlanner:    plannerOff,
 	}
-	if workers > 0 || pruneWorkers > 0 {
+	if pruneWorkers > 0 {
 		cfg.Solver = solver.DefaultOptions()
-		cfg.Solver.Workers = workers
 		cfg.Solver.PruneWorkers = pruneWorkers
 	}
 	if o.progressTick > 0 {

@@ -1,6 +1,6 @@
 // Command compsynthd serves comparative synthesis sessions over
-// HTTP/JSON: create a session, long-poll for distinguishing scenario
-// pairs, post preferences, and export or import transcripts — the
+// HTTP/JSON: create a session, long-poll for rounds of distinguishing
+// scenario pairs, post judgments, and export or import transcripts — the
 // interactive loop of cmd/compsynth inverted into a stateful service
 // (see internal/service for the API).
 //
@@ -32,11 +32,9 @@
 // The observability endpoints (/metrics, /debug/vars, /debug/pprof/,
 // /trace) are mounted on the same listener as the API.
 //
-// The session API lives under /v1 (POST /v1/sessions, ...). The
-// historical unversioned paths still work as frozen aliases of the
-// same handlers; they answer with an RFC 9745 Deprecation header and
-// a Link to the /v1 successor so clients can migrate on their own
-// schedule.
+// The session API lives under /v1: POST /v1/sessions creates, GET
+// /v1/sessions/{id}/queries?wait=D long-polls for the pending round,
+// and POST /v1/sessions/{id}/judgments answers it.
 package main
 
 import (

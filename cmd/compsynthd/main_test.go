@@ -30,7 +30,7 @@ func (b *lockedBuffer) bytes() []byte {
 }
 
 // TestLogSmoke is the `make log-smoke` gate: boot a real daemon, create
-// a session and poll its first query over HTTP, and assert the log
+// a session and poll its first query round over HTTP, and assert the log
 // stream is line-delimited JSON with the correlation attributes — every
 // access line carries request_id, and at least one record carries both
 // session and request_id (the correlation the operator greps by).
@@ -86,8 +86,8 @@ func TestLogSmoke(t *testing.T) {
 	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatal(err)
 	}
-	if code, raw = do("GET", "/v1/sessions/"+st.ID+"/query?wait=20s", ""); code != http.StatusOK {
-		t.Fatalf("query: %d %s", code, raw)
+	if code, raw = do("GET", "/v1/sessions/"+st.ID+"/queries?wait=20s", ""); code != http.StatusOK {
+		t.Fatalf("queries: %d %s", code, raw)
 	}
 
 	sc := bufio.NewScanner(bytes.NewReader(sink.bytes()))

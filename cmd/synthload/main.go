@@ -181,19 +181,13 @@ func run(o options) error {
 			go func(i int) {
 				defer func() { <-sem; wg.Done() }()
 				spec := loadSpec(o.seed + int64(i))
-				// Alternate the two client generations so every run
-				// proves they coexist against the same fleet: even
-				// sessions speak the deprecated single-query protocol,
-				// odd sessions the batched rounds surface (with
-				// multi-query planner rounds to make the batches real).
-				var n int
-				var err error
+				// Even sessions ask one query per round, odd sessions
+				// three, so rounds of one and multi-query rounds both
+				// cross the fleet under chaos.
 				if i%2 == 1 {
 					spec.PairsPerIteration = 3
-					n, err = driveSessionBatch(f.routerURL, spec, gt)
-				} else {
-					n, err = driveSession(f.routerURL, spec, gt)
 				}
+				n, err := driveSession(f.routerURL, spec, gt)
 				if err != nil {
 					fail(fmt.Errorf("session %d: %w", i, err))
 					return
@@ -697,90 +691,6 @@ func (c *chaosEngine) randomLiveSession() string {
 // ---------------------------------------------------------------------
 // The session driver.
 
-type queryResp struct {
-	State string    `json:"state"`
-	Seq   int       `json:"seq"`
-	A     []float64 `json:"a"`
-	B     []float64 `json:"b"`
-	Error string    `json:"error"`
-}
-
-// driveSession creates one session through the router, answers its
-// queries with the ground-truth oracle until done, and compares the
-// fetched transcript byte-for-byte against the single-process batch
-// reference. Returns the number of answers given.
-func driveSession(base string, spec service.SessionSpec, gt oracle.Oracle) (int, error) {
-	want, err := referenceTranscript(spec, gt)
-	if err != nil {
-		return 0, fmt.Errorf("batch reference: %w", err)
-	}
-	client := &http.Client{Timeout: 90 * time.Second}
-	id, err := createSession(client, base, spec)
-	if err != nil {
-		return 0, err
-	}
-	answered := 0
-	for tries := 0; tries < 8000; tries++ {
-		resp, err := client.Get(base + "/v1/sessions/" + id + "/query?wait=20s")
-		if err != nil {
-			time.Sleep(100 * time.Millisecond)
-			continue
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK:
-		case http.StatusRequestTimeout, http.StatusTooManyRequests,
-			http.StatusConflict, http.StatusServiceUnavailable, http.StatusBadGateway:
-			sleepRetry(resp, 50*time.Millisecond)
-			continue
-		default:
-			return answered, fmt.Errorf("query %s: %d %s", id, resp.StatusCode, raw)
-		}
-		var qr queryResp
-		if err := json.Unmarshal(raw, &qr); err != nil {
-			return answered, fmt.Errorf("decode query %q: %w", raw, err)
-		}
-		switch qr.State {
-		case "awaiting_answer":
-			word := prefWord(gt.Compare(scenario.Scenario(qr.A), scenario.Scenario(qr.B)))
-			ab, _ := json.Marshal(map[string]any{"seq": qr.Seq, "pref": word})
-			ar, err := client.Post(base+"/v1/sessions/"+id+"/answer", "application/json", bytes.NewReader(ab))
-			if err != nil {
-				time.Sleep(100 * time.Millisecond)
-				continue
-			}
-			araw, _ := io.ReadAll(ar.Body)
-			ar.Body.Close()
-			switch ar.StatusCode {
-			case http.StatusAccepted:
-				answered++
-			case http.StatusConflict, http.StatusTooManyRequests,
-				http.StatusServiceUnavailable, http.StatusBadGateway:
-				sleepRetry(ar, 50*time.Millisecond)
-			default:
-				return answered, fmt.Errorf("answer %s: %d %s", id, ar.StatusCode, araw)
-			}
-		case "done":
-			got, err := fetchTranscript(client, base, id)
-			if err != nil {
-				return answered, err
-			}
-			if !bytes.Equal(got, want) {
-				return answered, fmt.Errorf("session %s: transcript differs from batch run (%d vs %d bytes)",
-					id, len(got), len(want))
-			}
-			// Verified; free the slot. Finished sessions stay resident
-			// (the run disables idle eviction), so without cleanup a
-			// long run wedges on the daemons' max-sessions cap.
-			return answered, deleteSession(client, base, id)
-		case "failed":
-			return answered, fmt.Errorf("session %s failed: %s", id, qr.Error)
-		}
-	}
-	return answered, fmt.Errorf("session %s did not finish within the retry budget", id)
-}
-
 // prefWord renders a preference in the API's answer vocabulary.
 func prefWord(pref oracle.Preference) string {
 	switch pref {
@@ -792,8 +702,8 @@ func prefWord(pref oracle.Preference) string {
 	return "tie"
 }
 
-// batchQueriesResp mirrors the GET /queries document.
-type batchQueriesResp struct {
+// queriesResp mirrors the GET /queries document.
+type queriesResp struct {
 	State   string `json:"state"`
 	Queries []struct {
 		Seq int       `json:"seq"`
@@ -803,13 +713,14 @@ type batchQueriesResp struct {
 	Error string `json:"error"`
 }
 
-// driveSessionBatch is driveSession speaking the successor protocol:
-// it fetches whole query rounds from GET /queries and posts their
+// driveSession creates one session through the router, judges its
+// query rounds with the ground-truth oracle until done, and compares
+// the fetched transcript byte-for-byte against the single-process batch
+// reference. It fetches whole rounds from GET /queries and posts their
 // judgments as one POST /judgments batch — in reverse round order, to
 // exercise out-of-order acceptance, and with a mix of omitted and
-// explicit full confidences. The bit-identical transcript invariant is
-// the same: the batch surface must reproduce the single-process run.
-func driveSessionBatch(base string, spec service.SessionSpec, gt oracle.Oracle) (int, error) {
+// explicit full confidences. Returns the number of judgments accepted.
+func driveSession(base string, spec service.SessionSpec, gt oracle.Oracle) (int, error) {
 	want, err := referenceTranscript(spec, gt)
 	if err != nil {
 		return 0, fmt.Errorf("batch reference: %w", err)
@@ -837,7 +748,7 @@ func driveSessionBatch(base string, spec service.SessionSpec, gt oracle.Oracle) 
 		default:
 			return answered, fmt.Errorf("queries %s: %d %s", id, resp.StatusCode, raw)
 		}
-		var qr batchQueriesResp
+		var qr queriesResp
 		if err := json.Unmarshal(raw, &qr); err != nil {
 			return answered, fmt.Errorf("decode queries %q: %w", raw, err)
 		}
@@ -892,6 +803,9 @@ func driveSessionBatch(base string, spec service.SessionSpec, gt oracle.Oracle) 
 				return answered, fmt.Errorf("session %s: transcript differs from batch run (%d vs %d bytes)",
 					id, len(got), len(want))
 			}
+			// Verified; free the slot. Finished sessions stay resident
+			// (the run disables idle eviction), so without cleanup a
+			// long run wedges on the daemons' max-sessions cap.
 			return answered, deleteSession(client, base, id)
 		case "failed":
 			return answered, fmt.Errorf("session %s failed: %s", id, qr.Error)

@@ -1,8 +1,7 @@
 package core_test
 
 // Determinism regression tests: a synthesis session with a fixed seed
-// and a fixed worker count must produce a bit-identical transcript
-// across refactors of the evaluation pipeline. The golden files were
+// must produce a bit-identical transcript across refactors of the evaluation pipeline. The golden files were
 // generated with the pre-compilation (map/AST-walking) solver path and
 // pin the exact behavior the compiled constraint system must preserve.
 //
@@ -25,10 +24,8 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden transcript files")
 
-// goldenCases enumerates the pinned configurations. Both sequential and
-// parallel (Workers > 1) solver paths are covered: the parallel merge is
-// documented to be deterministic per (seed, Workers), so its transcript
-// must be stable too.
+// goldenCases enumerates the pinned configurations: single-pair and
+// two-pair rounds.
 //
 // Every case sets DisablePlanner: the golden files pin the pre-planner
 // seed behavior, and the active query planner intentionally changes
@@ -40,12 +37,11 @@ func goldenCases() []struct {
 	name string
 	cfg  core.Config
 } {
-	fastSolver := func(workers int) solver.Options {
+	fastSolver := func() solver.Options {
 		opts := solver.DefaultOptions()
 		opts.Samples = 150
 		opts.RepairRestarts = 5
 		opts.RepairSteps = 60
-		opts.Workers = workers
 		return opts
 	}
 	fastDistinguish := func() solver.DistinguishOptions {
@@ -71,21 +67,10 @@ func goldenCases() []struct {
 			cfg: core.Config{
 				Sketch:         sketch.SWAN(),
 				Oracle:         oracle.NewGroundTruth(target(sketch.DefaultSWANTarget), 1e-9),
-				Solver:         fastSolver(1),
+				Solver:         fastSolver(),
 				Distinguish:    fastDistinguish(),
 				DisablePlanner: true,
 				Seed:           11,
-			},
-		},
-		{
-			name: "parallel-w3",
-			cfg: core.Config{
-				Sketch:         sketch.SWAN(),
-				Oracle:         oracle.NewGroundTruth(target(sketch.DefaultSWANTarget), 1e-9),
-				Solver:         fastSolver(3),
-				Distinguish:    fastDistinguish(),
-				DisablePlanner: true,
-				Seed:           12,
 			},
 		},
 		{
@@ -93,7 +78,7 @@ func goldenCases() []struct {
 			cfg: core.Config{
 				Sketch:            sketch.SWAN(),
 				Oracle:            oracle.NewGroundTruth(target(sketch.SWANTargetParams{TpThrsh: 4, LThrsh: 80, Slope1: 2, Slope2: 6}), 1e-9),
-				Solver:            fastSolver(1),
+				Solver:            fastSolver(),
 				Distinguish:       fastDistinguish(),
 				PairsPerIteration: 2,
 				DisablePlanner:    true,
@@ -152,7 +137,7 @@ func TestGoldenRerunStable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden synthesis runs are not -short friendly")
 	}
-	tc := goldenCases()[1] // the parallel case, where nondeterminism would hide
+	tc := goldenCases()[1] // pairs2-seq: multi-pair rounds
 	run := func() []byte {
 		synth, err := core.New(tc.cfg)
 		if err != nil {
@@ -175,9 +160,8 @@ func TestGoldenRerunStable(t *testing.T) {
 
 // TestGoldenPruneWorkerInvariance pins the parallel prune engine's
 // central contract at the session level: PruneWorkers sizes a pool over
-// a wave of boxes whose merge is order-independent, so — unlike Workers,
-// which partitions the RNG budget — the whole transcript must be
-// bit-identical for every PruneWorkers value.
+// a wave of boxes whose merge is order-independent, so the whole
+// transcript must be bit-identical for every PruneWorkers value.
 func TestGoldenPruneWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden synthesis runs are not -short friendly")

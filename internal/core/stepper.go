@@ -11,14 +11,13 @@ package core
 // The inversion runs the unmodified synthesis loop on its own goroutine
 // behind a rendezvous oracle: the oracle publishes the round's queries
 // on an unbuffered channel and blocks until every one of them has been
-// answered. A single Compare is a round of one, so legacy single-query
-// clients see exactly the pre-batch behavior; the planner's k-query
-// rounds surface as k pending queries with distinct sequence numbers
-// that may be answered in any order (crowdsourced oracles answer
-// whichever architect responds first). Because it is the same loop, a
-// stepper-driven session is bit-identical to a batch run with the same
-// Config and answer sequence — the golden equivalence the service
-// layer's tests pin.
+// answered. A single Compare (the initial ranking asks through it) is a
+// round of one; the planner's k-query rounds surface as k pending
+// queries with distinct sequence numbers that may be answered in any
+// order (crowdsourced oracles answer whichever architect responds
+// first). Because it is the same loop, a stepper-driven session is
+// bit-identical to a batch run with the same Config and answer
+// sequence — the golden equivalence the service layer's tests pin.
 
 import (
 	"context"
@@ -44,8 +43,9 @@ type Query struct {
 
 // Stepper errors.
 var (
-	// ErrNoPendingQuery is returned by Answer when there is no
-	// outstanding query (none asked yet, or it was already answered).
+	// ErrNoPendingQuery is returned by AnswerSeq when no outstanding
+	// query has the given sequence number (none asked yet, or it was
+	// already answered).
 	ErrNoPendingQuery = errors.New("core: no pending query to answer")
 	// ErrSessionBusy is returned by Snapshot while the synthesis
 	// goroutine is computing (between a completed round and the next
@@ -70,11 +70,7 @@ var (
 //	}
 //	res, err := st.Result()
 //
-// Single-query clients can keep calling Next/Answer: Next returns the
-// round's lowest-numbered unanswered query and Answer resolves it, so a
-// round of k queries is consumed as k Next/Answer exchanges.
-//
-// Next, NextBatch, Answer, AnswerSeq, Snapshot, and Close are safe for
+// NextBatch, Pending, AnswerSeq, Snapshot, and Close are safe for
 // concurrent use.
 type Stepper struct {
 	synth  *Synthesizer
@@ -85,8 +81,8 @@ type Stepper struct {
 	answers chan []oracle.Judgment
 	done    chan struct{}
 
-	// nextMu serializes Next/NextBatch so concurrent pollers agree on
-	// the pending round instead of racing for the channel receive.
+	// nextMu serializes NextBatch so concurrent pollers agree on the
+	// pending round instead of racing for the channel receive.
 	nextMu sync.Mutex
 
 	mu       sync.Mutex
@@ -162,7 +158,7 @@ func NewStepper(cfg Config) (*Stepper, error) {
 }
 
 // Preload installs a transcript before the session starts; see
-// Synthesizer.Preload. It must be called before the first Next.
+// Synthesizer.Preload. It must be called before the first NextBatch.
 func (st *Stepper) Preload(t *Transcript) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -217,35 +213,12 @@ func (st *Stepper) await(ctx context.Context) (bool, error) {
 	}
 }
 
-// Next returns the round's lowest-numbered unanswered query, starting
-// the synthesis loop on first call. It blocks while the solver searches
-// for distinguishing pairs. A nil Query with nil error means the
-// session finished (check Result). If ctx expires first, Next returns
-// ctx's error and the computation keeps running — a later Next picks
-// the round up.
-func (st *Stepper) Next(ctx context.Context) (*Query, error) {
-	st.nextMu.Lock()
-	defer st.nextMu.Unlock()
-	ok, err := st.await(ctx)
-	if !ok || err != nil {
-		return nil, err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for i := range st.batch {
-		if !st.answered[i] {
-			q := st.batch[i]
-			return &q, nil
-		}
-	}
-	// Unreachable: a fully answered round is handed back to the run
-	// goroutine before the lock is released.
-	return nil, ErrNoPendingQuery
-}
-
 // NextBatch returns the full pending round — every not-yet-answered
-// query, in sequence order — blocking like Next until a round is
-// available. A nil slice with nil error means the session finished.
+// query, in sequence order — starting the synthesis loop on first call.
+// It blocks while the solver searches for the round's queries. A nil
+// slice with nil error means the session finished (check Result). If
+// ctx expires first, NextBatch returns ctx's error and the computation
+// keeps running — a later NextBatch picks the round up.
 func (st *Stepper) NextBatch(ctx context.Context) ([]Query, error) {
 	st.nextMu.Lock()
 	defer st.nextMu.Unlock()
@@ -280,21 +253,6 @@ func (st *Stepper) Pending() []Query {
 		}
 	}
 	return out
-}
-
-// Answer resolves the round's lowest-numbered unanswered query with the
-// user's preference (full confidence) and, when it completes the round,
-// resumes the synthesis loop. It returns ErrNoPendingQuery when no
-// query is outstanding — the single-query client surface.
-func (st *Stepper) Answer(pref oracle.Preference) error {
-	st.mu.Lock()
-	for i := range st.batch {
-		if !st.answered[i] {
-			return st.resolveLocked(i, oracle.Judgment{Pref: pref, Confidence: 1})
-		}
-	}
-	st.mu.Unlock()
-	return ErrNoPendingQuery
 }
 
 // AnswerSeq resolves the pending query with the given sequence number —

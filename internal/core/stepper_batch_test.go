@@ -110,10 +110,9 @@ func TestStepperBatchMatchesRun(t *testing.T) {
 }
 
 // TestStepperBatchSeqContract pins the batch bookkeeping: rounds carry
-// consecutive sequence numbers, single-query Next/Answer interleaves
-// with the batch surface (Next returns the lowest open query), stale
-// and duplicate sequence numbers are rejected, and Answered counts
-// individual answers across rounds.
+// consecutive sequence numbers, a partly answered round is served again
+// as its open queries in sequence order, and stale and duplicate
+// sequence numbers are rejected.
 func TestStepperBatchSeqContract(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full synthesis runs are not -short friendly")
@@ -129,8 +128,8 @@ func TestStepperBatchSeqContract(t *testing.T) {
 	defer cancel()
 
 	// The initial ranking arrives as rounds of one (the ranking is
-	// sequential by construction); answer through the legacy surface
-	// until a multi-query planner round shows up.
+	// sequential by construction); answer them until a multi-query
+	// planner round shows up.
 	var qs []core.Query
 	for {
 		qs, err = st.NextBatch(ctx)
@@ -143,9 +142,7 @@ func TestStepperBatchSeqContract(t *testing.T) {
 		if len(qs) > 1 {
 			break
 		}
-		if err := st.Answer(user.Compare(qs[0].A, qs[0].B)); err != nil {
-			t.Fatal(err)
-		}
+		answer(t, st, user, qs[0])
 	}
 
 	for i := 1; i < len(qs); i++ {
@@ -154,8 +151,8 @@ func TestStepperBatchSeqContract(t *testing.T) {
 		}
 	}
 
-	// Answer the LAST query of the round by seq; the legacy Next must
-	// still return the first.
+	// Answer the LAST query of the round by seq; the round must still
+	// lead with the first.
 	last := qs[len(qs)-1]
 	if err := st.AnswerSeq(last.Seq, oracle.Judgment{Pref: user.Compare(last.A, last.B)}); err != nil {
 		t.Fatal(err)
@@ -166,22 +163,20 @@ func TestStepperBatchSeqContract(t *testing.T) {
 	if err := st.AnswerSeq(last.Seq+1000, oracle.Judgment{}); err == nil {
 		t.Error("unknown seq accepted")
 	}
-	q, err := st.Next(ctx)
+	open, err := st.NextBatch(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Seq != qs[0].Seq {
-		t.Errorf("Next after out-of-order answer returned seq %d, want %d", q.Seq, qs[0].Seq)
+	if len(open) != len(qs)-1 || open[0].Seq != qs[0].Seq {
+		t.Errorf("NextBatch after out-of-order answer returned %v, want seqs %d..%d",
+			open, qs[0].Seq, qs[len(qs)-2].Seq)
 	}
 	if got := st.Pending(); len(got) != len(qs)-1 {
 		t.Errorf("Pending returned %d queries, want %d", len(got), len(qs)-1)
 	}
-	// Resolve the rest of the round through the legacy surface.
+	// Resolve the rest of the round, lowest seq first.
 	for i := 0; i+1 < len(qs); i++ {
-		qq := qs[i]
-		if err := st.Answer(user.Compare(qq.A, qq.B)); err != nil {
-			t.Fatal(err)
-		}
+		answer(t, st, user, qs[i])
 	}
 	// The session must proceed to a fresh round (or finish) now.
 	if _, err := st.NextBatch(ctx); err != nil {

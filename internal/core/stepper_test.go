@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -20,7 +21,6 @@ func stepperConfig(seed int64) core.Config {
 	opts.Samples = 150
 	opts.RepairRestarts = 5
 	opts.RepairSteps = 60
-	opts.Workers = 1
 	dopts := solver.DefaultDistinguishOptions()
 	dopts.Candidates = 6
 	dopts.PairSamples = 250
@@ -42,33 +42,23 @@ func swanTarget(t *testing.T) *sketch.Candidate {
 	return cand
 }
 
-// driveStepper answers every query from the given oracle until the
-// session completes, returning the result.
+// driveStepper answers every query from the given oracle, lowest seq
+// first, until the session completes, returning the result.
 func driveStepper(t *testing.T, st *core.Stepper, user oracle.Oracle) *core.Result {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	for {
-		q, err := st.Next(ctx)
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		if q == nil {
-			break
-		}
-		if err := st.Answer(user.Compare(q.A, q.B)); err != nil {
-			t.Fatalf("Answer: %v", err)
-		}
+	return driveStepperBatch(t, st, user, func(int) int { return 0 })
+}
+
+// answer judges q with the oracle's full-confidence preference.
+func answer(t *testing.T, st *core.Stepper, user oracle.Oracle, q core.Query) {
+	t.Helper()
+	if err := st.AnswerSeq(q.Seq, oracle.Judgment{Pref: user.Compare(q.A, q.B), Confidence: 1}); err != nil {
+		t.Fatalf("AnswerSeq(%d): %v", q.Seq, err)
 	}
-	res, err := st.Result()
-	if err != nil {
-		t.Fatalf("Result: %v", err)
-	}
-	return res
 }
 
 // TestStepperMatchesBatch is the inversion's core guarantee: a session
-// driven query-by-query through the Stepper produces a transcript
+// driven round-by-round through the Stepper produces a transcript
 // bit-identical to the batch Run with the same config, seed, and
 // answers.
 func TestStepperMatchesBatch(t *testing.T) {
@@ -129,27 +119,25 @@ func TestStepperSnapshotResume(t *testing.T) {
 	ctx := context.Background()
 	// Answer a prefix of the session, then abandon it.
 	for i := 0; i < 12; i++ {
-		q, err := st.Next(ctx)
+		qs, err := st.NextBatch(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if q == nil {
+		if qs == nil {
 			t.Fatalf("session finished after only %d answers", i)
 		}
-		if q.Seq != i {
-			t.Fatalf("query %d has Seq=%d", i, q.Seq)
+		if len(qs) != 1 || qs[0].Seq != i {
+			t.Fatalf("round %d is %v, want one query with Seq=%d", i, qs, i)
 		}
-		if err := st.Answer(user.Compare(q.A, q.B)); err != nil {
-			t.Fatal(err)
-		}
+		answer(t, st, user, qs[0])
 	}
 	// Immediately after an answer the loop is computing, so Snapshot
 	// refuses; once the next query is parked the state is stable.
 	if _, err := st.Snapshot(); err != core.ErrSessionBusy {
 		t.Fatalf("Snapshot while computing: got %v, want ErrSessionBusy", err)
 	}
-	if q, err := st.Next(ctx); err != nil || q == nil {
-		t.Fatalf("Next before snapshot: q=%v err=%v", q, err)
+	if qs, err := st.NextBatch(ctx); err != nil || qs == nil {
+		t.Fatalf("NextBatch before snapshot: qs=%v err=%v", qs, err)
 	}
 	snap, err := st.Snapshot()
 	if err != nil {
@@ -190,8 +178,8 @@ func TestStepperAPIErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.Answer(oracle.PrefersFirst); err != core.ErrNoPendingQuery {
-		t.Errorf("Answer before any query: got %v, want ErrNoPendingQuery", err)
+	if err := st.AnswerSeq(0, oracle.Judgment{Pref: oracle.PrefersFirst}); !errors.Is(err, core.ErrNoPendingQuery) {
+		t.Errorf("AnswerSeq before any query: got %v, want ErrNoPendingQuery", err)
 	}
 	if _, err := st.Result(); err != core.ErrSessionRunning {
 		t.Errorf("Result before completion: got %v, want ErrSessionRunning", err)
@@ -209,28 +197,27 @@ func TestStepperAPIErrors(t *testing.T) {
 		t.Error("fresh stepper reports Done")
 	}
 
-	// Start the session, then verify Preload is rejected and a timed-out
-	// Next surfaces the context error while the query survives for the
-	// next poll.
+	// Start the session, then verify Preload is rejected and a
+	// NextBatch with an expired context still returns the pending round.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	q, err := st.Next(ctx)
-	if err != nil || q == nil {
-		t.Fatalf("first Next: q=%v err=%v", q, err)
+	qs, err := st.NextBatch(ctx)
+	if err != nil || len(qs) != 1 {
+		t.Fatalf("first NextBatch: qs=%v err=%v", qs, err)
 	}
 	if err := st.Preload(&core.Transcript{}); err == nil {
 		t.Error("Preload after start succeeded")
 	}
-	if p := st.Pending(); len(p) != 1 || p[0].Seq != q.Seq {
-		t.Errorf("Pending() = %v, want one query with seq %d", p, q.Seq)
+	if p := st.Pending(); len(p) != 1 || p[0].Seq != qs[0].Seq {
+		t.Errorf("Pending() = %v, want one query with seq %d", p, qs[0].Seq)
 	}
-	// Next with an expired context still returns the pending query
+	// NextBatch with an expired context still returns the pending round
 	// immediately (no blocking needed).
 	expired, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	q2, err := st.Next(expired)
-	if err != nil || q2 == nil || q2.Seq != q.Seq {
-		t.Errorf("Next with pending query: q=%v err=%v", q2, err)
+	qs2, err := st.NextBatch(expired)
+	if err != nil || len(qs2) != 1 || qs2[0].Seq != qs[0].Seq {
+		t.Errorf("NextBatch with pending round: qs=%v err=%v", qs2, err)
 	}
 }
 
@@ -243,7 +230,7 @@ func TestStepperClose(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if _, err := st.Next(ctx); err != nil {
+	if _, err := st.NextBatch(ctx); err != nil {
 		t.Fatal(err)
 	}
 	doneClose := make(chan struct{})

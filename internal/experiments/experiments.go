@@ -95,7 +95,6 @@ func RunOnce(cfg RunConfig) (RunResult, error) {
 		ccfg.Distinguish.Candidates = 6
 		ccfg.Distinguish.PairSamples = 250
 		ccfg.Distinguish.Gamma = 2
-		ccfg.Distinguish.MaximizeGap = true
 	}
 	synth, err := core.New(ccfg)
 	if err != nil {

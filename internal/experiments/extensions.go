@@ -83,7 +83,6 @@ func runNoisy(flipProb float64, policy core.NoisePolicy, seed int64, fast bool) 
 		cfg.Distinguish.Candidates = 6
 		cfg.Distinguish.PairSamples = 250
 		cfg.Distinguish.Gamma = 2
-		cfg.Distinguish.MaximizeGap = true
 	}
 	synth, err := core.New(cfg)
 	if err != nil {
@@ -148,7 +147,6 @@ func RunStrategyComparison(runs int, baseSeed int64, fast bool) ([]StrategyPoint
 			}
 			cfg.Distinguish = solver.DefaultDistinguishOptions()
 			cfg.Distinguish.Strategy = strategy
-			cfg.Distinguish.MaximizeGap = strategy == solver.SelectMaxGap
 			if fast {
 				cfg.Solver.Samples = 150
 				cfg.Solver.RepairRestarts = 5
@@ -241,7 +239,6 @@ func RunFatigueSweep(patiences []int, runs int, baseSeed int64, fast bool) ([]Fa
 				cfg.Distinguish.Candidates = 6
 				cfg.Distinguish.PairSamples = 250
 				cfg.Distinguish.Gamma = 2
-				cfg.Distinguish.MaximizeGap = true
 			}
 			synth, err := core.New(cfg)
 			if err != nil {
@@ -326,7 +323,6 @@ func RunMultiRegion(regions []int, runs int, baseSeed int64, fast bool) ([]Multi
 				cfg.Distinguish.Candidates = 6
 				cfg.Distinguish.PairSamples = 250
 				cfg.Distinguish.Gamma = 3
-				cfg.Distinguish.MaximizeGap = true
 			}
 			synth, err := core.New(cfg)
 			if err != nil {

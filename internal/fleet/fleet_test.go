@@ -149,12 +149,32 @@ func createVia(t *testing.T, base string, spec service.SessionSpec) string {
 	return st.ID
 }
 
-type queryResp struct {
-	State string    `json:"state"`
-	Seq   int       `json:"seq"`
-	A     []float64 `json:"a"`
-	B     []float64 `json:"b"`
-	Error string    `json:"error"`
+// queryItem and queriesResp mirror the GET /queries document.
+type queryItem struct {
+	Seq int       `json:"seq"`
+	A   []float64 `json:"a"`
+	B   []float64 `json:"b"`
+}
+
+type queriesResp struct {
+	State   string      `json:"state"`
+	Queries []queryItem `json:"queries"`
+	Error   string      `json:"error"`
+}
+
+// postJudgment posts the oracle's judgment of q as a one-judgment batch
+// to base's judgments route and returns the status code and body.
+func postJudgment(t *testing.T, client *http.Client, base, id string, user oracle.Oracle, q queryItem) (int, []byte) {
+	t.Helper()
+	pref := user.Compare(scenario.Scenario(q.A), scenario.Scenario(q.B))
+	body, _ := json.Marshal(map[string]any{"judgments": []any{map[string]any{"seq": q.Seq, "pref": prefWord(pref)}}})
+	resp, err := client.Post(base+"/v1/sessions/"+id+"/judgments", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode, raw
 }
 
 func prefWord(p oracle.Preference) string {
@@ -167,16 +187,17 @@ func prefWord(p oracle.Preference) string {
 	return "tie"
 }
 
-// drive answers a session's queries through the router until done (or
-// maxAnswers), riding out the transient statuses chaos produces: 409
-// answers are stale seqs after a migration (re-query), 503/502 are a
-// member mid-restart, 408 is a long-poll expiry.
+// drive judges a session's queries through the router, one judgment per
+// POST, lowest seq first, until done (or maxAnswers), riding out the
+// transient statuses chaos produces: 409 judgments are stale seqs after
+// a migration (re-query), 503/502 are a member mid-restart, 408 is a
+// long-poll expiry.
 func drive(t *testing.T, base, id string, user oracle.Oracle, maxAnswers int) (int, bool) {
 	t.Helper()
 	client := &http.Client{Timeout: 60 * time.Second}
 	answered := 0
 	for tries := 0; tries < 4000; tries++ {
-		resp, err := client.Get(base + "/v1/sessions/" + id + "/query?wait=20s")
+		resp, err := client.Get(base + "/v1/sessions/" + id + "/queries?wait=20s")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,33 +210,25 @@ func drive(t *testing.T, base, id string, user oracle.Oracle, maxAnswers int) (i
 			time.Sleep(20 * time.Millisecond)
 			continue
 		default:
-			t.Fatalf("query: %d %s", resp.StatusCode, raw)
+			t.Fatalf("queries: %d %s", resp.StatusCode, raw)
 		}
-		var qr queryResp
+		var qr queriesResp
 		if err := json.Unmarshal(raw, &qr); err != nil {
-			t.Fatalf("decode query %q: %v", raw, err)
+			t.Fatalf("decode queries %q: %v", raw, err)
 		}
 		switch qr.State {
 		case "awaiting_answer":
 			if maxAnswers >= 0 && answered >= maxAnswers {
 				return answered, false
 			}
-			pref := user.Compare(scenario.Scenario(qr.A), scenario.Scenario(qr.B))
-			ab, _ := json.Marshal(map[string]any{"seq": qr.Seq, "pref": prefWord(pref)})
-			ar, err := client.Post(base+"/v1/sessions/"+id+"/answer", "application/json", bytes.NewReader(ab))
-			if err != nil {
-				t.Fatal(err)
-			}
-			araw, _ := io.ReadAll(ar.Body)
-			ar.Body.Close()
-			switch ar.StatusCode {
+			switch code, araw := postJudgment(t, client, base, id, user, qr.Queries[0]); code {
 			case http.StatusAccepted:
 				answered++
 			case http.StatusConflict, http.StatusTooManyRequests,
 				http.StatusServiceUnavailable, http.StatusBadGateway:
 				time.Sleep(20 * time.Millisecond)
 			default:
-				t.Fatalf("answer: %d %s", ar.StatusCode, araw)
+				t.Fatalf("judgments: %d %s", code, araw)
 			}
 		case "done":
 			return answered, true
@@ -710,23 +723,16 @@ func TestFailoverAdoptionZombieFenced(t *testing.T) {
 	// replica targets. Its next journal append must be fenced.
 	zombie := httptest.NewServer(service.Handler(dead.mgr))
 	defer zombie.Close()
-	resp, err := http.Get(zombie.URL + "/v1/sessions/" + id + "/query?wait=10s")
+	resp, err := http.Get(zombie.URL + "/v1/sessions/" + id + "/queries?wait=10s")
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	var qr queryResp
+	var qr queriesResp
 	if resp.StatusCode == http.StatusOK && json.Unmarshal(raw, &qr) == nil && qr.State == "awaiting_answer" {
-		pref := user.Compare(scenario.Scenario(qr.A), scenario.Scenario(qr.B))
-		ab, _ := json.Marshal(map[string]any{"seq": qr.Seq, "pref": prefWord(pref)})
-		ar, err := http.Post(zombie.URL+"/v1/sessions/"+id+"/answer", "application/json", bytes.NewReader(ab))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, ar.Body)
-		ar.Body.Close()
-		// The answer may confirm locally before the fence lands; either
+		postJudgment(t, http.DefaultClient, zombie.URL, id, user, qr.Queries[0])
+		// The judgment may confirm locally before the fence lands; either
 		// way the fenced push must make the zombie abandon the session.
 	}
 	deadline := time.Now().Add(10 * time.Second)

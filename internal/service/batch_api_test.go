@@ -1,16 +1,15 @@
 package service
 
-// Tests for the batched rounds surface (GET /v1/sessions/{id}/queries,
-// POST /v1/sessions/{id}/judgments) and its coexistence contract with
-// the deprecated single-query routes: both protocols, and any
-// interleaving of them, must reproduce the in-process batch run
-// bit-identically — the repo-wide invariant every serving path obeys.
+// Tests for the rounds surface (GET /v1/sessions/{id}/queries, POST
+// /v1/sessions/{id}/judgments): whole rounds judged in one POST and
+// rounds judged one POST per judgment must both reproduce the
+// in-process batch run bit-identically — the repo-wide invariant every
+// serving path obeys.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -141,8 +140,9 @@ func driveHTTPBatch(t *testing.T, base, id string, user oracle.Oracle, maxRounds
 // TestHTTPBatchGolden is the batch surface's acceptance core: a
 // session whose rounds are fetched with GET queries and judged
 // out-of-order with POST judgments must reproduce the in-process run
-// bit for bit — and so must a legacy single-query client answering the
-// very same multi-query rounds one at a time.
+// bit for bit — and so must a client in the shape of the retired
+// single-query one ("legacy-client"), posting the very same multi-query
+// rounds one judgment at a time, lowest seq first.
 func TestHTTPBatchGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full synthesis runs are not -short friendly")
@@ -176,7 +176,7 @@ func TestHTTPBatchGolden(t *testing.T) {
 			t.Fatal("session did not complete")
 		}
 		if got := fetchTranscript(t, srv.URL, id); !bytes.Equal(want, got) {
-			t.Errorf("legacy-surface transcript diverged from in-process run (%d vs %d bytes)", len(got), len(want))
+			t.Errorf("per-judgment transcript diverged from in-process run (%d vs %d bytes)", len(got), len(want))
 		}
 	})
 }
@@ -229,11 +229,9 @@ func TestHTTPBatchStatusAndValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(st.PendingSeqs) != len(qr.Queries) {
-		t.Errorf("status pending_seqs has %d entries, round has %d", len(st.PendingSeqs), len(qr.Queries))
-	}
-	if st.PendingSeq == nil || *st.PendingSeq != qr.Queries[0].Seq {
-		t.Errorf("status pending_seq = %v, want %d", st.PendingSeq, qr.Queries[0].Seq)
+	if len(st.PendingSeqs) != len(qr.Queries) || st.PendingSeqs[0] != qr.Queries[0].Seq {
+		t.Errorf("status pending_seqs = %v, want the round's %d seqs from %d",
+			st.PendingSeqs, len(qr.Queries), qr.Queries[0].Seq)
 	}
 
 	// Malformed batches are rejected before anything applies.
@@ -371,85 +369,6 @@ func TestHTTPBatchRestartRecovery(t *testing.T) {
 	}
 	if got := fetchTranscript(t, srv2.URL, id); !bytes.Equal(want, got) {
 		t.Errorf("post-restart transcript diverged from in-process run (%d vs %d bytes)", len(got), len(want))
-	}
-}
-
-// TestHTTPSingleQueryDeprecated pins the RFC 9745 sunset signaling on
-// the single-query surface: the /v1 query and answer routes now carry
-// a Deprecation header plus a Link to their batch successor on the
-// same session, while the successors themselves carry neither.
-func TestHTTPSingleQueryDeprecated(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full synthesis runs are not -short friendly")
-	}
-	user := swanUser(t)
-	m, err := New(testConfig(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(Handler(m))
-	defer srv.Close()
-	defer m.Abort()
-	id := createSession(t, srv.URL, testSpec(48))
-
-	resp, err := http.Get(srv.URL + "/v1/sessions/" + id + "/query?wait=20s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var qr queryResp
-	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || State(qr.State) != StateAwaiting {
-		t.Fatalf("GET /v1 query: %d state %q", resp.StatusCode, qr.State)
-	}
-	if dep := resp.Header.Get("Deprecation"); !strings.HasPrefix(dep, "@") {
-		t.Errorf("/v1 query Deprecation header = %q, want @<epoch>", dep)
-	}
-	if want := fmt.Sprintf(`</v1/sessions/%s/queries>; rel="successor-version"`, id); resp.Header.Get("Link") != want {
-		t.Errorf("/v1 query Link = %q, want %q", resp.Header.Get("Link"), want)
-	}
-
-	// The successor route serves the same pending query, clean of
-	// deprecation signaling.
-	resp2, err := http.Get(srv.URL + "/v1/sessions/" + id + "/queries")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var br batchQueriesResp
-	if err := json.NewDecoder(resp2.Body).Decode(&br); err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if dep := resp2.Header.Get("Deprecation"); dep != "" {
-		t.Errorf("/v1 queries advertises Deprecation %q", dep)
-	}
-	if link := resp2.Header.Get("Link"); link != "" {
-		t.Errorf("/v1 queries advertises Link %q", link)
-	}
-	if len(br.Queries) != 1 || br.Queries[0].Seq != qr.Seq {
-		t.Fatalf("queries round = %+v, want the single pending query seq %d", br.Queries, qr.Seq)
-	}
-
-	// POST answer via the deprecated route: same Deprecation + Link to
-	// the judgments successor, and the answer still lands.
-	ab, _ := json.Marshal(map[string]any{"seq": qr.Seq,
-		"pref": prefWord(user.Compare(scenario.Scenario(qr.A), scenario.Scenario(qr.B)))})
-	ar, err := http.Post(srv.URL+"/v1/sessions/"+id+"/answer", "application/json", bytes.NewReader(ab))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, ar.Body) //nolint:errcheck
-	ar.Body.Close()
-	if ar.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST /v1 answer: %d", ar.StatusCode)
-	}
-	if dep := ar.Header.Get("Deprecation"); !strings.HasPrefix(dep, "@") {
-		t.Errorf("/v1 answer Deprecation header = %q, want @<epoch>", dep)
-	}
-	if want := fmt.Sprintf(`</v1/sessions/%s/judgments>; rel="successor-version"`, id); ar.Header.Get("Link") != want {
-		t.Errorf("/v1 answer Link = %q, want %q", ar.Header.Get("Link"), want)
 	}
 }
 

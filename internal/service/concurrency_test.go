@@ -21,33 +21,35 @@ import (
 	"compsynth/internal/oracle"
 )
 
-// driveSession answers a session's queries through the in-process API
-// until done, tolerating backpressure. Error-returning (not Fatal) so
-// it is safe to call from spawned goroutines.
+// driveSession judges a session's queries through the in-process API,
+// lowest seq first, until done, tolerating backpressure.
+// Error-returning (not Fatal) so it is safe to call from spawned
+// goroutines.
 func driveSession(s *Session, user oracle.Oracle) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	for {
-		q, state, err := s.AwaitQuery(ctx)
+		qs, state, err := s.AwaitQueries(ctx)
 		if errors.Is(err, ErrSaturated) {
 			time.Sleep(10 * time.Millisecond)
 			continue
 		}
 		if err != nil {
-			return fmt.Errorf("AwaitQuery: %w", err)
+			return fmt.Errorf("AwaitQueries: %w", err)
 		}
-		if q == nil {
+		if len(qs) == 0 {
 			if state != StateDone {
 				return fmt.Errorf("session ended in state %s: %s", state, s.Status().Error)
 			}
 			return nil
 		}
-		if _, err := s.Answer(context.Background(), q.Seq, user.Compare(q.A, q.B)); err != nil {
+		q := qs[0]
+		if _, err := s.Judge(context.Background(), q.Seq, oracle.Judgment{Pref: user.Compare(q.A, q.B)}); err != nil {
 			if errors.Is(err, ErrSaturated) {
 				time.Sleep(10 * time.Millisecond)
 				continue
 			}
-			return fmt.Errorf("Answer: %w", err)
+			return fmt.Errorf("Judge: %w", err)
 		}
 	}
 }
@@ -102,28 +104,29 @@ func TestConcurrentAnswerHammer(t *testing.T) {
 	defer cancel()
 	const hammers = 8
 	for {
-		q, state, err := s.AwaitQuery(ctx)
+		qs, state, err := s.AwaitQueries(ctx)
 		if errors.Is(err, ErrSaturated) {
 			time.Sleep(10 * time.Millisecond)
 			continue
 		}
 		if err != nil {
-			t.Fatalf("AwaitQuery: %v", err)
+			t.Fatalf("AwaitQueries: %v", err)
 		}
-		if q == nil {
+		if len(qs) == 0 {
 			if state != StateDone {
 				t.Fatalf("session ended in state %s: %s", state, s.Status().Error)
 			}
 			break
 		}
-		pref := user.Compare(q.A, q.B)
+		q := qs[0]
+		j := oracle.Judgment{Pref: user.Compare(q.A, q.B)}
 		var accepted atomic.Int32
 		var wg sync.WaitGroup
 		for i := 0; i < hammers; i++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_, err := s.Answer(context.Background(), q.Seq, pref)
+				_, err := s.Judge(context.Background(), q.Seq, j)
 				switch {
 				case err == nil:
 					accepted.Add(1)
@@ -236,7 +239,7 @@ func TestGetRacesDelete(t *testing.T) {
 		// Start the first synthesis step, so Delete tears down a
 		// computing session.
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-		s.AwaitQuery(ctx) //nolint:errcheck // the poll is meant to time out
+		s.AwaitQueries(ctx) //nolint:errcheck // the poll is meant to time out
 		cancel()
 		stop := make(chan struct{})
 		var wg, spinning sync.WaitGroup

@@ -114,8 +114,7 @@ func (sr *statusRecorder) Write(p []byte) (int, error) {
 // middleware runs outside the ServeMux, so r.PathValue is not populated
 // yet; the path shape is stable enough to parse directly.
 func sessionFromPath(path string) string {
-	path = strings.TrimPrefix(path, "/v1")
-	rest, ok := strings.CutPrefix(path, "/sessions/")
+	rest, ok := strings.CutPrefix(path, "/v1/sessions/")
 	if !ok {
 		return ""
 	}

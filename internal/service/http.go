@@ -16,11 +16,6 @@ import (
 	"compsynth/internal/solver"
 )
 
-// deprecationDate is the RFC 9745 Deprecation header value advertised
-// on the unversioned alias routes: the epoch seconds of the day the
-// /v1 prefix became the canonical API surface.
-const deprecationDate = "@1785542400" // 2026-08-05T00:00:00Z
-
 // Handler builds the daemon's HTTP API over a manager. Alongside the
 // /v1 session routes it mounts the obs exposition endpoints (/metrics,
 // /debug/vars, /debug/pprof/, /trace) when the manager was built with
@@ -28,62 +23,22 @@ const deprecationDate = "@1785542400" // 2026-08-05T00:00:00Z
 // The whole surface is wrapped in the correlation middleware: every
 // request gets (or keeps) an X-Request-Id and a W3C traceparent, echoed
 // on the response and stamped into the JSON access log.
-//
-// Every session route is also reachable at its historical unversioned
-// path (e.g. /sessions for /v1/sessions). Those aliases are frozen:
-// they serve the same handlers but answer with an RFC 9745
-// Deprecation header and a Link to the /v1 successor, and new routes
-// (like /sessions/{id}/progress) are added under /v1 only.
-//
-// The single-query surface (GET query, POST answer) is itself
-// deprecated in favor of the batched round surface (GET queries, POST
-// judgments): its /v1 routes keep serving unchanged but now carry a
-// Deprecation header plus a Link to the batch successor on the same
-// session.
 func Handler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
-	routes := []struct {
-		method, path string
-		h            http.HandlerFunc
-		// successor, when set, marks the /v1 route itself deprecated:
-		// it answers with Deprecation plus a Link to this sibling verb.
-		successor string
-	}{
-		{"POST", "/sessions", m.handleCreate, ""},
-		{"GET", "/sessions", m.handleList, ""},
-		{"GET", "/sessions/{id}", m.handleStatus, ""},
-		{"DELETE", "/sessions/{id}", m.handleDelete, ""},
-		{"GET", "/sessions/{id}/query", m.handleQuery, "queries"},
-		{"POST", "/sessions/{id}/answer", m.handleAnswer, "judgments"},
-		{"GET", "/sessions/{id}/transcript", m.handleExport, ""},
-		{"PUT", "/sessions/{id}/transcript", m.handleImport, ""},
-	}
-	for _, rt := range routes {
-		h := rt.h
-		if succ := rt.successor; succ != "" {
-			mux.HandleFunc(rt.method+" /v1"+rt.path, func(w http.ResponseWriter, r *http.Request) {
-				w.Header().Set("Deprecation", deprecationDate)
-				w.Header().Set("Link",
-					`</v1/sessions/`+r.PathValue("id")+`/`+succ+`>; rel="successor-version"`)
-				h(w, r)
-			})
-		} else {
-			mux.HandleFunc(rt.method+" /v1"+rt.path, h)
-		}
-		mux.HandleFunc(rt.method+" "+rt.path, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Deprecation", deprecationDate)
-			w.Header().Set("Link", `</v1`+r.URL.EscapedPath()+`>; rel="successor-version"`)
-			h(w, r)
-		})
-	}
-	// The batched round surface (v1-only): one GET yields the planner's
-	// whole query round, one POST may carry any subset of its judgments
-	// in any order, each graded with a confidence.
+	mux.HandleFunc("POST /v1/sessions", m.handleCreate)
+	mux.HandleFunc("GET /v1/sessions", m.handleList)
+	mux.HandleFunc("GET /v1/sessions/{id}", m.handleStatus)
+	mux.HandleFunc("DELETE /v1/sessions/{id}", m.handleDelete)
+	mux.HandleFunc("GET /v1/sessions/{id}/transcript", m.handleExport)
+	mux.HandleFunc("PUT /v1/sessions/{id}/transcript", m.handleImport)
+	// The round surface: one GET yields the planner's whole query round,
+	// one POST may carry any subset of its judgments in any order, each
+	// graded with a confidence. A round of one is the paper's single
+	// pair per iteration.
 	mux.HandleFunc("GET /v1/sessions/{id}/queries", m.handleQueries)
 	mux.HandleFunc("POST /v1/sessions/{id}/judgments", m.handleJudgments)
 	mux.HandleFunc("GET /v1/sessions/{id}/progress", m.handleProgress)
-	// Fleet-era routes (v1-only, no unversioned aliases): the migration
-	// bundle export and import.
+	// Fleet routes: the migration bundle export and import.
 	mux.HandleFunc("GET /v1/sessions/{id}/bundle", m.handleBundle)
 	mux.HandleFunc("PUT /v1/sessions/{id}/restore", m.handleRestore)
 	// The replica surface (fleet-internal; see replicahttp.go): the
@@ -266,18 +221,7 @@ func (m *Manager) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// queryResponse carries the pending distinguishing pair. Seq must be
-// echoed back in the answer.
-type queryResponse struct {
-	State State     `json:"state"`
-	Seq   int       `json:"seq"`
-	A     []float64 `json:"a,omitempty"`
-	B     []float64 `json:"b,omitempty"`
-	Final []float64 `json:"final,omitempty"`
-	Error string    `json:"error,omitempty"`
-}
-
-// pollWindow resolves the long-poll duration for a query GET: the
+// pollWindow resolves the long-poll duration for a queries GET: the
 // ?wait= parameter clamped to the configured maximum.
 func (m *Manager) pollWindow(r *http.Request) (time.Duration, error) {
 	wait := m.cfg.LongPollMax
@@ -293,55 +237,8 @@ func (m *Manager) pollWindow(r *http.Request) (time.Duration, error) {
 	return wait, nil
 }
 
-func (m *Manager) handleQuery(w http.ResponseWriter, r *http.Request) {
-	s, ok := m.session(w, r)
-	if !ok {
-		return
-	}
-	wait, err := m.pollWindow(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), wait)
-	defer cancel()
-	q, state, err := s.AwaitQuery(ctx)
-	if errors.Is(err, ErrGone) {
-		// Evicted between lookup and wait; the journal has it — retry the
-		// lookup once so the client never sees the eviction.
-		if s, ok = m.session(w, r); !ok {
-			return
-		}
-		q, state, err = s.AwaitQuery(ctx)
-	}
-	if err != nil {
-		m.writeError(w, err, state)
-		return
-	}
-	resp := queryResponse{State: state}
-	if q != nil {
-		resp.Seq = q.Seq
-		resp.A = q.A
-		resp.B = q.B
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	// Session finished: report the outcome inline so scripted clients
-	// need no second request.
-	st := s.Status()
-	resp.Final = st.Final
-	resp.Error = st.Error
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// answerRequest is the POST /answer body.
-type answerRequest struct {
-	Seq int `json:"seq"`
-	// Pref is "first", "second", or "tie" (aliases: "1", "2", "a", "b",
-	// "=", "indifferent").
-	Pref string `json:"pref"`
-}
-
+// parsePref reads a judgment's pref: "first", "second", or "tie"
+// (aliases: "1", "2", "a", "b", "=", "indifferent", "0").
 func parsePref(s string) (oracle.Preference, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "first", "1", "a":
@@ -354,31 +251,6 @@ func parsePref(s string) (oracle.Preference, error) {
 	return oracle.Indifferent, fmt.Errorf("bad pref %q (want first, second, or tie)", s)
 }
 
-func (m *Manager) handleAnswer(w http.ResponseWriter, r *http.Request) {
-	s, ok := m.session(w, r)
-	if !ok {
-		return
-	}
-	var req answerRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "decode answer: " + err.Error()})
-		return
-	}
-	pref, err := parsePref(req.Pref)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
-		return
-	}
-	state, err := s.Answer(r.Context(), req.Seq, pref)
-	if err != nil {
-		m.writeError(w, err, state)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"state": state, "seq": req.Seq})
-}
-
 // queryItem is one open query of a round (GET queries).
 type queryItem struct {
 	Seq int       `json:"seq"`
@@ -388,7 +260,7 @@ type queryItem struct {
 
 // queriesResponse carries the pending round: every not-yet-judged
 // query, in sequence order. Finished sessions report the outcome
-// inline, exactly like the single-query route.
+// inline, so scripted clients need no second request.
 type queriesResponse struct {
 	State   State       `json:"state"`
 	Queries []queryItem `json:"queries,omitempty"`
@@ -443,7 +315,7 @@ func (m *Manager) handleQueries(w http.ResponseWriter, r *http.Request) {
 // judgmentItem is one judgment of the POST judgments body.
 type judgmentItem struct {
 	Seq int `json:"seq"`
-	// Pref accepts the same spellings as the answer route.
+	// Pref is "first", "second", or "tie" (see parsePref for aliases).
 	Pref string `json:"pref"`
 	// Confidence grades the judgment in (0, 1]; 0 (or omitted) means
 	// full confidence. The preference graph weighs contradictory

@@ -177,11 +177,11 @@ func TestCorrelationEndToEnd(t *testing.T) {
 	}
 	id := st.ID
 
-	// First query poll (same request ID): kicks the synthesis step whose
-	// solver spans must carry the ID.
-	resp, raw = do("GET", "/v1/sessions/"+id+"/query?wait=20s", "")
+	// First queries poll (same request ID): kicks the synthesis step
+	// whose solver spans must carry the ID.
+	resp, raw = do("GET", "/v1/sessions/"+id+"/queries?wait=20s", "")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query: %d %s", resp.StatusCode, raw)
+		t.Fatalf("queries: %d %s", resp.StatusCode, raw)
 	}
 
 	// Force a failure so the flight dump is written.
@@ -257,7 +257,7 @@ func TestProgressEndpoint(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if _, _, err := s.AwaitQuery(ctx); err != nil {
+	if _, _, err := s.AwaitQueries(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -284,7 +284,7 @@ func TestProgressEndpoint(t *testing.T) {
 		t.Error("progress response missing solver_effort (batched/scalar eval split)")
 	}
 
-	// New route exists under /v1 only: the unversioned path must 404.
+	// The route exists under /v1 only: the unversioned path must 404.
 	resp2, err := http.Get(srv.URL + "/sessions/" + s.ID + "/progress")
 	if err != nil {
 		t.Fatal(err)
@@ -316,14 +316,14 @@ func TestPanicContainment(t *testing.T) {
 	}
 	s.mu.Lock()
 	s.stepper.Close() // release the real stepper before sabotaging
-	s.stepper = nil   // the next advance will panic in stepper.Next
+	s.stepper = nil   // the next advance will panic in stepper.NextBatch
 	s.mu.Unlock()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	_, state, err := s.AwaitQuery(ctx)
+	_, state, err := s.AwaitQueries(ctx)
 	if err != nil || state != StateFailed {
-		t.Fatalf("AwaitQuery after panic: state %v err %v, want failed", state, err)
+		t.Fatalf("AwaitQueries after panic: state %v err %v, want failed", state, err)
 	}
 	if !strings.Contains(s.Status().Error, "panic in synthesis step") {
 		t.Errorf("failure = %q, want panic message", s.Status().Error)
@@ -345,8 +345,8 @@ func TestPanicContainment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q, _, err := s2.AwaitQuery(ctx); err != nil || q == nil {
-		t.Fatalf("sibling session after panic: q=%v err=%v", q, err)
+	if qs, _, err := s2.AwaitQueries(ctx); err != nil || len(qs) == 0 {
+		t.Fatalf("sibling session after panic: round=%v err=%v", qs, err)
 	}
 }
 
@@ -401,10 +401,11 @@ func TestTraceparent(t *testing.T) {
 		t.Errorf("formatTraceparent = %q", got)
 	}
 	for path, want := range map[string]string{
-		"/v1/sessions/s000001/query": "s000001",
-		"/sessions/s000002":          "s000002",
-		"/v1/sessions":               "",
-		"/healthz":                   "",
+		"/v1/sessions/s000001/queries": "s000001",
+		"/v1/sessions/s000002":         "s000002",
+		"/sessions/s000003":            "",
+		"/v1/sessions":                 "",
+		"/healthz":                     "",
 	} {
 		if got := sessionFromPath(path); got != want {
 			t.Errorf("sessionFromPath(%q) = %q, want %q", path, got, want)

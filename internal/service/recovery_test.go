@@ -17,42 +17,43 @@ import (
 	"compsynth/internal/solver"
 )
 
-// answerN drives a session through exactly n answers via the
-// in-process API.
+// answerN drives a session through exactly n judgments via the
+// in-process API, lowest seq first.
 func answerN(t *testing.T, s *Session, user oracle.Oracle, n int) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	for answered := 0; answered < n; {
-		q, state, err := s.AwaitQuery(ctx)
+		qs, state, err := s.AwaitQueries(ctx)
 		if errors.Is(err, ErrSaturated) {
 			time.Sleep(10 * time.Millisecond)
 			continue
 		}
 		if err != nil {
-			t.Fatalf("AwaitQuery: %v", err)
+			t.Fatalf("AwaitQueries: %v", err)
 		}
-		if q == nil {
+		if len(qs) == 0 {
 			t.Fatalf("session finished (state %s) after %d answers; wanted %d", state, answered, n)
 		}
-		if _, err := s.Answer(context.Background(), q.Seq, user.Compare(q.A, q.B)); err != nil {
-			t.Fatalf("Answer %d: %v", answered, err)
+		q := qs[0]
+		if _, err := s.Judge(context.Background(), q.Seq, oracle.Judgment{Pref: user.Compare(q.A, q.B)}); err != nil {
+			t.Fatalf("Judge %d: %v", answered, err)
 		}
 		answered++
 	}
 }
 
-// parkQuery waits until the session's next query is parked, so the
-// session is quiescent.
+// parkQuery waits until the session's next round is parked, so the
+// session is quiescent, and returns its lowest open query.
 func parkQuery(t *testing.T, s *Session) *core.Query {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	q, _, err := s.AwaitQuery(ctx)
-	if err != nil || q == nil {
-		t.Fatalf("park next query: %v (q=%v)", err, q)
+	qs, _, err := s.AwaitQueries(ctx)
+	if err != nil || len(qs) == 0 {
+		t.Fatalf("park next query: %v (round=%v)", err, qs)
 	}
-	return q
+	return &qs[0]
 }
 
 // evict ages a quiescent session past the TTL and sweeps it out.
@@ -365,12 +366,13 @@ func TestParentFormatJournals(t *testing.T) {
 	}
 	tail := []any{ck}
 	for len(tail) < 4 {
-		q, err := st.Next(context.Background())
-		if err != nil || q == nil {
-			t.Fatalf("checkpoint-resumed stepper: %v (q=%v)", err, q)
+		qs, err := st.NextBatch(context.Background())
+		if err != nil || len(qs) == 0 {
+			t.Fatalf("checkpoint-resumed stepper: %v (round=%v)", err, qs)
 		}
+		q := qs[0]
 		pref := user.Compare(q.A, q.B)
-		if err := st.Answer(pref); err != nil {
+		if err := st.AnswerSeq(q.Seq, oracle.Judgment{Pref: pref, Confidence: 1}); err != nil {
 			t.Fatal(err)
 		}
 		tail = append(tail, journalRecord{Type: recAnswer, Seq: 10 + q.Seq, A: q.A, B: q.B, Pref: int(pref)})

@@ -84,14 +84,6 @@ func batchTranscript(t *testing.T, spec SessionSpec, user oracle.Oracle) []byte 
 	return b
 }
 
-type queryResp struct {
-	State string    `json:"state"`
-	Seq   int       `json:"seq"`
-	A     []float64 `json:"a"`
-	B     []float64 `json:"b"`
-	Error string    `json:"error"`
-}
-
 func prefWord(p oracle.Preference) string {
 	switch p {
 	case oracle.PrefersFirst:
@@ -124,52 +116,31 @@ func createSession(t *testing.T, base string, spec SessionSpec) string {
 	return st.ID
 }
 
-// driveHTTP answers the session's queries through the API (the
-// scripted architect), stopping after maxAnswers (-1 for no limit).
-// Returns the number of answers sent and whether the session finished.
+// driveHTTP judges the session's queries through the round surface
+// (the scripted architect): one judgment per POST, lowest seq first,
+// stopping after maxAnswers judgments (-1 for no limit). Returns the
+// number of judgments sent and whether the session finished.
 func driveHTTP(t *testing.T, base, id string, user oracle.Oracle, maxAnswers int) (int, bool) {
 	t.Helper()
-	client := &http.Client{Timeout: 60 * time.Second}
 	answered := 0
 	for tries := 0; tries < 2000; tries++ {
-		resp, err := client.Get(base + "/v1/sessions/" + id + "/query?wait=20s")
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK:
-		case http.StatusRequestTimeout, http.StatusTooManyRequests:
-			time.Sleep(20 * time.Millisecond)
-			continue
-		default:
-			t.Fatalf("query: %d %s", resp.StatusCode, raw)
-		}
-		var qr queryResp
-		if err := json.Unmarshal(raw, &qr); err != nil {
-			t.Fatalf("decode query %q: %v", raw, err)
-		}
+		qr := getQueries(t, base, id)
 		switch State(qr.State) {
 		case StateAwaiting:
 			if maxAnswers >= 0 && answered >= maxAnswers {
 				return answered, false
 			}
-			pref := user.Compare(scenario.Scenario(qr.A), scenario.Scenario(qr.B))
-			ab, _ := json.Marshal(map[string]any{"seq": qr.Seq, "pref": prefWord(pref)})
-			ar, err := client.Post(base+"/v1/sessions/"+id+"/answer", "application/json", bytes.NewReader(ab))
-			if err != nil {
-				t.Fatal(err)
-			}
-			araw, _ := io.ReadAll(ar.Body)
-			ar.Body.Close()
-			switch ar.StatusCode {
+			q := qr.Queries[0]
+			pref := user.Compare(scenario.Scenario(q.A), scenario.Scenario(q.B))
+			item := map[string]any{"seq": q.Seq, "pref": prefWord(pref)}
+			resp, raw := postJudgments(t, base, id, map[string]any{"judgments": []any{item}})
+			switch resp.StatusCode {
 			case http.StatusAccepted:
 				answered++
 			case http.StatusConflict, http.StatusTooManyRequests:
 				time.Sleep(20 * time.Millisecond)
 			default:
-				t.Fatalf("answer: %d %s", ar.StatusCode, araw)
+				t.Fatalf("judgments: %d %s", resp.StatusCode, raw)
 			}
 		case StateDone:
 			return answered, true
@@ -232,21 +203,9 @@ func TestHTTPGolden(t *testing.T) {
 		t.Errorf("HTTP transcript diverged from batch run (%d vs %d bytes)", len(got), len(want))
 	}
 
-	// The query endpoint reports the final hole vector inline.
-	resp, err := http.Get(srv.URL + "/v1/sessions/" + id + "/query")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var qr struct {
-		State string    `json:"state"`
-		Final []float64 `json:"final"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if State(qr.State) != StateDone || len(qr.Final) == 0 {
-		t.Errorf("final query poll: state %q, final %v", qr.State, qr.Final)
+	// The queries endpoint reports the final hole vector inline.
+	if qr := getQueries(t, srv.URL, id); State(qr.State) != StateDone || len(qr.Final) == 0 {
+		t.Errorf("final queries poll: state %q, final %v", qr.State, qr.Final)
 	}
 }
 
@@ -334,7 +293,8 @@ func TestHTTPRestartRecovery(t *testing.T) {
 }
 
 // TestHTTPErrors pins the API's error contract: status codes for
-// missing sessions, bad specs, stale answers, and pool saturation.
+// missing sessions, bad specs, removed routes, stale judgments, and
+// pool saturation.
 func TestHTTPErrors(t *testing.T) {
 	cfg := testConfig(t.TempDir())
 	cfg.Workers = 1
@@ -382,23 +342,42 @@ func TestHTTPErrors(t *testing.T) {
 	if code, body := status("POST", "/v1/sessions", `{"seed":2,"solver":{"batch_lanes":16}}`); code != http.StatusBadRequest || !strings.Contains(body, "batch_lanes") {
 		t.Errorf("retired batch_lanes field: got %d %s, want 400 naming the field", code, body)
 	}
+	// Sampling and repair are sequential: a parallel worker count is
+	// refused by name (testSpec's "workers":1 creates below).
+	if code, body := status("POST", "/v1/sessions", `{"seed":2,"solver":{"workers":2}}`); code != http.StatusBadRequest || !strings.Contains(body, "workers") {
+		t.Errorf("solver workers 2: got %d %s, want 400 naming the field", code, body)
+	}
 
 	id := createSession(t, srv.URL, testSpec(1))
 	if code, body := status("POST", "/v1/sessions", `{"seed":2}`); code != http.StatusTooManyRequests {
 		t.Errorf("session cap: got %d %s, want 429", code, body)
 	}
-	if code, _ := status("POST", "/v1/sessions/"+id+"/answer", `{"seq":0,"pref":"maybe"}`); code != http.StatusBadRequest {
+	// The single-query and unversioned routes are gone.
+	for _, rt := range []struct{ method, path, body string }{
+		{"GET", "/v1/sessions/" + id + "/query", ""},
+		{"POST", "/v1/sessions/" + id + "/answer", `{"seq":0,"pref":"first"}`},
+		{"POST", "/sessions", `{"seed":3}`},
+		{"GET", "/sessions/" + id, ""},
+	} {
+		if code, body := status(rt.method, rt.path, rt.body); code != http.StatusNotFound {
+			t.Errorf("removed route %s %s: got %d %s, want 404", rt.method, rt.path, code, body)
+		}
+	}
+	judge := func(pref string) string {
+		return `{"judgments":[{"seq":0,"pref":"` + pref + `"}]}`
+	}
+	if code, _ := status("POST", "/v1/sessions/"+id+"/judgments", judge("maybe")); code != http.StatusBadRequest {
 		t.Errorf("bad pref: got %d, want 400", code)
 	}
-	if code, _ := status("POST", "/v1/sessions/"+id+"/answer", `{"seq":0,"pref":"first"}`); code != http.StatusConflict {
-		t.Errorf("answer with no pending query: got %d, want 409", code)
+	if code, _ := status("POST", "/v1/sessions/"+id+"/judgments", judge("first")); code != http.StatusConflict {
+		t.Errorf("judgment with no pending query: got %d, want 409", code)
 	}
 
 	// Saturate the single-slot pool by hand: the idle session cannot
-	// start its first step, so the query poll reports backpressure.
+	// start its first step, so the queries poll reports backpressure.
 	m.slots <- struct{}{}
-	if code, body := status("GET", "/v1/sessions/"+id+"/query?wait=10ms", ""); code != http.StatusTooManyRequests {
-		t.Errorf("saturated query: got %d %s, want 429", code, body)
+	if code, body := status("GET", "/v1/sessions/"+id+"/queries?wait=10ms", ""); code != http.StatusTooManyRequests {
+		t.Errorf("saturated queries: got %d %s, want 429", code, body)
 	}
 	<-m.slots
 

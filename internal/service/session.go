@@ -119,9 +119,7 @@ type SessionStatus struct {
 	Seed       int64  `json:"seed"`
 	Iterations int64  `json:"iterations"`
 	Answers    int    `json:"answers"`
-	PendingSeq *int   `json:"pending_seq,omitempty"`
-	// PendingSeqs lists every open query in the current round (the batch
-	// surface); PendingSeq stays the lowest of them for old clients.
+	// PendingSeqs lists every open query in the current round.
 	PendingSeqs []int `json:"pending_seqs,omitempty"`
 	Converged   bool  `json:"converged"`
 	// Final is the synthesized hole vector, present once done.
@@ -290,19 +288,6 @@ func errAttr(err error) string {
 	return err.Error()
 }
 
-// AwaitQuery long-polls for the session's next query — the legacy
-// single-query view of the batch surface: it returns the lowest open
-// query of the pending round. Returns the pending query, or (nil,
-// state, nil) for finished sessions, or ctx's error when the poll
-// deadline passes while the solver is still working.
-func (s *Session) AwaitQuery(ctx context.Context) (*core.Query, State, error) {
-	qs, state, err := s.AwaitQueries(ctx)
-	if err != nil || len(qs) == 0 {
-		return nil, state, err
-	}
-	return &qs[0], state, nil
-}
-
 // AwaitQueries long-polls for the session's pending query round. It
 // kicks off the first synthesis step for idle sessions (which needs a
 // worker slot — ErrSaturated when none frees up in time). Returns the
@@ -347,12 +332,6 @@ func (s *Session) AwaitQueries(ctx context.Context) ([]core.Query, State, error)
 			return nil, StateComputing, ctx.Err()
 		}
 	}
-}
-
-// Answer applies the architect's preference for the pending query —
-// the legacy single-query surface, now a full-confidence judgment.
-func (s *Session) Answer(ctx context.Context, seq int, pref oracle.Preference) (State, error) {
-	return s.Judge(ctx, seq, oracle.Judgment{Pref: pref})
 }
 
 // Judge applies one judgment to an open query of the pending round.
@@ -590,8 +569,6 @@ func (s *Session) Status() SessionStatus {
 		Error:      s.failure,
 	}
 	if s.state == StateAwaiting && len(s.pending) > 0 {
-		seq := s.pending[0].Seq
-		st.PendingSeq = &seq
 		st.PendingSeqs = make([]int, len(s.pending))
 		for i, q := range s.pending {
 			st.PendingSeqs[i] = q.Seq

@@ -4,11 +4,13 @@
 // scripted — drives a session interactively:
 //
 //	POST /v1/sessions                     create (pick sketch + options)
-//	GET  /v1/sessions/{id}/query          next scenario pair (long-poll)
-//	POST /v1/sessions/{id}/answer         preference / tie
+//	GET  /v1/sessions/{id}/queries        next round of scenario pairs (long-poll)
+//	POST /v1/sessions/{id}/judgments      preferences / ties for the round
 //	GET  /v1/sessions/{id}                status + result
+//	GET  /v1/sessions/{id}/progress       live solver gauges
 //	GET  /v1/sessions/{id}/transcript     export core.Transcript
 //	PUT  /v1/sessions/{id}/transcript     import (resume a recording)
+//	DELETE /v1/sessions/{id}              drop the session and its journal
 //
 // Under the API sits a session manager with a bounded worker pool (429
 // backpressure when saturated), per-session serialization, idle-TTL
@@ -89,11 +91,14 @@ type SolverSpec struct {
 	RepairRestarts int `json:"repair_restarts,omitempty"`
 	RepairSteps    int `json:"repair_steps,omitempty"`
 	MaxBoxes       int `json:"max_boxes,omitempty"`
-	Workers        int `json:"workers,omitempty"`
-	// PruneWorkers caps the branch-and-prune engine's worker pool.
-	// Unlike Workers it never affects results — prune verdicts are
-	// bit-identical for any value — so the default (0: one worker per
-	// CPU) is right unless a session must be confined for fairness.
+	// Workers is accepted only as 0 or 1, the sequential sampling and
+	// repair search that every session runs; larger values are
+	// rejected. The field stays because bench/ sets it to 1.
+	Workers int `json:"workers,omitempty"`
+	// PruneWorkers caps the branch-and-prune engine's worker pool. It
+	// never affects results — prune verdicts are bit-identical for any
+	// value — so the default (0: one worker per CPU) is right unless a
+	// session must be confined for fairness.
 	PruneWorkers int `json:"prune_workers,omitempty"`
 	// Planner selects the active query planner: "on" (or empty, the
 	// default) plans rounds of maximally informative queries; "off"
@@ -181,8 +186,8 @@ func (sp *SessionSpec) config(obsv *obs.Observer, stats *solver.Stats) (core.Con
 		if s.MaxBoxes > 0 {
 			opts.MaxBoxes = s.MaxBoxes
 		}
-		if s.Workers > 0 {
-			opts.Workers = s.Workers
+		if s.Workers > 1 {
+			return core.Config{}, fmt.Errorf("service: bad workers %d (sampling and repair are sequential; want 0 or 1)", s.Workers)
 		}
 		if s.PruneWorkers > 0 {
 			opts.PruneWorkers = s.PruneWorkers

@@ -69,11 +69,6 @@ type DistinguishOptions struct {
 	// disagreement above Gamma exists, the objective is pinned down to
 	// that resolution and the synthesis has converged.
 	Gamma float64
-	// MaximizeGap selects the most decisive disagreement found instead
-	// of the first one. Deprecated shim: it maps to Strategy when
-	// Strategy is unset — MaximizeGap=true means SelectMaxGap (also the
-	// zero default), false means SelectFirst.
-	MaximizeGap bool
 	// Strategy selects among the disagreements found; see QueryStrategy.
 	Strategy QueryStrategy
 }
@@ -84,20 +79,8 @@ func DefaultDistinguishOptions() DistinguishOptions {
 		Candidates:  8,
 		PairSamples: 600,
 		Gamma:       0.5,
-		MaximizeGap: true,
 		Strategy:    SelectMaxGap,
 	}
-}
-
-// effectiveStrategy resolves the Strategy/MaximizeGap pair.
-func (d DistinguishOptions) effectiveStrategy() QueryStrategy {
-	if d.Strategy != SelectMaxGap {
-		return d.Strategy
-	}
-	if !d.MaximizeGap {
-		return SelectFirst
-	}
-	return SelectMaxGap
 }
 
 func (s *System) findDistinguishingMany(ctx context.Context, k int, opts Options, dopts DistinguishOptions, rng *rand.Rand) ([]*Distinguishing, Status, error) {
@@ -128,8 +111,7 @@ func (s *System) findDistinguishingMany(ctx context.Context, k int, opts Options
 		return nil, StatusUnknown, err
 	}
 
-	strategy := dopts.effectiveStrategy()
-	if strategy == SelectVoteSplit {
+	if dopts.Strategy == SelectVoteSplit {
 		found = voteSplitWitnesses(cands, scores, x1s, x2s, dopts)
 	} else {
 		for ai := 0; ai < len(cands); ai++ {
@@ -155,7 +137,7 @@ func (s *System) findDistinguishingMany(ctx context.Context, k int, opts Options
 					default:
 						continue
 					}
-					if strategy == SelectFirst {
+					if dopts.Strategy == SelectFirst {
 						best = w
 						break
 					}

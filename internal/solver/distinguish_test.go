@@ -16,32 +16,11 @@ func TestQueryStrategyString(t *testing.T) {
 	}
 }
 
-func TestEffectiveStrategyShim(t *testing.T) {
-	cases := []struct {
-		opts DistinguishOptions
-		want QueryStrategy
-	}{
-		{DistinguishOptions{MaximizeGap: true}, SelectMaxGap},
-		{DistinguishOptions{MaximizeGap: false}, SelectFirst},
-		{DistinguishOptions{Strategy: SelectVoteSplit}, SelectVoteSplit},
-		{DistinguishOptions{Strategy: SelectFirst, MaximizeGap: true}, SelectFirst},
-		{DefaultDistinguishOptions(), SelectMaxGap},
-	}
-	for i, c := range cases {
-		if got := c.opts.effectiveStrategy(); got != c.want {
-			t.Errorf("case %d: effectiveStrategy = %v, want %v", i, got, c.want)
-		}
-	}
-}
-
 func TestAllStrategiesFindValidWitnesses(t *testing.T) {
 	p, _ := swanProblem(t, 3, 61)
 	for _, strategy := range []QueryStrategy{SelectMaxGap, SelectFirst, SelectVoteSplit} {
 		dopts := DefaultDistinguishOptions()
 		dopts.Strategy = strategy
-		if strategy == SelectFirst {
-			dopts.MaximizeGap = false
-		}
 		w, st, _ := Compile(p, nil).FindDistinguishing(context.Background(), DefaultOptions(), dopts, rand.New(rand.NewSource(62)))
 		if st != StatusSat {
 			t.Fatalf("%v: status = %v", strategy, st)

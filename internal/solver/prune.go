@@ -26,10 +26,9 @@ package solver
 //     deterministic index. Unsat (an empty next frontier) is
 //     order-independent to begin with.
 //
-// Contrast with the sampling-stage parallelism in parallel.go, which is
-// deterministic only per (seed, Workers) pair: there the worker count
-// partitions the RNG budget, here workers never touch randomness at
-// all, so the worker count is free to follow the machine.
+// Workers never touch randomness (sampling and repair run
+// sequentially on the caller's RNG before this stage), so the worker
+// count is free to follow the machine.
 
 import (
 	"context"

@@ -67,9 +67,7 @@ func runPrune(t *testing.T, p Problem, mod func(*Options), workers int) pruneOut
 // TestPruneWorkerCountInvariance is the engine's central property: for
 // sat, unsat, and budget-truncated (unknown) instances, the verdict,
 // the witness, and the deterministic counters are bit-identical for
-// every PruneWorkers value — unlike the sampling stage, where Workers
-// partitions the RNG budget and is only deterministic per (seed,
-// Workers) pair.
+// every PruneWorkers value.
 func TestPruneWorkerCountInvariance(t *testing.T) {
 	sat, _ := swanProblem(t, 20, 31)
 	cases := []struct {
@@ -189,15 +187,14 @@ func TestPruneCancellation(t *testing.T) {
 }
 
 // TestFindDiverseSingleCandidateFastPath pins the k ≤ 1 bugfix: the
-// single-candidate case must not build the witness pool or partition
-// the budget across workers — it delegates to FindCandidate staging and
-// returns that one witness (or nothing if the search fails).
+// single-candidate case must not build the witness pool — it delegates
+// to FindCandidate staging and returns that one witness (or nothing if
+// the search fails).
 func TestFindDiverseSingleCandidateFastPath(t *testing.T) {
 	p, _ := swanProblem(t, 10, 91)
 	for _, k := range []int{0, 1} {
 		stats := &Stats{}
 		opts := DefaultOptions()
-		opts.Workers = 4
 		opts.Stats = stats
 		cands, err := Compile(p, stats).FindDiverse(context.Background(), k, opts, rand.New(rand.NewSource(12)))
 		if err != nil {

@@ -103,8 +103,8 @@ func (s Status) String() string {
 }
 
 // Budget groups the search-budget knobs of Options: how much sampling,
-// repair, and pruning effort a query may spend, and how that effort is
-// spread across goroutines. It is embedded in Options, so existing
+// repair, and pruning effort a query may spend, and how many goroutines
+// branch-and-prune spreads over. It is embedded in Options, so existing
 // field accesses (opts.Samples, opts.MaxBoxes, ...) keep compiling;
 // composite literals should name the Budget explicitly.
 type Budget struct {
@@ -121,18 +121,13 @@ type Budget struct {
 	MinBoxWidth float64
 	// MaxBoxes bounds the number of boxes branch-and-prune may process.
 	MaxBoxes int
-	// Workers parallelizes the sampling and repair stages across
-	// goroutines (≤ 1 means sequential). Results are deterministic for
-	// a fixed (seed, Workers) pair: every worker derives its own RNG
-	// from the caller's, and outcomes are merged in worker order —
-	// changing Workers changes which witness is found.
-	Workers int
 	// PruneWorkers parallelizes the branch-and-prune stage across the
-	// work-stealing wave engine (see prune.go). Unlike Workers, the
-	// prune verdict, witness, and box counts are bit-identical for any
-	// PruneWorkers value: per-box outcomes are pure and the merge runs
-	// in frontier order. ≤ 0 selects runtime.GOMAXPROCS(0), which is
-	// safe precisely because of that invariance.
+	// work-stealing wave engine (see prune.go). The prune verdict,
+	// witness, and box counts are bit-identical for any PruneWorkers
+	// value: per-box outcomes are pure and the merge runs in frontier
+	// order. ≤ 0 selects runtime.GOMAXPROCS(0), which is safe
+	// precisely because of that invariance. Sampling and repair always
+	// run sequentially on the caller's RNG.
 	PruneWorkers int
 }
 
@@ -147,8 +142,8 @@ type Options struct {
 	// points; vectors outside the domain box are clamped.
 	Hints [][]float64
 	// Stats, when non-nil, accumulates search-effort counters across
-	// calls (atomically; safe with Workers > 1). Observability hook for
-	// tuning budgets.
+	// calls (atomically; safe with PruneWorkers > 1). Observability
+	// hook for tuning budgets.
 	Stats *Stats
 }
 

@@ -336,17 +336,21 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
+// TestStatsCountersParallelRaceFree refutes an UNSAT problem on four
+// prune workers, which bump the shared Stats atomics concurrently (run
+// under -race by make race).
 func TestStatsCountersParallelRaceFree(t *testing.T) {
-	p, _ := swanProblem(t, 20, 93)
 	stats := &Stats{}
 	opts := DefaultOptions()
 	opts.Stats = stats
-	opts.Workers = 4
-	if _, st, _ := Compile(p, opts.Stats).FindCandidate(context.Background(), opts, rand.New(rand.NewSource(94))); st != StatusSat {
-		t.Fatalf("status = %v", st)
+	opts.PruneWorkers = 4
+	opts.MinBoxWidth = 1.0 / 32
+	opts.MaxBoxes = 2_000_000
+	if _, st, _ := Compile(contradictoryProblem(), opts.Stats).FindCandidate(context.Background(), opts, rand.New(rand.NewSource(94))); st != StatusUnsat {
+		t.Fatalf("status = %v, want unsat", st)
 	}
-	if stats.Samples.Load()+stats.Repairs.Load() == 0 {
-		t.Error("parallel effort not recorded")
+	if stats.Boxes.Load() == 0 || stats.BatchedEvals.Load() == 0 {
+		t.Errorf("parallel effort not recorded: boxes=%d batched=%d", stats.Boxes.Load(), stats.BatchedEvals.Load())
 	}
 }
 

@@ -33,7 +33,7 @@ import (
 // iteration cost of the synthesis loop is one difference-program
 // compile per new edge instead of a full problem rebuild. Mutation is
 // not goroutine-safe; the point checks and the search methods only
-// read and may be called concurrently (and with Workers > 1).
+// read and may be called concurrently (and with PruneWorkers > 1).
 type System struct {
 	sk     *sketch.Sketch
 	margin float64
@@ -258,38 +258,28 @@ func (s *System) findCandidate(ctx context.Context, opts Options, rng *rand.Rand
 
 	// Stages 1–2: uniform sampling (batched; see sampleSatisfying), then
 	// hinge-loss repair.
-	if opts.Workers > 1 {
-		ws, err := s.parallelWitnesses(ctx, opts, rng, 1)
-		if err != nil {
+	var witness []float64
+	found, err := s.sampleSatisfying(ctx, opts.Samples, batchLanes, domains, rng, stats, func(pt []float64) bool {
+		witness = append([]float64(nil), pt...)
+		return false
+	})
+	if err != nil {
+		return nil, StatusUnknown, err
+	}
+	if found {
+		return witness, StatusSat, nil
+	}
+	scratch := make([]float64, len(domains))
+	for r := 0; r < opts.RepairRestarts; r++ {
+		if err := ctx.Err(); err != nil {
 			return nil, StatusUnknown, err
 		}
-		if len(ws) > 0 {
-			return ws[0], StatusSat, nil
+		if stats != nil {
+			stats.Repairs.Add(1)
 		}
-	} else {
-		var witness []float64
-		found, err := s.sampleSatisfying(ctx, opts.Samples, batchLanes, domains, rng, stats, func(pt []float64) bool {
-			witness = append([]float64(nil), pt...)
-			return false
-		})
-		if err != nil {
-			return nil, StatusUnknown, err
-		}
-		if found {
-			return witness, StatusSat, nil
-		}
-		scratch := make([]float64, len(domains))
-		for r := 0; r < opts.RepairRestarts; r++ {
-			if err := ctx.Err(); err != nil {
-				return nil, StatusUnknown, err
-			}
-			if stats != nil {
-				stats.Repairs.Add(1)
-			}
-			fillRandomVector(scratch, domains, rng)
-			if repaired, ok := s.repair(scratch, domains, opts.RepairSteps, rng); ok {
-				return repaired, StatusSat, nil
-			}
+		fillRandomVector(scratch, domains, rng)
+		if repaired, ok := s.repair(scratch, domains, opts.RepairSteps, rng); ok {
+			return repaired, StatusSat, nil
 		}
 	}
 
@@ -400,10 +390,8 @@ func (s *System) bestEffort(ctx context.Context, opts Options, rng *rand.Rand) (
 
 func (s *System) findDiverse(ctx context.Context, k int, opts Options, rng *rand.Rand) ([][]float64, error) {
 	// Single-candidate fast path: diversity is meaningless for k ≤ 1,
-	// so skip the pool build — and with it the per-worker budget
-	// partition (seed derivation + job allocation) that parallelWitnesses
-	// would otherwise redo on every call. FindCandidate's staging covers
-	// hints, sampling, repair, and the exhaustive fallback.
+	// so skip the pool build. FindCandidate's staging covers hints,
+	// sampling, repair, and the exhaustive fallback.
 	if k <= 1 {
 		h, st, err := s.findCandidate(ctx, opts, rng)
 		if err != nil || st != StatusSat {
@@ -440,35 +428,26 @@ func (s *System) findDiverse(ctx context.Context, k int, opts Options, rng *rand
 
 	// Pool from sampling, topped up with repaired points (they land on
 	// feasibility boundaries, which is where behavioral differences
-	// concentrate). With Workers > 1 the search fans out.
-	if opts.Workers > 1 {
-		per := (8*k + opts.Workers - 1) / opts.Workers
-		ws, err := s.parallelWitnesses(ctx, opts, rng, per)
-		if err != nil {
+	// concentrate).
+	if len(pool) < 8*k {
+		if _, err := s.sampleSatisfying(ctx, opts.Samples, batchLanes, domains, rng, stats, func(pt []float64) bool {
+			pool = append(pool, append([]float64(nil), pt...))
+			return len(pool) < 8*k
+		}); err != nil {
 			return nil, err
 		}
-		pool = append(pool, ws...)
-	} else {
-		if len(pool) < 8*k {
-			if _, err := s.sampleSatisfying(ctx, opts.Samples, batchLanes, domains, rng, stats, func(pt []float64) bool {
-				pool = append(pool, append([]float64(nil), pt...))
-				return len(pool) < 8*k
-			}); err != nil {
-				return nil, err
-			}
+	}
+	scratch := make([]float64, len(domains))
+	for r := 0; r < opts.RepairRestarts && len(pool) < 8*k; r++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		scratch := make([]float64, len(domains))
-		for r := 0; r < opts.RepairRestarts && len(pool) < 8*k; r++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if stats != nil {
-				stats.Repairs.Add(1)
-			}
-			fillRandomVector(scratch, domains, rng)
-			if repaired, ok := s.repair(scratch, domains, opts.RepairSteps, rng); ok {
-				pool = append(pool, repaired)
-			}
+		if stats != nil {
+			stats.Repairs.Add(1)
+		}
+		fillRandomVector(scratch, domains, rng)
+		if repaired, ok := s.repair(scratch, domains, opts.RepairSteps, rng); ok {
+			pool = append(pool, repaired)
 		}
 	}
 	if len(pool) == 0 {
