@@ -146,18 +146,6 @@ func (p *parser) errorf(format string, args ...any) error {
 	return p.lex.errorf(format, args...)
 }
 
-func (p *parser) accept(kind tokKind, text string) bool {
-	if p.lex.tok.kind == kind && (text == "" || p.lex.tok.text == text) {
-		if err := p.lex.next(); err != nil {
-			// Leave the error to surface on the next expect; the lexer
-			// token is now invalid and will fail any match.
-			p.lex.tok = token{kind: tokEOF, pos: p.lex.off}
-		}
-		return true
-	}
-	return false
-}
-
 func (p *parser) expectOp(text string) error {
 	if p.lex.tok.kind != tokOp || p.lex.tok.text != text {
 		return p.errorf("expected %q, found %q", text, p.lex.tok.text)

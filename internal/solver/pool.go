@@ -138,73 +138,3 @@ func scoreMatrix(ctx context.Context, sk *sketch.Sketch, cands [][]float64, x1s,
 	}
 	return scores, nil
 }
-
-// rawConsistentPool gathers up to k consistent hole vectors WITHOUT
-// the greedy max-min diversification findDiverse applies. The planner
-// wants the raw sample distribution: max-min selection deliberately
-// overweights fringe behaviors, which biases the planner's vote-based
-// volume estimates and — near convergence — keeps surfacing residual
-// fringe disagreements that stretch the endgame. Raw samples make the
-// class weights an unbiased (sampled-volume) prior. The staging mirrors
-// findDiverse: warm-start hints first, then satisfying samples, then
-// repair top-ups (which land on feasibility boundaries), then the
-// single-candidate fallback.
-func (s *System) rawConsistentPool(ctx context.Context, k int, opts Options, rng *rand.Rand) ([][]float64, error) {
-	domains := s.sk.Domains()
-	stats := s.statsOf(opts)
-	var pool [][]float64
-
-	for _, hint := range opts.Hints {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		h := clampToBox(hint, domains)
-		if s.Satisfies(h) {
-			if stats != nil {
-				stats.HintHits.Add(1)
-			}
-			pool = append(pool, h)
-			continue
-		}
-		if stats != nil {
-			stats.Repairs.Add(1)
-		}
-		if repaired, ok := s.repair(h, domains, opts.RepairSteps, rng); ok {
-			pool = append(pool, repaired)
-		}
-	}
-	if len(pool) < k {
-		if _, err := s.sampleSatisfying(ctx, opts.Samples, batchLanes, domains, rng, stats, func(pt []float64) bool {
-			pool = append(pool, append([]float64(nil), pt...))
-			return len(pool) < k
-		}); err != nil {
-			return nil, err
-		}
-	}
-	scratch := make([]float64, len(domains))
-	for r := 0; r < opts.RepairRestarts && len(pool) < k; r++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if stats != nil {
-			stats.Repairs.Add(1)
-		}
-		fillRandomVector(scratch, domains, rng)
-		if repaired, ok := s.repair(scratch, domains, opts.RepairSteps, rng); ok {
-			pool = append(pool, repaired)
-		}
-	}
-	if len(pool) == 0 {
-		h, st, err := s.findCandidate(ctx, opts, rng)
-		if err != nil {
-			return nil, err
-		}
-		if st == StatusSat {
-			pool = append(pool, h)
-		}
-	}
-	if len(pool) > k {
-		pool = pool[:k]
-	}
-	return pool, nil
-}
