@@ -8,9 +8,9 @@ GO ?= go
 # Tier-1 verification: build, the gofmt check, vet, the full test
 # suite, the race detector over the packages with real concurrency
 # (the work-stealing branch-and-prune engine and its steal hammer,
-# the batched tape interpreters, concurrent
-# sketch specialization, the synthesis service's worker pool, and ten
-# runs each over the point checks' pooled lane scratch, repairs holding
+# the batched tape interpreters, concurrent sketch specialization,
+# the synthesis service's worker pool, and ten runs each over the
+# point checks' pooled lane scratch, repairs holding
 # pooled scenario batches on one shared system, and Program.Eval's
 # pooled 1-lane batches from concurrent goroutines), a
 # one-iteration compile check of every benchmark, smoke tests of the

@@ -121,7 +121,6 @@ func run(o options) error {
 	targetStr, sketchFile := o.targetStr, o.sketchFile
 	save, resume := o.save, o.resume
 	plot, dot, explain := o.plot, o.dot, o.explain
-	pruneWorkers := o.pruneWorkers
 
 	logger, closeLog, err := obs.OpenLogger(o.logDest, o.logLevel)
 	if err != nil {
@@ -235,9 +234,9 @@ func run(o options) error {
 		Obs:               observer,
 		DisablePlanner:    plannerOff,
 	}
-	if pruneWorkers > 0 {
+	if o.pruneWorkers > 0 {
 		cfg.Solver = solver.DefaultOptions()
-		cfg.Solver.PruneWorkers = pruneWorkers
+		cfg.Solver.PruneWorkers = o.pruneWorkers
 	}
 	if o.progressTick > 0 {
 		prog := &solver.Progress{}
