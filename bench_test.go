@@ -190,28 +190,6 @@ func BenchmarkAblationQuerySelection(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTransitiveReduction measures the effect of reducing
-// the preference graph before solving (DESIGN.md §5).
-func BenchmarkAblationTransitiveReduction(b *testing.B) {
-	for _, reduce := range []bool{false, true} {
-		name := "no-reduction"
-		if reduce {
-			name = "with-reduction"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r, err := runWithDistinguish(int64(i+1), nil, func(c *core.Config) {
-					c.TransitiveReduction = reduce
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				_ = r
-			}
-		})
-	}
-}
-
 // BenchmarkExtensionNoiseRobustness measures synthesis under a noisy
 // oracle with the repair policy (paper §6.1 extension).
 func BenchmarkExtensionNoiseRobustness(b *testing.B) {

@@ -30,8 +30,7 @@
 //     generalization, plus the per-scenario and ordered-pair
 //     specializations the solver compiles its constraints into.
 //   - internal/prefgraph — the preference DAG G of the paper's §4.2:
-//     cycle detection, reachability, transitive reduction, consistency
-//     checks, DOT export.
+//     cycle detection, reachability, consistency checks, DOT export.
 //   - internal/oracle — user models answering "which scenario do you
 //     prefer?": ground-truth (evaluates the hidden target objective),
 //     noisy, indecisive, counting, and interactive (io.Reader-backed).

@@ -8,7 +8,6 @@ import (
 	"compsynth/internal/abr"
 	"compsynth/internal/core"
 	"compsynth/internal/oracle"
-	"compsynth/internal/scenario"
 	"compsynth/internal/sketch"
 	"compsynth/internal/solver"
 	"compsynth/internal/te"
@@ -178,52 +177,5 @@ func TestEndToEndTranscriptReplay(t *testing.T) {
 	frac, _ := oracle.Agreement(res.Oracle(), res2.Oracle(), pairs)
 	if frac < 0.95 {
 		t.Errorf("replayed session agreement = %.3f", frac)
-	}
-}
-
-// TestEndToEndSimulatorSeededSynthesis uses TE-achievable scenarios
-// (and Latin hypercube sampling) as the initial ranking, exercising the
-// §6.1 simulator integration end to end.
-func TestEndToEndSimulatorSeededSynthesis(t *testing.T) {
-	g := topo.B4Like()
-	flows, err := te.GravityFlows(g, te.GravityConfig{Flows: 6, TotalDemand: 25},
-		rand.New(rand.NewSource(17)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := te.NewNetwork(g, flows, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sk := sketch.SWAN()
-	achievable, err := te.SampleScenarios(n,
-		te.StandardSchemes([]float64{0, 0.01, 0.05}, nil), sk.Space())
-	if err != nil {
-		t.Fatal(err)
-	}
-	target, err := sketch.DefaultSWANTarget.Candidate(sk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fastCore(sk, oracle.NewGroundTruth(target, 1e-9), 19)
-	cfg.InitialScenarioSource = func(rng *rand.Rand, want int) []scenario.Scenario {
-		out := append([]scenario.Scenario(nil), achievable...)
-		out = append(out, sk.Space().LatinHypercube(rng, want)...)
-		return out[:want]
-	}
-	synth, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := synth.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Error("simulator-seeded synthesis did not converge")
-	}
-	ag := core.Validate(res, cfg.Oracle, 1500, rand.New(rand.NewSource(21)))
-	if ag < 0.9 {
-		t.Errorf("agreement = %.3f", ag)
 	}
 }

@@ -13,8 +13,8 @@
 //
 // The synthesizer supports the paper's extensions: several pairs ranked
 // per iteration (Fig. 4), a configurable number of initial scenarios
-// (Fig. 5), partial ranks/indifference (§4.2), a viability hook (§4.2),
-// and robustness to inconsistent answers (§6.1).
+// (Fig. 5), partial ranks (§4.2: an indifferent answer records
+// nothing), and robustness to inconsistent answers (§6.1).
 package core
 
 import (
@@ -50,8 +50,6 @@ const (
 	// noisy users whose later answers are at least as trustworthy as
 	// earlier ones.
 	NoiseRepair
-	// NoiseFail aborts the synthesis with an error.
-	NoiseFail
 )
 
 func (p NoisePolicy) String() string {
@@ -60,8 +58,6 @@ func (p NoisePolicy) String() string {
 		return "reject"
 	case NoiseRepair:
 		return "repair"
-	case NoiseFail:
-		return "fail"
 	}
 	return fmt.Sprintf("NoisePolicy(%d)", int(p))
 }
@@ -81,42 +77,10 @@ type Config struct {
 	// MaxIterations caps the interaction loop (safety net; the paper's
 	// runs converge around 30).
 	MaxIterations int
-	// Margin is the strictness slack for preference constraints.
-	Margin float64
-	// LearnTies, when set, turns Indifferent answers into near-equality
-	// constraints |f(a) − f(b)| ≤ TieBand instead of discarding them —
-	// each query then always contributes information. Use only when the
-	// user's "indifferent" really means "equally good", not "don't
-	// know": a don't-know tie over genuinely different scenarios can
-	// make the constraint set unsatisfiable (which the noise-relaxation
-	// path then repairs by dropping preference edges).
-	LearnTies bool
-	// TieBand is the indifference slack for LearnTies. Zero defaults to
-	// the distinguishing resolution Gamma — "the user cannot tell them
-	// apart" and "the solver considers them behaviorally equal" then
-	// agree.
-	TieBand float64
-	// ConvergenceChecks is how many consecutive unsat verdicts are
-	// required before declaring convergence; the distinguishing search
-	// is randomized, so a single verdict can be premature. Default 2.
-	ConvergenceChecks int
-	// TransitiveReduction, when set, reduces the preference graph after
-	// every update so the solver sees a minimal constraint set. This is
-	// an ablation knob; see BenchmarkAblationTransitiveReduction.
-	TransitiveReduction bool
-	// Viable optionally rejects unimplementable hole vectors (§4.2).
-	Viable func(holes []float64) bool
 	// OnIteration, when set, is called after every completed iteration
 	// with its statistics — a progress hook for interactive frontends.
 	// It runs synchronously on the synthesis goroutine.
 	OnIteration func(IterationStat)
-	// InitialScenarioSource optionally supplies the initial scenarios
-	// instead of uniform random sampling — the paper's §6.1 "comparing
-	// scenarios through simulators": drawing them from a design
-	// simulator (e.g. te.SampleScenarios) shows the user outcomes that
-	// are actually achievable. It must return n scenarios inside the
-	// sketch's metric space.
-	InitialScenarioSource func(rng *rand.Rand, n int) []scenario.Scenario
 	// Noise selects the inconsistent-answer policy.
 	Noise NoisePolicy
 
@@ -172,9 +136,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxIterations <= 0 {
 		c.MaxIterations = 300
-	}
-	if c.ConvergenceChecks <= 0 {
-		c.ConvergenceChecks = 2
 	}
 	if c.Solver.Samples == 0 && c.Solver.RepairRestarts == 0 {
 		stats := c.Solver.Stats
@@ -242,8 +203,6 @@ type Result struct {
 	Graph *prefgraph.Graph
 	// Store is the scenario store backing Graph.
 	Store *scenario.Store
-	// Ties are the indifference constraints collected under LearnTies.
-	Ties []solver.Tie
 }
 
 // Oracle returns the synthesized objective as an oracle, for agreement
@@ -251,10 +210,6 @@ type Result struct {
 func (r *Result) Oracle() oracle.Oracle {
 	return oracle.NewGroundTruth(r.Final, 0)
 }
-
-// ErrInconsistent is returned under NoiseFail when a user answer
-// contradicts the preference graph.
-var ErrInconsistent = errors.New("core: user answer contradicts earlier preferences")
 
 // ErrNoCandidate is returned when no objective function consistent with
 // the recorded preferences exists (over-constrained graph, e.g. from
@@ -287,8 +242,6 @@ type Synthesizer struct {
 	// preloaded marks a session resumed from a Transcript; the initial
 	// ranking is skipped because the transcript already contains it.
 	preloaded bool
-	// ties are the indifference constraints collected under LearnTies.
-	ties []solver.Tie
 	// user wraps cfg.Oracle with timing/counting (see timedOracle); all
 	// comparisons go through it.
 	user oracle.Oracle
@@ -308,6 +261,11 @@ type Synthesizer struct {
 
 // maxHints caps the warm-start pool.
 const maxHints = 16
+
+// convergenceChecks is how many consecutive unsat verdicts declare
+// convergence: the distinguishing search is randomized, so a single
+// verdict can be premature.
+const convergenceChecks = 2
 
 func (s *Synthesizer) addHints(hs ...[]float64) {
 	for _, h := range hs {
@@ -360,7 +318,7 @@ func New(cfg Config) (*Synthesizer, error) {
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		graph: prefgraph.New(),
 		store: scenario.NewStore(cfg.Sketch.Space(), tol),
-		sys:   solver.NewSystem(cfg.Sketch, cfg.Margin, cfg.Viable, cfg.Solver.Stats),
+		sys:   solver.NewSystem(cfg.Sketch, 0, cfg.Solver.Stats),
 	}
 	s.search = solver.NewSearch(s.sys)
 	s.user = timedOracle{s}
@@ -478,7 +436,7 @@ func (s *Synthesizer) RunContext(ctx context.Context) (*Result, error) {
 		case solver.StatusUnsat:
 			unsatStreak++
 			s.endIteration(res, stat, spIter)
-			if unsatStreak >= s.cfg.ConvergenceChecks {
+			if unsatStreak >= convergenceChecks {
 				res.Converged = true
 				return s.finish(ctx, res)
 			}
@@ -518,11 +476,6 @@ func (s *Synthesizer) RunContext(ctx context.Context) (*Result, error) {
 			}
 		}
 		stat.OracleTime = s.oracleTime - oracleBefore
-		if s.cfg.TransitiveReduction {
-			if s.graph.TransitiveReduction() > 0 {
-				s.rebuildSystem()
-			}
-		}
 		s.endIteration(res, stat, spIter)
 	}
 	return s.finish(ctx, res)
@@ -605,17 +558,7 @@ func (s *Synthesizer) initGraph(res *Result) error {
 	if n < 2 {
 		return nil // nothing rankable
 	}
-	var scs []scenario.Scenario
-	if src := s.cfg.InitialScenarioSource; src != nil {
-		scs = src(s.rng, n)
-		for _, sc := range scs {
-			if !s.cfg.Sketch.Space().Contains(sc) {
-				return fmt.Errorf("core: InitialScenarioSource produced %v outside the metric space", sc)
-			}
-		}
-	} else {
-		scs = s.cfg.Sketch.Space().RandomN(s.rng, n)
-	}
+	scs := s.cfg.Sketch.Space().RandomN(s.rng, n)
 	groups := oracle.Rank(s.user, scs)
 	// Edges between members of consecutive groups carry the full
 	// ranking (transitivity supplies the rest).
@@ -636,17 +579,7 @@ func (s *Synthesizer) initGraph(res *Result) error {
 // number of edges added and of answers rejected/repaired.
 func (s *Synthesizer) record(a, b scenario.Scenario, pref oracle.Preference) (added, rejected int, err error) {
 	if pref == oracle.Indifferent {
-		if !s.cfg.LearnTies {
-			return 0, 0, nil // partial ranks are fine (§4.2)
-		}
-		band := s.cfg.TieBand
-		if band <= 0 {
-			band = s.cfg.Distinguish.Gamma
-		}
-		tie := solver.Tie{A: a.Clone(), B: b.Clone(), Band: band}
-		s.ties = append(s.ties, tie)
-		s.sys.AddTie(tie)
-		return 1, 0, nil
+		return 0, 0, nil // partial ranks are fine (§4.2)
 	}
 	better, worse := a, b
 	if pref == oracle.PrefersSecond {
@@ -675,8 +608,6 @@ func (s *Synthesizer) record(a, b scenario.Scenario, pref oracle.Preference) (ad
 	switch s.cfg.Noise {
 	case NoiseReject:
 		return 0, 1, nil
-	case NoiseFail:
-		return 0, 0, fmt.Errorf("%w: %v", ErrInconsistent, addErr)
 	case NoiseRepair:
 		s.graph.ForceAdd(bid, wid)
 		// Prefer keeping the newest edge: older edges get lower weight.
@@ -699,12 +630,12 @@ func (s *Synthesizer) record(a, b scenario.Scenario, pref oracle.Preference) (ad
 // graph once the accumulated support outweighs the installed opposing
 // edges — a single noisy answer can never rewrite history the way an
 // immediate NoiseRepair would. Pending (out-weighed) observations count
-// as rejected in the iteration stats. NoiseFail still aborts on any
-// contradiction. Zero-noise sessions never hit the contradiction path,
-// so their graphs match the unweighted record() exactly.
+// as rejected in the iteration stats. Zero-noise sessions never hit the
+// contradiction path, so their graphs match the unweighted record()
+// exactly.
 func (s *Synthesizer) recordJudgment(a, b scenario.Scenario, j oracle.Judgment) (added, rejected int, err error) {
 	if j.Pref == oracle.Indifferent {
-		return s.record(a, b, j.Pref) // tie handling is weight-free
+		return 0, 0, nil // partial ranks are fine (§4.2)
 	}
 	better, worse := a, b
 	if j.Pref == oracle.PrefersSecond {
@@ -720,10 +651,6 @@ func (s *Synthesizer) recordJudgment(a, b scenario.Scenario, j oracle.Judgment) 
 	}
 	if bid == wid {
 		return 0, 0, nil // deduplicated to the same vertex
-	}
-	if s.cfg.Noise == NoiseFail && s.graph.Prefers(wid, bid) {
-		return 0, 0, fmt.Errorf("%w: %d > %d contradicts recorded preferences",
-			ErrInconsistent, bid, wid)
 	}
 	res, err := s.graph.Observe(bid, wid, j.Weight())
 	if err != nil {
@@ -775,7 +702,7 @@ func (s *Synthesizer) insertEdge(e prefgraph.Edge) {
 }
 
 // rebuildSystem recompiles the system from the graph after a bulk
-// mutation (cycle repair, transitive reduction, transcript preload):
+// mutation (cycle repair, transcript preload):
 // one fused difference compile per edge.
 func (s *Synthesizer) rebuildSystem() {
 	sp := s.tracer().Begin("system-rebuild")
@@ -785,9 +712,6 @@ func (s *Synthesizer) rebuildSystem() {
 		better, _ := s.store.Get(e.Better)
 		worse, _ := s.store.Get(e.Worse)
 		s.sys.AddPref(solver.Pref{Better: better, Worse: worse})
-	}
-	for _, t := range s.ties {
-		s.sys.AddTie(t)
 	}
 	if s.om != nil {
 		s.om.rebuilds.Inc()
@@ -810,25 +734,15 @@ func (s *Synthesizer) problem() (solver.Problem, []prefgraph.Edge) {
 		worse, _ := s.store.Get(e.Worse)
 		prefs = append(prefs, solver.Pref{Better: better, Worse: worse})
 	}
-	return solver.Problem{
-		Sketch: s.cfg.Sketch,
-		Prefs:  prefs,
-		Ties:   s.ties,
-		Margin: s.cfg.Margin,
-		Viable: s.cfg.Viable,
-	}, edges
+	return solver.Problem{Sketch: s.cfg.Sketch, Prefs: prefs}, edges
 }
 
 // relax drops the preference edges violated by the best point the
 // solver can reach, restoring numeric feasibility after inconsistent
-// answers. NoiseFail forbids relaxation. The satisfaction mask is
-// parallel to the system's constraint order, which sysEdges mirrors, so
-// mask index i names edge sysEdges[i]; removal runs highest-index-first
-// to keep the remaining indices valid.
+// answers. The satisfaction mask is parallel to the system's constraint
+// order, which sysEdges mirrors, so mask index i names edge sysEdges[i];
+// removal runs highest-index-first to keep the remaining indices valid.
 func (s *Synthesizer) relax(ctx context.Context) (int, error) {
-	if s.cfg.Noise == NoiseFail {
-		return 0, ErrInconsistent
-	}
 	if len(s.sysEdges) == 0 {
 		return 0, ErrNoCandidate
 	}
@@ -874,7 +788,6 @@ func (s *Synthesizer) relax(ctx context.Context) (int, error) {
 // session's effort accounting onto the Result.
 func (s *Synthesizer) finish(ctx context.Context, res *Result) (*Result, error) {
 	sp := s.tracer().Begin("finish")
-	res.Ties = append([]solver.Tie(nil), s.ties...)
 	start := time.Now()
 	holes, status, err := s.search.FindCandidate(ctx, s.solverOpts(0), s.rng)
 	if err == nil && status != solver.StatusSat {

@@ -37,7 +37,7 @@ func newCoreMetrics(reg *obs.Registry) *coreMetrics {
 		queries:       reg.Counter("compsynth_core_queries_total", "Oracle comparisons issued (initial ranking + loop)."),
 		edges:         reg.Counter("compsynth_core_edges_total", "Preference edges recorded."),
 		rejected:      reg.Counter("compsynth_core_rejected_total", "Answers dropped or repaired away as contradictions."),
-		rebuilds:      reg.Counter("compsynth_core_system_rebuilds_total", "Full constraint-system recompiles (cycle repair, reduction, preload)."),
+		rebuilds:      reg.Counter("compsynth_core_system_rebuilds_total", "Full constraint-system recompiles (cycle repair, preload)."),
 		converged:     reg.Counter("compsynth_core_converged_total", "Sessions that ended converged (vs hitting the iteration cap)."),
 		iterSeconds:   reg.Histogram("compsynth_core_iteration_seconds", "Wall time per interaction round.", obs.SecondsBuckets()),
 		oracleSeconds: reg.Histogram("compsynth_core_oracle_seconds", "Wall time per oracle comparison.", obs.SecondsBuckets()),

@@ -8,7 +8,6 @@ import (
 
 	"compsynth/internal/scenario"
 	"compsynth/internal/sketch"
-	"compsynth/internal/solver"
 )
 
 // Transcript is the serializable record of a synthesis session: the
@@ -35,21 +34,12 @@ type Transcript struct {
 	Scenarios [][]float64 `json:"scenarios"`
 	// Preferences are [better, worse] ID pairs (direct graph edges).
 	Preferences [][2]int `json:"preferences"`
-	// Ties are indifference constraints by scenario ID.
-	Ties []TranscriptTie `json:"ties,omitempty"`
 	// Final is the synthesized hole vector (nil if the session did not
 	// finish).
 	Final []float64 `json:"final,omitempty"`
 	// Converged and Iterations record the outcome.
 	Converged  bool `json:"converged"`
 	Iterations int  `json:"iterations"`
-}
-
-// TranscriptTie is a serialized indifference constraint.
-type TranscriptTie struct {
-	A    int     `json:"a"`
-	B    int     `json:"b"`
-	Band float64 `json:"band"`
 }
 
 // Export renders a result as a transcript.
@@ -71,23 +61,6 @@ func Export(res *Result) *Transcript {
 	for _, e := range res.Graph.Edges() {
 		t.Preferences = append(t.Preferences, [2]int{e.Better, e.Worse})
 	}
-	for _, tie := range res.Ties {
-		// Tie scenarios were not interned in the store during the
-		// session; intern them now so IDs resolve on load.
-		aID, errA := res.Store.Add(tie.A)
-		bID, errB := res.Store.Add(tie.B)
-		if errA != nil || errB != nil {
-			continue // out-of-space tie cannot happen for session-produced results
-		}
-		t.Ties = append(t.Ties, TranscriptTie{A: aID, B: bID, Band: tie.Band})
-	}
-	if len(res.Ties) > 0 {
-		// Re-export scenarios: interning ties may have grown the store.
-		t.Scenarios = nil
-		for _, s := range res.Store.All() {
-			t.Scenarios = append(t.Scenarios, s)
-		}
-	}
 	return t
 }
 
@@ -105,10 +78,14 @@ func (t *Transcript) WriteTo(w io.Writer) (int64, error) {
 // ReadTranscript parses and validates a JSON transcript. Transcripts
 // arrive over the network in the service layer, so everything is
 // treated as untrusted: structural violations (mismatched shapes,
-// out-of-range IDs, non-finite numbers) are errors, never panics.
+// out-of-range IDs, non-finite numbers) are errors, never panics. An
+// unknown field is an error too: a document carrying a field this
+// build does not read (a "ties" list, say) would otherwise resume a
+// different session than the one it records.
 func ReadTranscript(r io.Reader) (*Transcript, error) {
 	var t Transcript
 	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&t); err != nil {
 		return nil, fmt.Errorf("core: parse transcript: %w", err)
 	}
@@ -120,8 +97,7 @@ func ReadTranscript(r io.Reader) (*Transcript, error) {
 
 // Validate checks the transcript's internal structural invariants: all
 // scenarios share one dimension (matching Metrics when present), every
-// preference and tie references a stored scenario, tie bands are
-// positive, and all numbers are finite. It does not check agreement
+// preference references a stored scenario, and all numbers are finite. It does not check agreement
 // with any particular sketch — Preload does that against its own.
 func (t *Transcript) Validate() error {
 	dim := -1
@@ -151,14 +127,6 @@ func (t *Transcript) Validate() error {
 		}
 		if p[0] == p[1] {
 			return fmt.Errorf("core: transcript preference %v is a self-loop", p)
-		}
-	}
-	for _, tie := range t.Ties {
-		if tie.A < 0 || tie.A >= n || tie.B < 0 || tie.B >= n {
-			return fmt.Errorf("core: transcript tie %+v out of range [0,%d)", tie, n)
-		}
-		if !(tie.Band > 0) || math.IsInf(tie.Band, 0) {
-			return fmt.Errorf("core: transcript tie %+v has non-positive band", tie)
 		}
 	}
 	if t.Final != nil {
@@ -216,22 +184,11 @@ func (s *Synthesizer) Preload(t *Transcript) error {
 			return fmt.Errorf("core: transcript preference %v: %w", pref, err)
 		}
 	}
-	for _, tie := range t.Ties {
-		if tie.A < 0 || tie.A >= len(ids) || tie.B < 0 || tie.B >= len(ids) {
-			return fmt.Errorf("core: transcript tie %v out of range", tie)
-		}
-		if tie.Band <= 0 {
-			return fmt.Errorf("core: transcript tie %v has non-positive band", tie)
-		}
-		a, _ := s.store.Get(ids[tie.A])
-		b, _ := s.store.Get(ids[tie.B])
-		s.ties = append(s.ties, solver.Tie{A: a.Clone(), B: b.Clone(), Band: tie.Band})
-	}
 	if len(t.Final) == len(sk.Holes()) {
 		s.addHints(t.Final)
 	}
-	// Edges and ties were bulk-loaded into the graph; compile them into
-	// the incremental system in one pass.
+	// Edges were bulk-loaded into the graph; compile them into the
+	// incremental system in one pass.
 	s.rebuildSystem()
 	s.preloaded = true
 	return nil

@@ -2,15 +2,13 @@ package core
 
 import (
 	"bytes"
-	"math/rand"
+	"fmt"
 	"strings"
 	"testing"
 
 	"compsynth/internal/oracle"
 	"compsynth/internal/scenario"
 	"compsynth/internal/sketch"
-	"compsynth/internal/te"
-	"compsynth/internal/topo"
 )
 
 func finishedResult(t *testing.T, seed int64) (*Result, Config) {
@@ -74,6 +72,22 @@ func TestTranscriptRoundTrip(t *testing.T) {
 func TestReadTranscriptBadJSON(t *testing.T) {
 	if _, err := ReadTranscript(strings.NewReader("{nope")); err == nil {
 		t.Error("bad JSON accepted")
+	}
+}
+
+// TestReadTranscriptRejectsTies pins that a transcript carrying a
+// "ties" list, which this build would not replay, fails to load
+// instead of resuming a session without those constraints; the same
+// document without the list loads.
+func TestReadTranscriptRejectsTies(t *testing.T) {
+	const body = `{"sketch":"swan","metrics":["tp","l"],` +
+		`"scenarios":[[1,2],[3,4]],"preferences":[[0,1]]%s}`
+	if _, err := ReadTranscript(strings.NewReader(fmt.Sprintf(body, ""))); err != nil {
+		t.Fatalf("transcript without ties rejected: %v", err)
+	}
+	_, err := ReadTranscript(strings.NewReader(fmt.Sprintf(body, `,"ties":[{"a":0,"b":1,"band":1}]`)))
+	if err == nil || !strings.Contains(err.Error(), `"ties"`) {
+		t.Errorf("transcript with ties: err = %v, want an unknown-field error naming \"ties\"", err)
 	}
 }
 
@@ -168,130 +182,5 @@ func TestPreloadValidation(t *testing.T) {
 	bad.Preferences = nil
 	if err := s2.Preload(&bad); err == nil {
 		t.Error("out-of-space scenario accepted")
-	}
-}
-
-func TestInitialScenarioSourceFromSimulator(t *testing.T) {
-	// Use TE allocations as the initial scenarios (§6.1): the user
-	// ranks achievable outcomes rather than random metric points.
-	g := topo.Abilene()
-	sea, _ := g.NodeID("Seattle")
-	ny, _ := g.NodeID("NewYork")
-	la, _ := g.NodeID("LosAngeles")
-	dc, _ := g.NodeID("WashingtonDC")
-	n, err := te.NewNetwork(g, []te.Flow{
-		{Name: "f1", Src: sea, Dst: ny, Demand: 4},
-		{Name: "f2", Src: la, Dst: dc, Demand: 4},
-	}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fastConfig(t, 61)
-	achievable, err := te.SampleScenarios(n,
-		te.StandardSchemes([]float64{0, 0.01, 0.05}, []float64{1}), cfg.Sketch.Space())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(achievable) < 3 {
-		t.Fatalf("only %d achievable scenarios", len(achievable))
-	}
-	used := 0
-	cfg.InitialScenarioSource = func(rng *rand.Rand, want int) []scenario.Scenario {
-		out := make([]scenario.Scenario, want)
-		for i := range out {
-			out[i] = achievable[i%len(achievable)]
-			used++
-		}
-		return out
-	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if used == 0 {
-		t.Error("simulator scenario source never used")
-	}
-	if !res.Converged {
-		t.Error("simulator-seeded session did not converge")
-	}
-}
-
-func TestInitialScenarioSourceValidated(t *testing.T) {
-	cfg := fastConfig(t, 67)
-	cfg.InitialScenarioSource = func(rng *rand.Rand, want int) []scenario.Scenario {
-		out := make([]scenario.Scenario, want)
-		for i := range out {
-			out[i] = scenario.Scenario{-99, -99}
-		}
-		return out
-	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(); err == nil {
-		t.Error("out-of-space initial scenarios accepted")
-	}
-}
-
-func TestTranscriptTiesRoundTrip(t *testing.T) {
-	cfg := fastConfig(t, 103)
-	target, err := sketch.DefaultSWANTarget.Candidate(cfg.Sketch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Oracle = oracle.NewGroundTruth(target, 40) // wide tie band -> ties happen
-	cfg.LearnTies = true
-	cfg.TieBand = 80
-	cfg.MaxIterations = 40
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := Export(res)
-	if len(res.Ties) != len(tr.Ties) {
-		t.Fatalf("exported %d ties for %d recorded", len(tr.Ties), len(res.Ties))
-	}
-	if len(tr.Ties) == 0 {
-		t.Skip("no ties recorded this seed; covered by other seeds")
-	}
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTranscript(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Preload(back); err != nil {
-		t.Fatal(err)
-	}
-	if len(s2.ties) != len(tr.Ties) {
-		t.Errorf("preloaded %d ties, want %d", len(s2.ties), len(tr.Ties))
-	}
-	// Bad tie index rejected.
-	bad := *back
-	bad.Ties = []TranscriptTie{{A: 0, B: 9999, Band: 1}}
-	s3, _ := New(cfg)
-	if err := s3.Preload(&bad); err == nil {
-		t.Error("out-of-range tie accepted")
-	}
-	bad2 := *back
-	bad2.Ties = []TranscriptTie{{A: 0, B: 1, Band: 0}}
-	s4, _ := New(cfg)
-	if err := s4.Preload(&bad2); err == nil {
-		t.Error("zero-band tie accepted")
 	}
 }

@@ -353,7 +353,7 @@ func (st *Stepper) Snapshot() (*Transcript, error) {
 	return st.partial(), nil
 }
 
-// partial renders the synthesizer's current graph/store/ties as a
+// partial renders the synthesizer's current graph and store as a
 // transcript without a final candidate. Callers must ensure the run
 // goroutine is quiescent (not started, parked on a pending round, or
 // exited).
@@ -364,16 +364,6 @@ func (st *Stepper) partial() *Transcript {
 		SketchName: sk.Name(),
 		Holes:      sk.Holes(),
 		Metrics:    sk.Space().Names(),
-	}
-	for _, tie := range s.ties {
-		// Intern tie scenarios so their IDs resolve on load, mirroring
-		// Export.
-		aID, errA := s.store.Add(tie.A)
-		bID, errB := s.store.Add(tie.B)
-		if errA != nil || errB != nil {
-			continue
-		}
-		t.Ties = append(t.Ties, TranscriptTie{A: aID, B: bID, Band: tie.Band})
 	}
 	for _, sc := range s.store.All() {
 		t.Scenarios = append(t.Scenarios, sc)

@@ -325,27 +325,6 @@ func mergeSorted(a, b []int) []int {
 	return out
 }
 
-// TransitiveReduction removes every edge u→v for which an alternative
-// path u⇝v exists, returning the number of edges removed. The reduction
-// of a DAG is unique and preserves the preference relation; it keeps the
-// constraint set handed to the solver minimal.
-func (g *Graph) TransitiveReduction() int {
-	removed := 0
-	for _, e := range g.Edges() {
-		// Temporarily remove and test reachability.
-		g.Remove(e.Better, e.Worse)
-		if g.path(e.Better, e.Worse) != nil {
-			removed++
-			continue // edge is redundant; leave it out
-		}
-		// Edge was essential; restore.
-		g.succ[e.Better][e.Worse] = true
-		g.pred[e.Worse][e.Better] = true
-		g.n++
-	}
-	return removed
-}
-
 // BreakCycles removes a minimal-count heuristic set of edges to restore
 // acyclicity, preferring to drop the edges given lower weight (weight is
 // the caller's confidence in that preference; unweighted callers can pass

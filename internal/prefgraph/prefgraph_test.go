@@ -217,27 +217,6 @@ func TestTopoSortCycleError(t *testing.T) {
 	}
 }
 
-func TestTransitiveReduction(t *testing.T) {
-	g := New()
-	mustAdd(t, g, 1, 2)
-	mustAdd(t, g, 2, 3)
-	mustAdd(t, g, 1, 3) // redundant
-	removed := g.TransitiveReduction()
-	if removed != 1 {
-		t.Errorf("removed %d edges, want 1", removed)
-	}
-	if g.Has(1, 3) {
-		t.Error("redundant edge kept")
-	}
-	if !g.Prefers(1, 3) {
-		t.Error("reduction lost transitive preference")
-	}
-	// Reduction of a reduced graph removes nothing.
-	if again := g.TransitiveReduction(); again != 0 {
-		t.Errorf("second reduction removed %d", again)
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	g := New()
 	mustAdd(t, g, 1, 2)
@@ -303,36 +282,6 @@ func TestPropRandomDAGStaysAcyclic(t *testing.T) {
 			for b := 0; b < n; b++ {
 				if g.Prefers(a, b) && rank[a] > rank[b] {
 					t.Fatalf("derived preference %d>%d contradicts true order", a, b)
-				}
-			}
-		}
-	}
-}
-
-// Property: transitive reduction preserves the reachability relation.
-func TestPropReductionPreservesReachability(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 30; trial++ {
-		g := New()
-		n := 3 + rng.Intn(12)
-		for k := 0; k < 3*n; k++ {
-			i, j := rng.Intn(n), rng.Intn(n)
-			if i == j {
-				continue
-			}
-			_ = g.Add(i, j) // cycle-creating edges silently skipped
-		}
-		before := map[[2]int]bool{}
-		for a := 0; a < n; a++ {
-			for b := 0; b < n; b++ {
-				before[[2]int{a, b}] = g.Prefers(a, b)
-			}
-		}
-		g.TransitiveReduction()
-		for a := 0; a < n; a++ {
-			for b := 0; b < n; b++ {
-				if g.Prefers(a, b) != before[[2]int{a, b}] {
-					t.Fatalf("reduction changed reachability %d->%d", a, b)
 				}
 			}
 		}

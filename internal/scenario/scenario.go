@@ -192,29 +192,6 @@ func (sp *Space) RandomN(rng *rand.Rand, n int) []Scenario {
 	return out
 }
 
-// LatinHypercube returns n scenarios via Latin hypercube sampling:
-// every metric's range is cut into n strata and each stratum is hit
-// exactly once, giving far better coverage than uniform sampling for
-// small n. It is a good InitialScenarioSource when the user rates only
-// a handful of initial scenarios.
-func (sp *Space) LatinHypercube(rng *rand.Rand, n int) []Scenario {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]Scenario, n)
-	for i := range out {
-		out[i] = make(Scenario, len(sp.ranges))
-	}
-	for d, r := range sp.ranges {
-		perm := rng.Perm(n)
-		for i := 0; i < n; i++ {
-			stratum := float64(perm[i])
-			out[i][d] = r.Lo + r.Width()*(stratum+rng.Float64())/float64(n)
-		}
-	}
-	return out
-}
-
 // Grid returns the scenarios of a regular grid with pointsPerDim points
 // per metric (inclusive of both range endpoints; pointsPerDim must be
 // at least 2). The grid is used for behavioral-equivalence validation.

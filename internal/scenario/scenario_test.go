@@ -242,42 +242,3 @@ func TestSpaceAccessorsAreCopies(t *testing.T) {
 		t.Error("Ranges exposed internal slice")
 	}
 }
-
-func TestLatinHypercubeStratification(t *testing.T) {
-	sp := SWANSpace()
-	rng := rand.New(rand.NewSource(8))
-	n := 10
-	scs := sp.LatinHypercube(rng, n)
-	if len(scs) != n {
-		t.Fatalf("got %d scenarios", len(scs))
-	}
-	// Each dimension: exactly one sample per stratum.
-	for d, r := range sp.Ranges() {
-		seen := make([]bool, n)
-		for _, s := range scs {
-			if !r.Contains(s[d]) {
-				t.Fatalf("sample %v outside range in dim %d", s[d], d)
-			}
-			stratum := int((s[d] - r.Lo) / r.Width() * float64(n))
-			if stratum == n {
-				stratum = n - 1
-			}
-			if seen[stratum] {
-				t.Fatalf("dim %d stratum %d hit twice", d, stratum)
-			}
-			seen[stratum] = true
-		}
-	}
-}
-
-func TestLatinHypercubeEdgeCases(t *testing.T) {
-	sp := SWANSpace()
-	rng := rand.New(rand.NewSource(9))
-	if got := sp.LatinHypercube(rng, 0); got != nil {
-		t.Error("n=0 returned scenarios")
-	}
-	one := sp.LatinHypercube(rng, 1)
-	if len(one) != 1 || !sp.Contains(one[0]) {
-		t.Errorf("n=1 = %v", one)
-	}
-}

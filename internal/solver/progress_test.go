@@ -17,7 +17,7 @@ import (
 // regression here taxes every branch-and-prune wave of every search,
 // observability on or off.
 func TestEmitWaveDisabledZeroAlloc(t *testing.T) {
-	sys := NewSystem(sketch.SWAN(), 0, nil, nil)
+	sys := NewSystem(sketch.SWAN(), 0, nil)
 	if a := testing.AllocsPerRun(200, func() {
 		sys.emitWave(3, 128, 64)
 	}); a != 0 {
@@ -119,7 +119,7 @@ func newTwoPrefSystem(t *testing.T, stats *Stats) *System {
 	sk := sketch.SWAN()
 	rng := rand.New(rand.NewSource(3))
 	scs := sk.Space().RandomN(rng, 4)
-	sys := NewSystem(sk, 0, nil, stats)
+	sys := NewSystem(sk, 0, stats)
 	sys.AddPref(Pref{Better: scs[0], Worse: scs[1]})
 	sys.AddPref(Pref{Better: scs[2], Worse: scs[3]})
 	return sys

@@ -284,7 +284,7 @@ func sameBox(a, b []interval.Interval) bool {
 // invariance test: 150 random boxes, from root-sized to below the
 // resolution floor, are decided in spans of 1, 3, 16 and 64 lanes, and
 // every width must reproduce one-box spans bit for bit — across an
-// empty, growing, tied, shrinking and rebuilt constraint set.
+// empty, growing, shrinking and rebuilt constraint set.
 func TestEvalPruneSpanWidthInvariance(t *testing.T) {
 	p, _ := swanProblem(t, 12, 7)
 	sk := p.Sketch
@@ -293,7 +293,7 @@ func TestEvalPruneSpanWidthInvariance(t *testing.T) {
 	for i, d := range domains {
 		minWidths[i] = math.Max(d.Width()/64, 1e-12)
 	}
-	sys := NewSystem(sk, 1e-9, nil, nil)
+	sys := NewSystem(sk, 1e-9, nil)
 
 	rng := rand.New(rand.NewSource(41))
 	randBox := func(scale float64) []interval.Interval {
@@ -345,8 +345,6 @@ func TestEvalPruneSpanWidthInvariance(t *testing.T) {
 			check("grow")
 		}
 	}
-	sys.AddTie(Tie{A: scenario.Scenario{4, 40}, B: scenario.Scenario{6, 30}, Band: 0.5})
-	check("tie")
 	for i := 0; i < 4; i++ {
 		sys.RemovePref(len(p.Prefs) - 1 - i)
 	}
@@ -371,17 +369,23 @@ func TestPruneColdLanesSurvivorAliasing(t *testing.T) {
 		[]interval.Interval{interval.New(0, 1), interval.New(0, 1)})
 	sk := sketch.MustNew("alias", expr.MustParse(`??h * x - y`), space,
 		map[string]interval.Interval{"h": interval.New(0, 1)})
-	// f(A) - f(B) = h - 0.5, so the tie holds iff |h - 0.5| <= 0.01.
-	p := Problem{Sketch: sk, Ties: []Tie{{
-		A: scenario.Scenario{1, 0.5}, B: scenario.Scenario{0, 0}, Band: 0.01,
-	}}}
+	// f(0,0) = 0 and f(1,y) = h - y, so the first preference holds iff
+	// h < 0.51 and the second iff h > 0.49. The order matters: the
+	// floor lane's corner sweep must leave b.act[0] naming lane 0 (the
+	// corner h = 0.40 survives the first constraint, then fails the
+	// second), so the uncopied survivor list would read lane 0 where
+	// the midpoint sweep had kept lane 1.
+	p := Problem{Sketch: sk, Prefs: []Pref{
+		{Better: scenario.Scenario{0, 0}, Worse: scenario.Scenario{1, 0.51}},
+		{Better: scenario.Scenario{1, 0.49}, Worse: scenario.Scenario{0, 0}},
+	}}
 	sys := compileSystem(p, nil)
 	wave := [][]interval.Interval{
 		// Floor-level (width 0.12 < 0.15): straddles the band, but the
 		// midpoint 0.46 and both corners fail, so this lane takes the
 		// re-entrant corner sweep and lands at the floor.
 		{interval.New(0.40, 0.52)},
-		// Midpoint h = 0.5 satisfies the tie exactly: must come back a
+		// Midpoint h = 0.5 lies inside the band: must come back a
 		// witness, not a split.
 		{interval.New(0.30, 0.70)},
 	}

@@ -21,16 +21,12 @@ import (
 // constraints, so no scenario lanes the system has pooled can leak into
 // the reference.
 func referenceRepair(s *System, start []float64, domains []interval.Interval, steps int, rng *rand.Rand) ([]float64, bool) {
-	prefs, ties := s.Prefs(), s.Ties()
-	np, n := 2*len(prefs), 2*(len(prefs)+len(ties))
+	prefs := s.Prefs()
+	n := 2 * len(prefs)
 	b := expr.NewPointBatch(s.sk.Space().Dim(), s.sk.NumHoles(), max(n, 1))
 	for i, c := range prefs {
 		b.SetVars(2*i, c.Better)
 		b.SetVars(2*i+1, c.Worse)
-	}
-	for i, t := range ties {
-		b.SetVars(np+2*i, t.A)
-		b.SetVars(np+2*i+1, t.B)
 	}
 	outs := func(h []float64) []float64 {
 		b.BroadcastHoles(h, n)
@@ -40,39 +36,21 @@ func referenceRepair(s *System, start []float64, domains []interval.Interval, st
 	violation := func(h []float64) float64 {
 		out := outs(h)
 		var loss float64
-		for i := 0; i < np; i += 2 {
+		for i := 0; i < n; i += 2 {
 			if slack := s.margin - (out[i] - out[i+1]); slack > 0 {
 				loss += slack
-			}
-		}
-		for i, t := range ties {
-			diff := out[np+2*i] - out[np+2*i+1]
-			if diff < 0 {
-				diff = -diff
-			}
-			if over := diff - t.Band; over > 0 {
-				loss += over
 			}
 		}
 		return loss
 	}
 	satisfies := func(h []float64) bool {
 		out := outs(h)
-		for i := 0; i < np; i += 2 {
+		for i := 0; i < n; i += 2 {
 			if out[i]-out[i+1] <= s.margin {
 				return false
 			}
 		}
-		for i, t := range ties {
-			diff := out[np+2*i] - out[np+2*i+1]
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff > t.Band {
-				return false
-			}
-		}
-		return s.viable == nil || s.viable(h)
+		return true
 	}
 
 	h := append([]float64(nil), start...)
@@ -160,13 +138,11 @@ func runRepair(fn func(*System, []float64, []interval.Interval, int, *rand.Rand)
 }
 
 // repairSystem builds a system over sk with nPrefs preferences that the
-// hole vector target ranks (flipped with probability flip, so some
-// systems are unsatisfiable and repairs fail) and nTies ties within
-// band.
-func repairSystem(sk *sketch.Sketch, target []float64, nPrefs, nTies int, band, flip float64, seed int64) *System {
+// hole vector target ranks, flipped with probability flip, so some
+// systems are unsatisfiable and repairs fail.
+func repairSystem(sk *sketch.Sketch, target []float64, nPrefs int, flip float64, seed int64) *System {
 	rng := rand.New(rand.NewSource(seed))
-	viable := func(h []float64) bool { return h[len(h)-1] < 9.5 }
-	s := NewSystem(sk, 1e-3, viable, nil)
+	s := NewSystem(sk, 1e-3, nil)
 	for s.NumPrefs() < nPrefs {
 		a, b := sk.Space().Random(rng), sk.Space().Random(rng)
 		fa, fb := sk.Eval(a, target), sk.Eval(b, target)
@@ -178,18 +154,15 @@ func repairSystem(sk *sketch.Sketch, target []float64, nPrefs, nTies int, band, 
 		}
 		s.AddPref(Pref{Better: a, Worse: b})
 	}
-	for i := 0; i < nTies; i++ {
-		s.AddTie(Tie{A: sk.Space().Random(rng), B: sk.Space().Random(rng), Band: band})
-	}
 	return s
 }
 
 // TestRepairMatchesReference holds System.repair, which moves one hole
 // per trial, to referenceRepair's full Violation per trial: the same
 // vector bits, verdict and next RNG draw from every start, on SWAN and
-// 2-region systems with ties, before and after InsertPref, RemovePref
-// and AddTie mutate a system whose pooled batches have already loaded
-// its lanes, and with two goroutines repairing on one shared system.
+// 2-region systems, before and after InsertPref, RemovePref and AddPref
+// mutate a system whose pooled batches have already loaded its lanes,
+// and with two goroutines repairing on one shared system.
 func TestRepairMatchesReference(t *testing.T) {
 	swan := sketch.SWAN()
 	mr, err := sketch.MultiRegion(2)
@@ -209,12 +182,12 @@ func TestRepairMatchesReference(t *testing.T) {
 		name string
 		s    *System
 	}{
-		{"swan", repairSystem(swan, swanTarget.Holes(), 20, 2, 400, 0, 1)},
-		{"swan noisy", repairSystem(swan, swanTarget.Holes(), 12, 1, 100, 0.2, 2)},
-		{"swan easy", repairSystem(swan, swanTarget.Holes(), 4, 1, 3000, 0, 5)},
-		{"2-region", repairSystem(mr, mrTarget, 26, 3, 600, 0, 3)},
-		{"2-region noisy", repairSystem(mr, mrTarget, 16, 2, 200, 0.15, 4)},
-		{"2-region easy", repairSystem(mr, mrTarget, 4, 1, 3000, 0, 6)},
+		{"swan", repairSystem(swan, swanTarget.Holes(), 20, 0, 1)},
+		{"swan noisy", repairSystem(swan, swanTarget.Holes(), 12, 0.2, 2)},
+		{"swan easy", repairSystem(swan, swanTarget.Holes(), 4, 0, 5)},
+		{"2-region", repairSystem(mr, mrTarget, 26, 0, 3)},
+		{"2-region noisy", repairSystem(mr, mrTarget, 16, 0.15, 4)},
+		{"2-region easy", repairSystem(mr, mrTarget, 4, 0, 6)},
 	}
 	starts := 0
 	// check repairs from n random starts on s both ways, returning the
@@ -247,8 +220,8 @@ func TestRepairMatchesReference(t *testing.T) {
 		check(c.name+" after InsertPref", s, 6, int64(300+si))
 		s.RemovePref(0)
 		check(c.name+" after RemovePref", s, 6, int64(400+si))
-		s.AddTie(Tie{A: sk.Space().Random(rng), B: sk.Space().Random(rng), Band: 1000})
-		seq := check(c.name+" after AddTie", s, 6, int64(500+si))
+		s.AddPref(Pref{Better: sk.Space().Random(rng), Worse: sk.Space().Random(rng)})
+		seq := check(c.name+" after AddPref", s, 6, int64(500+si))
 
 		// Two goroutines repair the same starts on the shared system;
 		// each must reproduce the sequential outcomes.

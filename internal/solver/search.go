@@ -28,7 +28,7 @@ import (
 // A Search is a small value (one pointer); copy it freely. The
 // underlying System's mutation rules still apply: searches only read,
 // so they may run with PruneWorkers > 1, but must not race
-// AddPref/InsertPref/RemovePref/AddTie/Reset/SetMetrics.
+// AddPref/InsertPref/RemovePref/Reset/SetMetrics.
 type Search struct {
 	sys *System
 }

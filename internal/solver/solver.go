@@ -43,35 +43,15 @@ type Pref struct {
 	Better, Worse scenario.Scenario
 }
 
-// Tie is an indifference constraint: the objective must score A and B
-// within Band of each other. Ties encode "these two outcomes feel the
-// same to me" answers as constraints instead of discarding them.
-type Tie struct {
-	A, B scenario.Scenario
-	// Band is the allowed |f(A) − f(B)| slack. It must be positive: an
-	// exact equality has measure zero in a continuous hole space and
-	// would make the problem vacuously unsatisfiable.
-	Band float64
-}
-
 // Problem is a conjunction of preference constraints over a sketch's
 // hole box.
 type Problem struct {
 	Sketch *sketch.Sketch
 	Prefs  []Pref
-	// Ties are indifference constraints (see Tie).
-	Ties []Tie
 	// Margin is the strictness slack: a constraint is satisfied when
 	// f(better) - f(worse) > Margin. Zero means plain strict inequality;
 	// a small positive margin keeps witnesses numerically robust.
 	Margin float64
-	// Viable optionally restricts hole vectors to those realizable in
-	// the target design domain (the paper's §4.2 viability check, e.g.
-	// "these knobs correspond to an implementable ε"). Nil accepts all.
-	// The check is a black box to interval pruning, so it is enforced
-	// on point witnesses only; an UNSAT verdict therefore means "no
-	// witness satisfying the preferences", not "none viable".
-	Viable func(holes []float64) bool
 }
 
 // Status is a solver verdict.
@@ -290,20 +270,11 @@ func violation(p Problem, holes []float64) float64 {
 			loss += slack
 		}
 	}
-	for _, t := range p.Ties {
-		diff := p.Sketch.Eval(t.A, holes) - p.Sketch.Eval(t.B, holes)
-		if diff < 0 {
-			diff = -diff
-		}
-		if over := diff - t.Band; over > 0 {
-			loss += over
-		}
-	}
 	return loss
 }
 
 // Satisfies reports whether the hole vector satisfies every preference
-// constraint with the problem margin, and the viability check if set.
+// constraint with the problem margin.
 //
 // Like violation, this is the uncompiled reference path; the solver
 // itself runs System.Satisfies.
@@ -313,16 +284,7 @@ func Satisfies(p Problem, holes []float64) bool {
 			return false
 		}
 	}
-	for _, t := range p.Ties {
-		diff := p.Sketch.Eval(t.A, holes) - p.Sketch.Eval(t.B, holes)
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > t.Band {
-			return false
-		}
-	}
-	return p.Viable == nil || p.Viable(holes)
+	return true
 }
 
 // clampToBox returns a copy of h with every coordinate clamped into its

@@ -353,72 +353,3 @@ func TestStatsCountersParallelRaceFree(t *testing.T) {
 		t.Errorf("parallel effort not recorded: boxes=%d batched=%d", stats.Boxes.Load(), stats.BatchedEvals.Load())
 	}
 }
-
-func TestTieConstraints(t *testing.T) {
-	sk := sketch.SWAN()
-	// Tie two scenarios in the unsatisfying region with a tight band:
-	// f(2,100) and f(4,100) tie only when slope2 ≈ specific relation.
-	// Simpler: tie (t,l)=(3,100) with (6,100): f = t(1 - s2*100); diff
-	// = 3*(1-100*s2) - 6*(1-100*s2)... both unsat if thresholds tight.
-	p := Problem{
-		Sketch: sk,
-		Prefs: []Pref{
-			// Force the satisfying region to exclude latency 100.
-			{Better: scenario.Scenario{5, 10}, Worse: scenario.Scenario{5, 100}},
-		},
-		Ties: []Tie{
-			{A: scenario.Scenario{3, 100}, B: scenario.Scenario{6, 100}, Band: 5},
-		},
-	}
-	h, st, _ := Compile(p, nil).FindCandidate(context.Background(), DefaultOptions(), rand.New(rand.NewSource(101)))
-	if st != StatusSat {
-		t.Fatalf("status = %v", st)
-	}
-	diff := sk.Eval(scenario.Scenario{3, 100}, h) - sk.Eval(scenario.Scenario{6, 100}, h)
-	if diff < -5-1e-9 || diff > 5+1e-9 {
-		t.Errorf("tie violated: diff = %v", diff)
-	}
-	if !Satisfies(p, h) {
-		t.Error("Satisfies rejects its own witness")
-	}
-}
-
-func TestTieUnsatisfiable(t *testing.T) {
-	sk := sketch.SWAN()
-	// Prefer a over b strongly AND tie them tightly: contradiction.
-	a := scenario.Scenario{5, 10}
-	b := scenario.Scenario{2, 100}
-	p := Problem{
-		Sketch: sk,
-		Prefs:  []Pref{{Better: a, Worse: b}},
-		Ties:   []Tie{{A: a, B: b, Band: 1e-9}},
-		Margin: 1,
-	}
-	opts := DefaultOptions()
-	opts.Samples = 50
-	opts.RepairRestarts = 2
-	opts.MinBoxWidth = 1.0 / 16
-	opts.MaxBoxes = 2_000_000
-	if _, st, _ := Compile(p, opts.Stats).FindCandidate(context.Background(), opts, rand.New(rand.NewSource(102))); st != StatusUnsat {
-		t.Errorf("contradictory tie status = %v, want unsat", st)
-	}
-}
-
-func TestTieViolationAccounting(t *testing.T) {
-	sk := sketch.SWAN()
-	p := Problem{
-		Sketch: sk,
-		Ties:   []Tie{{A: scenario.Scenario{5, 10}, B: scenario.Scenario{2, 100}, Band: 1}},
-	}
-	// The Figure 2b target scores these 955 vs -998: hugely violated.
-	target, err := sketch.DefaultSWANTarget.Candidate(sk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if violation(p, target.Holes()) <= 0 {
-		t.Error("tie violation not counted")
-	}
-	if Satisfies(p, target.Holes()) {
-		t.Error("violated tie satisfied")
-	}
-}

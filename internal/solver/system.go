@@ -29,15 +29,14 @@ import (
 //     boxes.
 //
 // A System is built once and mutated incrementally as preference edges
-// are recorded (AddPref/InsertPref/RemovePref/AddTie), so the per-
-// iteration cost of the synthesis loop is one difference-program
-// compile per new edge instead of a full problem rebuild. Mutation is
+// are recorded (AddPref/InsertPref/RemovePref), so the per-iteration
+// cost of the synthesis loop is one difference-program compile per new
+// edge instead of a full problem rebuild. Mutation is
 // not goroutine-safe; the point checks and the search methods only
 // read and may be called concurrently (and with PruneWorkers > 1).
 type System struct {
 	sk     *sketch.Sketch
 	margin float64
-	viable func(holes []float64) bool
 	stats  *Stats
 	// metrics, when non-nil, times and counts the public searches
 	// (see SetMetrics). Nil means zero instrumentation cost: the
@@ -52,8 +51,6 @@ type System struct {
 
 	prefs []Pref
 	cps   []compiledPref
-	ties  []Tie
-	cts   []compiledTie
 
 	// scenVer changes with every constraint mutation, so a pooled
 	// scenario batch knows when its loaded lanes are stale (see
@@ -80,34 +77,22 @@ type compiledPref struct {
 	diff *expr.Program
 }
 
-// compiledTie is an indifference constraint lowered the same way:
-// one program computing f(A) - f(B), checked against ±band.
-type compiledTie struct {
-	diff *expr.Program
-	band float64
-}
-
 // NewSystem returns an empty compiled system over the sketch's hole
-// box. margin and viable have Problem.Margin/Problem.Viable semantics.
-// stats, when non-nil, counts difference-program compiles (and is also
-// the default Stats sink for searches run through the system).
-func NewSystem(sk *sketch.Sketch, margin float64, viable func(holes []float64) bool, stats *Stats) *System {
-	return &System{sk: sk, margin: margin, viable: viable, stats: stats}
+// box. margin has Problem.Margin semantics. stats, when non-nil, counts
+// difference-program compiles (and is also the default Stats sink for
+// searches run through the system).
+func NewSystem(sk *sketch.Sketch, margin float64, stats *Stats) *System {
+	return &System{sk: sk, margin: margin, stats: stats}
 }
 
 // compileSystem lowers a Problem, compiling one difference program per
 // constraint.
 func compileSystem(p Problem, stats *Stats) *System {
-	s := NewSystem(p.Sketch, p.Margin, p.Viable, stats)
+	s := NewSystem(p.Sketch, p.Margin, stats)
 	s.prefs = make([]Pref, 0, len(p.Prefs))
 	s.cps = make([]compiledPref, 0, len(p.Prefs))
-	s.ties = make([]Tie, 0, len(p.Ties))
-	s.cts = make([]compiledTie, 0, len(p.Ties))
 	for _, c := range p.Prefs {
 		s.AddPref(c)
-	}
-	for _, t := range p.Ties {
-		s.AddTie(t)
 	}
 	return s
 }
@@ -136,14 +121,8 @@ func (s *System) Margin() float64 { return s.margin }
 // NumPrefs returns the number of preference constraints.
 func (s *System) NumPrefs() int { return len(s.prefs) }
 
-// NumTies returns the number of indifference constraints.
-func (s *System) NumTies() int { return len(s.ties) }
-
 // Prefs returns the preference constraints in constraint order (copy).
 func (s *System) Prefs() []Pref { return append([]Pref(nil), s.prefs...) }
-
-// Ties returns the indifference constraints in constraint order (copy).
-func (s *System) Ties() []Tie { return append([]Tie(nil), s.ties...) }
 
 // AddPref appends a preference constraint.
 func (s *System) AddPref(c Pref) {
@@ -173,17 +152,9 @@ func (s *System) RemovePref(i int) {
 	s.scenVer++
 }
 
-// AddTie appends an indifference constraint.
-func (s *System) AddTie(t Tie) {
-	s.ties = append(s.ties, t)
-	s.cts = append(s.cts, compiledTie{diff: s.compileDiff(t.A, t.B), band: t.Band})
-	s.scenVer++
-}
-
 // Reset drops all constraints, keeping the sketch.
 func (s *System) Reset() {
 	s.prefs, s.cps = s.prefs[:0], s.cps[:0]
-	s.ties, s.cts = s.ties[:0], s.cts[:0]
 	s.scenVer++
 }
 
@@ -197,16 +168,16 @@ func (s *System) Violation(holes []float64) float64 {
 }
 
 // Satisfies reports whether the hole vector satisfies every constraint
-// with the margin, and the viability check if set.
+// with the margin.
 func (s *System) Satisfies(holes []float64) bool {
 	sl := s.getScenarios()
 	defer s.putScenarios(sl)
-	return s.satisfied(s.scenarioOuts(sl, holes), holes)
+	return s.satisfied(s.scenarioOuts(sl, holes))
 }
 
 // SatisfiedMask writes the per-preference satisfaction of θ into mask
-// (parallel to the constraint order; ties are not included). mask is
-// grown as needed and returned.
+// (parallel to the constraint order). mask is grown as needed and
+// returned.
 func (s *System) SatisfiedMask(holes []float64, mask []bool) []bool {
 	if cap(mask) < len(s.cps) {
 		mask = make([]bool, len(s.cps))
@@ -306,7 +277,7 @@ func (s *System) repair(start []float64, domains []interval.Interval, steps int,
 	h := append([]float64(nil), start...)
 	loss := s.hinge(s.scenarioOuts(sl, h))
 	if loss == 0 {
-		return h, s.satisfied(sb.Outs(), h)
+		return h, s.satisfied(sb.Outs())
 	}
 	step := make([]float64, len(domains))
 	for i, d := range domains {
@@ -332,7 +303,7 @@ func (s *System) repair(start []float64, domains []interval.Interval, steps int,
 			}
 		}
 		if loss == 0 {
-			return h, s.satisfied(sb.Outs(), h)
+			return h, s.satisfied(sb.Outs())
 		}
 		if !improved {
 			for i := range step {
@@ -350,7 +321,7 @@ func (s *System) repair(start []float64, domains []interval.Interval, steps int,
 			}
 		}
 	}
-	return h, loss == 0 && s.satisfied(sb.Outs(), h)
+	return h, loss == 0 && s.satisfied(sb.Outs())
 }
 
 func (s *System) bestEffort(ctx context.Context, opts Options, rng *rand.Rand) (holes []float64, loss float64, satisfied []bool, err error) {

@@ -11,7 +11,6 @@ import "testing"
 // allocate nothing.
 func TestSystemPointChecksAllocFree(t *testing.T) {
 	p, _ := swanProblem(t, 30, 77)
-	p.Ties = []Tie{{A: p.Prefs[0].Better, B: p.Prefs[1].Worse, Band: 50}}
 	sys := compileSystem(p, nil)
 	holes := benchHoles(p, 78)
 	mask := sys.SatisfiedMask(holes[0], nil)

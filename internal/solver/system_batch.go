@@ -20,12 +20,11 @@ package solver
 // Determinism contract, mirrored from prune.go: the lane width NEVER
 // affects results. Every lane op is the scalar op applied elementwise
 // (see internal/interval lanes.go and the expr fuzz tests), decisions
-// are applied in lane order (= frontier/draw order), side effects
-// (Viable probes, witness copies) fire per lane in lane order exactly
-// as they would one input at a time, and the sampling stages draw
-// randomness in fixed-size blocks so RNG consumption is
-// lane-width-invariant (see sampleSatisfying). The only
-// observable differences are the BatchedEvals counter and wall-clock
+// are applied in lane order (= frontier/draw order), witness copies are
+// taken per lane in lane order exactly as they would be one input at a
+// time, and the sampling stages draw randomness in fixed-size blocks so
+// RNG consumption is lane-width-invariant (see sampleSatisfying). The
+// only observable differences are the BatchedEvals counter and wall-clock
 // time. The solver runs at one width, batchLanes; the tests vary it
 // through NewBatch.
 
@@ -118,16 +117,15 @@ func (s *System) putBatch(b *Batch) {
 
 // scenarioLanes is a pooled scenario batch of the sketch body whose
 // variable lanes hold the constraints' sides: preference i's better
-// side at lane 2i and its worse side at 2i+1, tie j's A and B sides at
-// 2(P+j) and 2(P+j)+1 for P preferences. ver is the constraint version
-// they were loaded from.
+// side at lane 2i and its worse side at 2i+1. ver is the constraint
+// version they were loaded from.
 type scenarioLanes struct {
 	sb  *expr.ScenarioBatch
 	ver uint64
 }
 
 // sides returns the number of scenario lanes: two per constraint.
-func (s *System) sides() int { return 2 * (len(s.prefs) + len(s.ties)) }
+func (s *System) sides() int { return 2 * len(s.prefs) }
 
 // getScenarios returns a pooled scenario batch loaded with the current
 // constraints, reloading its lanes only when the constraints changed
@@ -145,14 +143,9 @@ func (s *System) getScenarios() *scenarioLanes {
 	} else if sl.ver == s.scenVer {
 		return sl
 	}
-	np := 2 * len(s.prefs)
 	for i, c := range s.prefs {
 		sl.sb.SetVars(2*i, c.Better)
 		sl.sb.SetVars(2*i+1, c.Worse)
-	}
-	for i, t := range s.ties {
-		sl.sb.SetVars(np+2*i, t.A)
-		sl.sb.SetVars(np+2*i+1, t.B)
 	}
 	sl.ver = s.scenVer
 	return sl
@@ -172,48 +165,28 @@ func (s *System) scenarioOuts(sl *scenarioLanes, holes []float64) []float64 {
 }
 
 // hinge returns the hinge loss of a scenario output column: each
-// preference's shortfall below the margin, then each tie's excess over
-// its band, summed in constraint order.
+// preference's shortfall below the margin, summed in constraint order.
 func (s *System) hinge(out []float64) float64 {
-	np := 2 * len(s.prefs)
+	n := s.sides()
 	var loss float64
-	for i := 0; i < np; i += 2 {
+	for i := 0; i < n; i += 2 {
 		if slack := s.margin - (out[i] - out[i+1]); slack > 0 {
 			loss += slack
-		}
-	}
-	for i := range s.cts {
-		diff := out[np+2*i] - out[np+2*i+1]
-		if diff < 0 {
-			diff = -diff
-		}
-		if over := diff - s.cts[i].band; over > 0 {
-			loss += over
 		}
 	}
 	return loss
 }
 
 // satisfied reports whether a scenario output column meets every
-// constraint with the margin and holes, the vector it was computed at,
-// passes the viability check if set.
-func (s *System) satisfied(out, holes []float64) bool {
-	np := 2 * len(s.prefs)
-	for i := 0; i < np; i += 2 {
+// constraint with the margin.
+func (s *System) satisfied(out []float64) bool {
+	n := s.sides()
+	for i := 0; i < n; i += 2 {
 		if out[i]-out[i+1] <= s.margin {
 			return false
 		}
 	}
-	for i := range s.cts {
-		diff := out[np+2*i] - out[np+2*i+1]
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > s.cts[i].band {
-			return false
-		}
-	}
-	return s.viable == nil || s.viable(holes)
+	return true
 }
 
 // pointLanes evaluates prog over the listed rows of the row-major point
@@ -245,11 +218,10 @@ func (s *System) ivLanes(b *Batch, prog *expr.Program, boxes [][]interval.Interv
 }
 
 // sweepSurvivors returns, in ascending order, the subset of the listed
-// rows whose points pass every preference and tie constraint (Viable is
-// the caller's business). Constraint-major: each constraint evaluates
-// only the still-active rows in one batch pass, so a constraint that
-// kills most lanes early saves the later constraints' work — the
-// batched analog of Satisfies' early return. The returned slice aliases
+// rows whose points pass every constraint. Constraint-major: each
+// constraint evaluates only the still-active rows in one batch pass, so
+// a constraint that kills most lanes early saves the later constraints'
+// work — the batched analog of Satisfies' early return. The returned slice aliases
 // b.act; lanesIn must not (callers pass b.seq or b.midL). Any later
 // sweepSurvivors call on the same batch rewrites b.act's backing array,
 // so a caller that can re-enter the batch pipeline before it is done
@@ -262,21 +234,6 @@ func (s *System) sweepSurvivors(b *Batch, rows []float64, dim int, lanesIn []int
 		keep := active[:0]
 		for x, r := range active {
 			if outs[x] > s.margin {
-				keep = append(keep, r)
-			}
-		}
-		active = keep
-	}
-	for i := 0; i < len(s.cts) && len(active) > 0; i++ {
-		outs := s.pointLanes(b, s.cts[i].diff, rows, dim, active, stats)
-		band := s.cts[i].band
-		keep := active[:0]
-		for x, r := range active {
-			d := outs[x]
-			if d < 0 {
-				d = -d
-			}
-			if d <= band {
 				keep = append(keep, r)
 			}
 		}
@@ -328,7 +285,7 @@ func (s *System) sampleSatisfying(ctx context.Context, samples, lanes int, domai
 				if si < len(surv) && surv[si] == row {
 					si++
 					pt := block[row*dim : (row+1)*dim]
-					if (s.viable == nil || s.viable(pt)) && !yield(pt) {
+					if !yield(pt) {
 						stop = true
 					}
 				}
@@ -348,10 +305,9 @@ func (s *System) sampleSatisfying(ctx context.Context, samples, lanes int, domai
 // cornerWitnessBatch point-checks the corners of a floor-level box (up
 // to 2^8 of them, in mask order; dims beyond the enumeration cap stay
 // at the midpoint) and returns a copy of the first corner that
-// satisfies every constraint and Viable, or nil. Corners are swept
-// constraint-major in lane-width chunks, with Viable probed in corner
-// order only for constraint-passing corners; chunks past the accepted
-// corner are never evaluated.
+// satisfies every constraint, or nil. Corners are swept constraint-major
+// in lane-width chunks; chunks past the accepted corner are never
+// evaluated.
 func (s *System) cornerWitnessBatch(b *Batch, box []interval.Interval, stats *Stats) []float64 {
 	d := len(box)
 	if d > 8 {
@@ -375,11 +331,9 @@ func (s *System) cornerWitnessBatch(b *Batch, box []interval.Interval, stats *St
 			}
 			seq = append(seq, l)
 		}
-		for _, l := range s.sweepSurvivors(b, b.corners, dim, seq, stats) {
-			row := b.corners[l*dim : (l+1)*dim]
-			if s.viable == nil || s.viable(row) {
-				return append([]float64(nil), row...)
-			}
+		if surv := s.sweepSurvivors(b, b.corners, dim, seq, stats); len(surv) > 0 {
+			l := surv[0]
+			return append([]float64(nil), b.corners[l*dim:(l+1)*dim]...)
 		}
 	}
 	return nil
@@ -388,19 +342,17 @@ func (s *System) cornerWitnessBatch(b *Batch, box []interval.Interval, stats *St
 // evalPruneSpan decides frontier boxes wave[lo:hi] (at most b's lane
 // width) into the matching results slots: each box is refuted,
 // witnessed, split, or dropped at the resolution floor. Outcomes and
-// Viable/corner probes do not depend on the span's width or on which
-// boxes share it; see the file comment for the determinism argument.
+// corner probes do not depend on the span's width or on which boxes
+// share it; see the file comment for the determinism argument.
 //
 // Each box is a pure function of the System and its constraint set
-// (compiled programs are read-only; Viable carries the same
-// thread-safety contract the sampling stage already imposes), so spans
-// are safe and result-identical under any evaluation order.
+// (compiled programs are read-only), so spans are safe and
+// result-identical under any evaluation order.
 //
 // The decision runs in four steps: interval refutation
 // constraint-major with active-lane compaction, then the fully-feasible
-// fast path (midpoint accepted on interval evidence alone — Viable is
-// deliberately not consulted, matching the documented Problem.Viable
-// semantics), then the batched midpoint probe, then split-or-floor.
+// fast path (midpoint accepted on interval evidence alone), then the
+// batched midpoint probe, then split-or-floor.
 func (s *System) evalPruneSpan(wave [][]interval.Interval, lo, hi int, results []pruneResult, minWidths []float64, b *Batch, stats *Stats) {
 	boxes := wave[lo:hi]
 	active := b.spanL[:0] // filtered in place
@@ -423,26 +375,9 @@ func (s *System) evalPruneSpan(wave [][]interval.Interval, lo, hi int, results [
 		}
 		active = keep
 	}
-	for ci := 0; ci < len(s.cts) && len(active) > 0; ci++ {
-		ct := &s.cts[ci]
-		outLo, outHi := s.ivLanes(b, ct.diff, boxes, active, stats)
-		keep := active[:0]
-		for x, j := range active {
-			if outLo[x] > ct.band || outHi[x] < -ct.band {
-				results[lo+j] = pruneResult{kind: prunePruned}
-				continue
-			}
-			if !(outLo[x] >= -ct.band && outHi[x] <= ct.band) {
-				b.feas[j] = false
-			}
-			keep = append(keep, j)
-		}
-		active = keep
-	}
 	// Survivors: midpoint probe. Fully-feasible lanes witness their
 	// midpoint on interval evidence alone; the rest go through the
-	// batched Satisfies sweep with Viable probed only for
-	// constraint-passing midpoints, in lane order.
+	// batched Satisfies sweep.
 	dim := b.dim
 	midL := b.midL[:0]
 	for _, j := range active {
@@ -468,10 +403,8 @@ func (s *System) evalPruneSpan(wave [][]interval.Interval, lo, hi int, results [
 		row := b.mids[j*dim : (j+1)*dim]
 		if si < len(surv) && surv[si] == j {
 			si++
-			if s.viable == nil || s.viable(row) {
-				results[lo+j] = pruneResult{kind: pruneWitness, witness: append([]float64(nil), row...)}
-				continue
-			}
+			results[lo+j] = pruneResult{kind: pruneWitness, witness: append([]float64(nil), row...)}
+			continue
 		}
 		results[lo+j] = s.splitOrFloor(boxes[j], minWidths, b, stats)
 	}

@@ -75,10 +75,8 @@ func TestSystemPointChecks(t *testing.T) {
 		w      = scenario.Scenario{-0.25, -0.75}
 	)
 	const margin = 0.01
-	viable := func(h []float64) bool { return h[0] < 1.9 }
-	sys := NewSystem(sk, margin, viable, nil)
+	sys := NewSystem(sk, margin, nil)
 	var prefs []Pref
-	var ties []Tie
 	add := func(c Pref) func() {
 		return func() { sys.AddPref(c); prefs = append(prefs, c) }
 	}
@@ -91,9 +89,6 @@ func TestSystemPointChecks(t *testing.T) {
 	remove := func(i int) func() {
 		return func() { sys.RemovePref(i); prefs = append(prefs[:i], prefs[i+1:]...) }
 	}
-	addTie := func(tie Tie) func() {
-		return func() { sys.AddTie(tie); ties = append(ties, tie) }
-	}
 	steps := []struct {
 		name string
 		do   func()
@@ -102,16 +97,13 @@ func TestSystemPointChecks(t *testing.T) {
 		{"add v>shared", add(Pref{Better: v, Worse: shared})},
 		{"insert shared>w at 0", insert(0, Pref{Better: shared, Worse: w})},
 		{"add +0>-0", add(Pref{Better: posZ, Worse: negZ})},
-		{"tie -0~shared", addTie(Tie{A: negZ, B: shared, Band: 0.5})},
 		{"insert -0>+0 at 1", insert(1, Pref{Better: negZ, Worse: posZ})},
 		{"add shared>+0", add(Pref{Better: shared, Worse: posZ})},
 		{"remove 0", remove(0)},
 		{"remove last", func() { remove(len(prefs) - 1)() }},
-		{"tie u~w", addTie(Tie{A: u, B: w, Band: 2})},
 		{"remove +0>-0", remove(2)},
-		{"reset", func() { sys.Reset(); prefs, ties = nil, nil }},
+		{"reset", func() { sys.Reset(); prefs = nil }},
 		{"add -0>u after reset", add(Pref{Better: negZ, Worse: u})},
-		{"tie +0~-0 after reset", addTie(Tie{A: posZ, B: negZ, Band: 1})},
 		{"insert shared>-0 at 0", insert(0, Pref{Better: shared, Worse: negZ})},
 	}
 
@@ -132,9 +124,7 @@ func TestSystemPointChecks(t *testing.T) {
 		p := Problem{
 			Sketch: sk,
 			Prefs:  append([]Pref(nil), prefs...),
-			Ties:   append([]Tie(nil), ties...),
 			Margin: margin,
-			Viable: viable,
 		}
 		checkPointChecks(t, st.name, sys, p, holes)
 		var wg sync.WaitGroup

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"compsynth/internal/lp"
-	"compsynth/internal/scenario"
 	"compsynth/internal/sketch"
 	"compsynth/internal/topo"
 )
@@ -249,26 +248,6 @@ func OptimizeEpsilon(n *Network, objective *sketch.Candidate, maxEps, tol float6
 		}
 	}
 	return bestEps, best, nil
-}
-
-// SampleScenarios returns the (throughput, latency) scenarios of every
-// scheme's allocation, clamped into the given metric space — a
-// simulator-backed scenario source for the synthesizer's initial
-// ranking (the paper's §6.1 "comparing scenarios through simulators"):
-// the user ranks outcomes the network can actually produce rather than
-// arbitrary points of the metric box. Wire it to
-// core.Config.InitialScenarioSource via a closure that cycles through
-// the returned scenarios.
-func SampleScenarios(n *Network, schemes []Scheme, space *scenario.Space) ([]scenario.Scenario, error) {
-	points, err := Evaluate(n, schemes)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]scenario.Scenario, 0, len(points))
-	for _, p := range points {
-		out = append(out, space.Clamp(scenario.Scenario{p.Throughput, p.Latency}))
-	}
-	return out, nil
 }
 
 // PriorityAllocate implements SWAN's multi-class allocation: classes
