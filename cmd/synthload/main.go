@@ -125,8 +125,8 @@ func run(o options) error {
 		if o.daemons < 2 || o.replicas < 2 {
 			return errors.New("-dead-kills needs -daemons >= 2 and -replicas >= 2 (a lone copy cannot be adopted)")
 		}
-		if o.deadKills > (o.events+3)/4 {
-			return fmt.Errorf("-dead-kills %d needs -events >= %d (one dead kill per four events)", o.deadKills, o.deadKills*4-3)
+		if o.deadKills > (o.events+2)/3 {
+			return fmt.Errorf("-dead-kills %d needs -events >= %d (one dead kill per three events)", o.deadKills, o.deadKills*3-2)
 		}
 	}
 	if err := resolveBins(&o); err != nil {
@@ -216,6 +216,9 @@ func run(o options) error {
 		chaos.kills+chaos.deadKills+chaos.migrates+chaos.drains,
 		chaos.kills, chaos.deadKills, chaos.migrates, chaos.drains,
 		time.Since(start).Seconds())
+	if chaos.deadKills < o.deadKills {
+		return fmt.Errorf("only %d of the %d requested permanent kills fired before the load finished", chaos.deadKills, o.deadKills)
+	}
 
 	if err := checkMetrics(f.routerURL, chaos.migrateOK, chaos.deadKills); err != nil {
 		return err
@@ -473,12 +476,11 @@ func newChaos(f *fleetHarness, rng *rand.Rand, interval time.Duration, deadTarge
 
 // run executes exactly n chaos events, pausing `interval` between
 // them. Event kinds cycle deterministically (kill → migrate → drain,
-// with every fourth event a permanent kill until -dead-kills is spent)
-// so every run with three or more events exercises the full
+// the kill permanent until -dead-kills is spent) so every run with three or more events exercises the full
 // vocabulary; the rng only picks targets. It keeps at most one member
 // disrupted at a time so the fleet always has healthy capacity, and
 // finishes any in-flight disruption (restart, rejoin) before
-// returning. Permanent kills are front-loaded (events 0, 4, 8, ...)
+// returning. Permanent kills are front-loaded (events 0, 3, 6, ...)
 // so even a short run orphans sessions while the load is still hot.
 func (c *chaosEngine) run(n int, loadDone <-chan struct{}) error {
 	for i := 0; i < n; i++ {
@@ -491,7 +493,7 @@ func (c *chaosEngine) run(n int, loadDone <-chan struct{}) error {
 		case <-time.After(c.interval):
 		}
 		var err error
-		if c.deadKills < c.deadTarget && i%4 == 0 {
+		if c.deadKills < c.deadTarget && i%3 == 0 {
 			err = c.killDead()
 		} else {
 			switch i % 3 {
