@@ -40,12 +40,38 @@ import (
 
 var errNoReplica = errors.New("fleet: no promotable replica copy")
 
-// adoptFrom adopts every session routed to a dead member. One scan per
-// outage (the member.adopting latch); the scan aborts early if the
-// member comes back healthy.
+// armAdoption asks for a failover scan of a dead member: it raises the
+// member's rescan flag and starts adoptFrom unless a scan already holds
+// the adopting latch, in which case that scan sees the flag and runs
+// again before it lets go.
+func (r *Router) armAdoption(m *member) {
+	m.rescan.Store(true)
+	if m.adopting.CompareAndSwap(false, true) {
+		r.wg.Add(1)
+		go r.adoptFrom(m)
+	}
+}
+
+// adoptFrom holds dead's adopting latch and scans while its rescan flag
+// is up. A flag raised after the last scan but before the latch is
+// released found the latch taken, so adoptFrom takes the latch back
+// and scans again rather than lose it.
 func (r *Router) adoptFrom(dead *member) {
 	defer r.wg.Done()
-	defer dead.adopting.Store(false)
+	for {
+		for dead.rescan.Swap(false) {
+			r.scanDead(dead)
+		}
+		dead.adopting.Store(false)
+		if !dead.rescan.Load() || !dead.adopting.CompareAndSwap(false, true) {
+			return
+		}
+	}
+}
+
+// scanDead adopts every session routed to a dead member. The scan
+// aborts early if the member comes back healthy.
+func (r *Router) scanDead(dead *member) {
 	r.mu.Lock()
 	var rts []*route
 	for _, rt := range r.routes {

@@ -64,12 +64,30 @@ func batchTranscript(t *testing.T, spec service.SessionSpec, user oracle.Oracle)
 
 // daemonHandle is one in-process member. While down is set its
 // listener answers every request 503, as a member mid-restart does.
+// While hold is set, its replica-survey GETs wait (see holdSurveys).
 type daemonHandle struct {
 	name string
 	dir  string
 	mgr  *service.Manager
 	srv  *httptest.Server
 	down atomic.Bool
+	hold atomic.Pointer[surveyHold]
+}
+
+// surveyHold holds a member's replica-survey GETs
+// (GET /v1/replica/sessions/{id}): each one is announced on held, then
+// waits until release is closed.
+type surveyHold struct {
+	held    chan struct{}
+	release chan struct{}
+}
+
+// holdSurveys makes d hold its replica-survey GETs until release runs.
+// held receives one value per survey that arrives while the hold is on.
+func (d *daemonHandle) holdSurveys() (held <-chan struct{}, release func()) {
+	h := &surveyHold{held: make(chan struct{}, 16), release: make(chan struct{})}
+	d.hold.Store(h)
+	return h.held, func() { d.hold.Store(nil); close(h.release) }
 }
 
 func newDaemon(t *testing.T, name string) *daemonHandle {
@@ -93,6 +111,18 @@ func newDaemon(t *testing.T, name string) *daemonHandle {
 		if d.down.Load() {
 			http.Error(w, "restarting", http.StatusServiceUnavailable)
 			return
+		}
+		if sh := d.hold.Load(); sh != nil && req.Method == http.MethodGet &&
+			strings.HasPrefix(req.URL.Path, "/v1/replica/sessions/") {
+			select {
+			case sh.held <- struct{}{}:
+			default:
+			}
+			select {
+			case <-sh.release:
+			case <-req.Context().Done():
+				return
+			}
 		}
 		h.ServeHTTP(w, req)
 	}))
@@ -880,6 +910,77 @@ func TestFailoverRetriesWhenReplicaHolderReturns(t *testing.T) {
 		t.Fatalf("adoption promoted %s, want the replica holder %s", got, holder.name)
 	}
 
+	if _, done := drive(t, srv.URL, id, user, -1); !done {
+		t.Fatal("session did not finish after adoption")
+	}
+	if got := fetchTranscript(t, srv.URL, id); !bytes.Equal(got, want) {
+		t.Fatalf("post-adoption transcript differs from batch (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestFailoverRescansWhenHolderReturnsMidScan pins the re-arm of a
+// failover scan that is still running when the replica holder returns.
+// The owner dies while its only replica holder is down, so the scan
+// surveys just the third member, whose survey GET the test holds. The
+// holder comes back while that GET is held, so the health check that
+// sees it return finds the scan's latch taken. The scan must survey
+// again before it lets go of the latch, adopt the holder's copy, and
+// the session must finish bit-identical to batch.
+func TestFailoverRescansWhenHolderReturnsMidScan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full synthesis runs are not -short friendly")
+	}
+	user := swanUser(t)
+	spec := testSpec(112)
+	spec.ID = "adopt-rescan"
+	want := batchTranscript(t, spec, user)
+
+	// Health checks run only when the test calls checkHealth, so every
+	// transition lands at a known point of the scan.
+	r, srv, ds := newFleet(t, 3, func(c *Config) {
+		c.HealthInterval = time.Hour
+		c.HealthTimeout = 10 * time.Second
+	})
+	id := createVia(t, srv.URL, spec)
+	drive(t, srv.URL, id, user, 2)
+
+	owner := ownerOf(r, id)
+	var holder, third *daemonHandle
+	for _, d := range ds {
+		if d.name == owner {
+			continue
+		}
+		if _, ok := replicaStatusOf(t, d.srv.URL, id); ok {
+			holder = d
+		} else {
+			third = d
+		}
+	}
+	if holder == nil || third == nil {
+		t.Fatalf("want one replica holder and one member without a copy, got holder %v third %v", holder, third)
+	}
+
+	holder.down.Store(true)
+	held, release := third.holdSurveys()
+	handleFor(t, ds, owner).srv.Close()
+	// Two failed probes declare the owner dead (FailoverAfter 2). The
+	// holder is unhealthy by then, so the scan surveys only the third
+	// member.
+	r.checkHealth()
+	r.checkHealth()
+	select {
+	case <-held:
+	case <-time.After(15 * time.Second):
+		t.Fatal("the failover scan never surveyed the third member")
+	}
+	holder.down.Store(false)
+	r.checkHealth() // sees the holder return while the scan holds the latch
+	release()
+
+	waitAdoptions(t, r, 1, 15*time.Second)
+	if got := ownerOf(r, id); got != holder.name {
+		t.Fatalf("adoption promoted %s, want the replica holder %s", got, holder.name)
+	}
 	if _, done := drive(t, srv.URL, id, user, -1); !done {
 		t.Fatal("session did not finish after adoption")
 	}

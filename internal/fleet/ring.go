@@ -31,10 +31,11 @@ type member struct {
 	departed atomic.Bool
 	// failStreak counts consecutive failed probes; crossing
 	// Config.FailoverAfter declares the member dead and triggers
-	// failover adoption of its sessions (adopting is the once-only
-	// latch for that scan).
+	// failover adoption of its sessions (see armAdoption: adopting is
+	// the latch held while a scan runs, rescan asks it to scan again).
 	failStreak atomic.Int32
 	adopting   atomic.Bool
+	rescan     atomic.Bool
 }
 
 func (m *member) placeable() bool { return m.healthy.Load() && !m.departed.Load() }
@@ -159,23 +160,19 @@ func (r *Router) checkHealth() {
 		// The streak keeps counting so the trigger cannot re-fire until
 		// the member comes back healthy in between.
 		streak := r.cfg.FailoverAfter
-		if streak > 0 && r.cfg.Replicas > 1 &&
-			int(m.failStreak.Add(1)) == streak &&
-			m.adopting.CompareAndSwap(false, true) {
-			r.wg.Add(1)
-			go r.adoptFrom(m)
+		if streak > 0 && r.cfg.Replicas > 1 && int(m.failStreak.Add(1)) == streak {
+			r.armAdoption(m)
 		}
 	}
 	// A member that came back may hold the only replica copy of a dead
 	// member's session: that dead member's scan found nothing to adopt
-	// while it was down. Re-run the scan of every member still declared
-	// dead; adoptFrom returns at once for a member with no routes left.
+	// while it was down, or is still running and has already surveyed
+	// without it. Re-run the scan of every member still declared dead;
+	// adoptFrom returns at once for a member with no routes left.
 	if revived && r.cfg.FailoverAfter > 0 {
 		for _, m := range ms {
-			if !m.healthy.Load() && int(m.failStreak.Load()) >= r.cfg.FailoverAfter &&
-				m.adopting.CompareAndSwap(false, true) {
-				r.wg.Add(1)
-				go r.adoptFrom(m)
+			if !m.healthy.Load() && int(m.failStreak.Load()) >= r.cfg.FailoverAfter {
+				r.armAdoption(m)
 			}
 		}
 	}
