@@ -156,7 +156,8 @@ examples:
 	$(GO) run ./examples/perflow-te
 
 # Documentation gate: every internal/cmd package has a godoc package
-# comment, and every relative link in the top-level docs resolves.
+# comment, every relative link in the top-level docs resolves, and
+# every Test/Benchmark/Fuzz function the current docs cite exists.
 docs-lint:
 	$(GO) run ./cmd/doclint
 

@@ -13,7 +13,11 @@
 //   - the sections other docs link into by name exist (see
 //     requiredHeadings), and the normative protocol docs (DESIGN.md,
 //     OPERATIONS.md) carry no TODO/TBD/FIXME markers — a runbook with a
-//     hole in it reads as complete right up until the outage.
+//     hole in it reads as complete right up until the outage;
+//   - every Test…, Benchmark… or Fuzz… function the current docs
+//     (testNameDocs) cite as evidence is defined in some _test.go file,
+//     so a deleted or renamed test cannot stay cited. CHANGES.md and
+//     ROADMAP.md are history and may name tests that are gone.
 //
 // Exit status is non-zero with one line per violation; no output means
 // the docs are clean.
@@ -58,6 +62,12 @@ func main() {
 		os.Exit(2)
 	}
 	problems = append(problems, markerProblems...)
+	testProblems, err := lintTestNames(".", testNameDocs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "doclint:", err)
+		os.Exit(2)
+	}
+	problems = append(problems, testProblems...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, p)
@@ -111,6 +121,65 @@ func lintMarkers() ([]string, error) {
 		for i, line := range strings.Split(string(data), "\n") {
 			if m := markerRe.FindString(line); m != "" {
 				problems = append(problems, fmt.Sprintf("%s:%d: placeholder marker %q in a normative doc", doc, i+1, m))
+			}
+		}
+	}
+	return problems, nil
+}
+
+// testNameDocs are the docs whose test citations must resolve.
+var testNameDocs = []string{"README.md", "ARCHITECTURE.md", "DESIGN.md", "EXPERIMENTS.md", "OPERATIONS.md"}
+
+// testFuncRe matches the declaration of a test, benchmark or fuzz
+// target; testRefRe matches a citation of one in prose (a name such as
+// "Testing" or "Benchmarks" needs an upper-case letter after the
+// prefix, so it does not match).
+var (
+	testFuncRe = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	testRefRe  = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*`)
+)
+
+// lintTestNames reports, one problem per line, every test name the
+// docs cite that no _test.go file under root defines. Build and hidden
+// directories are skipped.
+func lintTestNames(root string, docs []string) ([]string, error) {
+	defined := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFuncRe.FindAllStringSubmatch(string(data), -1) {
+			defined[m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var problems []string
+	for _, doc := range docs {
+		data, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			return nil, err
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, name := range testRefRe.FindAllString(line, -1) {
+				if !defined[name] {
+					problems = append(problems, fmt.Sprintf("%s:%d: cites %s, which no _test.go file defines", doc, i+1, name))
+				}
 			}
 		}
 	}
