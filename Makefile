@@ -73,11 +73,16 @@ effort-gate:
 # Fuzz each differential evaluation target for 10 s: random programs,
 # deep ones included, through Program.Eval, the batched point and
 # interval lanes of the one tape, and a scenario batch's hole moves and
-# commits, checked against the AST interpreter. Part of tier-1 `all`.
+# commits, checked against the AST interpreter. Then fuzz the two
+# parsers of network input for 10 s each: the transcript decoder
+# (PUT …/transcript) and the expression parser (inline spec sketches).
+# Part of tier-1 `all`.
 fuzz-smoke:
 	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzDifferentialEval$$' -fuzztime 10s
 	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzDifferentialBatch$$' -fuzztime 10s
 	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzDifferentialMove$$' -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzReadTranscript$$' -fuzztime 10s
+	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
 
 # Boot the live observability endpoint: /metrics (Prometheus text),
 # /debug/vars (expvar), /debug/pprof, /trace (JSONL spans).
