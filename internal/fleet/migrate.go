@@ -1,6 +1,6 @@
 package fleet
 
-// Live session migration. The protocol, in order:
+// Live session migration (DESIGN.md §14). The protocol, in order:
 //
 //  1. gate the session's router traffic (route.draining) and wait for
 //     the in-flight count to drain — an in-flight answer either lands
@@ -8,18 +8,21 @@ package fleet
 //     old owner and is retried by the client against the new one;
 //  2. export the migration bundle from the old owner, retrying while
 //     the session is mid-step (409 + Retry-After from the daemon);
-//  3. create the session on the new owner under the same ID (the spec
-//     travels inside the bundle) and import the partial transcript —
-//     the daemon's session_id tamper check makes a misrouted import a
-//     hard 409 instead of a silently corrupted session;
-//  4. delete the session, journal included, from the old owner so a
-//     later migration back is clean;
+//  3. restore the session on the new owner with one PUT …/restore of
+//     the raw bundle: the daemon writes the bundle's journal records
+//     as its journal under the same ID and rebuilds the session by
+//     deterministic replay, checking every regenerated query against
+//     the journal (a resident or journaled duplicate, or a create
+//     record naming another session, is a hard 409);
+//  4. delete the session, journal included, from the old owner
+//     (best-effort: the restored copy is authoritative from here on,
+//     and a leftover source journal only wastes disk);
 //  5. flip the routing entry and reopen the gate.
 //
-// A failure before step 3's create leaves the session untouched on the
-// old owner; a failure after it deletes the half-built copy from the
-// target before reopening the gate, so there is never a moment with two
-// routable copies.
+// A failure before step 4 leaves the session on the old owner and the
+// route unflipped. A replay that fails on the target removes the
+// journal it wrote (installJournal), so no half-built copy is left to
+// clean up, and there is never a moment with two routable copies.
 
 import (
 	"bytes"
