@@ -80,8 +80,8 @@ func (t *Transcript) WriteTo(w io.Writer) (int64, error) {
 // treated as untrusted: structural violations (mismatched shapes,
 // out-of-range IDs, non-finite numbers) are errors, never panics. An
 // unknown field is an error too: a document carrying a field this
-// build does not read (a "ties" list, say) would otherwise resume a
-// different session than the one it records.
+// build does not read would otherwise resume a different session than
+// the one it records.
 func ReadTranscript(r io.Reader) (*Transcript, error) {
 	var t Transcript
 	dec := json.NewDecoder(r)

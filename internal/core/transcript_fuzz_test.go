@@ -36,8 +36,7 @@ var fuzzSeeds = []string{
 	`{"scenarios":[[]]}`,
 	// Non-finite numbers (json won't produce them, but 1e999 overflows).
 	`{"scenarios":[[1e999,2]]}`,
-	// A "ties" list, a field no build reads any more: rejected as
-	// unknown.
+	// Unknown field "ties".
 	`{"scenarios":[[1,2],[3,4]],"ties":[{"a":0,"b":9,"band":1}]}`,
 	`{"scenarios":[[1,2],[3,4]],"ties":[{"a":0,"b":1,"band":0}]}`,
 	`{"scenarios":[[1,2],[3,4]],"ties":[{"a":0,"b":1,"band":-2}]}`,

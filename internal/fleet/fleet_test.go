@@ -75,17 +75,16 @@ type daemonHandle struct {
 }
 
 // surveyHold holds a member's replica-survey GETs
-// (GET /v1/replica/sessions/{id}): each one is announced on held, then
-// waits until release is closed.
+// (GET /v1/replica/sessions/{id}) until release is closed; held gets a
+// value once one is waiting.
 type surveyHold struct {
 	held    chan struct{}
 	release chan struct{}
 }
 
 // holdSurveys makes d hold its replica-survey GETs until release runs.
-// held receives one value per survey that arrives while the hold is on.
 func (d *daemonHandle) holdSurveys() (held <-chan struct{}, release func()) {
-	h := &surveyHold{held: make(chan struct{}, 16), release: make(chan struct{})}
+	h := &surveyHold{held: make(chan struct{}, 1), release: make(chan struct{})}
 	d.hold.Store(h)
 	return h.held, func() { d.hold.Store(nil); close(h.release) }
 }
