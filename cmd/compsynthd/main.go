@@ -58,7 +58,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8080", "listen address for the API (and /metrics, /debug/pprof/, /trace)")
 		dataDir     = flag.String("data", "compsynthd-data", "directory for per-session journals (crash recovery)")
-		workers     = flag.Int("workers", 4, "max concurrent synthesis steps (the worker pool)")
+		workers     = flag.Int("workers", 4, "max concurrent synthesis steps (the worker pool) and startup journal replays")
 		maxSessions = flag.Int("max-sessions", 64, "max resident sessions")
 		idleTTL     = flag.Duration("idle-ttl", 30*time.Minute, "evict sessions idle this long; they reload from their journals on demand (0 disables)")
 		stepTimeout = flag.Duration("step-timeout", 5*time.Minute, "fail a session whose synthesis step exceeds this")

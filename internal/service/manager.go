@@ -27,7 +27,8 @@ import (
 type Config struct {
 	// DataDir holds the per-session journals. Created if missing.
 	DataDir string
-	// Workers bounds concurrent synthesis steps (the worker pool).
+	// Workers bounds concurrent synthesis steps (the worker pool) and
+	// the journal replays of startup recovery.
 	Workers int
 	// MaxSessions caps resident sessions; creation beyond it gets 429.
 	MaxSessions int
@@ -121,16 +122,27 @@ type Manager struct {
 	janitorStop chan struct{}
 	janitorDone chan struct{}
 
+	// replayCtx parents every journal replay; Close and Abort cancel it
+	// through stopReplays, then wait for the lazy loads on replays.
+	replayCtx   context.Context
+	stopReplays context.CancelFunc
+	replays     sync.WaitGroup
+
 	mu       sync.Mutex
 	sessions map[string]*Session
-	nextID   int64
-	closed   bool
+	// loads holds the in-flight lazy rebuilds by session ID.
+	loads  map[string]*loading
+	nextID int64
+	closed bool
 }
 
 // New builds a manager, recovering every journaled session found in the
-// data directory. Unfinished sessions are rebuilt by replaying every
-// journaled answer; the replay re-runs synthesis steps, so startup time
-// scales with the answers journaled by unfinished sessions.
+// data directory before it returns. Finished sessions load their final
+// record; the rest are rebuilt by replaying every journaled answer,
+// which re-runs synthesis steps. Replays run in parallel, at most
+// Config.Workers at a time, so startup time scales with the answers
+// journaled by unfinished sessions divided by the cores that serve
+// them.
 func New(cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
 	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
@@ -147,7 +159,9 @@ func New(cfg Config) (*Manager, error) {
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
 		sessions:    make(map[string]*Session),
+		loads:       make(map[string]*loading),
 	}
+	m.replayCtx, m.stopReplays = context.WithCancel(context.Background())
 	// Always carry a logger: a nil Config.Log becomes a record-only base,
 	// so the flight recorder keeps capturing with the stream disabled.
 	base := cfg.Log
@@ -295,18 +309,9 @@ func (m *Manager) createSession(ctx context.Context, spec SessionSpec) (*Session
 		id = fmt.Sprintf("s%06d", m.nextID)
 		m.nextID++
 	} else {
-		// Client-assigned ID (fleet routing / migration adoption): refuse
-		// anything already resident or journaled, and keep the generated
-		// sequence ahead of adopted "sNNN" names so the two can never
-		// collide later.
-		if _, ok := m.sessions[id]; ok {
-			return nil, fmt.Errorf("%w: session %q already exists", ErrConflict, id)
-		}
-		if _, err := os.Stat(journalPath(m.cfg.DataDir, id)); err == nil {
-			return nil, fmt.Errorf("%w: session %q already has a journal", ErrConflict, id)
-		}
-		if n, ok := sessionSeq(id); ok && n >= m.nextID {
-			m.nextID = n + 1
+		// Client-assigned ID (fleet routing / migration adoption).
+		if err := m.claimLocked(id); err != nil {
+			return nil, err
 		}
 	}
 	jr, err := createJournal(m.cfg.DataDir, id, &spec)
@@ -331,26 +336,57 @@ func (m *Manager) createSession(ctx context.Context, spec SessionSpec) (*Session
 	return s, nil
 }
 
-// Get returns a resident session, lazily reloading an evicted one from
-// its journal.
+// claimLocked refuses a client-assigned ID that is resident, loading or
+// journaled, and keeps the generated sequence ahead of an adopted
+// "sNNN" name so the two can never collide later. Caller holds m.mu.
+func (m *Manager) claimLocked(id string) error {
+	if _, ok := m.sessions[id]; ok {
+		return fmt.Errorf("%w: session %q already exists", ErrConflict, id)
+	}
+	if _, ok := m.loads[id]; ok {
+		return fmt.Errorf("%w: session %q is loading", ErrConflict, id)
+	}
+	if _, err := os.Stat(journalPath(m.cfg.DataDir, id)); err == nil {
+		return fmt.Errorf("%w: session %q already has a journal", ErrConflict, id)
+	}
+	m.noteSeqLocked(id)
+	return nil
+}
+
+// noteSeqLocked advances the generated sequence past id when id has the
+// generated "sNNN" form. Caller holds m.mu.
+func (m *Manager) noteSeqLocked(id string) {
+	if n, ok := sessionSeq(id); ok && n >= m.nextID {
+		m.nextID = n + 1
+	}
+}
+
+// Get returns a resident session, lazily rebuilding an evicted one from
+// its journal. The replay runs off the manager lock, so the member's
+// other sessions keep serving meanwhile, and concurrent Gets of one ID
+// share a single replay.
 func (m *Manager) Get(id string) (*Session, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if s, ok := m.sessions[id]; ok {
+		m.mu.Unlock()
 		return s, nil
 	}
 	if m.closed {
+		m.mu.Unlock()
 		return nil, ErrClosed
 	}
-	path := journalPath(m.cfg.DataDir, id)
-	if _, err := os.Stat(path); err != nil {
+	if l, ok := m.loads[id]; ok {
+		m.mu.Unlock()
+		<-l.done
+		return l.s, l.err
+	}
+	if _, err := os.Stat(journalPath(m.cfg.DataDir, id)); err != nil {
+		m.mu.Unlock()
 		return nil, ErrNotFound
 	}
-	s, err := m.rebuildLocked(id, path)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
+	l := m.startLoadLocked(id)
+	m.mu.Unlock()
+	return m.runLoad(l)
 }
 
 // Restore adopts a migrated session from its journal records (the
@@ -454,7 +490,7 @@ func (m *Manager) ResyncReplicas(target string) int {
 	sort.Strings(paths)
 	n := 0
 	for _, path := range paths {
-		id := strings.TrimSuffix(filepath.Base(path), ".journal")
+		id := journalID(path)
 		m.mu.Lock()
 		s := m.sessions[id]
 		m.mu.Unlock()
@@ -539,30 +575,44 @@ func validateJournalLines(id string, lines []json.RawMessage) ([]journalRecord, 
 // journal for the session and rebuilds it through the normal recovery
 // path — deterministic answer replay with the divergence check — so an
 // imported session is bit-identical to one that lived here all along.
-// Conflicts (resident session or existing journal under the ID) are
-// ErrConflict; a replay that fails leaves no trace.
+// Conflicts (a resident, loading or journaled session under the ID) are
+// ErrConflict; a replay that fails leaves no trace. The ID counts as
+// loading from the claim on, so a Get that arrives while the file is
+// being written waits for the replay instead of reading half a journal.
 func (m *Manager) installJournal(id string, lines []json.RawMessage) (*Session, error) {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if _, ok := m.sessions[id]; ok {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("%w: session %q already exists", ErrConflict, id)
-	}
-	if n, ok := sessionSeq(id); ok && n >= m.nextID {
-		m.nextID = n + 1
+	err := ErrClosed
+	var l *loading
+	if !m.closed {
+		if err = m.claimLocked(id); err == nil {
+			l = m.startLoadLocked(id)
+		}
 	}
 	m.mu.Unlock()
+	if l == nil {
+		return nil, err
+	}
+	if err := writeJournalLines(journalPath(m.cfg.DataDir, id), lines); err != nil {
+		return m.finishLoad(l, nil, false, err)
+	}
+	l.installed = true
+	s, err := m.runLoad(l)
+	if err != nil {
+		return nil, fmt.Errorf("service: restore replay: %w", err)
+	}
+	return s, nil
+}
 
-	path := journalPath(m.cfg.DataDir, id)
+// writeJournalLines writes imported records as a new journal file, one
+// compact record per line, and syncs it. A file already at path is
+// ErrConflict; any other failure removes what was written.
+func writeJournalLines(path string, lines []json.RawMessage) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		if os.IsExist(err) {
-			return nil, fmt.Errorf("%w: session %q already has a journal", ErrConflict, id)
+			return fmt.Errorf("%w: journal %s already exists", ErrConflict, path)
 		}
-		return nil, fmt.Errorf("service: restore journal: %w", err)
+		return fmt.Errorf("service: restore journal: %w", err)
 	}
 	// Records arrive pretty-printed (writeJSON indents the bundle);
 	// journals are strictly one record per line, so compact each.
@@ -584,15 +634,9 @@ func (m *Manager) installJournal(id string, lines []json.RawMessage) (*Session, 
 	}
 	if err != nil {
 		os.Remove(path)
-		return nil, fmt.Errorf("service: write restore journal: %w", err)
+		return fmt.Errorf("service: write restore journal: %w", err)
 	}
-
-	s, err := m.Get(id) // the lazy-reload path: replay + divergence check
-	if err != nil {
-		os.Remove(path)
-		return nil, fmt.Errorf("service: restore replay: %w", err)
-	}
-	return s, nil
+	return nil
 }
 
 // List reports all resident sessions, ordered by ID.
@@ -625,6 +669,12 @@ func (m *Manager) remove(id string, propagate bool) error {
 	if ok {
 		delete(m.sessions, id)
 		m.met.active.Set(float64(len(m.sessions)))
+	}
+	// A replay in flight loses: finishLoad discards its session.
+	if l := m.loads[id]; l != nil {
+		l.removed = true
+		l.cancel()
+		ok = true
 	}
 	// Unlink before releasing m.mu: a Get that finds the session gone
 	// from the table would otherwise rebuild it from this journal.
@@ -701,39 +751,168 @@ func (m *Manager) DumpAll(reason string) int {
 	return n
 }
 
-// recoverAll rebuilds every session whose journal is in the data dir.
+// loading is one in-flight lazy rebuild of a session from its journal,
+// held in m.loads under the session's ID until finishLoad. Every Get of
+// the ID meanwhile waits on done and shares the outcome. A remove that
+// lands during the replay sets removed and cancels it, and Close and
+// Abort cancel every replay; either way the rebuilt session is
+// discarded, never registered.
+type loading struct {
+	id     string
+	ctx    context.Context
+	cancel context.CancelFunc
+	done   chan struct{}
+	s      *Session
+	err    error
+	// removed is set by remove, under m.mu.
+	removed bool
+	// installed marks a journal that Restore or Adopt wrote for this
+	// load; a failed replay deletes it again.
+	installed bool
+}
+
+// startLoadLocked claims id for a lazy rebuild. Caller holds m.mu and
+// has checked that the manager is open.
+func (m *Manager) startLoadLocked(id string) *loading {
+	l := &loading{id: id, done: make(chan struct{})}
+	l.ctx, l.cancel = context.WithCancel(m.replayCtx)
+	m.loads[id] = l
+	m.replays.Add(1)
+	return l
+}
+
+// runLoad replays l's journal and finishes the load.
+func (m *Manager) runLoad(l *loading) (*Session, error) {
+	s, parsed, err := m.rebuild(l.ctx, l.id)
+	return m.finishLoad(l, s, parsed, err)
+}
+
+// finishLoad ends a load: it registers the rebuilt session, unless a
+// remove or Close overtook the replay, and wakes every Get waiting on
+// l. A session it does not register is torn down, stepper and journal
+// handle included.
+func (m *Manager) finishLoad(l *loading, s *Session, parsed bool, err error) (*Session, error) {
+	m.mu.Lock()
+	delete(m.loads, l.id)
+	if parsed {
+		m.noteSeqLocked(l.id)
+	}
+	switch {
+	case l.removed:
+		err = ErrNotFound
+	case m.closed:
+		err = ErrClosed
+	case err == nil:
+		m.registerLocked(s)
+	}
+	if err != nil && l.installed {
+		// claimLocked put the ID beyond the generated sequence and the load
+		// kept it claimed, so the file can only be the one it installed.
+		os.Remove(journalPath(m.cfg.DataDir, l.id))
+	}
+	m.mu.Unlock()
+	l.cancel()
+	if err != nil && s != nil {
+		s.abort()
+		s = nil
+	}
+	l.s, l.err = s, err
+	close(l.done)
+	m.replays.Done()
+	return s, err
+}
+
+// registerLocked makes a rebuilt session resident. Caller holds m.mu.
+func (m *Manager) registerLocked(s *Session) {
+	m.sessions[s.ID] = s
+	m.met.recovered.Inc()
+	m.met.active.Set(float64(len(m.sessions)))
+}
+
+// recoverAll rebuilds every session whose journal is in the data dir on
+// at most Config.Workers goroutines, then registers and logs them in
+// path order. A journal that fails to rebuild is quarantined as
+// <path>.bad: it must not take the daemon down with it.
 func (m *Manager) recoverAll() error {
+	start := time.Now()
 	paths, err := filepath.Glob(filepath.Join(m.cfg.DataDir, "*.journal"))
 	if err != nil {
 		return err
 	}
 	sort.Strings(paths)
+	type outcome struct {
+		s      *Session
+		parsed bool
+		err    error
+		dur    time.Duration
+	}
+	out := make([]outcome, len(paths))
+	next := make(chan int, len(paths))
+	for i := range paths {
+		next <- i
+	}
+	close(next)
+	workers := min(m.cfg.Workers, len(paths))
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				t, o := time.Now(), &out[i]
+				o.s, o.parsed, o.err = m.rebuild(m.replayCtx, journalID(paths[i]))
+				o.dur = time.Since(t)
+			}
+		}()
+	}
+	wg.Wait()
+
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, path := range paths {
-		id := strings.TrimSuffix(filepath.Base(path), ".journal")
-		if _, err := m.rebuildLocked(id, path); err != nil {
-			// A corrupt journal must not take the daemon down with it:
-			// quarantine and continue.
+	failed := 0
+	for i, path := range paths {
+		id, o := journalID(path), out[i]
+		if o.parsed {
+			m.noteSeqLocked(id)
+		}
+		if o.err != nil {
+			failed++
 			m.log.Warn("session.recover.fail",
-				"session", id, "error", err.Error(), "quarantine", path+".bad")
+				"session", id, "error", o.err.Error(), "quarantine", path+".bad",
+				"dur_ms", o.dur.Seconds()*1e3)
 			os.Rename(path, path+".bad")
 			continue
 		}
-		m.log.Info("session.recover", "session", id)
+		m.registerLocked(o.s)
+		m.log.Info("session.recover",
+			"session", id, "answers", o.s.answers, "dur_ms", o.dur.Seconds()*1e3)
 	}
+	m.log.Info("session.recover.done",
+		"sessions", len(paths)-failed, "failed", failed, "workers", workers,
+		"dur_ms", time.Since(start).Seconds()*1e3)
 	return nil
 }
 
-// rebuildLocked reconstructs one session from its journal and registers
-// it. Caller holds m.mu.
-func (m *Manager) rebuildLocked(id, path string) (*Session, error) {
-	recs, err := readJournal(path)
+// journalID is the session ID a journal file is named after.
+func journalID(path string) string {
+	return strings.TrimSuffix(filepath.Base(path), ".journal")
+}
+
+// rebuild reconstructs one session from its journal without registering
+// it: a finished session from its final record, any other by replay,
+// which ctx cancels. It needs no manager lock, so replays run off m.mu
+// and in parallel. parsed reports whether the journal decoded; its ID
+// then counts toward nextID even when the replay fails. Each rebuilt
+// session is observed once in compsynthd_replay_seconds.
+func (m *Manager) rebuild(ctx context.Context, id string) (s *Session, parsed bool, err error) {
+	defer func(start time.Time) {
+		if err == nil {
+			m.met.replaySeconds.Observe(time.Since(start).Seconds())
+		}
+	}(time.Now())
+	recs, err := readJournal(journalPath(m.cfg.DataDir, id))
 	if err != nil {
-		return nil, err
-	}
-	if n, ok := sessionSeq(id); ok && n >= m.nextID {
-		m.nextID = n + 1
+		return nil, false, err
 	}
 	spec := *recs[0].Spec
 
@@ -744,7 +923,7 @@ func (m *Manager) rebuildLocked(id, path string) (*Session, error) {
 		}
 		sk, err := spec.sketchFor()
 		if err != nil {
-			return nil, err
+			return nil, true, err
 		}
 		s := &Session{
 			ID:        id,
@@ -763,38 +942,41 @@ func (m *Manager) rebuildLocked(id, path string) (*Session, error) {
 		} else {
 			s.state = StateDone
 		}
-		m.sessions[id] = s
-		m.met.recovered.Inc()
-		m.met.active.Set(float64(len(m.sessions)))
-		return s, nil
+		return s, true, nil
 	}
 
 	jr, err := openJournal(m.cfg.DataDir, id)
 	if err != nil {
-		return nil, err
+		return nil, true, err
 	}
 	// openJournal does not count records; seed the count so replica
 	// pushes index correctly. Replica targets start unacked, so the
 	// first post-rebuild append resynchronizes them with the full file.
 	jr.count = len(recs)
-	s, err := m.buildSession(id, spec, jr)
+	if s, err = m.buildSession(id, spec, jr); err == nil {
+		if err = m.replay(ctx, s, recs); err != nil {
+			s.stepper.Close()
+		}
+	}
 	if err != nil {
 		jr.close()
-		return nil, err
+		return nil, true, err
 	}
-	s.jr = jr
+	s.answers = countAnswers(recs)
+	return s, true, nil
+}
 
-	// Preload the import record, if any, then replay every answer. Query
-	// generation is deterministic in (spec, imported transcript,
-	// answers), so the replayed queries must reproduce the journaled
-	// pairs exactly — a mismatch means the code changed under the
-	// journal, and resuming would silently answer different questions.
-	replay := replayRecords(recs)
-	if len(replay) > 1 && replay[1].Type == recCheckpoint {
-		if err := s.stepper.Preload(replay[1].Transcript); err != nil {
-			jr.close()
-			s.stepper.Close()
-			return nil, fmt.Errorf("preload imported transcript: %w", err)
+// replay runs a freshly built session's journaled history through its
+// stepper: the import record, if any, then every answer. Query
+// generation is deterministic in (spec, imported transcript, answers),
+// so the replayed queries must reproduce the journaled pairs exactly —
+// a mismatch means the code changed under the journal, and resuming
+// would silently answer different questions.
+func (m *Manager) replay(ctx context.Context, s *Session, recs []journalRecord) error {
+	recs = replayRecords(recs)
+	if len(recs) > 1 && recs[1].Type == recCheckpoint {
+		if err := s.stepper.Preload(recs[1].Transcript); err != nil {
+			return fmt.Errorf("preload imported transcript: %w", err)
 		}
 		s.imported = true
 	}
@@ -806,22 +988,20 @@ func (m *Manager) rebuildLocked(id, path string) (*Session, error) {
 	// the crash replays its recorded prefix and leaves the rest parked.
 	replayed := 0
 	var open []core.Query
-	for i, rec := range replay {
+	for i, rec := range recs {
 		if rec.Type != recAnswer {
 			continue
 		}
 		if len(open) == 0 {
-			ctx, cancel := context.WithTimeout(context.Background(), m.cfg.StepTimeout)
-			qs, err := s.stepper.NextBatch(ctx)
+			stepCtx, cancel := context.WithTimeout(ctx, m.cfg.StepTimeout)
+			qs, err := s.stepper.NextBatch(stepCtx)
 			cancel()
 			if err != nil {
-				jr.close()
-				s.stepper.Close()
-				return nil, fmt.Errorf("replay step %d: %w", replayed, err)
+				return fmt.Errorf("replay step %d: %w", replayed, err)
 			}
 			if qs == nil {
 				m.log.Warn("session.replay.truncated",
-					"session", id, "unused_answers", countAnswers(replay[i:]))
+					"session", s.ID, "unused_answers", countAnswers(recs[i:]))
 				break
 			}
 			open = qs
@@ -834,24 +1014,16 @@ func (m *Manager) rebuildLocked(id, path string) (*Session, error) {
 			}
 		}
 		if match < 0 {
-			jr.close()
-			s.stepper.Close()
-			return nil, fmt.Errorf("replay step %d: regenerated query diverged from journal (stale journal for this build?)", replayed)
+			return fmt.Errorf("replay step %d: regenerated query diverged from journal (stale journal for this build?)", replayed)
 		}
 		j := oracle.Judgment{Pref: oracle.Preference(rec.Pref), Confidence: rec.Conf}
 		if err := s.stepper.AnswerSeq(open[match].Seq, j); err != nil {
-			jr.close()
-			s.stepper.Close()
-			return nil, fmt.Errorf("replay answer %d: %w", replayed, err)
+			return fmt.Errorf("replay answer %d: %w", replayed, err)
 		}
 		open = append(open[:match], open[match+1:]...)
 		replayed++
 	}
-	s.answers = countAnswers(recs)
-	m.sessions[id] = s
-	m.met.recovered.Inc()
-	m.met.active.Set(float64(len(m.sessions)))
-	return s, nil
+	return nil
 }
 
 func countAnswers(recs []journalRecord) int {
@@ -927,44 +1099,33 @@ func (m *Manager) sweep() {
 	}
 }
 
-// Close gracefully shuts the manager down: stops the janitor, waits
-// (bounded by ctx) for in-flight steps to park, and releases all
-// resources. After Close the data directory alone reconstitutes every
-// session: finished ones from their final record, the rest by replay.
+// Close gracefully shuts the manager down: stops the janitor, cancels
+// in-flight journal replays, waits (bounded by ctx) for in-flight steps
+// to park, and releases all resources. After Close the data directory
+// alone reconstitutes every session: finished ones from their final
+// record, the rest by replay.
 func (m *Manager) Close(ctx context.Context) error {
-	m.ready.Store(false)
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
+	if !m.stop(func(s *Session) { s.shutdown(ctx) }) {
 		return nil
 	}
-	m.closed = true
-	ss := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		ss = append(ss, s)
-	}
-	m.sessions = make(map[string]*Session)
-	m.mu.Unlock()
-
-	close(m.janitorStop)
-	<-m.janitorDone
-	for _, s := range ss {
-		s.shutdown(ctx)
-	}
-	m.advWG.Wait()
-	m.replicas.Close()
-	m.met.active.Set(0)
 	return ctx.Err()
 }
 
 // Abort simulates a crash for tests: every session is dropped without
 // waiting for in-flight steps, leaving only the fsynced journals.
-func (m *Manager) Abort() {
+func (m *Manager) Abort() { m.stop((*Session).abort) }
+
+// stop is Close and Abort: it closes the manager to new work, cancels
+// every in-flight replay and waits for it (a closed manager registers
+// nothing), stops the janitor, ends each resident session with end and
+// waits for in-flight steps. It reports false if the manager was
+// already closed.
+func (m *Manager) stop(end func(*Session)) bool {
 	m.ready.Store(false)
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		return
+		return false
 	}
 	m.closed = true
 	ss := make([]*Session, 0, len(m.sessions))
@@ -974,12 +1135,15 @@ func (m *Manager) Abort() {
 	m.sessions = make(map[string]*Session)
 	m.mu.Unlock()
 
+	m.stopReplays()
+	m.replays.Wait()
 	close(m.janitorStop)
 	<-m.janitorDone
 	for _, s := range ss {
-		s.abort()
+		end(s)
 	}
 	m.advWG.Wait()
 	m.replicas.Close()
 	m.met.active.Set(0)
+	return true
 }

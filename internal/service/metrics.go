@@ -20,6 +20,9 @@ type metrics struct {
 	rejected    *obs.Counter
 	saturated   *obs.Counter
 	stepSeconds *obs.Histogram
+	// replaySeconds times each session rebuilt from its journal: at
+	// startup, on lazy reload, on restore and on adopt.
+	replaySeconds *obs.Histogram
 
 	bundles  *obs.Counter
 	restored *obs.Counter
@@ -58,6 +61,9 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Requests rejected with 429 because the worker pool was saturated."),
 		stepSeconds: reg.Histogram("compsynthd_step_seconds",
 			"Per-step synthesis compute latency (answer accepted to next query).",
+			obs.SecondsBuckets()),
+		replaySeconds: reg.Histogram("compsynthd_replay_seconds",
+			"Time to rebuild one session from its journal (read plus answer replay), finished sessions included.",
 			obs.SecondsBuckets()),
 		bundles: reg.Counter("compsynthd_migration_bundles_total",
 			"Migration bundles exported (GET /v1/sessions/{id}/bundle)."),
