@@ -97,11 +97,11 @@ func finishTranscript(t *testing.T, s *Session, user oracle.Oracle) []byte {
 	return sessionTranscript(t, s)
 }
 
-// TestEvictionCheckpointReload walks a session through the idle-TTL
+// TestEvictionReloadReplays walks a session through the idle-TTL
 // eviction path: the sweep writes nothing to the journal, a later Get
 // replays it transparently with its seqs continuing, and the finished
 // transcript is byte-identical to the batch run.
-func TestEvictionCheckpointReload(t *testing.T) {
+func TestEvictionReloadReplays(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full synthesis runs are not -short friendly")
 	}
@@ -143,10 +143,10 @@ func TestEvictionCheckpointReload(t *testing.T) {
 	}
 }
 
-// TestGracefulCloseCheckpoints shuts a mid-session manager down: the
-// journal gains no checkpoint, and a fresh manager replays the session
-// to a transcript byte-identical to the batch run.
-func TestGracefulCloseCheckpoints(t *testing.T) {
+// TestGracefulCloseWritesNoCheckpoint shuts a mid-session manager
+// down: the journal gains no checkpoint, and a fresh manager replays
+// the session to a transcript byte-identical to the batch run.
+func TestGracefulCloseWritesNoCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full synthesis runs are not -short friendly")
 	}
