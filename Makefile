@@ -8,8 +8,9 @@ GO ?= go
 # Tier-1 verification: build, the gofmt check, vet, the full test
 # suite, the race detector over the packages with real concurrency
 # (the work-stealing branch-and-prune engine and its steal hammer,
-# the batched tape interpreters, concurrent sketch specialization,
-# the synthesis service's worker pool, and ten runs each over the
+# the batched tape interpreters, the synthesis service's worker pool,
+# its parallel startup recovery and its journal replays off the
+# manager lock racing Get, Delete and Abort, and ten runs each over the
 # point checks' pooled lane scratch, repairs holding
 # pooled scenario batches on one shared system, and Program.Eval's
 # pooled 1-lane batches from concurrent goroutines), a
@@ -90,10 +91,11 @@ obs-smoke:
 	$(GO) test -short -run TestServe ./internal/obs/
 
 # Smoke the compsynthd service layer without full synthesis runs: API
-# error contract, journal crash tolerance, recovery quarantine, and the
+# error contract, journal crash tolerance, recovery quarantine and
+# parallel recovery, replays racing Get, Delete and Abort, and the
 # telemetry mounts (the -short subset of the service tests).
 service-smoke:
-	$(GO) test -short -run 'TestHTTP|TestHandlerMountsObs|TestJournal|TestRecoverySkips' ./internal/service/
+	$(GO) test -short -run 'TestHTTP|TestHandlerMountsObs|TestJournal|TestRecovery|Replay' ./internal/service/
 
 # Boot a real compsynthd, drive a session over HTTP, and assert every
 # emitted log line is valid JSON carrying the session/request_id
@@ -110,7 +112,7 @@ fleet-smoke:
 	mkdir -p .fleet-smoke/bin
 	$(GO) build -o .fleet-smoke/bin/ ./cmd/compsynthd ./cmd/compsynth-router ./cmd/synthload
 	.fleet-smoke/bin/synthload -sessions 6 -daemons 2 -events 4 \
-		-concurrency 4 -event-interval 250ms \
+		-concurrency 4 -event-interval 100ms \
 		-daemon-bin .fleet-smoke/bin/compsynthd \
 		-router-bin .fleet-smoke/bin/compsynth-router
 
@@ -125,13 +127,14 @@ fleet-ha-smoke:
 	$(GO) build -o .fleet-smoke/bin/ ./cmd/compsynthd ./cmd/compsynth-router ./cmd/synthload
 	.fleet-smoke/bin/synthload -sessions 6 -daemons 3 -events 4 \
 		-replicas 2 -dead-kills 1 \
-		-concurrency 4 -event-interval 250ms \
+		-concurrency 4 -event-interval 100ms \
 		-daemon-bin .fleet-smoke/bin/compsynthd \
 		-router-bin .fleet-smoke/bin/compsynth-router
 
 # The full chaos acceptance bar: 200 sessions across a 3-member fleet
 # with 20 kill/restart/migrate/drain events, five of them permanent
-# owner deaths recovered only by replica adoption.
+# owner deaths recovered only by replica adoption. A run whose load
+# ends before a kill/restart (journal replay on restart) fails.
 fleet-chaos:
 	mkdir -p .fleet-smoke/bin
 	$(GO) build -o .fleet-smoke/bin/ ./cmd/compsynthd ./cmd/compsynth-router ./cmd/synthload

@@ -219,6 +219,13 @@ func run(o options) error {
 	if chaos.deadKills < o.deadKills {
 		return fmt.Errorf("only %d of the %d requested permanent kills fired before the load finished", chaos.deadKills, o.deadKills)
 	}
+	// Every schedule longer than its permanent kills holds a
+	// kill/restart (event 0 without them, event 1 with them), the only
+	// event that exercises startup recovery.
+	if chaos.kills == 0 && o.events > o.deadKills {
+		return fmt.Errorf("no kill/restart fired before the load finished (%d dead-kill, %d migrate, %d drain)",
+			chaos.deadKills, chaos.migrates, chaos.drains)
+	}
 
 	if err := checkMetrics(f.routerURL, chaos.migrateOK, chaos.deadKills); err != nil {
 		return err
@@ -475,13 +482,18 @@ func newChaos(f *fleetHarness, rng *rand.Rand, interval time.Duration, deadTarge
 }
 
 // run executes exactly n chaos events, pausing `interval` between
-// them. Event kinds cycle deterministically (kill → migrate → drain,
-// the kill permanent until -dead-kills is spent) so every run with three or more events exercises the full
-// vocabulary; the rng only picks targets. It keeps at most one member
-// disrupted at a time so the fleet always has healthy capacity, and
-// finishes any in-flight disruption (restart, rejoin) before
-// returning. Permanent kills are front-loaded (events 0, 3, 6, ...)
-// so even a short run orphans sessions while the load is still hot.
+// them. Event kinds cycle deterministically, so every run with three
+// or more events (five with permanent kills) exercises the full
+// vocabulary; the rng only picks targets. Without permanent kills the
+// cycle is kill/restart → migrate → drain. With them, event i%3 == 0
+// is a permanent kill until -dead-kills is spent (events 0, 3, 6, ...,
+// front-loaded so even a short run orphans sessions while the load is
+// still hot) and a kill/restart after, and event i%3 == 1 alternates
+// kill/restart (i%6 == 1) and migrate (i%6 == 4), so restarts and
+// their journal replay run while the permanent kills do. It keeps at
+// most one member disrupted at a time so the fleet always has healthy
+// capacity, and finishes any in-flight disruption (restart, rejoin)
+// before returning.
 func (c *chaosEngine) run(n int, loadDone <-chan struct{}) error {
 	for i := 0; i < n; i++ {
 		select {
@@ -493,17 +505,15 @@ func (c *chaosEngine) run(n int, loadDone <-chan struct{}) error {
 		case <-time.After(c.interval):
 		}
 		var err error
-		if c.deadKills < c.deadTarget && i%3 == 0 {
+		switch {
+		case i%3 == 0 && c.deadKills < c.deadTarget:
 			err = c.killDead()
-		} else {
-			switch i % 3 {
-			case 0:
-				err = c.killRestart()
-			case 1:
-				err = c.migrate()
-			case 2:
-				err = c.drainRejoin()
-			}
+		case i%3 == 0, i%6 == 1 && c.deadTarget > 0:
+			err = c.killRestart()
+		case i%3 == 1:
+			err = c.migrate()
+		default:
+			err = c.drainRejoin()
 		}
 		if err != nil {
 			return fmt.Errorf("chaos event %d: %w", i+1, err)
