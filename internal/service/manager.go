@@ -141,8 +141,7 @@ type Manager struct {
 // record; the rest are rebuilt by replaying every journaled answer,
 // which re-runs synthesis steps. Replays run in parallel, at most
 // Config.Workers at a time, so startup time scales with the answers
-// journaled by unfinished sessions divided by the cores that serve
-// them.
+// journaled by unfinished sessions, spread over up to that many cores.
 func New(cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
 	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
