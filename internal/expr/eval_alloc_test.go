@@ -26,8 +26,9 @@ func TestProgramEvalAllocFree(t *testing.T) {
 	}
 }
 
-// TestScenarioMoveAllocFree pins that a warm scenario batch's Move and
-// Commit allocate nothing.
+// TestScenarioMoveAllocFree pins that a warm scenario batch's Move,
+// Commit and Unchanged allocate nothing, Unchanged also when a Commit
+// makes it rebuild a cut hole's range.
 func TestScenarioMoveAllocFree(t *testing.T) {
 	sb := NewScenarioBatch(MustCompile(swanBody(), swanVars, swanHoles), 64)
 	for l := 0; l < 40; l++ {
@@ -36,8 +37,13 @@ func TestScenarioMoveAllocFree(t *testing.T) {
 	sb.Eval([]float64{1, 50, 1, 5}, 40)
 	v := 0.0
 	for name, fn := range map[string]func(){
-		"Move":   func() { sb.Move(int(v)%4, v) },
-		"Commit": func() { sb.Commit(int(v)%4, v) },
+		"Move":      func() { sb.Move(int(v)%4, v) },
+		"Commit":    func() { sb.Commit(int(v)%4, v) },
+		"Unchanged": func() { sb.Unchanged(int(v)%4, v) },
+		"Unchanged after a Commit": func() {
+			sb.Commit(1, v)
+			sb.Unchanged(1, v+1)
+		},
 	} {
 		fn() // warm
 		if a := testing.AllocsPerRun(200, func() { fn(); v++ }); a != 0 {

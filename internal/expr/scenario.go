@@ -17,8 +17,19 @@ import "math"
 // On the SWAN body a move runs 4–6 of the 24 instructions, on the
 // 2-region body 4–7 of 41 (the moved hole's fill included).
 //
-// The register form is derived once per Program, on the first
-// NewScenarioBatch, so programs that never move pay nothing for it.
+// Some moves change nothing at all. A cut hole is one that only
+// ordering comparisons (>=, <=, >, <) read, each against a row no hole
+// reaches: a variable, a constant, or arithmetic over those. Its value
+// matters only through which side of each lane it sits on, so moving it
+// anywhere between the nearest lane values flips no bit and changes no
+// row but its own fill. For each cut hole the batch caches that range,
+// intersected over the hole's comparisons, and Unchanged proves a move
+// a no-op with two compares instead of a cone run. The SWAN body's two
+// thresholds are cut holes, and so are the 2-region body's four.
+//
+// The register form, its cones and its cuts are derived once per
+// Program, on the first NewScenarioBatch, so programs that never move
+// pay nothing for them.
 
 // regStep is one instruction of the register form: dst = code(a, c),
 // with cond the condition row of a select. Which row space (float or
@@ -36,13 +47,30 @@ type regMove struct {
 	// keepF and keepB pair each trial row the cone writes with the kept
 	// row it replaces on Commit.
 	keepF, keepB [][2]int32
+	// cuts lists a cut hole's comparisons; nil when the hole is not one.
+	cuts []regCut
+}
+
+// regCut is one comparison of a cut hole with a row no hole reaches.
+// With the hole at v0 and the row's lane values a, the comparison's
+// bits hold still for every hole value in one of two ranges:
+//
+//	(max{a < v0}, min{a >= v0}]  when closedHi (a >= ?? and a < ??,
+//	                             ?? > a and ?? <= a), else
+//	[max{a <= v0}, min{a > v0})  (a > ?? and a <= ??, ?? >= a and ?? < a),
+//
+// each bound dropped when its set is empty.
+type regCut struct {
+	row      int32 // the float row compared with the hole
+	closedHi bool
 }
 
 // regPlan is a program's register form. Float rows are the variable
 // rows, then one kept row per hole, constant and float instruction,
 // then trialF trial rows; bool rows are one kept row per bool constant
 // and instruction, then trialB trial rows. Trial rows are shared by
-// every hole's cone, since only one move is pending at a time.
+// every hole's cone, since only one move is pending at a time. Each
+// hole's move carries its cone and, for a cut hole, its cuts.
 type regPlan struct {
 	nF, nB         int // kept float and bool rows
 	trialF, trialB int // trial rows: the largest cone's float and bool rows
@@ -73,7 +101,7 @@ func floatResult(code tapeCode) bool {
 // buildRegPlan replays the tape's stack discipline over row numbers
 // instead of values, giving each instruction the row its result lives
 // in and each operand the row its producer wrote, then derives every
-// hole's cone.
+// hole's cone and, from the rows the cones reach, its cuts.
 func buildRegPlan(t *tape, nVars, nHoles int) *regPlan {
 	rp := &regPlan{nF: nVars, bconstRow: [2]int32{-1, -1}, holeRow: make([]int32, nHoles)}
 	for i := range rp.holeRow {
@@ -145,16 +173,21 @@ func buildRegPlan(t *tape, nVars, nHoles int) *regPlan {
 	}
 	rp.out = fst[0]
 	rp.moves = make([]regMove, nHoles)
+	reached := make([]bool, rp.nF)
 	for h := range rp.moves {
-		rp.moves[h] = rp.cone(h)
+		rp.moves[h] = rp.cone(h, reached)
+	}
+	for h := range rp.moves {
+		rp.moves[h].cuts = rp.cuts(h, reached)
 	}
 	return rp
 }
 
 // cone derives hole h's move: every instruction that reads the hole,
 // directly or through another such instruction, renumbered onto trial
-// rows, with operands outside the cone left on their kept rows.
-func (rp *regPlan) cone(h int) regMove {
+// rows, with operands outside the cone left on their kept rows. It
+// marks the cone's kept float rows in reached.
+func (rp *regPlan) cone(h int, reached []bool) regMove {
 	m := regMove{fill: -1, out: rp.out}
 	if rp.holeRow[h] < 0 {
 		return m
@@ -212,17 +245,63 @@ func (rp *regPlan) cone(h int) regMove {
 	if t := trialF[rp.out]; t != 0 {
 		m.out = t
 	}
+	for r, t := range trialF {
+		if t != 0 {
+			reached[r] = true
+		}
+	}
 	rp.trialF = max(rp.trialF, int(nF)-rp.nF)
 	rp.trialB = max(rp.trialB, int(nB)-rp.nB)
 	return m
+}
+
+// cuts returns hole h's comparisons when it is a cut hole: every
+// instruction that reads it is an ordering comparison against a float
+// row no hole reaches. It returns nil for any other reader (arithmetic,
+// a select operand, a comparison with a reached row or with ==), for a
+// hole that is itself the result, and for one the program never reads.
+func (rp *regPlan) cuts(h int, reached []bool) []regCut {
+	r := rp.holeRow[h]
+	if r < 0 || r == rp.out {
+		return nil
+	}
+	var cuts []regCut
+	for _, s := range rp.steps {
+		a, c := s.a, s.c
+		switch s.code {
+		case tNot, tAnd, tOr:
+			continue // bool operands only
+		case tNeg, tAbs:
+			c = -1
+		}
+		if a != r && c != r {
+			continue
+		}
+		switch s.code {
+		case tCmpGE, tCmpLE, tCmpGT, tCmpLT:
+		default:
+			return nil
+		}
+		// right: the hole is the comparison's right operand.
+		right, other := a != r, c
+		if right {
+			other = a
+		}
+		if reached[other] {
+			return nil
+		}
+		cuts = append(cuts, regCut{row: other, closedHi: (s.code == tCmpGE || s.code == tCmpLT) == right})
+	}
+	return cuts
 }
 
 // ScenarioBatch evaluates one Program at one hole vector over up to
 // Lanes variable lanes, keeping every instruction's lane row so that a
 // single hole can move without a full pass. Load lanes with SetVars,
 // run a full pass with Eval, then try hole values with Move and adopt
-// one with Commit. Every column it returns aliases the batch. A batch
-// is bound to the Program it was made for and is not safe for
+// one with Commit; Unchanged tells, without running anything, when a
+// move would change no row. Every column it returns aliases the batch.
+// A batch is bound to the Program it was made for and is not safe for
 // concurrent use.
 type ScenarioBatch struct {
 	rp    *regPlan
@@ -236,18 +315,29 @@ type ScenarioBatch struct {
 	fresh     bool
 	moved     int
 	movedBits uint64
+	// holes is the hole vector of the kept rows. For a cut hole h,
+	// [cutLo[h], cutHi[h]] is the range Unchanged accepts, valid while
+	// cutOK[h]; Eval clears every cutOK and a Commit of h clears its own.
+	holes        []float64
+	cutLo, cutHi []float64
+	cutOK        []bool
 }
 
 // NewScenarioBatch allocates a scenario batch of the given lane width
 // for p.
 func NewScenarioBatch(p *Program, lanes int) *ScenarioBatch {
 	rp := p.regs()
+	nh := len(rp.holeRow)
 	b := &ScenarioBatch{
 		rp:    rp,
 		lanes: lanes,
 		f:     make([]float64, (rp.nF+rp.trialF)*lanes),
 		bl:    make([]bool, (rp.nB+rp.trialB)*lanes),
 		moved: -1,
+		holes: make([]float64, nh),
+		cutLo: make([]float64, nh),
+		cutHi: make([]float64, nh),
+		cutOK: make([]bool, nh),
 	}
 	// Constant rows never change, so they are filled once, at full
 	// width.
@@ -288,6 +378,8 @@ func (b *ScenarioBatch) Eval(holes []float64, n int) []float64 {
 	}
 	b.run(b.rp.steps)
 	b.fresh, b.moved = true, -1
+	copy(b.holes, holes)
+	clear(b.cutOK)
 	return b.Outs()
 }
 
@@ -322,6 +414,65 @@ func (b *ScenarioBatch) Commit(h int, v float64) {
 		copy(b.brow(p[1]), b.brow(p[0]))
 	}
 	b.moved = -1
+	b.holes[h], b.cutOK[h] = v, false
+}
+
+// Unchanged reports whether Move(h, v) is proven to change no row but
+// h's own fill, so that its output column equals Outs bit for bit: h
+// is never read, or h is a cut hole and v lies inside every one of its
+// cuts' ranges (regCut) on the live lanes. The range is derived from
+// the kept rows on the first call after an Eval or a Commit of h; each
+// later call costs two compares. A false answer proves nothing, and a
+// NaN v or a NaN current value of h never answers true for a hole the
+// program reads. Unchanged leaves a pending move alone and, like Move,
+// panics when the variable lanes changed since the last Eval.
+func (b *ScenarioBatch) Unchanged(h int, v float64) bool {
+	if !b.fresh {
+		panic("expr: ScenarioBatch.Unchanged needs an Eval of the current variable lanes")
+	}
+	m := &b.rp.moves[h]
+	if m.cuts == nil {
+		return m.fill < 0
+	}
+	if !b.cutOK[h] {
+		b.cutLo[h], b.cutHi[h] = b.cutRange(m.cuts, b.holes[h])
+		b.cutOK[h] = true
+	}
+	return b.cutLo[h] <= v && v <= b.cutHi[h]
+}
+
+// cutRange returns the closed range [lo, hi] of hole values at which
+// none of cuts flips a live lane's bit, the hole standing at v0. An
+// open end is stepped one ulp inward, which is exact on floats, and a
+// NaN v0 gives an empty range. A NaN lane compares false at every hole
+// value, so it bounds nothing; -0 and +0 compare equal, as in the
+// kernels.
+func (b *ScenarioBatch) cutRange(cuts []regCut, v0 float64) (lo, hi float64) {
+	if v0 != v0 {
+		return math.Inf(1), math.Inf(-1)
+	}
+	lo, hi = math.Inf(-1), math.Inf(1)
+	for _, c := range cuts {
+		// below and above are the nearest lane values on either side of
+		// v0; a lane equal to v0 sits above when closedHi.
+		below, above := math.Inf(-1), math.Inf(1)
+		anyBelow, anyAbove := false, false
+		for _, a := range b.frow(c.row) {
+			if a < v0 || a == v0 && !c.closedHi {
+				below, anyBelow = max(below, a), true
+			} else if a == a {
+				above, anyAbove = min(above, a), true
+			}
+		}
+		if c.closedHi && anyBelow {
+			below = math.Nextafter(below, math.Inf(1))
+		}
+		if !c.closedHi && anyAbove {
+			above = math.Nextafter(above, math.Inf(-1))
+		}
+		lo, hi = max(lo, below), min(hi, above)
+	}
+	return lo, hi
 }
 
 // Outs returns the output column of the kept rows: the last Eval with

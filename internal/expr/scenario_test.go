@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -65,12 +66,75 @@ func moveCases() []moveCase {
 // specialValues are the move targets every case includes.
 var specialValues = []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
 
+// cutScan is Unchanged's lane-scan oracle: it recomputes, with hole h
+// at v, every comparison that reads h and reports whether each equals
+// its kept bool row on the live lanes.
+func cutScan(sb *ScenarioBatch, h int, v float64) bool {
+	r := sb.rp.holeRow[h]
+	for _, s := range sb.rp.steps {
+		var cmp func(a, c float64) bool
+		switch s.code {
+		case tCmpGE:
+			cmp = func(a, c float64) bool { return a >= c }
+		case tCmpLE:
+			cmp = func(a, c float64) bool { return a <= c }
+		case tCmpGT:
+			cmp = func(a, c float64) bool { return a > c }
+		case tCmpLT:
+			cmp = func(a, c float64) bool { return a < c }
+		case tCmpEQ:
+			cmp = func(a, c float64) bool { return a == c }
+		default:
+			continue
+		}
+		if s.a != r && s.c != r {
+			continue
+		}
+		a, c, kept := sb.frow(s.a), sb.frow(s.c), sb.brow(s.dst)
+		for l := range kept {
+			x, y := a[l], c[l]
+			if s.a == r {
+				x = v
+			}
+			if s.c == r {
+				y = v
+			}
+			if cmp(x, y) != kept[l] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// checkUnchanged asks Unchanged(h, v) before Move(h, v). When it
+// answers true, every comparison reading h must hold still at v (the
+// lane scan) and Move's column must equal Outs bit for bit. It returns
+// Move's column.
+func checkUnchanged(t *testing.T, what string, sb *ScenarioBatch, h int, v float64) []float64 {
+	t.Helper()
+	unchanged := sb.Unchanged(h, v)
+	if unchanged && !cutScan(sb, h, v) {
+		t.Fatalf("%s: Unchanged(%d, %v) holds, but a comparison reading the hole flips", what, h, v)
+	}
+	got := sb.Move(h, v)
+	if unchanged {
+		for l, o := range sb.Outs() {
+			if math.Float64bits(got[l]) != math.Float64bits(o) {
+				t.Fatalf("%s: Unchanged(%d, %v) holds, but Move's lane %d = %v, Outs %v", what, h, v, l, got[l], o)
+			}
+		}
+	}
+	return got
+}
+
 // TestScenarioMoveMatchesEval holds every Move, and the kept rows after
 // every Commit, bit for bit to a fresh stack-loop pass at the moved
 // hole vector, over random base vectors, at least 50 moves each with
 // commits interleaved, moves to NaN, ±Inf and −0, and a hole the
-// program never reads. A Move after SetVars without a new Eval must be
-// refused.
+// program never reads. Each Move is preceded by Unchanged, held to the
+// lane scan and to Outs wherever it answers true. A Move or an
+// Unchanged after SetVars without a new Eval must be refused.
 func TestScenarioMoveMatchesEval(t *testing.T) {
 	const lanes, n = 64, 61
 	for ci, c := range moveCases() {
@@ -116,7 +180,7 @@ func TestScenarioMoveMatchesEval(t *testing.T) {
 				}
 				copy(moved, holes)
 				moved[h] = v
-				same("Move", sb.Move(h, v), full(moved))
+				same("Move", checkUnchanged(t, c.name, sb, h, v), full(moved))
 				if rng.Intn(3) == 0 {
 					sb.Commit(h, v)
 					holes[h] = v
@@ -133,38 +197,183 @@ func TestScenarioMoveMatchesEval(t *testing.T) {
 		}
 
 		sb.SetVars(0, vars)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: Move after SetVars without Eval was not refused", c.name)
-				}
+		for name, fn := range map[string]func(){
+			"Move":      func() { sb.Move(0, 1) },
+			"Unchanged": func() { sb.Unchanged(0, 1) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: %s after SetVars without Eval was not refused", c.name, name)
+					}
+				}()
+				fn()
 			}()
-			sb.Move(0, 1)
-		}()
+		}
+	}
+}
+
+// cutLanes are the lane values of the Unchanged range tests, a NaN
+// lane among them.
+var cutLanes = []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, 1, 2, math.Inf(1), math.NaN()}
+
+// TestScenarioUnchangedRanges holds Unchanged exactly to the lane scan
+// for each ordering comparison with the hole on either side, on lanes
+// −Inf, −1, −0, +0, 1, 2, +Inf and NaN: with the hole at each lane
+// value and between them, at each lane value, one ulp either side of
+// it, ±0, ±Inf and NaN. A NaN hole or target never answers true. Then
+// a hole compared twice, holes that arithmetic reads or that are
+// compared with a row another hole reaches, a Commit of another hole,
+// which keeps the cached ranges, and a Commit of the hole itself,
+// which rebuilds them.
+func TestScenarioUnchangedRanges(t *testing.T) {
+	var currents, targets []float64
+	for _, a := range cutLanes {
+		currents = append(currents, a)
+		targets = append(targets, a, math.Nextafter(a, math.Inf(-1)), math.Nextafter(a, math.Inf(1)))
+	}
+	currents = append(currents, -2, -0.5, 0.5, 1.5, 3)
+	targets = append(targets, math.Copysign(0, -1), 0, math.Inf(-1), math.Inf(1), math.NaN())
+
+	// load puts lane l's values (one per variable) on a fresh batch.
+	load := func(prog *Program, cols ...[]float64) *ScenarioBatch {
+		sb := NewScenarioBatch(prog, len(cols[0]))
+		vars := make([]float64, len(cols))
+		for l := range cols[0] {
+			for i, col := range cols {
+				vars[i] = col[l]
+			}
+			sb.SetVars(l, vars)
+		}
+		return sb
+	}
+	// exact asks Unchanged(h, v) at every target, with the holes at
+	// the kept vector, and holds it to the lane scan (cut holes) or to
+	// false (holes read otherwise).
+	exact := func(what string, sb *ScenarioBatch, h int, cut bool) {
+		t.Helper()
+		for _, v := range targets {
+			want := cut && !math.IsNaN(sb.holes[h]) && !math.IsNaN(v) && cutScan(sb, h, v)
+			if got := sb.Unchanged(h, v); got != want {
+				t.Fatalf("%s: hole %d at %v: Unchanged(%v) = %v, lane scan %v", what, h, sb.holes[h], v, got, want)
+			}
+			checkUnchanged(t, what, sb, h, v)
+		}
+	}
+
+	ops := []struct {
+		name string
+		cmp  func(l, r Expr) BoolExpr
+	}{{">=", GE}, {"<=", LE}, {">", GT}, {"<", LT}}
+	for _, op := range ops {
+		for _, right := range []bool{true, false} {
+			cond := op.cmp(V("x"), H("t"))
+			if !right {
+				cond = op.cmp(H("t"), V("x"))
+			}
+			e := Ite(cond, C(1), C(0))
+			prog := MustCompile(e, []string{"x"}, []string{"t"})
+			if prog.regs().moves[0].cuts == nil {
+				t.Fatalf("%s: t is not a cut hole", e)
+			}
+			sb := load(prog, cutLanes)
+			for _, v0 := range append(currents, math.NaN()) {
+				sb.Eval([]float64{v0}, len(cutLanes))
+				exact(e.String(), sb, 0, true)
+			}
+		}
+	}
+
+	// A hole compared twice moves freely only inside both ranges.
+	twice := MustCompile(Ite(And(GE(V("x"), H("t")), LE(V("y"), H("t"))), C(1), C(0)), []string{"x", "y"}, []string{"t"})
+	rev := make([]float64, len(cutLanes))
+	for l, a := range cutLanes {
+		rev[len(rev)-1-l] = a
+	}
+	sb := load(twice, cutLanes, rev)
+	for _, v0 := range currents {
+		sb.Eval([]float64{v0}, len(cutLanes))
+		exact("x >= ??t && y <= ??t", sb, 0, true)
+	}
+
+	// ??t is compared and also read by arithmetic; ??s is read by
+	// arithmetic. Neither is a cut hole, and ??c is.
+	mixed := MustCompile(Ite(And(GE(V("x"), H("c")), LE(V("y"), H("t"))), Mul(H("s"), V("y")), Add(H("t"), V("y"))), []string{"x", "y"}, []string{"c", "s", "t"})
+	// ??t is compared with x * ??s, a row ??s reaches: neither is one.
+	reached := MustCompile(Ite(GE(Mul(V("x"), H("s")), H("t")), C(1), C(0)), []string{"x"}, []string{"s", "t"})
+	for _, c := range []struct {
+		what string
+		prog *Program
+		cut  []bool
+	}{
+		{"??t read by arithmetic", mixed, []bool{true, false, false}},
+		{"x * ??s >= ??t", reached, []bool{false, false}},
+	} {
+		for h, want := range c.cut {
+			if got := c.prog.regs().moves[h].cuts != nil; got != want {
+				t.Fatalf("%s: hole %d is a cut hole: %v, want %v", c.what, h, got, want)
+			}
+		}
+		sb := load(c.prog, cutLanes, rev)
+		holes := make([]float64, len(c.cut))
+		for _, v0 := range currents {
+			for h := range holes {
+				holes[h] = v0
+			}
+			sb.Eval(holes, len(cutLanes))
+			for h, cut := range c.cut {
+				exact(c.what, sb, h, cut)
+			}
+		}
+	}
+
+	// Commits: of ??s, which leaves ??c's range cached and exact, then
+	// of ??c itself, which rebuilds it at the new value.
+	sb = load(mixed, cutLanes, rev)
+	sb.Eval([]float64{0.5, 1, 1}, len(cutLanes))
+	exact("before commits", sb, 0, true)
+	for _, v := range currents {
+		sb.Commit(1, v)
+		if !sb.cutOK[0] {
+			t.Fatalf("a Commit of ??s dropped ??c's cached range")
+		}
+		exact("after a Commit of ??s", sb, 0, true)
+		sb.Commit(0, v)
+		exact("after a Commit of ??c", sb, 0, true)
 	}
 }
 
 // TestScenarioConeSizes pins how many of a sketch body's instructions
-// a move runs, the moved hole's fill included.
+// a move runs, the moved hole's fill included, and which holes are cut
+// holes: the thresholds, never the slopes.
 func TestScenarioConeSizes(t *testing.T) {
 	for _, c := range []struct {
 		name            string
 		e               Expr
 		vars, holes     []string
 		code, min, most int
+		cut             []string
 	}{
-		{"swan", swanBody(), swanVars, swanHoles, 24, 4, 6},
-		{"2-region", twoRegionBody(), twoRegionVars, twoRegionHoles, 41, 4, 7},
+		{"swan", swanBody(), swanVars, swanHoles, 24, 4, 6, []string{"tp_thrsh", "l_thrsh"}},
+		{"2-region", twoRegionBody(), twoRegionVars, twoRegionHoles, 41, 4, 7,
+			[]string{"l_thrsh_1", "l_thrsh_2", "tp_thrsh_1", "tp_thrsh_2"}},
 	} {
 		prog := MustCompile(c.e, c.vars, c.holes)
 		lo, hi := math.MaxInt, 0
-		for _, m := range prog.regs().moves {
+		var cut []string
+		for h, m := range prog.regs().moves {
 			size := 1 + len(m.steps)
 			lo, hi = min(lo, size), max(hi, size)
+			if m.cuts != nil {
+				cut = append(cut, c.holes[h])
+			}
 		}
 		if n := len(prog.tape.code); n != c.code || lo != c.min || hi != c.most {
 			t.Errorf("%s: moves run %d–%d of %d instructions; want %d–%d of %d",
 				c.name, lo, hi, n, c.min, c.most, c.code)
+		}
+		if fmt.Sprint(cut) != fmt.Sprint(c.cut) {
+			t.Errorf("%s: cut holes %v; want %v", c.name, cut, c.cut)
 		}
 	}
 }
@@ -224,7 +433,7 @@ func FuzzDifferentialMove(f *testing.F) {
 			h, v := int(op)%len(holes), s.pick()
 			copy(moved, holes)
 			moved[h] = v
-			check("Move", sb.Move(h, v), moved)
+			check("Move", checkUnchanged(t, e.String(), sb, h, v), moved)
 			if op&4 != 0 {
 				sb.Commit(h, v)
 				holes[h] = v

@@ -268,8 +268,11 @@ func (s *System) findCandidate(ctx context.Context, opts Options, rng *rand.Rand
 // bit-identical to a full pass at the moved vector and the loss comes
 // from the same hinge sum as Violation, so every accept/reject
 // decision, the RNG draws and the result are exactly those of a full
-// Violation per trial. The final Satisfies is read off the committed
-// outputs.
+// Violation per trial. A trial that expr.ScenarioBatch.Unchanged
+// proves a no-op, a threshold moved past no constraint side's value,
+// is skipped without a move: its output column, and so its loss, would
+// equal the current one bit for bit, and the trial would be rejected.
+// The final Satisfies is read off the committed outputs.
 func (s *System) repair(start []float64, domains []interval.Interval, steps int, rng *rand.Rand) ([]float64, bool) {
 	sl := s.getScenarios()
 	defer s.putScenarios(sl)
@@ -283,14 +286,21 @@ func (s *System) repair(start []float64, domains []interval.Interval, steps int,
 	for i, d := range domains {
 		step[i] = d.Width() / 4
 	}
+	perm := make([]int, len(h))
 	for it := 0; it < steps && loss > 0; it++ {
 		improved := false
 		// Random dimension order de-correlates descent paths between
-		// restarts.
-		for _, i := range rng.Perm(len(h)) {
+		// restarts. This is rand.Perm's loop refilling one slice, so
+		// the draws are Perm's.
+		for i := range perm {
+			j := rng.Intn(i + 1)
+			perm[i] = perm[j]
+			perm[j] = i
+		}
+		for _, i := range perm {
 			for _, dir := range []float64{+1, -1} {
 				cand := h[i] + dir*step[i]
-				if cand < domains[i].Lo || cand > domains[i].Hi {
+				if cand < domains[i].Lo || cand > domains[i].Hi || sb.Unchanged(i, cand) {
 					continue
 				}
 				if l := s.hinge(sb.Move(i, cand)); l < loss {
