@@ -21,8 +21,10 @@
 // transcripts. At most one member is permanently down at a time — the
 // previous victim rejoins with a wiped data directory before the next
 // kill, so every adoption promotes a replica copy, never a recovered
-// journal. After such a run the router must report at least one
-// fleet_adoptions_total.
+// journal. The last quarter of the sessions starts only after the last
+// permanent kill has fired, so however fast the sessions run, every
+// kill meets a live load. After such a run the router must report at
+// least one fleet_adoptions_total.
 //
 // The drivers ride out everything chaos produces — 429 backpressure
 // (honoring Retry-After), 409 stale sequence numbers after migration,
@@ -171,11 +173,15 @@ func run(o options) error {
 		fmt.Fprintln(os.Stderr, "synthload:", err)
 	}
 	sem := make(chan struct{}, o.concurrency)
+	chaos := newChaos(f, rand.New(rand.NewSource(o.seed)), o.interval, o.deadKills)
 	start := time.Now()
 	loadDone := make(chan struct{})
 	go func() {
 		defer close(loadDone)
 		for i := 0; i < o.sessions; i++ {
+			if i == o.sessions-o.sessions/4 {
+				<-chaos.deadDone
+			}
 			sem <- struct{}{}
 			wg.Add(1)
 			go func(i int) {
@@ -202,7 +208,6 @@ func run(o options) error {
 		wg.Wait()
 	}()
 
-	chaos := newChaos(f, rand.New(rand.NewSource(o.seed)), o.interval, o.deadKills)
 	chaosErr := chaos.run(o.events, loadDone)
 	<-loadDone
 	if chaosErr != nil {
@@ -475,11 +480,23 @@ type chaosEngine struct {
 	// migrateOK counts admin migrations the router confirmed with 200;
 	// each one must show up in fleet_migrations_total.
 	migrateOK int
+
+	// deadDone is closed once the last permanent kill has fired, or
+	// when run returns; at once when none is requested. The load holds
+	// its last quarter of sessions back until then.
+	deadDone chan struct{}
+	deadOnce sync.Once
 }
 
 func newChaos(f *fleetHarness, rng *rand.Rand, interval time.Duration, deadTarget int) *chaosEngine {
-	return &chaosEngine{f: f, rng: rng, interval: interval, deadTarget: deadTarget}
+	c := &chaosEngine{f: f, rng: rng, interval: interval, deadTarget: deadTarget, deadDone: make(chan struct{})}
+	if deadTarget == 0 {
+		c.closeDeadDone()
+	}
+	return c
 }
+
+func (c *chaosEngine) closeDeadDone() { c.deadOnce.Do(func() { close(c.deadDone) }) }
 
 // run executes exactly n chaos events, pausing `interval` between
 // them. Event kinds cycle deterministically, so every run with three
@@ -493,8 +510,10 @@ func newChaos(f *fleetHarness, rng *rand.Rand, interval time.Duration, deadTarge
 // their journal replay run while the permanent kills do. It keeps at
 // most one member disrupted at a time so the fleet always has healthy
 // capacity, and finishes any in-flight disruption (restart, rejoin)
-// before returning.
+// before returning. It closes deadDone when the last permanent kill has
+// fired, and on return, so the held-back sessions always start.
 func (c *chaosEngine) run(n int, loadDone <-chan struct{}) error {
+	defer c.closeDeadDone()
 	for i := 0; i < n; i++ {
 		select {
 		case <-loadDone:
@@ -560,6 +579,9 @@ func (c *chaosEngine) killDead() error {
 	c.f.killMember(m)
 	c.deadMember = m
 	c.deadKills++
+	if c.deadKills == c.deadTarget {
+		c.closeDeadDone()
+	}
 	return nil
 }
 
