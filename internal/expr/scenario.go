@@ -465,14 +465,26 @@ func (b *ScenarioBatch) cutRange(cuts []regCut, v0 float64) (lo, hi float64) {
 			}
 		}
 		if c.closedHi && anyBelow {
-			below = math.Nextafter(below, math.Inf(1))
+			below = nextUp(below)
 		}
 		if !c.closedHi && anyAbove {
-			above = math.Nextafter(above, math.Inf(-1))
+			above = -nextUp(-above)
 		}
 		lo, hi = max(lo, below), min(hi, above)
 	}
 	return lo, hi
+}
+
+// nextUp returns the least float above x, which is neither NaN nor
+// +Inf; both zeros step to the least subnormal.
+func nextUp(x float64) float64 {
+	switch {
+	case x == 0:
+		return math.SmallestNonzeroFloat64
+	case x > 0:
+		return math.Float64frombits(math.Float64bits(x) + 1)
+	}
+	return math.Float64frombits(math.Float64bits(x) - 1)
 }
 
 // Outs returns the output column of the kept rows: the last Eval with
