@@ -74,7 +74,8 @@ effort-gate:
 # Fuzz each differential evaluation target for 10 s: random programs,
 # deep ones included, through Program.Eval, the batched point and
 # interval lanes of the one tape, and a scenario batch's hole moves and
-# commits, checked against the AST interpreter. Then fuzz the two
+# commits, checked against the AST interpreter, with every move that
+# Unchanged proves a no-op held to its kept rows. Then fuzz the two
 # parsers of network input for 10 s each: the transcript decoder
 # (PUT …/transcript) and the expression parser (inline spec sketches).
 # Part of tier-1 `all`.
