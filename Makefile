@@ -7,10 +7,12 @@ GO ?= go
 
 # Tier-1 verification: build, the gofmt check, vet, the full test
 # suite, the race detector over the packages with real concurrency
-# (the work-stealing branch-and-prune engine and its steal hammer,
-# the batched tape interpreters, the synthesis service's worker pool,
-# its parallel startup recovery and its journal replays off the
-# manager lock racing Get, Delete and Abort, and ten runs each over the
+# (the work-stealing branch-and-prune engine and, ten runs each, its
+# steal hammer and worker-count invariance over per-worker box batches
+# kept across spans, the batched tape interpreters, the synthesis
+# service's worker pool, its parallel startup recovery and its journal
+# replays off the manager lock racing Get, Delete and Abort, and ten
+# runs each over the
 # point checks' pooled lane scratch, repairs holding
 # pooled scenario batches on one shared system, and Program.Eval's
 # pooled 1-lane batches from concurrent goroutines), a
@@ -34,6 +36,7 @@ test-short:
 	$(GO) test -short ./...
 
 race:
+	$(GO) test -race -count=10 -run '^(TestPruneStealHammer|TestPruneWorkerCountInvariance)$$' ./internal/solver/
 	$(GO) test -race -count=10 -run '^TestSystemPointChecks$$' ./internal/solver/
 	$(GO) test -race -count=10 -run '^TestRepairMatchesReference$$' ./internal/solver/
 	$(GO) test -race -count=10 -run '^TestProgramEvalConcurrent$$' ./internal/expr/
@@ -72,13 +75,14 @@ effort-gate:
 	$(GO) run ./cmd/effortgate
 
 # Fuzz each differential evaluation target for 10 s: random programs,
-# deep ones included, through Program.Eval, the batched point and
-# interval lanes of the one tape, and a scenario batch's hole moves and
-# commits, checked against the AST interpreter, with every move that
-# Unchanged proves a no-op held to its kept rows. Then fuzz the two
-# parsers of network input for 10 s each: the transcript decoder
-# (PUT …/transcript) and the expression parser (inline spec sketches).
-# Part of tier-1 `all`.
+# deep ones included, through Program.Eval, the point lanes of the one
+# tape, a box batch's interval pass over scenario lanes, and a scenario
+# batch's hole moves and commits, checked against the AST interpreter,
+# with every move that Unchanged proves a no-op held to its kept rows
+# and a box batch moved through a chain of boxes held row by row to a
+# full pass at each. Then fuzz the two parsers of network input for
+# 10 s each: the transcript decoder (PUT …/transcript) and the
+# expression parser (inline spec sketches). Part of tier-1 `all`.
 fuzz-smoke:
 	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzDifferentialEval$$' -fuzztime 10s
 	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzDifferentialBatch$$' -fuzztime 10s

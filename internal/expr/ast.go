@@ -12,12 +12,13 @@
 //     evaluation (a sound over-approximation used by the solver), both
 //     by walking the AST: the reference semantics,
 //   - a compiler (Compile) that lowers a program to one tape of packed
-//     postfix instructions, evaluated over lanes of points (PointBatch)
-//     or boxes (IntervalBatch); Program.Eval runs a single point as a
-//     1-lane point batch, and a ScenarioBatch runs the tape in register
-//     form over lanes of variables, keeping every instruction's row so
-//     that moving one hole re-runs only the instructions downstream of
-//     it,
+//     postfix instructions, run by two interpreters besides the AST
+//     reference: a stack loop over lanes of points (PointBatch;
+//     Program.Eval runs a single point as a 1-lane point batch), and a
+//     register form over lanes of variables that keeps every
+//     instruction's row, so that moving one hole re-runs only the
+//     instructions downstream of it, at a hole vector (ScenarioBatch)
+//     or, in interval arithmetic, at a hole box (ScenarioBoxBatch),
 //   - a parser and printer for a small concrete syntax matching the
 //     paper's Figure 2.
 package expr

@@ -6,15 +6,18 @@ import (
 	"compsynth/internal/interval"
 )
 
-// Differential fuzzing of the batched interpreters: for a random
+// Differential fuzzing of the lane interpreters: for a random
 // expression and a batch of random lane environments, every lane of
-// EvalBatch / EvalIntervalBatch must reproduce the AST interpreter's
-// Eval / EvalInterval result for that lane's input, for every lane
-// width and fill count — deep programs included.
-// On about half the inputs the point lanes share one hole vector loaded
-// with BroadcastHoles, the way the solver's point checks evaluate the
-// sketch body over its scenarios. This is the contract that lets the
-// solver batch its sweeps without perturbing transcripts.
+// EvalBatch must reproduce the AST interpreter's Eval result for that
+// lane's point, and every lane of a box batch's pass must reproduce
+// EvalInterval at that lane's variables and the batch's one hole box,
+// bit for bit, for every lane width and fill count — deep programs
+// included. On about half the inputs the point lanes share one hole
+// vector loaded with BroadcastHoles, the way the solver's score
+// matrices evaluate the sketch body over their scenarios; the box lanes
+// always share theirs, as the prune waves' do. This is the contract
+// that lets the solver batch its sweeps and decide its boxes without
+// perturbing transcripts.
 
 // fuzzLaneWidths exercises a single lane (how one point or box is
 // evaluated), a width that divides nothing evenly (3), the solver's
@@ -22,24 +25,25 @@ import (
 // scenario lanes reach on large constraint systems.
 var fuzzLaneWidths = []int{1, 3, 16, 64, 128}
 
-// evalBox evaluates prog over one box as a 1-lane interval batch.
-func evalBox(prog *Program, vars, holes []interval.Interval) interval.Interval {
-	b := NewIntervalBatch(len(vars), len(holes), 1)
+// evalBox evaluates prog at one lane of point variables over a hole
+// box, in a 1-lane box batch.
+func evalBox(prog *Program, vars []float64, box []interval.Interval) interval.Interval {
+	b := NewScenarioBoxBatch(prog, 1)
 	b.SetVars(0, vars)
-	b.SetHoles(0, holes)
-	prog.EvalIntervalBatch(b, 1)
-	return b.Out(0)
+	lo, hi := b.Eval(box, 1)
+	return interval.Interval{Lo: lo[0], Hi: hi[0]}
 }
 
 // broadcastSeed decodes into if x >= ??a then ??a*y - ??b else z / ??b
 // over 120 filled lanes of a 128-lane batch whose point holes are one
-// broadcast vector (??a = 2, ??b = 0.5), so plain `go test` runs the
-// broadcast entry point past 64 lanes.
+// broadcast vector (??a = 2, ??b = 0.5, ??c = 0), so plain `go test`
+// runs the broadcast entry point and the box batch past 64 lanes.
 func broadcastSeed() []byte {
 	seed := []byte{7, 1, 0, 1, 0, 2, 0, 3, 1, 3, 2, 2, 0, 1, 1, 2, 1, 3, 3, 1, 2, 2, 1}
-	seed = append(seed, 4, 119, 1, 3, 4) // width 128, 120 lanes, broadcast 2 and 0.5
-	for i := 0; i < 120*7; i++ {
-		seed = append(seed, byte(i*7%11)) // per lane: 3 variables, 2 hole boxes
+	seed = append(seed, 4, 119, 1, 3, 4, 0) // width 128, 120 lanes, broadcast 2, 0.5 and 0
+	seed = append(seed, 2, 7, 0, 4, 1, 1)   // the hole box: [-1, 1e9], [0, 0.5], [1, 1]
+	for i := 0; i < 120*3; i++ {
+		seed = append(seed, byte(i*7%11)) // per lane: 3 variables
 	}
 	return seed
 }
@@ -62,7 +66,7 @@ func FuzzDifferentialBatch(f *testing.F) {
 		}
 		lanes := fuzzLaneWidths[int(s.next())%len(fuzzLaneWidths)]
 		pb := NewPointBatch(len(fuzzVars), len(fuzzHoles), lanes)
-		ib := NewIntervalBatch(len(fuzzVars), len(fuzzHoles), lanes)
+		bb := NewScenarioBoxBatch(prog, lanes)
 		n := 1 + int(s.next())%lanes // fill count in [1, lanes]
 		var shared []float64         // the broadcast hole vector, if any
 		if s.next()%2 == 1 {
@@ -72,46 +76,47 @@ func FuzzDifferentialBatch(f *testing.F) {
 			}
 			pb.BroadcastHoles(shared, n)
 		}
+		box := make([]interval.Interval, len(fuzzHoles))
+		boxEnv := map[string]interval.Interval{}
+		for i, name := range fuzzHoles {
+			lo, hi := s.pick(), s.pick()
+			if hi < lo {
+				lo, hi = hi, lo
+			}
+			box[i] = interval.New(lo, hi)
+			boxEnv[name] = box[i]
+		}
 
 		// Draw per-lane environments and load both batches.
 		envs := make([]Env, n)
 		ivEnvs := make([]IntervalEnv, n)
 		for l := range envs {
 			env := Env{Vars: map[string]float64{}, Holes: map[string]float64{}}
-			ivEnv := IntervalEnv{Vars: map[string]interval.Interval{}, Holes: map[string]interval.Interval{}}
+			ivEnv := IntervalEnv{Vars: map[string]interval.Interval{}, Holes: boxEnv}
 			vars := make([]float64, len(fuzzVars))
-			varIvs := make([]interval.Interval, len(fuzzVars))
 			for i, name := range fuzzVars {
 				vars[i] = s.pick()
-				varIvs[i] = interval.Point(vars[i])
-				env.Vars[name], ivEnv.Vars[name] = vars[i], varIvs[i]
+				env.Vars[name], ivEnv.Vars[name] = vars[i], interval.Point(vars[i])
 			}
 			holes := make([]float64, len(fuzzHoles))
-			holeIvs := make([]interval.Interval, len(fuzzHoles))
 			for i, name := range fuzzHoles {
 				if shared != nil {
 					holes[i] = shared[i]
 				} else {
 					holes[i] = s.pick()
 				}
-				lo, hi := s.pick(), s.pick()
-				if hi < lo {
-					lo, hi = hi, lo
-				}
-				holeIvs[i] = interval.New(lo, hi)
-				env.Holes[name], ivEnv.Holes[name] = holes[i], holeIvs[i]
+				env.Holes[name] = holes[i]
 			}
 			pb.SetVars(l, vars)
 			if shared == nil {
 				pb.SetHoles(l, holes)
 			}
-			ib.SetVars(l, varIvs)
-			ib.SetHoles(l, holeIvs)
+			bb.SetVars(l, vars)
 			envs[l], ivEnvs[l] = env, ivEnv
 		}
 
 		prog.EvalBatch(pb, n)
-		prog.EvalIntervalBatch(ib, n)
+		outLo, outHi := bb.Eval(box, n)
 		for l := range envs {
 			want, err := Eval(e, envs[l])
 			if err != nil {
@@ -124,8 +129,8 @@ func FuzzDifferentialBatch(f *testing.F) {
 			if err != nil {
 				t.Fatalf("interval eval %s: %v", e, err)
 			}
-			if got := ib.Out(l); !eqInterval(got, wantIv) {
-				t.Errorf("interval lane %d/%d of %s = %v, tree = %v", l, n, e, got, wantIv)
+			if got := (interval.Interval{Lo: outLo[l], Hi: outHi[l]}); !eqBitsInterval(got, wantIv) {
+				t.Errorf("box lane %d/%d of %s = %v, tree = %v", l, n, e, got, wantIv)
 			}
 		}
 	})
@@ -142,10 +147,11 @@ func subChain(depth int) Expr {
 }
 
 // TestDeepProgram pins evaluation of a deep program (21 float stack
-// rows): the batch entry points size their stack rows from the
-// program, so every lane width and Eval agree with the AST
-// interpreter — including a batch that evaluated a shallow program
-// first and must grow its stacks.
+// rows): the point batch sizes its stack rows from the program, so
+// every lane width and Eval agree with the AST interpreter — including
+// a batch that evaluated a shallow program first and must grow its
+// stacks. A box batch at every lane width moves through each lane's
+// box in turn and agrees with EvalInterval bit for bit on every lane.
 func TestDeepProgram(t *testing.T) {
 	deep := subChain(20)
 	prog, err := Compile(deep, fuzzVars, fuzzHoles)
@@ -154,24 +160,20 @@ func TestDeepProgram(t *testing.T) {
 	}
 	shallow := MustCompile(Hole{Name: "b"}, fuzzVars, fuzzHoles)
 	vars := []float64{1, 2, 3}
-	varIvs := []interval.Interval{interval.Point(1), interval.Point(2), interval.Point(3)}
-	holesAt := func(l int) []float64 { return []float64{float64(l) * 0.5, -float64(l)} }
+	holesAt := func(l int) []float64 { return []float64{float64(l) * 0.5, -float64(l), 0} }
 	holeIvsAt := func(l int) []interval.Interval {
-		return []interval.Interval{{Lo: -float64(l), Hi: float64(l)}, {Lo: 0.25, Hi: 0.5}}
+		return []interval.Interval{{Lo: -float64(l), Hi: float64(l)}, {Lo: 0.25, Hi: 0.5}, {}}
 	}
 	for _, lanes := range fuzzLaneWidths {
 		pb := NewPointBatch(len(fuzzVars), len(fuzzHoles), lanes)
-		ib := NewIntervalBatch(len(fuzzVars), len(fuzzHoles), lanes)
+		bb := NewScenarioBoxBatch(prog, lanes)
 		for l := 0; l < lanes; l++ {
 			pb.SetVars(l, vars)
 			pb.SetHoles(l, holesAt(l))
-			ib.SetVars(l, varIvs)
-			ib.SetHoles(l, holeIvsAt(l))
+			bb.SetVars(l, vars)
 		}
 		shallow.EvalBatch(pb, lanes)
-		shallow.EvalIntervalBatch(ib, lanes)
 		prog.EvalBatch(pb, lanes)
-		prog.EvalIntervalBatch(ib, lanes)
 		for l := 0; l < lanes; l++ {
 			want, err := Eval(deep, Env{Holes: map[string]float64{"a": holesAt(l)[0], "b": holesAt(l)[1]}})
 			if err != nil {
@@ -188,8 +190,11 @@ func TestDeepProgram(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := ib.Out(l); !eqInterval(got, wantIv) {
-				t.Errorf("lanes=%d interval lane %d = %v, tree = %v", lanes, l, got, wantIv)
+			lo, hi := bb.Eval(hb, lanes)
+			for x := range lo {
+				if got := (interval.Interval{Lo: lo[x], Hi: hi[x]}); !eqBitsInterval(got, wantIv) {
+					t.Fatalf("lanes=%d box %d lane %d = %v, tree = %v", lanes, l, x, got, wantIv)
+				}
 			}
 		}
 	}
@@ -213,15 +218,19 @@ func TestBatchLaneOverflowPanics(t *testing.T) {
 	}
 	pb := NewPointBatch(0, len(fuzzHoles), 4)
 	expectPanic("EvalBatch", func() { prog.EvalBatch(pb, 5) })
-	ib := NewIntervalBatch(0, len(fuzzHoles), 4)
-	expectPanic("EvalIntervalBatch", func() { prog.EvalIntervalBatch(ib, 5) })
+	sb := NewScenarioBatch(prog, 4)
+	expectPanic("ScenarioBatch.Eval", func() { sb.Eval(make([]float64, len(fuzzHoles)), 5) })
+	bb := NewScenarioBoxBatch(prog, 4)
+	box := make([]interval.Interval, len(fuzzHoles))
+	bb.Eval(box, 4)
+	expectPanic("ScenarioBoxBatch.Eval", func() { bb.Eval(box, 5) })
 }
 
 // TestBoolDepthDeepCmpChain is a regression test for the bool-depth
 // accounting of comparisons: a right-nested Or chain of comparisons
 // needs one bool-stack slot per level plus the comparison's own slot,
 // and an undercount would index past a stack. Every chain must match
-// the tree walker through Eval, a point batch, and an interval batch.
+// the tree walker through Eval, a point batch, and a box batch.
 func TestBoolDepthDeepCmpChain(t *testing.T) {
 	for chain := 1; chain <= 10; chain++ {
 		var b BoolExpr = Cmp{Op: CmpGT, L: Var{Name: "x"}, R: Const{Value: 0}}
@@ -243,9 +252,9 @@ func TestBoolDepthDeepCmpChain(t *testing.T) {
 			if got := prog.Eval([]float64{x}, nil); !eqBits(got, want) {
 				t.Errorf("chain=%d x=%v: Eval = %v, tree = %v", chain, x, got, want)
 			}
-			iv := evalBox(prog, []interval.Interval{interval.Point(x)}, nil)
-			if !eqInterval(iv, interval.Point(want)) {
-				t.Errorf("chain=%d x=%v: interval batch = %v, tree = %v", chain, x, iv, want)
+			iv := evalBox(prog, []float64{x}, nil)
+			if !eqBitsInterval(iv, interval.Point(want)) {
+				t.Errorf("chain=%d x=%v: box batch = %v, tree = %v", chain, x, iv, want)
 			}
 			pb := NewPointBatch(1, 0, 2)
 			pb.SetVars(0, []float64{x})

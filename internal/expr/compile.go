@@ -3,8 +3,6 @@ package expr
 import (
 	"fmt"
 	"sync"
-
-	"compsynth/internal/interval"
 )
 
 // Program is an expression compiled against fixed variable and hole
@@ -54,13 +52,6 @@ func Compile(e Expr, vars, holes []string) (*Program, error) {
 		return nil, fmt.Errorf("expr: program exceeds the tape's %d-entry operand range", tapeMaxArg)
 	}
 	p.tape = &tape{code: em.code, consts: em.consts, maxF: em.maxF, maxB: em.maxB}
-	p.tape.constsIv = make([]interval.Interval, len(em.consts))
-	for i, c := range em.consts {
-		// Constructed directly rather than via interval.Point: the pool is
-		// NaN-free by the invariant constIndex documents, and the interval
-		// interpreter must never take a constructor panic path.
-		p.tape.constsIv[i] = interval.Interval{Lo: c, Hi: c}
-	}
 	return p, nil
 }
 

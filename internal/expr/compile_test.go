@@ -34,26 +34,26 @@ func TestCompileMatchesEval(t *testing.T) {
 	}
 }
 
+// TestCompileIntervalMatchesEvalInterval holds a box batch of the SWAN
+// body to EvalInterval at random scenarios and hole boxes, the shape
+// branch-and-prune evaluates.
 func TestCompileIntervalMatchesEvalInterval(t *testing.T) {
 	body := swanBody()
 	prog := MustCompile(body, []string{"throughput", "latency"}, []string{"tp_thrsh", "l_thrsh", "slope1", "slope2"})
 	rng := rand.New(rand.NewSource(21))
 	for i := 0; i < 500; i++ {
-		vb := []interval.Interval{
-			randIv(rng, 0, 10), randIv(rng, 0, 200),
-		}
+		vars := []float64{rng.Float64() * 10, rng.Float64() * 200}
 		hb := []interval.Interval{
 			randIv(rng, 0, 10), randIv(rng, 0, 200), randIv(rng, 0, 10), randIv(rng, 0, 10),
 		}
 		want, err := EvalInterval(body, IntervalEnv{
-			Vars:  map[string]interval.Interval{"throughput": vb[0], "latency": vb[1]},
+			Vars:  map[string]interval.Interval{"throughput": interval.Point(vars[0]), "latency": interval.Point(vars[1])},
 			Holes: map[string]interval.Interval{"tp_thrsh": hb[0], "l_thrsh": hb[1], "slope1": hb[2], "slope2": hb[3]},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := evalBox(prog, vb, hb)
-		if got != want {
+		if got := evalBox(prog, vars, hb); !eqBitsInterval(got, want) {
 			t.Fatalf("compiled interval %v != interpreted %v", got, want)
 		}
 	}

@@ -5,7 +5,11 @@
 
 package expr
 
-import "testing"
+import (
+	"testing"
+
+	"compsynth/internal/interval"
+)
 
 // TestProgramEvalAllocFree pins that a warm Program.Eval allocates
 // nothing: every call borrows a pooled 1-lane batch, deep programs
@@ -28,13 +32,20 @@ func TestProgramEvalAllocFree(t *testing.T) {
 
 // TestScenarioMoveAllocFree pins that a warm scenario batch's Move,
 // Commit and Unchanged allocate nothing, Unchanged also when a Commit
-// makes it rebuild a cut hole's range.
+// makes it rebuild a cut hole's range, and that a warm box batch's Eval
+// allocates nothing, whether it moves one hole's cone or runs a full
+// pass.
 func TestScenarioMoveAllocFree(t *testing.T) {
-	sb := NewScenarioBatch(MustCompile(swanBody(), swanVars, swanHoles), 64)
+	prog := MustCompile(swanBody(), swanVars, swanHoles)
+	sb := NewScenarioBatch(prog, 64)
+	bb := NewScenarioBoxBatch(prog, 64)
 	for l := 0; l < 40; l++ {
 		sb.SetVars(l, []float64{float64(l % 10), float64(5 * l)})
+		bb.SetVars(l, []float64{float64(l % 10), float64(5 * l)})
 	}
 	sb.Eval([]float64{1, 50, 1, 5}, 40)
+	box := []interval.Interval{{Lo: 0, Hi: 10}, {Lo: 0, Hi: 200}, {Lo: 0, Hi: 10}, {Lo: 0, Hi: 10}}
+	bb.Eval(box, 40)
 	v := 0.0
 	for name, fn := range map[string]func(){
 		"Move":      func() { sb.Move(int(v)%4, v) },
@@ -43,6 +54,17 @@ func TestScenarioMoveAllocFree(t *testing.T) {
 		"Unchanged after a Commit": func() {
 			sb.Commit(1, v)
 			sb.Unchanged(1, v+1)
+		},
+		"box Eval by a cone move": func() {
+			box[int(v)%4].Hi = 10 + v
+			if !bb.coneMoves(box, 40) {
+				t.Fatal("a one-hole box move took a full pass")
+			}
+			bb.Eval(box, 40)
+		},
+		"box Eval by a full pass": func() {
+			bb.SetVars(0, []float64{v, v})
+			bb.Eval(box, 40)
 		},
 	} {
 		fn() // warm

@@ -493,7 +493,7 @@ func (b *ScenarioBatch) Outs() []float64 { return b.frow(b.rp.out) }
 
 // laneRow returns row r of column-major rows of k lanes, sliced to its
 // first n lanes.
-func laneRow[T float64 | bool](rows []T, r int32, k, n int) []T {
+func laneRow[T float64 | bool | int8](rows []T, r int32, k, n int) []T {
 	o := int(r) * k
 	return rows[o : o+n]
 }

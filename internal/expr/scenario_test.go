@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"compsynth/internal/interval"
 )
 
 // twoRegionVars and twoRegionHoles order twoRegionBody, the body of
@@ -128,20 +130,129 @@ func checkUnchanged(t *testing.T, what string, sb *ScenarioBatch, h int, v float
 	return got
 }
 
+// boxSpecials are bounds every box chain mixes into its draws.
+var boxSpecials = []float64{math.Copysign(0, -1), 0, math.Inf(-1), math.Inf(1)}
+
+// chainBoxes returns a box chain over nh holes: first every hole at
+// [+0, 1], then for each hole in turn a box that flips only that
+// hole's lower bound to −0, then count boxes that each change 1–3
+// holes of the one before (fewer when there are fewer holes). next
+// returns a random byte and value a bound from the caller's palette; a
+// quarter of the changed bounds are boxSpecials instead.
+func chainBoxes(next func() byte, value func() float64, nh, count int) [][]interval.Interval {
+	box := make([]interval.Interval, nh)
+	for h := range box {
+		box[h] = interval.Interval{Lo: 0, Hi: 1}
+	}
+	chain := [][]interval.Interval{append([]interval.Interval(nil), box...)}
+	for h := range box {
+		box[h].Lo = math.Copysign(0, -1)
+		chain = append(chain, append([]interval.Interval(nil), box...))
+	}
+	bound := func() float64 {
+		if b := next(); b%4 == 0 {
+			return boxSpecials[int(b/4)%len(boxSpecials)]
+		}
+		return value()
+	}
+	perm := make([]int, nh)
+	for h := range perm {
+		perm[h] = h
+	}
+	for i := 0; i < count; i++ {
+		// The first k of a partial shuffle: k distinct holes.
+		k := min(1+int(next())%3, nh)
+		for j := 0; j < k; j++ {
+			r := j + int(next())%(nh-j)
+			perm[j], perm[r] = perm[r], perm[j]
+		}
+		for _, h := range perm[:k] {
+			lo, hi := bound(), bound()
+			if hi < lo {
+				lo, hi = hi, lo
+			}
+			box[h] = interval.Interval{Lo: lo, Hi: hi}
+		}
+		chain = append(chain, append([]interval.Interval(nil), box...))
+	}
+	return chain
+}
+
+// boxChain moves one box batch through boxes in turn and holds every
+// kept row after each Eval, and the kept box, bit for bit to a full
+// pass at that box on a second batch over the same lanes. It returns
+// how many boxes Eval reached by cone moves and how many by a full
+// pass.
+func boxChain(t *testing.T, what string, prog *Program, lanes int, vars [][]float64, boxes [][]interval.Interval) (cones, fulls int) {
+	t.Helper()
+	n := len(vars)
+	bb, ref := NewScenarioBoxBatch(prog, lanes), NewScenarioBoxBatch(prog, lanes)
+	for l, v := range vars {
+		bb.SetVars(l, v)
+		ref.SetVars(l, v)
+	}
+	rp := bb.rp
+	for i, box := range boxes {
+		if bb.coneMoves(box, n) {
+			cones++
+		} else {
+			fulls++
+		}
+		lo, hi := bb.Eval(box, n)
+		ref.full(box, n)
+		for r := int32(0); r < int32(rp.nF); r++ {
+			glo, ghi := bb.frow(r)
+			wlo, whi := ref.frow(r)
+			for l := range wlo {
+				if !eqBits(glo[l], wlo[l]) || !eqBits(ghi[l], whi[l]) {
+					t.Fatalf("%s: box %d %v: float row %d lane %d = [%v, %v], full pass [%v, %v]",
+						what, i, box, r, l, glo[l], ghi[l], wlo[l], whi[l])
+				}
+			}
+		}
+		for r := int32(0); r < int32(rp.nB); r++ {
+			g, w := laneRow(bb.tri, r, lanes, n), laneRow(ref.tri, r, lanes, n)
+			for l := range w {
+				if g[l] != w[l] {
+					t.Fatalf("%s: box %d %v: bool row %d lane %d = %v, full pass %v", what, i, box, r, l, Tri(g[l]), Tri(w[l]))
+				}
+			}
+		}
+		wlo, whi := ref.frow(rp.out)
+		for l := range wlo {
+			if !eqBits(lo[l], wlo[l]) || !eqBits(hi[l], whi[l]) {
+				t.Fatalf("%s: box %d: Eval's output lane %d = [%v, %v], full pass [%v, %v]", what, i, l, lo[l], hi[l], wlo[l], whi[l])
+			}
+		}
+		for h := range box {
+			if !eqBitsInterval(bb.box[h], box[h]) {
+				t.Fatalf("%s: box %d: kept hole %d = %v, want %v", what, i, h, bb.box[h], box[h])
+			}
+		}
+	}
+	return cones, fulls
+}
+
 // TestScenarioMoveMatchesEval holds every Move, and the kept rows after
 // every Commit, bit for bit to a fresh stack-loop pass at the moved
 // hole vector, over random base vectors, at least 50 moves each with
 // commits interleaved, moves to NaN, ±Inf and −0, and a hole the
 // program never reads. Each Move is preceded by Unchanged, held to the
 // lane scan and to Outs wherever it answers true. A Move or an
-// Unchanged after SetVars without a new Eval must be refused.
+// Unchanged after SetVars without a new Eval must be refused. Over the
+// same lanes, a box batch moves through a box chain (chainBoxes) and
+// holds every row to a full pass at each box (boxChain); across the
+// cases both the cone moves and the full pass must run.
 func TestScenarioMoveMatchesEval(t *testing.T) {
 	const lanes, n = 64, 61
-	for ci, c := range moveCases() {
+	cones, fulls := 0, 0
+	cases := moveCases()
+	for ci, c := range cases {
 		prog := MustCompile(c.e, c.vars, c.holes)
 		rng := rand.New(rand.NewSource(int64(10 + ci)))
 		sb := NewScenarioBatch(prog, lanes)
 		ref := NewPointBatch(len(c.vars), len(c.holes), lanes)
+		laneVars := make([][]float64, n)
 		vars := make([]float64, len(c.vars))
 		for l := 0; l < n; l++ {
 			for i := range vars {
@@ -149,6 +260,7 @@ func TestScenarioMoveMatchesEval(t *testing.T) {
 			}
 			sb.SetVars(l, vars)
 			ref.SetVars(l, vars)
+			laneVars[l] = append([]float64(nil), vars...)
 		}
 		// full is a fresh stack-loop pass at holes.
 		full := func(holes []float64) []float64 {
@@ -196,6 +308,10 @@ func TestScenarioMoveMatchesEval(t *testing.T) {
 			same("Outs after an unpending Commit", sb.Outs(), full(holes))
 		}
 
+		bc, bf := boxChain(t, c.name, prog, lanes, laneVars,
+			chainBoxes(func() byte { return byte(rng.Intn(256)) }, func() float64 { return c.draw(rng) }, len(c.holes), 60))
+		cones, fulls = cones+bc, fulls+bf
+
 		sb.SetVars(0, vars)
 		for name, fn := range map[string]func(){
 			"Move":      func() { sb.Move(0, 1) },
@@ -210,6 +326,11 @@ func TestScenarioMoveMatchesEval(t *testing.T) {
 				fn()
 			}()
 		}
+	}
+	// Every chain's first box is a full pass; later ones must take both
+	// paths.
+	if cones == 0 || fulls <= len(cases) {
+		t.Errorf("box chains reached %d boxes by cone moves and %d by a full pass; both paths must run", cones, fulls)
 	}
 }
 
@@ -397,14 +518,16 @@ func FuzzDifferentialMove(f *testing.F) {
 		n := 1 + int(s.next())%lanes
 		sb := NewScenarioBatch(prog, lanes)
 		envs := make([]Env, n)
-		vars := make([]float64, len(fuzzVars))
+		laneVars := make([][]float64, n)
 		for l := range envs {
 			envs[l] = Env{Vars: map[string]float64{}, Holes: map[string]float64{}}
+			vars := make([]float64, len(fuzzVars))
 			for i, name := range fuzzVars {
 				vars[i] = s.pick()
 				envs[l].Vars[name] = vars[i]
 			}
 			sb.SetVars(l, vars)
+			laneVars[l] = vars
 		}
 		holes := make([]float64, len(fuzzHoles))
 		for i := range holes {
@@ -440,5 +563,6 @@ func FuzzDifferentialMove(f *testing.F) {
 				check("Outs after Commit", sb.Outs(), holes)
 			}
 		}
+		boxChain(t, e.String(), prog, lanes, laneVars, chainBoxes(s.next, s.pick, len(fuzzHoles), 8))
 	})
 }

@@ -3,15 +3,14 @@ package expr
 import (
 	"fmt"
 	"math"
-
-	"compsynth/internal/interval"
 )
 
 // Tape compilation: every Program is lowered by one emitter into one
-// postfix instruction stream over value stacks, which the batch
-// interpreters (batch.go) run over lanes of points or boxes. A single
-// point (Program.Eval) or box is a 1-lane batch. A scenario batch
-// (scenario.go) runs the same stream in register form.
+// postfix instruction stream over value stacks, which the stack
+// interpreter (batch.go) runs over lanes of points; a single point
+// (Program.Eval) is a 1-lane batch. The scenario batches run the same
+// stream in register form, over points (scenario.go) and over a box
+// (scenario_box.go).
 //
 // If lowers to straight-line code: condition, then-branch, else-branch,
 // tSelect. Both branches always execute and the select keeps the taken
@@ -67,15 +66,11 @@ const tapeMaxArg = 1<<24 - 1
 
 // tape is a compiled instruction stream. Each instruction packs the
 // opcode into the top 8 bits and the operand (constant-pool index,
-// variable/hole slot, or tBoolConst value) into the low 24. constsIv
-// mirrors consts as point intervals so the interval interpreter
-// indexes a pool instead of constructing intervals on every tConst
-// dispatch. maxF and maxB are the float and bool stack depths the tape
-// needs.
+// variable/hole slot, or tBoolConst value) into the low 24. maxF and
+// maxB are the float and bool stack depths the tape needs.
 type tape struct {
 	code       []uint32
 	consts     []float64
-	constsIv   []interval.Interval
 	maxF, maxB int
 }
 
@@ -243,8 +238,8 @@ func cmpOpCode(op CmpOp) tapeCode {
 	return tCmpEQ
 }
 
-// tapeCmpOp inverts cmpOpCode for the interval interpreter, which
-// reuses cmpInterval keyed by CmpOp.
+// tapeCmpOp inverts cmpOpCode for the box batch, which reuses
+// cmpInterval keyed by CmpOp.
 func tapeCmpOp(code tapeCode) CmpOp {
 	switch code {
 	case tCmpGE:

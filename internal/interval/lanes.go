@@ -2,21 +2,20 @@ package interval
 
 // Structure-of-arrays lane helpers for batched interval evaluation.
 //
-// The batched tape interpreter in internal/expr keeps its stacks as
-// parallel Lo/Hi float64 slices, one value per lane, so that a single
-// instruction dispatch applies one interval operation across a whole
-// batch of boxes. Each helper here applies the corresponding scalar
-// Interval method elementwise over k lanes — by construction the lane
-// semantics (empty propagation, the four-corner Mul rule, relational
-// Div, NaN behavior) are exactly the scalar semantics, which is what
-// keeps batched evaluation bit-identical to one-box-at-a-time
-// evaluation.
+// The box batch in internal/expr (ScenarioBoxBatch) keeps one row per
+// instruction as parallel Lo/Hi float64 slices, one value per lane, so
+// that a single instruction dispatch applies one interval operation
+// across every scenario lane of a box. Each helper here applies the
+// corresponding scalar Interval method elementwise over k lanes — by
+// construction the lane semantics (empty propagation, the four-corner
+// Mul rule, relational Div, NaN behavior) are exactly the scalar
+// semantics, which is what keeps batched evaluation bit-identical to
+// one-lane-at-a-time evaluation.
 //
-// All helpers permit the destination to alias the first operand (the
-// interpreter evaluates in place on its stack rows): lane l is read in
-// full before lane l is written. Every helper reslices its operands to
-// exactly k lanes up front so the compiler can prove the paired index
-// loops in bounds and drop the per-lane checks.
+// All helpers permit the destination to alias the first operand: lane
+// l is read in full before lane l is written. Every helper reslices its
+// operands to exactly k lanes up front so the compiler can prove the
+// paired index loops in bounds and drop the per-lane checks.
 
 // AddLanes stores a+b into dst for each of the first k lanes.
 func AddLanes(k int, dstLo, dstHi, aLo, aHi, bLo, bHi []float64) {

@@ -58,7 +58,7 @@ var twoRegionTarget = map[string]float64{
 	"slope_3": 5,
 }
 
-func twoRegionUser(t *testing.T) oracle.Oracle {
+func twoRegionUser(t testing.TB) oracle.Oracle {
 	t.Helper()
 	sk, err := sketch.ParseSpec(strings.NewReader(twoRegionSpec))
 	if err != nil {
@@ -118,4 +118,24 @@ func TestGoldenMultiRegionPrune(t *testing.T) {
 	if got != wantEffort {
 		t.Errorf("solver effort = %+v, want %+v", got, wantEffort)
 	}
+}
+
+// BenchmarkMultiRegionSession runs the golden seed-6 2-region session
+// (TestGoldenMultiRegionPrune: twoRegionSpec, k=3, default budgets)
+// through BatchRun: a whole session whose searches reach
+// branch-and-prune. Its deterministic companions, boxes/op (20,000),
+// pruned/op (4,027) and queries/op, must not move when the time does.
+func BenchmarkMultiRegionSession(b *testing.B) {
+	spec := SessionSpec{Seed: 6, SpecText: twoRegionSpec, PairsPerIteration: 3}
+	user := twoRegionUser(b)
+	var res *core.Result
+	for i := 0; i < b.N; i++ {
+		var err error
+		if res, err = BatchRun(spec, user); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.SolverEffort.Boxes), "boxes/op")
+	b.ReportMetric(float64(res.SolverEffort.BoxesPruned), "pruned/op")
+	b.ReportMetric(float64(res.Queries), "queries/op")
 }

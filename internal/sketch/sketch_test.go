@@ -182,13 +182,22 @@ func TestEvalIntervalSoundOnSketch(t *testing.T) {
 	}
 }
 
-// evalBox evaluates a program over one box as a 1-lane interval batch.
+// evalBox evaluates a program's expression over one box (variable and
+// hole intervals in the program's orderings) with the AST interval
+// interpreter.
 func evalBox(prog *expr.Program, vars, holes []interval.Interval) interval.Interval {
-	b := expr.NewIntervalBatch(len(vars), len(holes), 1)
-	b.SetVars(0, vars)
-	b.SetHoles(0, holes)
-	prog.EvalIntervalBatch(b, 1)
-	return b.Out(0)
+	env := expr.IntervalEnv{Vars: map[string]interval.Interval{}, Holes: map[string]interval.Interval{}}
+	for i, name := range prog.Vars() {
+		env.Vars[name] = vars[i]
+	}
+	for i, name := range prog.HoleNames() {
+		env.Holes[name] = holes[i]
+	}
+	iv, err := expr.EvalInterval(prog.Expr(), env)
+	if err != nil {
+		panic(err)
+	}
+	return iv
 }
 
 func randSub(rng *rand.Rand, lo, hi float64) interval.Interval {

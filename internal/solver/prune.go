@@ -12,10 +12,13 @@ package solver
 //   - The frontier is the ordered list of surviving boxes at one
 //     depth, all originating from the root split tree.
 //   - Evaluating one box is a deterministic function of the box and
-//     the constraint set (interval evaluation of compiled constraint
-//     programs, a midpoint check, a corner check at the resolution
-//     floor — no RNG), so boxes of a wave can be evaluated in any
-//     order, by any worker, into a slot-addressed results array.
+//     the constraint set (one interval pass of the sketch body over
+//     the constraint sides, a midpoint check, a corner check at the
+//     resolution floor — no RNG), so boxes of a wave can be evaluated
+//     in any order, by any worker, into a slot-addressed results array.
+//     Each worker's batch keeps the rows of the last box it bounded and
+//     re-runs only the cones of the holes that differ, which is exact,
+//     so what a worker decided before never shows in a result.
 //   - Work within a wave is distributed through per-worker deques of
 //     index spans: owners pop LIFO from the tail, idle workers steal
 //     FIFO from the head of the next deque over. Stealing reshuffles
@@ -105,8 +108,10 @@ func (d *pruneDeque) steal() (pruneSpan, bool) {
 // branchAndPrune exhaustively explores the hole box with the wave
 // engine; see the file comment for the determinism argument and
 // solver.go for the pruning rules and the δ-unsat convention.
-// Constraint intervals come from the pre-specialized programs, so no
-// scenario boxes are materialized.
+// Constraint intervals come from one pass of the sketch body per box,
+// the constraint sides as scenario lanes (evalPruneSpan), in a box
+// batch each worker's Batch builds on its first span and keeps for the
+// whole search.
 //
 // The error is non-nil exactly when ctx was canceled; the verdict is
 // then StatusUnknown.
@@ -122,7 +127,8 @@ func (s *System) branchAndPrune(ctx context.Context, domains []interval.Interval
 	}
 	// One reusable lane-scratch Batch per worker slot, shared across all
 	// waves of this search (pruneWave may clamp the worker count per
-	// wave; extra batches just sit idle those waves).
+	// wave; extra batches just sit idle those waves). Each builds its
+	// box batch on the first span it decides.
 	batches := make([]*Batch, workers)
 	for w := range batches {
 		batches[w] = s.NewBatch(batchLanes)
@@ -199,8 +205,8 @@ func (s *System) branchAndPrune(ctx context.Context, domains []interval.Interval
 
 // pruneWave evaluates wave[i] into results[i] for every i, using up to
 // `workers` goroutines over work-stealing span deques. Each span is
-// decided by one batched evaluation (evalPruneSpan; one lane per box),
-// so the span size is the lane width of the per-worker batches. workers
+// decided by one evalPruneSpan call on its worker's batch, and the span
+// size is the lane width of the per-worker batches. workers
 // is clamped to the number of spans; at one worker the wave runs inline
 // with no goroutines and no steal accounting.
 func (s *System) pruneWave(ctx context.Context, wave [][]interval.Interval, results []pruneResult, minWidths []float64, workers int, batches []*Batch, stats *Stats) error {

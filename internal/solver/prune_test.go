@@ -356,6 +356,188 @@ func TestEvalPruneSpanWidthInvariance(t *testing.T) {
 	check("rebuild")
 }
 
+// refDecide decides one box from scratch, the way evalPruneSpan must:
+// every constraint's fused difference expression through the AST
+// interval interpreter, refuted when some upper bound is at most the
+// margin; witnessed at the midpoint when every lower bound exceeds the
+// margin or when the midpoint meets every fused program; else split or
+// dropped at the floor (splitOrFloor).
+func refDecide(t *testing.T, sys *System, box []interval.Interval, minWidths []float64, b *Batch) pruneResult {
+	t.Helper()
+	feasible := true
+	for i := range sys.cps {
+		iv := refConstraint(t, sys, i, box)
+		if iv.Hi <= sys.margin {
+			return pruneResult{kind: prunePruned}
+		}
+		feasible = feasible && iv.Lo > sys.margin
+	}
+	mid := make([]float64, len(box))
+	fillMidpoint(mid, box)
+	if !feasible {
+		for _, cp := range sys.cps {
+			if !(cp.diff.Eval(nil, mid) > sys.margin) {
+				return sys.splitOrFloor(box, minWidths, b, nil)
+			}
+		}
+	}
+	return pruneResult{kind: pruneWitness, witness: mid}
+}
+
+// refConstraint bounds constraint i over the box with the AST interval
+// interpreter on its fused difference expression.
+func refConstraint(t *testing.T, sys *System, i int, box []interval.Interval) interval.Interval {
+	t.Helper()
+	env := expr.IntervalEnv{Holes: map[string]interval.Interval{}}
+	for h, name := range sys.sk.Holes() {
+		env.Holes[name] = box[h]
+	}
+	iv, err := expr.EvalInterval(sys.cps[i].diff.Expr(), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return iv
+}
+
+// sameReal reports whether two bounds are equal as reals: the sign of
+// zero aside, and NaN matching NaN.
+func sameReal(a, b float64) bool { return a == b || a != a && b != b }
+
+// TestEvalPruneSpanMatchesReference holds evalPruneSpan to refDecide on
+// random constraint systems: preferences between random scenarios of
+// SWAN and of the 2-region sketch, most of them oriented by a random
+// hole vector, and a one-hole sketch whose sides sit at ±0, where the
+// body's y*1 gives +0 and the fused program's folded constant keeps −0.
+// The waves are a search's first waves from the root, each the split
+// children of the one before in frontier order (cut at 150 boxes), down
+// to floor-level boxes, and a wave of random floor-level boxes. Each is
+// decided in spans of 1, 3 and 16 lanes, and the kinds, the witness
+// bits and the children must match. Every constraint's interval, the
+// Sub of the box batch's two output lanes, must also equal the fused
+// expression's as reals; on the signed-zero sketch some must differ in
+// the sign of a zero bound, so the test meets the case it allows.
+func TestEvalPruneSpanMatchesReference(t *testing.T) {
+	multi, err := sketch.MultiRegion(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	signed := sketch.MustNew("signed-zero", expr.MustParse(`y * 1 - ??h * x`),
+		scenario.MustNewSpace([]string{"x", "y"}, []interval.Interval{interval.New(0, 1), interval.New(0, 1)}),
+		map[string]interval.Interval{"h": interval.New(-1, 1)})
+	negZero := math.Copysign(0, -1)
+	type system struct {
+		name   string
+		sk     *sketch.Sketch
+		margin float64
+		prefs  []Pref
+	}
+	var systems []system
+	for _, sk := range []*sketch.Sketch{sketch.SWAN(), multi} {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			target := make([]float64, sk.NumHoles())
+			fillRandomVector(target, sk.Domains(), rng)
+			var prefs []Pref
+			for n := 1 + rng.Intn(30); len(prefs) < n; {
+				a, b := sk.Space().Random(rng), sk.Space().Random(rng)
+				if rng.Intn(4) == 0 || sk.Eval(a, target) > sk.Eval(b, target) {
+					prefs = append(prefs, Pref{Better: a, Worse: b})
+				} else {
+					prefs = append(prefs, Pref{Better: b, Worse: a})
+				}
+			}
+			systems = append(systems, system{fmt.Sprintf("%s seed %d", sk.Name(), seed), sk, 1e-9, prefs})
+		}
+	}
+	// Feasible for 0 < h < 0.25. Over h in [0, 1] the first constraint's
+	// lower bound is −0 − (+0) through the fused program, which keeps
+	// the folded −0*1, and +0 − (+0) through the body's y*1.
+	systems = append(systems, system{"signed-zero", signed, 0, []Pref{
+		{Better: scenario.Scenario{0, negZero}, Worse: scenario.Scenario{1, 0}},
+		{Better: scenario.Scenario{1, 0.75}, Worse: scenario.Scenario{0, 0.5}},
+		{Better: scenario.Scenario{negZero, 1}, Worse: scenario.Scenario{negZero, negZero}},
+	}})
+
+	for _, c := range systems {
+		sys := compileSystem(Problem{Sketch: c.sk, Prefs: c.prefs, Margin: c.margin}, nil)
+		domains := c.sk.Domains()
+		minWidths := make([]float64, len(domains))
+		for i, d := range domains {
+			minWidths[i] = d.Width() / 4
+		}
+		ref, probe := sys.NewBatch(1), sys.NewBatch(1)
+		signFlips := 0
+		check := func(stage string, wave [][]interval.Interval) []pruneResult {
+			t.Helper()
+			want := make([]pruneResult, len(wave))
+			for i, box := range wave {
+				want[i] = refDecide(t, sys, box, minWidths, ref)
+				lo, hi := sys.boxLanes(probe).Eval(box, sys.sides())
+				for ci := range sys.cps {
+					d := interval.Interval{Lo: lo[2*ci], Hi: hi[2*ci]}.Sub(interval.Interval{Lo: lo[2*ci+1], Hi: hi[2*ci+1]})
+					r := refConstraint(t, sys, ci, box)
+					if !sameReal(d.Lo, r.Lo) || !sameReal(d.Hi, r.Hi) {
+						t.Fatalf("%s %s box %d %v: constraint %d = %v, fused expression %v", c.name, stage, i, box, ci, d, r)
+					}
+					if !samePoint([]float64{d.Lo, d.Hi}, []float64{r.Lo, r.Hi}) {
+						signFlips++
+					}
+				}
+			}
+			for _, lanes := range []int{1, 3, 16} {
+				got := evalSpans(sys, wave, lanes, minWidths)
+				for i := range wave {
+					at := fmt.Sprintf("%s %s lanes %d box %d", c.name, stage, lanes, i)
+					if got[i].kind != want[i].kind {
+						t.Fatalf("%s: kind = %d, want %d", at, got[i].kind, want[i].kind)
+					}
+					if !samePoint(got[i].witness, want[i].witness) {
+						t.Fatalf("%s: witness = %v, want %v", at, got[i].witness, want[i].witness)
+					}
+					if !sameBox(got[i].left, want[i].left) || !sameBox(got[i].right, want[i].right) {
+						t.Fatalf("%s: split children = %v | %v, want %v | %v", at, got[i].left, got[i].right, want[i].left, want[i].right)
+					}
+				}
+			}
+			return want
+		}
+
+		kinds := map[pruneKind]int{}
+		wave := [][]interval.Interval{domains}
+		for depth := 0; len(wave) > 0; depth++ {
+			want := check(fmt.Sprintf("wave %d", depth), wave)
+			var next [][]interval.Interval
+			for _, r := range want {
+				kinds[r.kind]++
+				if r.kind == pruneSplit {
+					next = append(next, r.left, r.right)
+				}
+			}
+			wave = next[:min(len(next), 150)]
+		}
+		rng := rand.New(rand.NewSource(5))
+		var floor [][]interval.Interval
+		for i := 0; i < 40; i++ {
+			box := make([]interval.Interval, len(domains))
+			for h, d := range domains {
+				w := minWidths[h] * rng.Float64()
+				lo := d.Lo + rng.Float64()*(d.Width()-w)
+				box[h] = interval.New(lo, lo+w)
+			}
+			floor = append(floor, box)
+		}
+		for _, r := range check("floor", floor) {
+			kinds[r.kind]++
+		}
+		if kinds[pruneSplit] == 0 || kinds[prunePruned]+kinds[pruneWitness]+kinds[pruneFloor] == 0 {
+			t.Errorf("%s: outcomes %v; the waves decided too little", c.name, kinds)
+		}
+		if c.name == "signed-zero" && signFlips == 0 {
+			t.Errorf("%s: no constraint interval differed from the fused expression's in the sign of a zero bound", c.name)
+		}
+	}
+}
+
 // TestPruneColdLanesSurvivorAliasing pins the survivor-scratch copy in
 // evalPruneSpan. A floor-level lane ordered ahead of a midpoint
 // witness in the same span re-enters sweepSurvivors via splitOrFloor →

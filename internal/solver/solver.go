@@ -154,14 +154,16 @@ type Stats struct {
 	// SpecCompiles counts constraint difference programs compiled (one
 	// per constraint added to a System).
 	SpecCompiles atomic.Int64
-	// BatchedEvals counts constraint-program lane evaluations executed
-	// through the structure-of-arrays batch interpreters (one count per
-	// lane per tape pass); the point checks and score matrices, which
-	// run the sketch body over scenario lanes, are not counted. Like
-	// Steals it depends on how the work is cut, not on what it decides:
-	// the value varies with the lane width while the search results
-	// never do, so it is excluded from transcript-invariance
-	// comparisons.
+	// BatchedEvals counts constraint evaluations in the batched stages:
+	// one per lane of each fused-program pass in the point sweeps
+	// (sampling, the midpoint probe, the floor corners), and one per
+	// constraint for every box the prune waves bound over all
+	// constraints in one box-batch pass. The point checks, repair and
+	// the score matrices, which run the sketch body over scenario
+	// lanes, are not counted. Like Steals it depends on how the work is
+	// cut, not on what it decides: the value varies with the lane width
+	// while the search results never do, so it is excluded from
+	// transcript-invariance comparisons.
 	BatchedEvals atomic.Int64
 }
 

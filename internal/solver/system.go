@@ -22,11 +22,14 @@ import (
 //     sketch body once for a hole vector, with the constraints' sides
 //     as scenario lanes, and read each f(better) − f(worse) off the
 //     output column; repair keeps those lanes' rows across its descent
-//     and re-runs only the moved hole's cone per trial;
+//     and re-runs only the moved hole's cone per trial, and the prune
+//     waves bound every constraint over a box the same way, in interval
+//     arithmetic, re-running only the cones of the holes that differ
+//     from the previous box;
 //   - one fused hole-only difference program per constraint
-//     (sketch.SpecializeDiff), so the sampling sweeps, prune waves and
-//     floor corners run each constraint over lanes of hole vectors or
-//     boxes.
+//     (sketch.SpecializeDiff), so the sampling sweeps, the prune waves'
+//     midpoint probe and the floor corners run each constraint over
+//     lanes of hole vectors.
 //
 // A System is built once and mutated incrementally as preference edges
 // are recorded (AddPref/InsertPref/RemovePref), so the per-iteration

@@ -1,21 +1,23 @@
 package solver
 
 // Batched structure-of-arrays evaluation: the solver side of the
-// expr batch interpreters (internal/expr/batch.go).
+// expr lane interpreters.
 //
-// The hot loops of every search stage — the uniform-sampling sweep and
-// the prune wave — share one shape: many independent inputs (points or
-// boxes) evaluated against the same ordered constraint programs. Batching turns each of those loops
-// inside out: instead of walking constraints per input, it walks inputs
-// per constraint, K lanes per instruction-dispatch pass, with an active
-// lane set that shrinks as constraints decide lanes (keeping the
-// early-exit economics of checking one input at a time, in
-// constraint-major form). Every box the prune engine decides goes
-// through here; a single box is a 1-lane pass. The point checks and
-// repair turn the other way (scenarioOuts): one hole vector, the
-// constraints' sides as scenario lanes of the sketch body, in a
-// scenario batch that keeps its rows so repair's trials re-run only
-// the moved hole's cone.
+// The point sweeps — uniform sampling, the prune waves' midpoint probe
+// and the floor corners — share one shape: many independent hole
+// vectors evaluated against the same ordered constraint programs.
+// Batching turns each of those loops inside out: instead of walking
+// constraints per input, it walks inputs per constraint, K lanes per
+// instruction-dispatch pass of the stack loop (internal/expr/batch.go),
+// with an active lane set that shrinks as constraints decide lanes
+// (keeping the early-exit economics of checking one input at a time, in
+// constraint-major form). Everything else turns the other way: one
+// hole vector or box, with the constraints' sides as scenario lanes of
+// the sketch body. The point checks and repair (scenarioOuts) run a
+// scenario batch, which keeps its rows so repair's trials re-run only
+// the moved hole's cone, and the prune waves decide each box in its
+// interval twin (boxLanes), which keeps its rows so a box re-runs only
+// the cones of the holes that differ from the worker's previous box.
 //
 // Determinism contract, mirrored from prune.go: the lane width NEVER
 // affects results. Every lane op is the scalar op applied elementwise
@@ -23,8 +25,10 @@ package solver
 // are applied in lane order (= frontier/draw order), witness copies are
 // taken per lane in lane order exactly as they would be one input at a
 // time, and the sampling stages draw randomness in fixed-size blocks so
-// RNG consumption is lane-width-invariant (see sampleSatisfying). The
-// only observable differences are the BatchedEvals counter and wall-clock
+// RNG consumption is lane-width-invariant (see sampleSatisfying). A box
+// is decided the same whatever box its worker's batch held before,
+// since a cone move is bit-identical to a full pass. The only
+// observable differences are the BatchedEvals counter and wall-clock
 // time. The solver runs at one width, batchLanes; the tests vary it
 // through NewBatch.
 
@@ -49,28 +53,30 @@ const sampleBlock = 64
 
 // Batch is reusable lane scratch for a System's batched entry points.
 // Construct one per goroutine with NewBatch (a Batch is not safe for
-// concurrent use) and reuse it across calls; all slices are sized to
-// the lane width and the sketch's hole count at construction.
+// concurrent use) and reuse it across calls; the point scratch is sized
+// to the lane width and the sketch's hole count at construction.
 type Batch struct {
 	lanes int
 	dim   int
 
-	iv *expr.IntervalBatch // interval lanes (constraint diffs are hole-only)
-	pt *expr.PointBatch    // point lanes
+	pt *expr.PointBatch // point lanes
+	// box is the box batch of the prune waves: the sketch body over the
+	// constraint sides, loaded from constraint version boxVer. It is
+	// built on the first span a Batch decides (see boxLanes).
+	box    *expr.ScenarioBoxBatch
+	boxVer uint64
 
 	mids    []float64 // lanes midpoint rows, row-major
 	corners []float64 // lanes corner rows for the floor check, row-major
 	block   []float64 // sampleBlock sample rows, row-major
 
-	// Index-list and flag scratch. Each list has a single owner per
-	// call path so lists never alias each other: act is owned by
-	// sweepSurvivors (its return value), seq by sequential-lane callers,
-	// spanL by evalPruneSpan's interval refutation, midL by the
+	// Index-list scratch. Each list has a single owner per call path so
+	// lists never alias each other: act is owned by sweepSurvivors (its
+	// return value), seq by sequential-lane callers, midL by the
 	// midpoint sweep, survL by evalPruneSpan's retained copy of the
 	// midpoint-sweep survivors (act itself is clobbered by any
 	// re-entrant sweepSurvivors call — see evalPruneSpan).
-	act, seq, spanL, midL, survL []int
-	feas                         []bool
+	act, seq, midL, survL []int
 }
 
 // NewBatch returns lane scratch of the given width (at least 1) for
@@ -80,17 +86,14 @@ func (s *System) NewBatch(lanes int) *Batch {
 	return &Batch{
 		lanes:   lanes,
 		dim:     dim,
-		iv:      expr.NewIntervalBatch(0, dim, lanes),
 		pt:      expr.NewPointBatch(0, dim, lanes),
 		mids:    make([]float64, lanes*dim),
 		corners: make([]float64, lanes*dim),
 		block:   make([]float64, sampleBlock*dim),
 		act:     make([]int, 0, lanes),
 		seq:     make([]int, 0, lanes),
-		spanL:   make([]int, 0, lanes),
 		midL:    make([]int, 0, lanes),
 		survL:   make([]int, 0, lanes),
-		feas:    make([]bool, lanes),
 	}
 }
 
@@ -100,7 +103,8 @@ func (b *Batch) Lanes() int { return b.lanes }
 // getBatch returns pooled lane scratch of the requested width,
 // allocating when the pool is empty or holds a different width. Pair
 // with putBatch; the pool only ever amortizes allocation, it never
-// changes results (a Batch carries no state across calls).
+// changes results (the only state a Batch carries across calls is its
+// box batch's kept rows, which no result depends on).
 func (s *System) getBatch(lanes int) *Batch {
 	if b, ok := s.batchPool.Get().(*Batch); ok && b.lanes == lanes && b.dim == s.sk.NumHoles() {
 		return b
@@ -204,17 +208,24 @@ func (s *System) pointLanes(b *Batch, prog *expr.Program, rows []float64, dim in
 	return b.pt.Outs(len(lanes))
 }
 
-// ivLanes is pointLanes over boxes: one interval-batch pass of prog for
-// the listed boxes. The returned columns alias b.iv.
-func (s *System) ivLanes(b *Batch, prog *expr.Program, boxes [][]interval.Interval, lanes []int, stats *Stats) (outLo, outHi []float64) {
-	for x, j := range lanes {
-		b.iv.SetHoles(x, boxes[j])
+// boxLanes returns b's box batch loaded with the current constraint
+// sides, preference i's better side at lane 2i and its worse side at
+// 2i+1 as getScenarios loads them. It builds the batch on first use and
+// reloads the lanes only when the constraints changed since they were
+// loaded; the kept rows then go stale and the next box is a full pass.
+func (s *System) boxLanes(b *Batch) *expr.ScenarioBoxBatch {
+	n := s.sides()
+	if b.box == nil || b.box.Lanes() < n {
+		b.box = expr.NewScenarioBoxBatch(s.sk.Program(), n)
+	} else if b.boxVer == s.scenVer {
+		return b.box
 	}
-	prog.EvalIntervalBatch(b.iv, len(lanes))
-	if stats != nil {
-		stats.BatchedEvals.Add(int64(len(lanes)))
+	for i, c := range s.prefs {
+		b.box.SetVars(2*i, c.Better)
+		b.box.SetVars(2*i+1, c.Worse)
 	}
-	return b.iv.Outs(len(lanes))
+	b.boxVer = s.scenVer
+	return b.box
 }
 
 // sweepSurvivors returns, in ascending order, the subset of the listed
@@ -339,55 +350,58 @@ func (s *System) cornerWitnessBatch(b *Batch, box []interval.Interval, stats *St
 	return nil
 }
 
-// evalPruneSpan decides frontier boxes wave[lo:hi] (at most b's lane
-// width) into the matching results slots: each box is refuted,
-// witnessed, split, or dropped at the resolution floor. Outcomes and
-// corner probes do not depend on the span's width or on which boxes
-// share it; see the file comment for the determinism argument.
+// evalPruneSpan decides frontier boxes wave[lo:hi] into the matching
+// results slots: each box is refuted, witnessed, split, or dropped at
+// the resolution floor. Outcomes and corner probes do not depend on
+// the span's width, on which boxes share it, or on which box b's box
+// batch held before; see the file comment for the determinism argument.
 //
 // Each box is a pure function of the System and its constraint set
 // (compiled programs are read-only), so spans are safe and
 // result-identical under any evaluation order.
 //
-// The decision runs in four steps: interval refutation
-// constraint-major with active-lane compaction, then the fully-feasible
-// fast path (midpoint accepted on interval evidence alone), then the
-// batched midpoint probe, then split-or-floor.
+// The decision runs in three steps. First each box, in span order, is
+// bounded over every constraint at once: b's box batch moves to the box
+// (re-running only the cones of the holes that differ from the previous
+// box) and each constraint's interval is the Sub of its pair of output
+// lanes, the interval its fused difference program computes. A box is
+// refuted when some constraint's upper bound is at most the margin, and
+// fully feasible, its midpoint accepted on interval evidence alone,
+// when every lower bound exceeds it. Then the rest take the batched
+// midpoint probe, and then split-or-floor.
 func (s *System) evalPruneSpan(wave [][]interval.Interval, lo, hi int, results []pruneResult, minWidths []float64, b *Batch, stats *Stats) {
 	boxes := wave[lo:hi]
-	active := b.spanL[:0] // filtered in place
-	for j := range boxes {
-		b.feas[j] = true
-		active = append(active, j)
+	n := s.sides()
+	var bx *expr.ScenarioBoxBatch
+	if n > 0 {
+		bx = s.boxLanes(b)
 	}
-	for ci := 0; ci < len(s.cps) && len(active) > 0; ci++ {
-		outLo, outHi := s.ivLanes(b, s.cps[ci].diff, boxes, active, stats)
-		keep := active[:0]
-		for x, j := range active {
-			if outHi[x] <= s.margin {
-				results[lo+j] = pruneResult{kind: prunePruned}
-				continue
-			}
-			if !(outLo[x] > s.margin) {
-				b.feas[j] = false
-			}
-			keep = append(keep, j)
-		}
-		active = keep
-	}
-	// Survivors: midpoint probe. Fully-feasible lanes witness their
-	// midpoint on interval evidence alone; the rest go through the
-	// batched Satisfies sweep.
 	dim := b.dim
 	midL := b.midL[:0]
-	for _, j := range active {
+	for j, box := range boxes {
+		pruned, feasible := false, true
+		if bx != nil {
+			outLo, outHi := bx.Eval(box, n)
+			for i := 0; i < n && !pruned; i += 2 {
+				d := interval.Interval{Lo: outLo[i], Hi: outHi[i]}.Sub(interval.Interval{Lo: outLo[i+1], Hi: outHi[i+1]})
+				pruned = d.Hi <= s.margin
+				feasible = feasible && d.Lo > s.margin
+			}
+		}
+		if pruned {
+			results[lo+j] = pruneResult{kind: prunePruned}
+			continue
+		}
 		row := b.mids[j*dim : (j+1)*dim]
-		fillMidpoint(row, boxes[j])
-		if b.feas[j] {
+		fillMidpoint(row, box)
+		if feasible {
 			results[lo+j] = pruneResult{kind: pruneWitness, witness: append([]float64(nil), row...)}
 		} else {
 			midL = append(midL, j)
 		}
+	}
+	if stats != nil && n > 0 {
+		stats.BatchedEvals.Add(int64(len(boxes) * len(s.cps)))
 	}
 	if len(midL) == 0 {
 		return
