@@ -17,9 +17,10 @@
 //
 //   - internal/expr — the expression DSL objective functions are
 //     written in: AST, parser, printer, pointwise and interval
-//     evaluation, holes, and partial evaluation, which compiles a
-//     scenario-specialized expression to a packed instruction tape so
-//     the solver's hot path never walks an AST.
+//     evaluation, holes, and a compiler that lowers an expression to a
+//     packed instruction tape run in register form over lanes of
+//     scenarios, hole vectors or a hole box, so the solver's hot path
+//     never walks an AST.
 //   - internal/interval — closed-interval arithmetic over float64, the
 //     sound over-approximation the branch-and-prune refutations rest
 //     on.
@@ -27,8 +28,7 @@
 //     spaces, dedup stores, and random generation.
 //   - internal/sketch — sketches: an expr body plus bounded hole
 //     domains. Includes the paper's SWAN sketch and the multi-region
-//     generalization, plus the per-scenario and ordered-pair
-//     specializations the solver compiles its constraints into.
+//     generalization.
 //   - internal/prefgraph — the preference DAG G of the paper's §4.2:
 //     cycle detection, reachability, consistency checks, DOT export.
 //   - internal/oracle — user models answering "which scenario do you

@@ -223,9 +223,9 @@ type Synthesizer struct {
 	graph *prefgraph.Graph
 	store *scenario.Store
 	// sys is the compiled constraint system, built incrementally as
-	// preference edges are recorded: each new edge costs one fused
-	// difference-program compile instead of re-deriving the whole
-	// problem every iteration. sysEdges parallels its constraint order
+	// preference edges are recorded: each new edge is one appended
+	// constraint instead of a re-derivation of the whole problem every
+	// iteration. sysEdges parallels its constraint order
 	// and always matches prefgraph.Edges() — the order the reference
 	// problem() materialization would produce — which keeps
 	// transcripts bit-identical to the uncompiled path.
@@ -701,9 +701,9 @@ func (s *Synthesizer) insertEdge(e prefgraph.Edge) {
 	sp.End()
 }
 
-// rebuildSystem recompiles the system from the graph after a bulk
-// mutation (cycle repair, transcript preload):
-// one fused difference compile per edge.
+// rebuildSystem rebuilds the system from the graph after a bulk
+// mutation (cycle repair, transcript preload), one constraint per
+// edge.
 func (s *Synthesizer) rebuildSystem() {
 	sp := s.tracer().Begin("system-rebuild")
 	s.sys.Reset()

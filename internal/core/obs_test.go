@@ -70,8 +70,8 @@ func TestObserverWiring(t *testing.T) {
 	if res.SolverEffort == nil {
 		t.Fatal("SolverEffort nil despite attached registry (Stats should be auto-created)")
 	}
-	if res.SolverEffort.SpecCompiles == 0 {
-		t.Error("SolverEffort.SpecCompiles = 0, want > 0")
+	if res.SolverEffort.Samples == 0 {
+		t.Error("SolverEffort.Samples = 0, want > 0")
 	}
 
 	snap := reg.Snapshot()
@@ -81,7 +81,7 @@ func TestObserverWiring(t *testing.T) {
 		"compsynth_core_queries_total",
 		"compsynth_core_edges_total",
 		"compsynth_solver_distinguish_searches_total",
-		"compsynth_solver_spec_compiles_total",
+		"compsynth_solver_samples_total",
 	}
 	num := func(v any) (float64, bool) {
 		switch x := v.(type) {

@@ -51,13 +51,12 @@ func PlannerOff() bool {
 // solver search counters) as a table — the `-effort` view.
 func FormatEffort(results []RunResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-4s %6s %8s %10s %10s %10s %10s %8s\n",
-		"run", "iters", "queries", "oracle s", "samples", "repairs", "boxes", "spec")
+	fmt.Fprintf(&b, "%-4s %6s %8s %10s %10s %10s %10s\n",
+		"run", "iters", "queries", "oracle s", "samples", "repairs", "boxes")
 	for i, r := range results {
-		fmt.Fprintf(&b, "%-4d %6d %8d %10.4f %10d %10d %10d %8d\n",
+		fmt.Fprintf(&b, "%-4d %6d %8d %10.4f %10d %10d %10d\n",
 			i+1, r.Iterations, r.Queries, r.OracleSec,
-			r.Solver.Samples, r.Solver.Repairs, r.Solver.Boxes,
-			r.Solver.SpecCompiles)
+			r.Solver.Samples, r.Solver.Repairs, r.Solver.Boxes)
 	}
 	return b.String()
 }

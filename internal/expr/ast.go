@@ -12,13 +12,13 @@
 //     evaluation (a sound over-approximation used by the solver), both
 //     by walking the AST: the reference semantics,
 //   - a compiler (Compile) that lowers a program to one tape of packed
-//     postfix instructions, run by two interpreters besides the AST
-//     reference: a stack loop over lanes of points (PointBatch;
-//     Program.Eval runs a single point as a 1-lane point batch), and a
-//     register form over lanes of variables that keeps every
-//     instruction's row, so that moving one hole re-runs only the
-//     instructions downstream of it, at a hole vector (ScenarioBatch)
-//     or, in interval arithmetic, at a hole box (ScenarioBoxBatch),
+//     postfix instructions, run in one register form that keeps every
+//     instruction's lane row: over points (ScenarioBatch), either
+//     scenario lanes at one hole vector, where moving one hole re-runs
+//     only the instructions downstream of it, or hole-vector lanes at
+//     one scenario (Program.Eval runs a single point as one lane), and,
+//     in interval arithmetic, over scenario lanes at a hole box
+//     (ScenarioBoxBatch),
 //   - a parser and printer for a small concrete syntax matching the
 //     paper's Figure 2.
 package expr

@@ -7,15 +7,17 @@ import (
 )
 
 // Differential fuzzing of the lane interpreters: for a random
-// expression and a batch of random lane environments, every lane of
-// EvalBatch must reproduce the AST interpreter's Eval result for that
-// lane's point, and every lane of a box batch's pass must reproduce
-// EvalInterval at that lane's variables and the batch's one hole box,
-// bit for bit, for every lane width and fill count — deep programs
-// included. On about half the inputs the point lanes share one hole
-// vector loaded with BroadcastHoles, the way the solver's score
-// matrices evaluate the sketch body over their scenarios; the box lanes
-// always share theirs, as the prune waves' do. This is the contract
+// expression and a batch of random lane environments, every lane of a
+// scenario batch's pass must reproduce the AST interpreter's Eval
+// result for that lane's point, and every lane of a box batch's pass
+// must reproduce EvalInterval at that lane's variables and the batch's
+// one hole box, bit for bit, for every lane width and fill count — deep
+// programs included. The point lanes run one of the scenario batch's
+// two orientations: scenario lanes at one broadcast hole vector (Eval),
+// the way the point checks and the score matrices run the sketch body,
+// or hole-vector lanes at one broadcast variable vector (EvalVars), the
+// way the solver's sweeps run each constraint side. The box lanes
+// always share one box, as the prune waves' do. This is the contract
 // that lets the solver batch its sweeps and decide its boxes without
 // perturbing transcripts.
 
@@ -34,16 +36,32 @@ func evalBox(prog *Program, vars []float64, box []interval.Interval) interval.In
 	return interval.Interval{Lo: lo[0], Hi: hi[0]}
 }
 
-// broadcastSeed decodes into if x >= ??a then ??a*y - ??b else z / ??b
-// over 120 filled lanes of a 128-lane batch whose point holes are one
-// broadcast vector (??a = 2, ??b = 0.5, ??c = 0), so plain `go test`
-// runs the broadcast entry point and the box batch past 64 lanes.
+// laneSeedExpr decodes into if x >= ??a then ??a*y - ??b else z / ??b.
+var laneSeedExpr = []byte{7, 1, 0, 1, 0, 2, 0, 3, 1, 3, 2, 2, 0, 1, 1, 2, 1, 3, 3, 1, 2, 2, 1}
+
+// broadcastSeed decodes into laneSeedExpr over 120 filled lanes of a
+// 128-lane batch in the scenario orientation, its holes one broadcast
+// vector (??a = 2, ??b = 0.5, ??c = 0), so plain `go test` runs Eval's
+// broadcast and the box batch past 64 lanes.
 func broadcastSeed() []byte {
-	seed := []byte{7, 1, 0, 1, 0, 2, 0, 3, 1, 3, 2, 2, 0, 1, 1, 2, 1, 3, 3, 1, 2, 2, 1}
-	seed = append(seed, 4, 119, 1, 3, 4, 0) // width 128, 120 lanes, broadcast 2, 0.5 and 0
+	seed := append([]byte(nil), laneSeedExpr...)
+	seed = append(seed, 4, 119, 1, 3, 4, 0) // width 128, 120 lanes, scenario lanes, holes 2, 0.5 and 0
 	seed = append(seed, 2, 7, 0, 4, 1, 1)   // the hole box: [-1, 1e9], [0, 0.5], [1, 1]
 	for i := 0; i < 120*3; i++ {
 		seed = append(seed, byte(i*7%11)) // per lane: 3 variables
+	}
+	return seed
+}
+
+// holeLanesSeed decodes into laneSeedExpr over 120 filled lanes of a
+// 128-lane batch in the hole orientation, its variables one broadcast
+// vector (x = 1, y = 100, z = -1), so plain `go test` runs EvalVars.
+func holeLanesSeed() []byte {
+	seed := append([]byte(nil), laneSeedExpr...)
+	seed = append(seed, 4, 119, 0, 1, 6, 2) // width 128, 120 lanes, hole lanes, variables 1, 100 and -1
+	seed = append(seed, 2, 7, 0, 4, 1, 1)   // the hole box, as in broadcastSeed
+	for i := 0; i < 120*6; i++ {
+		seed = append(seed, byte(i*5%11)) // per lane: 3 box variables, 3 holes
 	}
 	return seed
 }
@@ -57,6 +75,7 @@ func FuzzDifferentialBatch(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Add(broadcastSeed())
+	f.Add(holeLanesSeed())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &byteSrc{data: data}
 		e := genExpr(s, fuzzDepth)
@@ -65,16 +84,18 @@ func FuzzDifferentialBatch(f *testing.F) {
 			t.Fatalf("compile %s: %v", e, err)
 		}
 		lanes := fuzzLaneWidths[int(s.next())%len(fuzzLaneWidths)]
-		pb := NewPointBatch(len(fuzzVars), len(fuzzHoles), lanes)
+		sb := NewScenarioBatch(prog, lanes)
 		bb := NewScenarioBoxBatch(prog, lanes)
 		n := 1 + int(s.next())%lanes // fill count in [1, lanes]
-		var shared []float64         // the broadcast hole vector, if any
-		if s.next()%2 == 1 {
-			shared = make([]float64, len(fuzzHoles))
-			for i := range shared {
-				shared[i] = s.pick()
-			}
-			pb.BroadcastHoles(shared, n)
+		// The point lanes hold scenarios at one broadcast hole vector,
+		// or hole vectors at one broadcast variable vector.
+		scenarioLanes := s.next()%2 == 1
+		shared := make([]float64, len(fuzzHoles))
+		if !scenarioLanes {
+			shared = make([]float64, len(fuzzVars))
+		}
+		for i := range shared {
+			shared[i] = s.pick()
 		}
 		box := make([]interval.Interval, len(fuzzHoles))
 		boxEnv := map[string]interval.Interval{}
@@ -98,32 +119,40 @@ func FuzzDifferentialBatch(f *testing.F) {
 				vars[i] = s.pick()
 				env.Vars[name], ivEnv.Vars[name] = vars[i], interval.Point(vars[i])
 			}
-			holes := make([]float64, len(fuzzHoles))
-			for i, name := range fuzzHoles {
-				if shared != nil {
-					holes[i] = shared[i]
-				} else {
-					holes[i] = s.pick()
-				}
-				env.Holes[name] = holes[i]
-			}
-			pb.SetVars(l, vars)
-			if shared == nil {
-				pb.SetHoles(l, holes)
-			}
 			bb.SetVars(l, vars)
+			if scenarioLanes {
+				sb.SetVars(l, vars)
+				for i, name := range fuzzHoles {
+					env.Holes[name] = shared[i]
+				}
+			} else {
+				holes := make([]float64, len(fuzzHoles))
+				for i, name := range fuzzHoles {
+					holes[i] = s.pick()
+					env.Holes[name] = holes[i]
+				}
+				sb.SetHoles(l, holes)
+				for i, name := range fuzzVars {
+					env.Vars[name] = shared[i]
+				}
+			}
 			envs[l], ivEnvs[l] = env, ivEnv
 		}
 
-		prog.EvalBatch(pb, n)
+		var out []float64
+		if scenarioLanes {
+			out = sb.Eval(shared, n)
+		} else {
+			out = sb.EvalVars(shared, n)
+		}
 		outLo, outHi := bb.Eval(box, n)
 		for l := range envs {
 			want, err := Eval(e, envs[l])
 			if err != nil {
 				t.Fatalf("eval %s: %v", e, err)
 			}
-			if got := pb.Out(l); !eqBits(got, want) {
-				t.Errorf("point lane %d/%d of %s = %v, tree = %v", l, n, e, got, want)
+			if got := out[l]; !eqBits(got, want) {
+				t.Errorf("point lane %d/%d of %s (scenario lanes %v) = %v, tree = %v", l, n, e, scenarioLanes, got, want)
 			}
 			wantIv, err := EvalInterval(e, ivEnvs[l])
 			if err != nil {
@@ -136,8 +165,8 @@ func FuzzDifferentialBatch(f *testing.F) {
 	})
 }
 
-// subChain builds c0 - (c1 - (... - ??a)): right-nested subtraction
-// holds one more float per level, so depth levels need depth+1 slots.
+// subChain builds c0 - (c1 - (... - ??a)): right-nested subtraction,
+// one register row per level.
 func subChain(depth int) Expr {
 	var e Expr = Hole{Name: "a"}
 	for i := depth - 1; i >= 0; i-- {
@@ -146,41 +175,37 @@ func subChain(depth int) Expr {
 	return e
 }
 
-// TestDeepProgram pins evaluation of a deep program (21 float stack
-// rows): the point batch sizes its stack rows from the program, so
-// every lane width and Eval agree with the AST interpreter — including
-// a batch that evaluated a shallow program first and must grow its
-// stacks. A box batch at every lane width moves through each lane's
-// box in turn and agrees with EvalInterval bit for bit on every lane.
+// TestDeepProgram pins evaluation of a deep program (a 20-level
+// subtraction chain): at every lane width a scenario batch over hole
+// lanes, each lane at its own hole vector, Program.Eval at each lane's
+// point, and a box batch moved through each lane's box in turn agree
+// with the AST interpreter bit for bit on every lane.
 func TestDeepProgram(t *testing.T) {
 	deep := subChain(20)
 	prog, err := Compile(deep, fuzzVars, fuzzHoles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shallow := MustCompile(Hole{Name: "b"}, fuzzVars, fuzzHoles)
 	vars := []float64{1, 2, 3}
 	holesAt := func(l int) []float64 { return []float64{float64(l) * 0.5, -float64(l), 0} }
 	holeIvsAt := func(l int) []interval.Interval {
 		return []interval.Interval{{Lo: -float64(l), Hi: float64(l)}, {Lo: 0.25, Hi: 0.5}, {}}
 	}
 	for _, lanes := range fuzzLaneWidths {
-		pb := NewPointBatch(len(fuzzVars), len(fuzzHoles), lanes)
+		sb := NewScenarioBatch(prog, lanes)
 		bb := NewScenarioBoxBatch(prog, lanes)
 		for l := 0; l < lanes; l++ {
-			pb.SetVars(l, vars)
-			pb.SetHoles(l, holesAt(l))
+			sb.SetHoles(l, holesAt(l))
 			bb.SetVars(l, vars)
 		}
-		shallow.EvalBatch(pb, lanes)
-		prog.EvalBatch(pb, lanes)
+		out := sb.EvalVars(vars, lanes)
 		for l := 0; l < lanes; l++ {
 			want, err := Eval(deep, Env{Holes: map[string]float64{"a": holesAt(l)[0], "b": holesAt(l)[1]}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := pb.Out(l); !eqBits(got, want) {
-				t.Errorf("lanes=%d point lane %d = %v, tree = %v", lanes, l, got, want)
+			if got := out[l]; !eqBits(got, want) {
+				t.Errorf("lanes=%d hole lane %d = %v, tree = %v", lanes, l, got, want)
 			}
 			if got := prog.Eval(vars, holesAt(l)); !eqBits(got, want) {
 				t.Errorf("Eval at lane %d's point = %v, tree = %v", l, got, want)
@@ -201,8 +226,8 @@ func TestDeepProgram(t *testing.T) {
 }
 
 // TestBatchLaneOverflowPanics pins the misuse guard: asking a batch to
-// evaluate more lanes than it holds is a programming error, not a
-// silent truncation.
+// evaluate more lanes than it holds, through either orientation's pass,
+// is a programming error, not a silent truncation.
 func TestBatchLaneOverflowPanics(t *testing.T) {
 	prog, err := Compile(Hole{Name: "a"}, nil, fuzzHoles)
 	if err != nil {
@@ -216,75 +241,79 @@ func TestBatchLaneOverflowPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	pb := NewPointBatch(0, len(fuzzHoles), 4)
-	expectPanic("EvalBatch", func() { prog.EvalBatch(pb, 5) })
 	sb := NewScenarioBatch(prog, 4)
 	expectPanic("ScenarioBatch.Eval", func() { sb.Eval(make([]float64, len(fuzzHoles)), 5) })
+	expectPanic("ScenarioBatch.EvalVars", func() { sb.EvalVars(nil, 5) })
 	bb := NewScenarioBoxBatch(prog, 4)
 	box := make([]interval.Interval, len(fuzzHoles))
 	bb.Eval(box, 4)
 	expectPanic("ScenarioBoxBatch.Eval", func() { bb.Eval(box, 5) })
 }
 
-// TestBoolDepthDeepCmpChain is a regression test for the bool-depth
-// accounting of comparisons: a right-nested Or chain of comparisons
-// needs one bool-stack slot per level plus the comparison's own slot,
-// and an undercount would index past a stack. Every chain must match
-// the tree walker through Eval, a point batch, and a box batch.
+// TestBoolDepthDeepCmpChain holds the register plan's bool rows to the
+// tree walker on right-nested Or chains of comparisons, where each
+// level's comparison is held while the next level evaluates: every
+// chain must match through Eval, a scenario batch in either
+// orientation, and a box batch.
 func TestBoolDepthDeepCmpChain(t *testing.T) {
 	for chain := 1; chain <= 10; chain++ {
-		var b BoolExpr = Cmp{Op: CmpGT, L: Var{Name: "x"}, R: Const{Value: 0}}
+		var b BoolExpr = Cmp{Op: CmpGT, L: Var{Name: "x"}, R: Hole{Name: "h"}}
 		for i := 1; i < chain; i++ {
-			// Right-nested: the left result is held while the right
-			// subtree (another full chain level) evaluates.
 			b = BoolBin{Op: OpOr, L: Cmp{Op: CmpGT, L: Var{Name: "x"}, R: Const{Value: float64(i)}}, R: b}
 		}
 		e := If{Cond: b, Then: Const{Value: 1}, Else: Const{Value: 0}}
-		prog, err := Compile(e, []string{"x"}, nil)
+		prog, err := Compile(e, []string{"x"}, []string{"h"})
 		if err != nil {
 			t.Fatalf("chain=%d: compile: %v", chain, err)
 		}
 		for _, x := range []float64{-1, 0.5, float64(chain) + 1} {
-			want, err := Eval(e, Env{Vars: map[string]float64{"x": x}})
+			want, err := Eval(e, Env{Vars: map[string]float64{"x": x}, Holes: map[string]float64{"h": 0}})
 			if err != nil {
 				t.Fatalf("chain=%d: tree eval: %v", chain, err)
 			}
-			if got := prog.Eval([]float64{x}, nil); !eqBits(got, want) {
+			if got := prog.Eval([]float64{x}, []float64{0}); !eqBits(got, want) {
 				t.Errorf("chain=%d x=%v: Eval = %v, tree = %v", chain, x, got, want)
 			}
-			iv := evalBox(prog, []float64{x}, nil)
+			iv := evalBox(prog, []float64{x}, []interval.Interval{{}})
 			if !eqBitsInterval(iv, interval.Point(want)) {
 				t.Errorf("chain=%d x=%v: box batch = %v, tree = %v", chain, x, iv, want)
 			}
-			pb := NewPointBatch(1, 0, 2)
-			pb.SetVars(0, []float64{x})
-			pb.SetVars(1, []float64{x})
-			prog.EvalBatch(pb, 2)
-			if got := pb.Out(0); !eqBits(got, want) {
-				t.Errorf("chain=%d x=%v: EvalBatch = %v, tree = %v", chain, x, got, want)
+			sb := NewScenarioBatch(prog, 2)
+			sb.SetVars(0, []float64{x})
+			sb.SetVars(1, []float64{x})
+			scen := append([]float64(nil), sb.Eval([]float64{0}, 2)...)
+			sb.SetHoles(0, []float64{0})
+			sb.SetHoles(1, []float64{0})
+			for l, got := range append(scen, sb.EvalVars([]float64{x}, 2)...) {
+				if !eqBits(got, want) {
+					t.Errorf("chain=%d x=%v: scenario batch column %d = %v, tree = %v", chain, x, l, got, want)
+				}
 			}
 		}
 	}
 }
 
-// TestBatchOutsAliasing documents that Outs returns live columns: the
-// next evaluation overwrites them, so callers must consume or copy.
+// TestBatchOutsAliasing documents that a scenario batch's output
+// column is live: the next pass overwrites it, so callers must consume
+// or copy.
 func TestBatchOutsAliasing(t *testing.T) {
 	prog, err := Compile(Hole{Name: "a"}, nil, fuzzHoles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb := NewPointBatch(0, len(fuzzHoles), 2)
-	pb.SetHoles(0, []float64{1, 0})
-	pb.SetHoles(1, []float64{2, 0})
-	prog.EvalBatch(pb, 2)
-	outs := pb.Outs(2)
+	sb := NewScenarioBatch(prog, 2)
+	sb.SetHoles(0, []float64{1, 0, 0})
+	sb.SetHoles(1, []float64{2, 0, 0})
+	outs := sb.EvalVars(nil, 2)
 	if outs[0] != 1 || outs[1] != 2 {
-		t.Fatalf("Outs = %v, want [1 2]", outs)
+		t.Fatalf("EvalVars = %v, want [1 2]", outs)
 	}
-	pb.SetHoles(0, []float64{7, 0})
-	prog.EvalBatch(pb, 1)
+	sb.SetHoles(0, []float64{7, 0, 0})
+	sb.EvalVars(nil, 1)
 	if outs[0] != 7 {
-		t.Errorf("Outs did not alias the batch: got %v after re-eval, want 7", outs[0])
+		t.Errorf("EvalVars' column did not alias the batch: got %v after re-eval, want 7", outs[0])
+	}
+	if sb.Eval([]float64{9, 0, 0}, 2); outs[1] != 9 {
+		t.Errorf("Eval's column did not alias the batch: got %v, want 9", outs[1])
 	}
 }

@@ -18,6 +18,8 @@ type Program struct {
 	// first use (see regs).
 	regOnce sync.Once
 	reg     *regPlan
+	// points holds the 1-lane scenario batches Eval runs on.
+	points sync.Pool
 }
 
 // Compile binds e's variables and holes to positions in the given
@@ -51,7 +53,7 @@ func Compile(e Expr, vars, holes []string) (*Program, error) {
 	if max(len(em.consts), len(vars), len(holes)) > tapeMaxArg {
 		return nil, fmt.Errorf("expr: program exceeds the tape's %d-entry operand range", tapeMaxArg)
 	}
-	p.tape = &tape{code: em.code, consts: em.consts, maxF: em.maxF, maxB: em.maxB}
+	p.tape = &tape{code: em.code, consts: em.consts}
 	return p, nil
 }
 
@@ -80,25 +82,20 @@ func (p *Program) NumHoles() int { return len(p.holes) }
 // NumVars returns the number of variables in the ordering.
 func (p *Program) NumVars() int { return len(p.vars) }
 
-// pointBatches holds the 1-lane point batches Eval evaluates through,
-// so concurrent calls never share one and a warm call allocates
-// nothing.
-var pointBatches = sync.Pool{New: func() any {
-	return &PointBatch{lanes: 1, out: make([]float64, 1)}
-}}
-
 // Eval evaluates the program at one point. vars and holes are
-// positional per the orderings given to Compile. Eval is safe for
-// concurrent use.
+// positional per the orderings given to Compile: Eval reads exactly
+// NumVars variables (a longer vector's tail is ignored, a shorter one
+// panics) and the holes the program reads. Eval runs a 1-lane scenario
+// batch from a pool the Program holds, so a warm call allocates nothing
+// and concurrent calls never share a batch; Eval is safe for concurrent
+// use.
 func (p *Program) Eval(vars, holes []float64) float64 {
-	// A 1-lane batch's column-major rows are exactly the positional
-	// slices, so the batch reads them in place. It lets go of them
-	// before it returns to the pool, which must not keep caller memory.
-	b := pointBatches.Get().(*PointBatch)
-	b.vars, b.holes = vars, holes
-	p.EvalBatch(b, 1)
-	out := b.out[0]
-	b.vars, b.holes = nil, nil
-	pointBatches.Put(b)
+	b, _ := p.points.Get().(*ScenarioBatch)
+	if b == nil {
+		b = NewScenarioBatch(p, 1)
+	}
+	b.SetVars(0, vars)
+	out := b.Eval(holes, 1)[0]
+	p.points.Put(b)
 	return out
 }

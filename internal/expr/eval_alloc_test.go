@@ -32,12 +32,14 @@ func TestProgramEvalAllocFree(t *testing.T) {
 
 // TestScenarioMoveAllocFree pins that a warm scenario batch's Move,
 // Commit and Unchanged allocate nothing, Unchanged also when a Commit
-// makes it rebuild a cut hole's range, and that a warm box batch's Eval
-// allocates nothing, whether it moves one hole's cone or runs a full
-// pass.
+// makes it rebuild a cut hole's range, that a warm hole-lane batch's
+// SetHoles and EvalVars allocate nothing, and that a warm box batch's
+// Eval allocates nothing, whether it moves one hole's cone or runs a
+// full pass.
 func TestScenarioMoveAllocFree(t *testing.T) {
 	prog := MustCompile(swanBody(), swanVars, swanHoles)
 	sb := NewScenarioBatch(prog, 64)
+	hb := NewScenarioBatch(prog, 16)
 	bb := NewScenarioBoxBatch(prog, 64)
 	for l := 0; l < 40; l++ {
 		sb.SetVars(l, []float64{float64(l % 10), float64(5 * l)})
@@ -54,6 +56,10 @@ func TestScenarioMoveAllocFree(t *testing.T) {
 		"Unchanged after a Commit": func() {
 			sb.Commit(1, v)
 			sb.Unchanged(1, v+1)
+		},
+		"SetHoles and EvalVars": func() {
+			hb.SetHoles(int(v)%16, []float64{v, 50, 1, 5})
+			hb.EvalVars([]float64{5, v}, 16)
 		},
 		"box Eval by a cone move": func() {
 			box[int(v)%4].Hi = 10 + v

@@ -28,12 +28,6 @@ func ExampleEval() {
 	// Output: 18
 }
 
-func ExampleSimplify() {
-	e := expr.MustParse("x * 1 + 0 * y + 2 * 3")
-	fmt.Println(expr.Simplify(e))
-	// Output: (x + 6)
-}
-
 func ExampleSubst() {
 	sketch := expr.MustParse("throughput - ??slope*latency")
 	closed := expr.Subst(sketch, map[string]float64{"slope": 2})

@@ -2,7 +2,6 @@ package expr
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"compsynth/internal/interval"
@@ -39,15 +38,6 @@ func FuzzParse(f *testing.F) {
 		if !Equal(e, back) {
 			t.Fatalf("round trip changed %q -> %q", printed, back.String())
 		}
-		// Simplification must also be panic-free and re-parseable
-		// (modulo constants that print as Inf, which the grammar has no
-		// literal for).
-		s := Simplify(e)
-		if str := s.String(); !strings.Contains(str, "Inf") && !strings.Contains(str, "NaN") {
-			if _, err := Parse(str); err != nil {
-				t.Fatalf("simplified form %q unparseable: %v", str, err)
-			}
-		}
 	})
 }
 
@@ -57,14 +47,10 @@ func FuzzParse(f *testing.F) {
 //
 //   - Program.Eval must be bit-identical to Eval;
 //   - a box batch's interval evaluation must be bit-identical to
-//     EvalInterval;
-//   - Partial with all variables substituted must match the original up
-//     to the sign of zero (identity folds like x+0 may drop the
-//     operation that would normalize -0 to +0), under both point and
-//     interval evaluation.
+//     EvalInterval.
 //
-// This is the contract that lets the solver evaluate pre-specialized
-// programs in its hot path without perturbing synthesis transcripts.
+// This is the contract that lets the solver evaluate compiled programs
+// in its hot path without perturbing synthesis transcripts.
 
 var (
 	fuzzVars   = []string{"x", "y", "z"}
@@ -92,16 +78,16 @@ func (s *byteSrc) pick() float64 { return fuzzConsts[int(s.next())%len(fuzzConst
 
 // fuzzDepth caps the nesting genExpr builds. It leaves room for the
 // 20-level chains of deepSeeds and their mutations, so the fuzzer
-// holds the emitter's stack sizing to programs far deeper than any
-// sketch body.
+// holds the register plan's replay of the tape's stacks to programs far
+// deeper than any sketch body.
 const fuzzDepth = 24
 
 // deepSeeds are fuzz inputs that decode into deep programs, so plain
-// `go test` runs the tape's stack sizing against the AST interpreter: a
-// 20-deep right-nested Sub chain (21 float stack rows) and a 10-deep
-// right-nested Or chain of comparisons between If expressions, under an
-// If (10 bool stack rows). A tail of non-zero bytes feeds the
-// environments.
+// `go test` runs the register plan's replay of deep stacks against the
+// AST interpreter: a 20-deep right-nested Sub chain (21 floats held at
+// once) and a 10-deep right-nested Or chain of comparisons between If
+// expressions, under an If (10 bools held at once). A tail of non-zero
+// bytes feeds the environments.
 func deepSeeds() [][]byte {
 	tail := []byte{1, 4, 5, 2, 3, 6, 1, 7, 8, 4, 2, 5, 9, 3, 1, 6}
 	var sub []byte
@@ -174,23 +160,6 @@ func eqBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-// eqNum is numeric equality: NaN matches NaN and -0 matches +0 (the
-// sign of zero is unobservable through comparisons, so identity folds
-// are allowed to change it).
-func eqNum(a, b float64) bool {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return math.IsNaN(a) && math.IsNaN(b)
-	}
-	return a == b
-}
-
-func eqInterval(a, b interval.Interval) bool {
-	if a.IsEmpty() || b.IsEmpty() {
-		return a.IsEmpty() && b.IsEmpty()
-	}
-	return eqNum(a.Lo, b.Lo) && eqNum(a.Hi, b.Hi)
-}
-
 // eqBitsInterval is eqBits on both bounds.
 func eqBitsInterval(a, b interval.Interval) bool {
 	return eqBits(a.Lo, b.Lo) && eqBits(a.Hi, b.Hi)
@@ -238,27 +207,6 @@ func FuzzDifferentialEval(f *testing.F) {
 			t.Errorf("compiled eval of %s = %v, tree = %v", e, got, want)
 		}
 
-		// Partial with every variable bound must leave a hole-only
-		// expression that evaluates identically.
-		pe := Partial(e, varVals)
-		if vs := Vars(pe); len(vs) != 0 {
-			t.Fatalf("Partial(%s) kept variables %v", e, vs)
-		}
-		pv, err := Eval(pe, Env{Holes: holeVals})
-		if err != nil {
-			t.Fatalf("eval partial %s: %v", pe, err)
-		}
-		if !eqNum(pv, want) {
-			t.Errorf("Partial(%s) evaluates to %v, original %v", e, pv, want)
-		}
-		pprog, err := Compile(pe, nil, fuzzHoles)
-		if err != nil {
-			t.Fatalf("compile partial %s: %v", pe, err)
-		}
-		if got := pprog.Eval(nil, holeSlice); !eqNum(got, want) {
-			t.Errorf("compiled Partial(%s) = %v, original %v", e, got, want)
-		}
-
 		// Interval agreement: concrete (point) variables, boxed holes —
 		// exactly the shape branch-and-prune evaluates. The palette has
 		// no NaN, so interval.Point never panics here.
@@ -283,16 +231,6 @@ func FuzzDifferentialEval(f *testing.F) {
 		}
 		if got := evalBox(prog, varSlice, holeIvSlice); !eqBitsInterval(got, wantIv) {
 			t.Errorf("compiled interval eval of %s = %v, tree = %v", e, got, wantIv)
-		}
-		piv, err := EvalInterval(pe, IntervalEnv{Holes: holeIvs})
-		if err != nil {
-			t.Fatalf("interval eval partial %s: %v", pe, err)
-		}
-		if !eqInterval(piv, wantIv) {
-			t.Errorf("interval Partial(%s) = %v, original %v", e, piv, wantIv)
-		}
-		if got := evalBox(pprog, nil, holeIvSlice); !eqInterval(got, wantIv) {
-			t.Errorf("compiled interval Partial(%s) = %v, original %v", e, got, wantIv)
 		}
 	})
 }

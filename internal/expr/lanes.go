@@ -2,13 +2,12 @@ package expr
 
 import "math"
 
-// Elementwise lane kernels of the point interpreters. The stack loop
-// (evalBatch) and the scenario batch's register loop (scenario.go) both
-// call these, so each operation's arithmetic is written once and the
-// two loops differ only in how they address their operands. A kernel
-// writes lane l of dst from lane l of its operands, for every lane of
-// dst; operands are at least as long as dst and may alias it (the
-// stack loop writes its result over its left operand). Reslicing the
+// Elementwise lane kernels of the point interpreter: the scenario
+// batch's register loop (scenario.go) runs each step with one of these,
+// so each operation's arithmetic is written once, as the scalar
+// operation of the AST interpreter (eval.go) applied lane by lane. A
+// kernel writes lane l of dst from lane l of its operands, for every
+// lane of dst; operands are at least as long as dst. Reslicing the
 // operands to len(dst) lets the compiler drop the per-lane bounds
 // checks, and every kernel is small enough to inline.
 

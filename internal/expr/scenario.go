@@ -2,20 +2,37 @@ package expr
 
 import "math"
 
-// Scenario lanes that keep their rows: the register form of the tape.
+// Lanes that keep their rows: the register form of the tape, and the
+// package's one point interpreter besides the AST reference.
 //
-// The stack loop (evalBatch) reuses a few stack rows, so every pass
-// starts from nothing. A ScenarioBatch instead gives each instruction
-// its own lane row and keeps every row after a pass: variable leaves
-// read the variable rows in place, and each hole and constant is one
-// row of a scalar fill. Moving one hole then needs only that hole's
-// dependency cone — its fill and the instructions downstream of it —
-// re-run into trial rows, with every other operand read from the kept
-// rows. The tape is select-lowered, so both branches of every If always
-// run: a row outside the cone is exactly what a full pass at the moved
-// vector computes, and a move's output is bit-identical to that pass.
-// On the SWAN body a move runs 4–6 of the 24 instructions, on the
-// 2-region body 4–7 of 41 (the moved hole's fill included).
+// A ScenarioBatch gives each instruction its own lane row and keeps
+// every row after a pass. Each leaf is a row too: a variable's or a
+// hole's row holds either one value per lane or one value broadcast
+// over the lanes, and a constant's row is filled once. A batch serves
+// one of two orientations:
+//
+//   - scenario lanes at one hole vector (SetVars, then Eval): one
+//     scenario per lane in the variable rows, the holes broadcast. The
+//     point checks, repair and the score matrices run the sketch body
+//     this way, and Program.Eval runs a single point as one lane;
+//   - hole lanes at one scenario (SetHoles, then EvalVars): one hole
+//     vector per lane in the hole rows, the variables broadcast. The
+//     solver's sweeps run each constraint as two such passes, one per
+//     side, and subtract the columns.
+//
+// Lane l's result is what evaluating lane l's point on its own gives:
+// each step applies its lane kernel (lanes.go), the scalar operation
+// lane by lane.
+//
+// In the scenario orientation a hole can move without a full pass.
+// Moving one hole needs only that hole's dependency cone — its fill and
+// the instructions downstream of it — re-run into trial rows, with
+// every other operand read from the kept rows. The tape is
+// select-lowered, so both branches of every If always run: a row
+// outside the cone is exactly what a full pass at the moved vector
+// computes, and a move's output is bit-identical to that pass. On the
+// SWAN body a move runs 4–6 of the 24 instructions, on the 2-region
+// body 4–7 of 41 (the moved hole's fill included).
 //
 // Some moves change nothing at all. A cut hole is one that only
 // ordering comparisons (>=, <=, >, <) read, each against a row no hole
@@ -28,8 +45,9 @@ import "math"
 // thresholds are cut holes, and so are the 2-region body's four.
 //
 // The register form, its cones and its cuts are derived once per
-// Program, on the first NewScenarioBatch, so programs that never move
-// pay nothing for them.
+// Program, on its first evaluation (the first NewScenarioBatch or
+// NewScenarioBoxBatch; Program.Eval makes one), not by Compile, so
+// programs that are compiled and never run pay nothing for them.
 
 // regStep is one instruction of the register form: dst = code(a, c),
 // with cond the condition row of a select. Which row space (float or
@@ -65,13 +83,15 @@ type regCut struct {
 	closedHi bool
 }
 
-// regPlan is a program's register form. Float rows are the variable
-// rows, then one kept row per hole, constant and float instruction,
-// then trialF trial rows; bool rows are one kept row per bool constant
-// and instruction, then trialB trial rows. Trial rows are shared by
-// every hole's cone, since only one move is pending at a time. Each
-// hole's move carries its cone and, for a cut hole, its cuts.
+// regPlan is a program's register form. Float rows are the nVars
+// variable rows, then one kept row per hole, constant and float
+// instruction, then trialF trial rows; bool rows are one kept row per
+// bool constant and instruction, then trialB trial rows. Trial rows are
+// shared by every hole's cone, since only one move is pending at a
+// time. Each hole's move carries its cone and, for a cut hole, its
+// cuts.
 type regPlan struct {
+	nVars          int
 	nF, nB         int // kept float and bool rows
 	trialF, trialB int // trial rows: the largest cone's float and bool rows
 	consts         []float64
@@ -103,7 +123,7 @@ func floatResult(code tapeCode) bool {
 // in and each operand the row its producer wrote, then derives every
 // hole's cone and, from the rows the cones reach, its cuts.
 func buildRegPlan(t *tape, nVars, nHoles int) *regPlan {
-	rp := &regPlan{nF: nVars, bconstRow: [2]int32{-1, -1}, holeRow: make([]int32, nHoles)}
+	rp := &regPlan{nVars: nVars, nF: nVars, bconstRow: [2]int32{-1, -1}, holeRow: make([]int32, nHoles)}
 	for i := range rp.holeRow {
 		rp.holeRow[i] = -1
 	}
@@ -295,23 +315,26 @@ func (rp *regPlan) cuts(h int, reached []bool) []regCut {
 	return cuts
 }
 
-// ScenarioBatch evaluates one Program at one hole vector over up to
-// Lanes variable lanes, keeping every instruction's lane row so that a
-// single hole can move without a full pass. Load lanes with SetVars,
-// run a full pass with Eval, then try hole values with Move and adopt
-// one with Commit; Unchanged tells, without running anything, when a
-// move would change no row. Every column it returns aliases the batch.
-// A batch is bound to the Program it was made for and is not safe for
-// concurrent use.
+// ScenarioBatch evaluates one Program over up to Lanes lanes, keeping
+// every instruction's lane row. It serves one orientation (see the
+// file comment). Scenario lanes: load each lane's variables with
+// SetVars and run a full pass at one hole vector with Eval; then try
+// hole values with Move and adopt one with Commit, and Unchanged tells,
+// without running anything, when a move would change no row. Hole
+// lanes: load each lane's holes with SetHoles and run a full pass at
+// one variable vector with EvalVars. Its kept rows are then no pass at
+// one hole vector, so Move, Commit and Unchanged refuse until the next
+// Eval. Every column it returns aliases the batch. A batch is bound to
+// the Program it was made for and is not safe for concurrent use.
 type ScenarioBatch struct {
 	rp    *regPlan
 	lanes int
-	n     int       // lanes of the last Eval
+	n     int       // lanes of the last pass
 	f     []float64 // float rows, lanes values each
 	bl    []bool    // bool rows, lanes values each
-	// fresh reports that the kept rows hold a pass over the current
-	// variable lanes; moved and movedBits name the pending trial (moved
-	// is -1 when there is none).
+	// fresh reports that the kept rows hold an Eval over the current
+	// lanes; moved and movedBits name the pending trial (moved is -1
+	// when there is none).
 	fresh     bool
 	moved     int
 	movedBits uint64
@@ -355,11 +378,25 @@ func NewScenarioBatch(p *Program, lanes int) *ScenarioBatch {
 // Lanes returns the batch's lane capacity.
 func (b *ScenarioBatch) Lanes() int { return b.lanes }
 
-// SetVars loads lane l's variable values. The kept rows no longer
-// match the lanes, so the next Move must follow a new Eval.
+// SetVars loads lane l's variable values: the program's NumVars of
+// them, ignoring a longer vector's tail and panicking on a shorter one.
+// The kept rows no longer match the lanes, so the next Move must follow
+// a new Eval.
 func (b *ScenarioBatch) SetVars(l int, vars []float64) {
-	for i, v := range vars {
+	for i, v := range vars[:b.rp.nVars] {
 		b.f[i*b.lanes+l] = v
+	}
+	b.fresh = false
+}
+
+// SetHoles loads lane l's hole values into the rows of the holes the
+// program reads. The kept rows no longer match the lanes, so the next
+// Move must follow a new Eval.
+func (b *ScenarioBatch) SetHoles(l int, holes []float64) {
+	for h, r := range b.rp.holeRow {
+		if r >= 0 {
+			b.f[int(r)*b.lanes+l] = holes[h]
+		}
 	}
 	b.fresh = false
 }
@@ -367,10 +404,7 @@ func (b *ScenarioBatch) SetVars(l int, vars []float64) {
 // Eval runs the whole program at the hole vector over the first n
 // lanes and keeps every row. It returns the output column.
 func (b *ScenarioBatch) Eval(holes []float64, n int) []float64 {
-	if n > b.lanes {
-		panic("expr: ScenarioBatch.Eval lane count exceeds batch capacity")
-	}
-	b.n = n
+	b.setLanes(n)
 	for h, r := range b.rp.holeRow {
 		if r >= 0 {
 			fillLanes(b.frow(r), holes[h])
@@ -383,13 +417,36 @@ func (b *ScenarioBatch) Eval(holes []float64, n int) []float64 {
 	return b.Outs()
 }
 
+// EvalVars runs the whole program at the variable vector (the
+// program's NumVars values, as SetVars reads them) over the first n
+// lanes, each at the hole vector SetHoles loaded into it, and returns
+// the output column. Move, Commit and Unchanged refuse until the next
+// Eval.
+func (b *ScenarioBatch) EvalVars(vars []float64, n int) []float64 {
+	b.setLanes(n)
+	for i, v := range vars[:b.rp.nVars] {
+		fillLanes(b.frow(int32(i)), v)
+	}
+	b.run(b.rp.steps)
+	b.fresh, b.moved = false, -1
+	return b.Outs()
+}
+
+// setLanes sets the lane count of the next pass.
+func (b *ScenarioBatch) setLanes(n int) {
+	if n > b.lanes {
+		panic("expr: ScenarioBatch pass lane count exceeds batch capacity")
+	}
+	b.n = n
+}
+
 // Move returns the output column the program would give if hole h
 // alone changed to v, re-running only h's cone into trial rows. The
-// kept rows are untouched until Commit. Move panics when the variable
-// lanes changed since the last Eval, whose rows it would build on.
+// kept rows are untouched until Commit. Move panics unless the kept
+// rows are the last Eval's over the current lanes, which it builds on.
 func (b *ScenarioBatch) Move(h int, v float64) []float64 {
 	if !b.fresh {
-		panic("expr: ScenarioBatch.Move needs an Eval of the current variable lanes")
+		panic("expr: ScenarioBatch.Move needs an Eval of the current lanes")
 	}
 	m := &b.rp.moves[h]
 	if m.fill >= 0 {
@@ -401,9 +458,10 @@ func (b *ScenarioBatch) Move(h int, v float64) []float64 {
 }
 
 // Commit adopts hole h = v into the kept rows, so later moves and Outs
-// build on it. It re-runs the move unless it is the pending one.
+// build on it. It re-runs the move unless it is the pending one, and
+// panics when Move would.
 func (b *ScenarioBatch) Commit(h int, v float64) {
-	if b.moved != h || b.movedBits != math.Float64bits(v) {
+	if !b.fresh || b.moved != h || b.movedBits != math.Float64bits(v) {
 		b.Move(h, v)
 	}
 	m := &b.rp.moves[h]
@@ -424,11 +482,11 @@ func (b *ScenarioBatch) Commit(h int, v float64) {
 // the kept rows on the first call after an Eval or a Commit of h; each
 // later call costs two compares. A false answer proves nothing, and a
 // NaN v or a NaN current value of h never answers true for a hole the
-// program reads. Unchanged leaves a pending move alone and, like Move,
-// panics when the variable lanes changed since the last Eval.
+// program reads. Unchanged leaves a pending move alone and panics when
+// Move would.
 func (b *ScenarioBatch) Unchanged(h int, v float64) bool {
 	if !b.fresh {
-		panic("expr: ScenarioBatch.Unchanged needs an Eval of the current variable lanes")
+		panic("expr: ScenarioBatch.Unchanged needs an Eval of the current lanes")
 	}
 	m := &b.rp.moves[h]
 	if m.cuts == nil {

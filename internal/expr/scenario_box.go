@@ -87,10 +87,12 @@ func NewScenarioBoxBatch(p *Program, lanes int) *ScenarioBoxBatch {
 // Lanes returns the batch's lane capacity.
 func (b *ScenarioBoxBatch) Lanes() int { return b.lanes }
 
-// SetVars loads lane l's variable values. The kept rows no longer
-// match the lanes, so the next Eval runs a full pass.
+// SetVars loads lane l's variable values: the program's NumVars of
+// them, ignoring a longer vector's tail and panicking on a shorter one.
+// The kept rows no longer match the lanes, so the next Eval runs a full
+// pass.
 func (b *ScenarioBoxBatch) SetVars(l int, vars []float64) {
-	for i, v := range vars {
+	for i, v := range vars[:b.rp.nVars] {
 		b.lo[i*b.lanes+l], b.hi[i*b.lanes+l] = v, v
 	}
 	b.fresh = false

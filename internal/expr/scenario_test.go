@@ -234,15 +234,16 @@ func boxChain(t *testing.T, what string, prog *Program, lanes int, vars [][]floa
 }
 
 // TestScenarioMoveMatchesEval holds every Move, and the kept rows after
-// every Commit, bit for bit to a fresh stack-loop pass at the moved
-// hole vector, over random base vectors, at least 50 moves each with
-// commits interleaved, moves to NaN, ±Inf and −0, and a hole the
+// every Commit, bit for bit to the AST interpreter on every lane at the
+// moved hole vector, over random base vectors, at least 50 moves each
+// with commits interleaved, moves to NaN, ±Inf and −0, and a hole the
 // program never reads. Each Move is preceded by Unchanged, held to the
-// lane scan and to Outs wherever it answers true. A Move or an
-// Unchanged after SetVars without a new Eval must be refused. Over the
-// same lanes, a box batch moves through a box chain (chainBoxes) and
-// holds every row to a full pass at each box (boxChain); across the
-// cases both the cone moves and the full pass must run.
+// lane scan and to Outs wherever it answers true. A Move, a Commit or
+// an Unchanged after SetVars, SetHoles or EvalVars without a new Eval
+// must be refused. Over the same lanes, a box batch moves through a
+// box chain (chainBoxes) and holds every row to a full pass at each box
+// (boxChain); across the cases both the cone moves and the full pass
+// must run.
 func TestScenarioMoveMatchesEval(t *testing.T) {
 	const lanes, n = 64, 61
 	cones, fulls := 0, 0
@@ -251,28 +252,38 @@ func TestScenarioMoveMatchesEval(t *testing.T) {
 		prog := MustCompile(c.e, c.vars, c.holes)
 		rng := rand.New(rand.NewSource(int64(10 + ci)))
 		sb := NewScenarioBatch(prog, lanes)
-		ref := NewPointBatch(len(c.vars), len(c.holes), lanes)
 		laneVars := make([][]float64, n)
+		envs := make([]Env, n)
 		vars := make([]float64, len(c.vars))
 		for l := 0; l < n; l++ {
-			for i := range vars {
+			envs[l] = Env{Vars: map[string]float64{}, Holes: map[string]float64{}}
+			for i, name := range c.vars {
 				vars[i] = c.draw(rng)
+				envs[l].Vars[name] = vars[i]
 			}
 			sb.SetVars(l, vars)
-			ref.SetVars(l, vars)
 			laneVars[l] = append([]float64(nil), vars...)
 		}
-		// full is a fresh stack-loop pass at holes.
+		// full is the AST interpreter at holes on every lane.
+		want := make([]float64, n)
 		full := func(holes []float64) []float64 {
-			ref.BroadcastHoles(holes, n)
-			prog.EvalBatch(ref, n)
-			return ref.Outs(n)
+			for l, env := range envs {
+				for i, name := range c.holes {
+					env.Holes[name] = holes[i]
+				}
+				v, err := Eval(c.e, env)
+				if err != nil {
+					t.Fatalf("%s: eval: %v", c.name, err)
+				}
+				want[l] = v
+			}
+			return want
 		}
 		same := func(what string, got, want []float64) {
 			t.Helper()
 			for l := range want {
-				if math.Float64bits(got[l]) != math.Float64bits(want[l]) {
-					t.Fatalf("%s: %s lane %d = %v (%#x), full pass %v (%#x)",
+				if !eqBits(got[l], want[l]) {
+					t.Fatalf("%s: %s lane %d = %v (%#x), tree %v (%#x)",
 						c.name, what, l, got[l], math.Float64bits(got[l]), want[l], math.Float64bits(want[l]))
 				}
 			}
@@ -312,19 +323,35 @@ func TestScenarioMoveMatchesEval(t *testing.T) {
 			chainBoxes(func() byte { return byte(rng.Intn(256)) }, func() float64 { return c.draw(rng) }, len(c.holes), 60))
 		cones, fulls = cones+bc, fulls+bf
 
-		sb.SetVars(0, vars)
-		for name, fn := range map[string]func(){
-			"Move":      func() { sb.Move(0, 1) },
-			"Unchanged": func() { sb.Unchanged(0, 1) },
+		// After any of these the kept rows are no Eval over the current
+		// lanes, so Move, Commit (also of the pending move) and Unchanged
+		// must refuse.
+		holes := make([]float64, len(c.holes))
+		for _, stale := range []struct {
+			what string
+			do   func()
+		}{
+			{"SetVars", func() { sb.SetVars(0, vars) }},
+			{"SetHoles", func() { sb.SetHoles(0, holes) }},
+			{"EvalVars", func() { sb.EvalVars(vars, n) }},
 		} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s: %s after SetVars without Eval was not refused", c.name, name)
-					}
+			for name, fn := range map[string]func(){
+				"Move":      func() { sb.Move(0, 1) },
+				"Commit":    func() { sb.Commit(0, 1) },
+				"Unchanged": func() { sb.Unchanged(0, 1) },
+			} {
+				sb.Eval(holes, n)
+				sb.Move(0, 1)
+				stale.do()
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s: %s after %s without Eval was not refused", c.name, name, stale.what)
+						}
+					}()
+					fn()
 				}()
-				fn()
-			}()
+			}
 		}
 	}
 	// Every chain's first box is a full pass; later ones must take both
@@ -565,4 +592,50 @@ func FuzzDifferentialMove(f *testing.F) {
 		}
 		boxChain(t, e.String(), prog, lanes, laneVars, chainBoxes(s.next, s.pick, len(fuzzHoles), 8))
 	})
+}
+
+// TestLoadersReadOnlyTheirRows pins that every loader reads exactly the
+// program's own values. A variable vector longer than NumVars has its
+// tail ignored by ScenarioBatch.SetVars and EvalVars,
+// ScenarioBoxBatch.SetVars and Program.Eval, where it must not spill
+// into the constant and hole rows that follow the variable rows, and a
+// shorter one panics. SetHoles reads only the holes the program reads.
+func TestLoadersReadOnlyTheirRows(t *testing.T) {
+	prog := MustCompile(Add(V("x"), C(1)), []string{"x"}, nil)
+	long := []float64{5, 99}
+	if got := prog.Eval(long, nil); got != 6 {
+		t.Errorf("Program.Eval(x + 1 at %v) = %v, want 6", long, got)
+	}
+	sb := NewScenarioBatch(prog, 1)
+	sb.SetVars(0, long)
+	if got := sb.Eval(nil, 1)[0]; got != 6 {
+		t.Errorf("ScenarioBatch.SetVars(%v): x + 1 = %v, want 6", long, got)
+	}
+	bb := NewScenarioBoxBatch(prog, 1)
+	bb.SetVars(0, long)
+	if lo, hi := bb.Eval(nil, 1); lo[0] != 6 || hi[0] != 6 {
+		t.Errorf("ScenarioBoxBatch.SetVars(%v): x + 1 = [%v, %v], want [6, 6]", long, lo[0], hi[0])
+	}
+	// ??a is never read, so it has no row; the vector's tail is ignored.
+	hp := MustCompile(Add(H("b"), V("x")), []string{"x"}, []string{"a", "b"})
+	hs := NewScenarioBatch(hp, 1)
+	hs.SetHoles(0, []float64{7, 2, 99})
+	if got := hs.EvalVars(long, 1)[0]; got != 7 {
+		t.Errorf("SetHoles([7 2 99]), EvalVars(%v): ??b + x = %v, want 7", long, got)
+	}
+	for name, fn := range map[string]func(){
+		"Program.Eval":             func() { prog.Eval(nil, nil) },
+		"ScenarioBatch.SetVars":    func() { sb.SetVars(0, nil) },
+		"ScenarioBatch.EvalVars":   func() { hs.EvalVars(nil, 1) },
+		"ScenarioBoxBatch.SetVars": func() { bb.SetVars(0, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with too few variables did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
 }

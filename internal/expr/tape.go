@@ -6,10 +6,11 @@ import (
 )
 
 // Tape compilation: every Program is lowered by one emitter into one
-// postfix instruction stream over value stacks, which the stack
-// interpreter (batch.go) runs over lanes of points; a single point
-// (Program.Eval) is a 1-lane batch. The scenario batches run the same
-// stream in register form, over points (scenario.go) and over a box
+// postfix instruction stream over value stacks. Nothing runs the stream
+// as a stack machine: the register plan (scenario.go) replays its stack
+// discipline over row numbers once per Program, and the scenario
+// batches run that plan over lanes of points (scenario.go; a single
+// point, Program.Eval, is a 1-lane batch) and over a box
 // (scenario_box.go).
 //
 // If lowers to straight-line code: condition, then-branch, else-branch,
@@ -22,17 +23,12 @@ import (
 // interval results, so computing and discarding the untaken branch is
 // unobservable. Operands are evaluated left-to-right and both sides of
 // boolean connectives are evaluated (no short-circuit, matching Eval).
-// The differential fuzz tests hold the tape to the AST interpreter in
-// eval.go.
-//
-// The select holds the then-value and the condition live across the
-// else-branch; the emitter records the exact stack high-water marks and
-// batches size their stack rows from them. There is no depth cap.
+// The differential fuzz tests hold the batches to the AST interpreter
+// in eval.go.
 //
 // Instructions are packed into 4 bytes (8-bit opcode, 24-bit operand;
-// float immediates live in a per-tape constant pool) so that even a
-// solver system holding dozens of specialized constraint tapes keeps a
-// small instruction footprint.
+// float immediates live in a per-tape constant pool), so a Program stays
+// small until its first evaluation derives the register plan from them.
 
 // tapeCode enumerates tape instructions.
 type tapeCode uint32
@@ -66,39 +62,27 @@ const tapeMaxArg = 1<<24 - 1
 
 // tape is a compiled instruction stream. Each instruction packs the
 // opcode into the top 8 bits and the operand (constant-pool index,
-// variable/hole slot, or tBoolConst value) into the low 24. maxF and
-// maxB are the float and bool stack depths the tape needs.
+// variable/hole slot, or tBoolConst value) into the low 24.
 type tape struct {
-	code       []uint32
-	consts     []float64
-	maxF, maxB int
+	code   []uint32
+	consts []float64
 }
 
 // emitter lowers one expression into one tape. Names resolve against
-// the variable and hole slot maps (an unknown one is ErrUnbound), and
-// the float and bool stack depths are tracked instruction by
-// instruction, so maxF and maxB are exactly the stacks the tape needs.
+// the variable and hole slot maps (an unknown one is ErrUnbound).
 type emitter struct {
 	varIdx, holeIdx map[string]int
 	code            []uint32
 	consts          []float64
-	f, b            int // stack depths after the last instruction
-	maxF, maxB      int // their high-water marks
 }
 
-// op appends one instruction that moves the stacks by df floats and db
-// bools.
-func (em *emitter) op(code tapeCode, arg, df, db int) {
+// op appends one instruction.
+func (em *emitter) op(code tapeCode, arg int) {
 	em.code = append(em.code, uint32(code)<<24|uint32(arg))
-	em.f += df
-	em.b += db
-	em.maxF = max(em.maxF, em.f)
-	em.maxB = max(em.maxB, em.b)
 }
 
 // constIndex returns the pool slot for v, reusing an existing slot with
-// the same bits (NaN never reaches the pool: Partial and the parser
-// only produce non-NaN constants, and folding guards against it).
+// the same bits.
 func (em *emitter) constIndex(v float64) int {
 	bits := math.Float64bits(v)
 	for i, c := range em.consts {
@@ -113,19 +97,19 @@ func (em *emitter) constIndex(v float64) int {
 func (em *emitter) num(e Expr) error {
 	switch n := e.(type) {
 	case Const:
-		em.op(tConst, em.constIndex(n.Value), 1, 0)
+		em.op(tConst, em.constIndex(n.Value))
 	case Var:
 		i, ok := em.varIdx[n.Name]
 		if !ok {
 			return ErrUnbound{Kind: "var", Name: n.Name}
 		}
-		em.op(tVar, i, 1, 0)
+		em.op(tVar, i)
 	case Hole:
 		i, ok := em.holeIdx[n.Name]
 		if !ok {
 			return ErrUnbound{Kind: "hole", Name: n.Name}
 		}
-		em.op(tHole, i, 1, 0)
+		em.op(tHole, i)
 	case Bin:
 		code, ok := binOpCode(n.Op)
 		if !ok {
@@ -137,17 +121,17 @@ func (em *emitter) num(e Expr) error {
 		if err := em.num(n.R); err != nil {
 			return err
 		}
-		em.op(code, 0, -1, 0)
+		em.op(code, 0)
 	case Neg:
 		if err := em.num(n.X); err != nil {
 			return err
 		}
-		em.op(tNeg, 0, 0, 0)
+		em.op(tNeg, 0)
 	case Abs:
 		if err := em.num(n.X); err != nil {
 			return err
 		}
-		em.op(tAbs, 0, 0, 0)
+		em.op(tAbs, 0)
 	case If:
 		if err := em.boolean(n.Cond); err != nil {
 			return err
@@ -158,7 +142,7 @@ func (em *emitter) num(e Expr) error {
 		if err := em.num(n.Else); err != nil {
 			return err
 		}
-		em.op(tSelect, 0, -1, -1)
+		em.op(tSelect, 0)
 	default:
 		return fmt.Errorf("expr: unknown node %T", e)
 	}
@@ -172,7 +156,7 @@ func (em *emitter) boolean(b BoolExpr) error {
 		if n.Value {
 			arg = 1
 		}
-		em.op(tBoolConst, arg, 0, 1)
+		em.op(tBoolConst, arg)
 	case Cmp:
 		if err := em.num(n.L); err != nil {
 			return err
@@ -180,7 +164,7 @@ func (em *emitter) boolean(b BoolExpr) error {
 		if err := em.num(n.R); err != nil {
 			return err
 		}
-		em.op(cmpOpCode(n.Op), 0, -2, 1)
+		em.op(cmpOpCode(n.Op), 0)
 	case BoolBin:
 		if err := em.boolean(n.L); err != nil {
 			return err
@@ -189,15 +173,15 @@ func (em *emitter) boolean(b BoolExpr) error {
 			return err
 		}
 		if n.Op == OpAnd {
-			em.op(tAnd, 0, 0, -1)
+			em.op(tAnd, 0)
 		} else {
-			em.op(tOr, 0, 0, -1)
+			em.op(tOr, 0)
 		}
 	case Not:
 		if err := em.boolean(n.X); err != nil {
 			return err
 		}
-		em.op(tNot, 0, 0, 0)
+		em.op(tNot, 0)
 	default:
 		return fmt.Errorf("expr: unknown bool node %T", b)
 	}

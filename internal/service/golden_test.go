@@ -113,7 +113,7 @@ func TestGoldenMultiRegionPrune(t *testing.T) {
 	got.Steals, got.BatchedEvals, got.ScalarEvals = 0, 0, 0
 	wantEffort := solver.StatsSnapshot{
 		Samples: 3340, Repairs: 216, Boxes: 20000, BoxesPruned: 4027,
-		HintHits: 1, SpecCompiles: 22, SpecCacheHits: 0,
+		HintHits: 1, SpecCompiles: 0, SpecCacheHits: 0,
 	}
 	if got != wantEffort {
 		t.Errorf("solver effort = %+v, want %+v", got, wantEffort)

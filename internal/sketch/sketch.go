@@ -134,7 +134,8 @@ func (s *Sketch) Eval(sc scenario.Scenario, holes []float64) float64 {
 
 // Program returns the compiled body Eval runs: variables in
 // Space().Names() order, holes in Holes() order. Batched callers
-// evaluate it over many scenarios at once (Program.EvalBatch).
+// evaluate it over many scenarios or hole vectors at once
+// (expr.ScenarioBatch) or over a hole box (expr.ScenarioBoxBatch).
 func (s *Sketch) Program() *expr.Program { return s.prog }
 
 // Candidate returns the candidate for the given hole vector. The vector

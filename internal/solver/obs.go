@@ -48,8 +48,7 @@ func NewMetrics(reg *obs.Registry, stats *Stats) *Metrics {
 		view("compsynth_solver_boxes_pruned_total", "branch-and-prune boxes refuted by interval bounds", stats.BoxesPruned.Load)
 		view("compsynth_solver_prune_steals_total", "work-stealing span steals in the parallel prune engine", stats.Steals.Load)
 		view("compsynth_solver_hint_hits_total", "warm-start hints that were directly feasible", stats.HintHits.Load)
-		view("compsynth_solver_spec_compiles_total", "constraint difference programs compiled", stats.SpecCompiles.Load)
-		view("compsynth_solver_batched_evals_total", "constraint evaluations in the batched sweeps (one per point lane) and prune waves (one per box)", stats.BatchedEvals.Load)
+		view("compsynth_solver_batched_evals_total", "constraint evaluations in the batched sweeps (one per hole-vector lane) and prune waves (one per box)", stats.BatchedEvals.Load)
 	}
 	return &Metrics{
 		candidateSearches:   reg.Counter("compsynth_solver_candidate_searches_total", "FindCandidate searches run"),

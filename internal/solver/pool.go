@@ -110,31 +110,33 @@ func (s *System) findDistinguishPool(ctx context.Context, opts Options, dopts Di
 
 // scoreMatrix returns scores[c][s] = f_c(x1s[s]) − f_c(x2s[s]) for
 // every candidate hole vector c, bit-identical to two Sketch.Eval calls
-// per entry. The pair pool is loaded once as 2·len(x1s) scenario lanes
-// of the sketch body, and each candidate is one batched pass with its
-// holes broadcast. The pool is fresh random scenarios every call, so it
-// stays on the shared body rather than compiling a specialization per
-// scenario. Cancellation is checked before each candidate.
+// per entry. The pair pool is loaded into a scenario batch of the
+// sketch body scoreLanes lanes at a time, pair s's two sides half a
+// chunk apart, and each candidate is one pass per chunk with its holes
+// broadcast. Cancellation is checked before each chunk.
 func scoreMatrix(ctx context.Context, sk *sketch.Sketch, cands [][]float64, x1s, x2s []scenario.Scenario) ([][]float64, error) {
 	n := len(x1s)
-	b := expr.NewPointBatch(sk.Space().Dim(), sk.NumHoles(), 2*n)
-	for si := range x1s {
-		b.SetVars(si, x1s[si])
-		b.SetVars(n+si, x2s[si])
-	}
 	scores := make([][]float64, len(cands))
-	for ci, c := range cands {
+	for ci := range scores {
+		scores[ci] = make([]float64, n)
+	}
+	b := expr.NewScenarioBatch(sk.Program(), scoreLanes)
+	for lo := 0; lo < n; lo += scoreLanes / 2 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		b.BroadcastHoles(c, 2*n)
-		sk.Program().EvalBatch(b, 2*n)
-		out := b.Outs(2 * n)
-		row := make([]float64, n)
-		for si := range row {
-			row[si] = out[si] - out[n+si]
+		k := min(scoreLanes/2, n-lo)
+		for i := 0; i < k; i++ {
+			b.SetVars(i, x1s[lo+i])
+			b.SetVars(k+i, x2s[lo+i])
 		}
-		scores[ci] = row
+		for ci, c := range cands {
+			out := b.Eval(c, 2*k)
+			row := scores[ci][lo : lo+k]
+			for i := range row {
+				row[i] = out[i] - out[k+i]
+			}
+		}
 	}
 	return scores, nil
 }

@@ -20,9 +20,10 @@ package solver
 //     re-runs only the cones of the holes that differ, which is exact,
 //     so what a worker decided before never shows in a result.
 //   - Work within a wave is distributed through per-worker deques of
-//     index spans: owners pop LIFO from the tail, idle workers steal
-//     FIFO from the head of the next deque over. Stealing reshuffles
-//     only *who* computes a slot, never *what* ends up in it.
+//     index spans: owners take theirs from the head, in frontier
+//     order, and idle workers steal from the tail of the next deque
+//     over. Stealing reshuffles only *who* computes a slot, never
+//     *what* ends up in it.
 //   - The merge then runs sequentially in frontier order: the first
 //     witness in wave order wins, surviving splits append their two
 //     children in order, and the box budget truncates the frontier at a
@@ -71,12 +72,13 @@ type pruneResult struct {
 // pruneSpan is a contiguous run [lo, hi) of frontier indices.
 type pruneSpan struct{ lo, hi int }
 
-// pruneDeque is one worker's span queue. The owner pops LIFO from the
-// tail (locality: its most recently deferred work); thieves steal FIFO
-// from the head (the oldest — and for the initial block layout the
-// largest remaining — run). A plain mutex is enough: contention is one
-// lock per span of batchLanes boxes, and the critical section is a
-// slice header update.
+// pruneDeque is one worker's span queue, its spans in frontier order.
+// The owner takes from the head, so it walks its block as the
+// one-worker loop walks the wave: each span starts at the box after
+// the last one it decided, which its box batch reaches by cone moves.
+// Thieves take from the tail, the spans the owner would reach last. A
+// plain mutex is enough: contention is one lock per span of batchLanes
+// boxes, and the critical section is a slice header update.
 type pruneDeque struct {
 	mu    sync.Mutex
 	spans []pruneSpan
@@ -85,23 +87,23 @@ type pruneDeque struct {
 func (d *pruneDeque) pop() (pruneSpan, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n := len(d.spans)
-	if n == 0 {
+	if len(d.spans) == 0 {
 		return pruneSpan{}, false
 	}
-	sp := d.spans[n-1]
-	d.spans = d.spans[:n-1]
+	sp := d.spans[0]
+	d.spans = d.spans[1:]
 	return sp, true
 }
 
 func (d *pruneDeque) steal() (pruneSpan, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.spans) == 0 {
+	n := len(d.spans)
+	if n == 0 {
 		return pruneSpan{}, false
 	}
-	sp := d.spans[0]
-	d.spans = d.spans[1:]
+	sp := d.spans[n-1]
+	d.spans = d.spans[:n-1]
 	return sp, true
 }
 

@@ -9,29 +9,44 @@ import (
 
 	"compsynth/internal/expr"
 	"compsynth/internal/interval"
+	"compsynth/internal/scenario"
 	"compsynth/internal/sketch"
 )
 
 // referenceRepair is the coordinate descent of System.repair as it ran
 // before trials moved single holes: every trial sets the hole and runs
 // a full Violation, and success is a fresh Satisfies. Both are
-// test-only copies of the point checks that shipped with that loop —
-// one stack-loop pass of the sketch body with the holes broadcast over
-// the constraint sides — on a batch loaded here from the system's
-// constraints, so no scenario lanes the system has pooled can leak into
-// the reference.
+// test-only point checks through the AST interpreter: the sketch body
+// at each constraint side, taken from the system's constraints, so no
+// scenario lanes the system has pooled can leak into the reference.
 func referenceRepair(s *System, start []float64, domains []interval.Interval, steps int, rng *rand.Rand) ([]float64, bool) {
 	prefs := s.Prefs()
 	n := 2 * len(prefs)
-	b := expr.NewPointBatch(s.sk.Space().Dim(), s.sk.NumHoles(), max(n, 1))
+	// envs[2i] and envs[2i+1] bind preference i's better and worse
+	// sides; they share one hole map.
+	holeEnv := map[string]float64{}
+	envs := make([]expr.Env, n)
 	for i, c := range prefs {
-		b.SetVars(2*i, c.Better)
-		b.SetVars(2*i+1, c.Worse)
+		for j, sc := range []scenario.Scenario{c.Better, c.Worse} {
+			envs[2*i+j] = expr.Env{Vars: map[string]float64{}, Holes: holeEnv}
+			for v, name := range s.sk.Space().Names() {
+				envs[2*i+j].Vars[name] = sc[v]
+			}
+		}
 	}
+	out, holeNames := make([]float64, n), s.sk.Holes()
 	outs := func(h []float64) []float64 {
-		b.BroadcastHoles(h, n)
-		s.sk.Program().EvalBatch(b, n)
-		return b.Outs(n)
+		for i, name := range holeNames {
+			holeEnv[name] = h[i]
+		}
+		for l, env := range envs {
+			v, err := expr.Eval(s.sk.Body(), env)
+			if err != nil {
+				panic(err)
+			}
+			out[l] = v
+		}
+		return out
 	}
 	violation := func(h []float64) float64 {
 		out := outs(h)

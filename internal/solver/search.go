@@ -39,9 +39,8 @@ type Search struct {
 func NewSearch(sys *System) Search { return Search{sys: sys} }
 
 // Compile lowers a Problem and returns its Search — the one-shot
-// entry point. It compiles one difference program per constraint, so
-// callers that solve a growing problem repeatedly hold one System
-// instead (NewSearch).
+// entry point. Callers that solve a growing problem repeatedly hold one
+// System instead (NewSearch) and mutate its constraints in place.
 func Compile(p Problem, stats *Stats) Search {
 	return Search{sys: compileSystem(p, stats)}
 }

@@ -151,12 +151,10 @@ type Stats struct {
 	Steals atomic.Int64
 	// HintHits counts warm-start hints that were directly feasible.
 	HintHits atomic.Int64
-	// SpecCompiles counts constraint difference programs compiled (one
-	// per constraint added to a System).
-	SpecCompiles atomic.Int64
 	// BatchedEvals counts constraint evaluations in the batched stages:
-	// one per lane of each fused-program pass in the point sweeps
-	// (sampling, the midpoint probe, the floor corners), and one per
+	// one per hole-vector lane of each constraint the point sweeps
+	// (sampling, the midpoint probe, the floor corners) evaluate, the
+	// constraint's two passes of the body counted once, and one per
 	// constraint for every box the prune waves bound over all
 	// constraints in one box-batch pass. The point checks, repair and
 	// the score matrices, which run the sketch body over scenario
@@ -183,8 +181,9 @@ type StatsSnapshot struct {
 	BoxesPruned  int64
 	Steals       int64
 	HintHits     int64
-	SpecCompiles int64
 	BatchedEvals int64
+	// SpecCompiles is always 0; kept for bench/.
+	SpecCompiles int64
 	// SpecCacheHits is always 0; kept for bench/.
 	SpecCacheHits int64
 	// ScalarEvals is always 0; kept for bench/.
@@ -202,7 +201,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		BoxesPruned:  s.BoxesPruned.Load(),
 		Steals:       s.Steals.Load(),
 		HintHits:     s.HintHits.Load(),
-		SpecCompiles: s.SpecCompiles.Load(),
 		BatchedEvals: s.BatchedEvals.Load(),
 	}
 }
@@ -215,7 +213,6 @@ func (s *Stats) Reset() {
 	s.BoxesPruned.Store(0)
 	s.Steals.Store(0)
 	s.HintHits.Store(0)
-	s.SpecCompiles.Store(0)
 	s.BatchedEvals.Store(0)
 }
 
@@ -229,15 +226,14 @@ func (a StatsSnapshot) Sub(b StatsSnapshot) StatsSnapshot {
 		BoxesPruned:  a.BoxesPruned - b.BoxesPruned,
 		Steals:       a.Steals - b.Steals,
 		HintHits:     a.HintHits - b.HintHits,
-		SpecCompiles: a.SpecCompiles - b.SpecCompiles,
 		BatchedEvals: a.BatchedEvals - b.BatchedEvals,
 	}
 }
 
 // String renders the snapshot in the Stats.String format.
 func (s StatsSnapshot) String() string {
-	return fmt.Sprintf("samples=%d repairs=%d boxes=%d pruned=%d steals=%d hint-hits=%d spec-compiles=%d batch-evals=%d",
-		s.Samples, s.Repairs, s.Boxes, s.BoxesPruned, s.Steals, s.HintHits, s.SpecCompiles, s.BatchedEvals)
+	return fmt.Sprintf("samples=%d repairs=%d boxes=%d pruned=%d steals=%d hint-hits=%d batch-evals=%d",
+		s.Samples, s.Repairs, s.Boxes, s.BoxesPruned, s.Steals, s.HintHits, s.BatchedEvals)
 }
 
 // DefaultOptions returns the tuning used by the synthesizer.

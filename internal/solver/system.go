@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"compsynth/internal/expr"
 	"compsynth/internal/interval"
 	"compsynth/internal/obs"
 	"compsynth/internal/sketch"
@@ -16,27 +15,28 @@ import (
 // Problem representation lowered for the solver's hot paths, bit-exact
 // with the Problem-based reference path (violation/Satisfies in
 // solver.go), which is what keeps synthesis transcripts identical for
-// fixed seeds. It evaluates the constraints two ways:
+// fixed seeds. Every evaluation runs the sketch body's register form
+// (expr.ScenarioBatch and its interval twin), turned one of two ways:
 //
 //   - the point checks (Violation, Satisfies, SatisfiedMask) run the
-//     sketch body once for a hole vector, with the constraints' sides
-//     as scenario lanes, and read each f(better) − f(worse) off the
-//     output column; repair keeps those lanes' rows across its descent
-//     and re-runs only the moved hole's cone per trial, and the prune
-//     waves bound every constraint over a box the same way, in interval
+//     body once for a hole vector, with the constraints' sides as
+//     scenario lanes, and read each f(better) − f(worse) off the output
+//     column; repair keeps those lanes' rows across its descent and
+//     re-runs only the moved hole's cone per trial, and the prune waves
+//     bound every constraint over a box the same way, in interval
 //     arithmetic, re-running only the cones of the holes that differ
 //     from the previous box;
-//   - one fused hole-only difference program per constraint
-//     (sketch.SpecializeDiff), so the sampling sweeps, the prune waves'
-//     midpoint probe and the floor corners run each constraint over
-//     lanes of hole vectors.
+//   - the sampling sweeps, the prune waves' midpoint probe and the
+//     floor corners run each constraint over lanes of hole vectors: one
+//     pass of the body at the better side, one at the worse side, and
+//     one lane subtraction.
 //
 // A System is built once and mutated incrementally as preference edges
-// are recorded (AddPref/InsertPref/RemovePref), so the per-iteration
-// cost of the synthesis loop is one difference-program compile per new
-// edge instead of a full problem rebuild. Mutation is
-// not goroutine-safe; the point checks and the search methods only
-// read and may be called concurrently (and with PruneWorkers > 1).
+// are recorded (AddPref/InsertPref/RemovePref). A mutation compiles
+// nothing: the pooled scenario lanes reload the constraint sides on
+// their next use. Mutation is not goroutine-safe; the point checks and
+// the search methods only read and may be called concurrently (and
+// with PruneWorkers > 1).
 type System struct {
 	sk     *sketch.Sketch
 	margin float64
@@ -53,7 +53,6 @@ type System struct {
 	log      *obs.Logger
 
 	prefs []Pref
-	cps   []compiledPref
 
 	// scenVer changes with every constraint mutation, so a pooled
 	// scenario batch knows when its loaded lanes are stale (see
@@ -69,44 +68,18 @@ type System struct {
 	scnPool sync.Pool
 }
 
-// compiledPref is a preference edge lowered to one hole-only program
-// computing f(better) - f(worse). Fusing the pair into a single
-// difference program halves evaluator dispatch per constraint and keeps
-// each constraint's instructions contiguous; the result is bit-exact
-// with evaluating the sides separately and subtracting (same float ops
-// in the same order, and interval Sub is exactly the Bin/OpSub
-// semantics).
-type compiledPref struct {
-	diff *expr.Program
-}
-
 // NewSystem returns an empty compiled system over the sketch's hole
-// box. margin has Problem.Margin semantics. stats, when non-nil, counts
-// difference-program compiles (and is also the default Stats sink for
-// searches run through the system).
+// box. margin has Problem.Margin semantics. stats, when non-nil, is the
+// default Stats sink for searches run through the system.
 func NewSystem(sk *sketch.Sketch, margin float64, stats *Stats) *System {
 	return &System{sk: sk, margin: margin, stats: stats}
 }
 
-// compileSystem lowers a Problem, compiling one difference program per
-// constraint.
+// compileSystem returns a System holding a Problem's constraints.
 func compileSystem(p Problem, stats *Stats) *System {
 	s := NewSystem(p.Sketch, p.Margin, stats)
-	s.prefs = make([]Pref, 0, len(p.Prefs))
-	s.cps = make([]compiledPref, 0, len(p.Prefs))
-	for _, c := range p.Prefs {
-		s.AddPref(c)
-	}
+	s.prefs = append(make([]Pref, 0, len(p.Prefs)), p.Prefs...)
 	return s
-}
-
-// compileDiff compiles the fused difference program f(a) - f(b) for a
-// constraint and counts the compile.
-func (s *System) compileDiff(a, b []float64) *expr.Program {
-	if s.stats != nil {
-		s.stats.SpecCompiles.Add(1)
-	}
-	return s.sk.SpecializeDiff(a, b)
 }
 
 // SetMetrics attaches registry-backed instruments (obtained from
@@ -130,7 +103,6 @@ func (s *System) Prefs() []Pref { return append([]Pref(nil), s.prefs...) }
 // AddPref appends a preference constraint.
 func (s *System) AddPref(c Pref) {
 	s.prefs = append(s.prefs, c)
-	s.cps = append(s.cps, compiledPref{diff: s.compileDiff(c.Better, c.Worse)})
 	s.scenVer++
 }
 
@@ -142,22 +114,18 @@ func (s *System) InsertPref(i int, c Pref) {
 	s.prefs = append(s.prefs, Pref{})
 	copy(s.prefs[i+1:], s.prefs[i:])
 	s.prefs[i] = c
-	s.cps = append(s.cps, compiledPref{})
-	copy(s.cps[i+1:], s.cps[i:])
-	s.cps[i] = compiledPref{diff: s.compileDiff(c.Better, c.Worse)}
 	s.scenVer++
 }
 
 // RemovePref removes the preference constraint at index i.
 func (s *System) RemovePref(i int) {
 	s.prefs = append(s.prefs[:i], s.prefs[i+1:]...)
-	s.cps = append(s.cps[:i], s.cps[i+1:]...)
 	s.scenVer++
 }
 
 // Reset drops all constraints, keeping the sketch.
 func (s *System) Reset() {
-	s.prefs, s.cps = s.prefs[:0], s.cps[:0]
+	s.prefs = s.prefs[:0]
 	s.scenVer++
 }
 
@@ -182,10 +150,10 @@ func (s *System) Satisfies(holes []float64) bool {
 // (parallel to the constraint order). mask is grown as needed and
 // returned.
 func (s *System) SatisfiedMask(holes []float64, mask []bool) []bool {
-	if cap(mask) < len(s.cps) {
-		mask = make([]bool, len(s.cps))
+	if cap(mask) < len(s.prefs) {
+		mask = make([]bool, len(s.prefs))
 	}
-	mask = mask[:len(s.cps)]
+	mask = mask[:len(s.prefs)]
 	sl := s.getScenarios()
 	defer s.putScenarios(sl)
 	out := s.scenarioOuts(sl, holes)

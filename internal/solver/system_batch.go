@@ -1,23 +1,25 @@
 package solver
 
 // Batched structure-of-arrays evaluation: the solver side of the
-// expr lane interpreters.
+// expr lane interpreters, all of them the sketch body's register form.
 //
 // The point sweeps — uniform sampling, the prune waves' midpoint probe
 // and the floor corners — share one shape: many independent hole
-// vectors evaluated against the same ordered constraint programs.
-// Batching turns each of those loops inside out: instead of walking
-// constraints per input, it walks inputs per constraint, K lanes per
-// instruction-dispatch pass of the stack loop (internal/expr/batch.go),
-// with an active lane set that shrinks as constraints decide lanes
-// (keeping the early-exit economics of checking one input at a time, in
-// constraint-major form). Everything else turns the other way: one
-// hole vector or box, with the constraints' sides as scenario lanes of
-// the sketch body. The point checks and repair (scenarioOuts) run a
-// scenario batch, which keeps its rows so repair's trials re-run only
-// the moved hole's cone, and the prune waves decide each box in its
-// interval twin (boxLanes), which keeps its rows so a box re-runs only
-// the cones of the holes that differ from the worker's previous box.
+// vectors evaluated against the same ordered constraints. Batching
+// turns each of those loops inside out: instead of walking constraints
+// per input, it walks inputs per constraint, K hole-vector lanes per
+// pass of the body in a scenario batch turned to hole lanes
+// (pointLanes: one pass at the constraint's better side, one at its
+// worse side, one lane subtraction), with an active lane set that
+// shrinks as constraints decide lanes (keeping the early-exit economics
+// of checking one input at a time, in constraint-major form).
+// Everything else turns the other way: one hole vector or box, with the
+// constraints' sides as scenario lanes of the body. The point checks
+// and repair (scenarioOuts) run a scenario batch, which keeps its rows
+// so repair's trials re-run only the moved hole's cone, and the prune
+// waves decide each box in its interval twin (boxLanes), which keeps
+// its rows so a box re-runs only the cones of the holes that differ
+// from the worker's previous box.
 //
 // Determinism contract, mirrored from prune.go: the lane width NEVER
 // affects results. Every lane op is the scalar op applied elementwise
@@ -40,10 +42,17 @@ import (
 	"compsynth/internal/interval"
 )
 
-// batchLanes is the solver's lane width. It keeps a batch's stack rows
+// batchLanes is the solver's lane width. It keeps a batch's rows
 // inside L1 while amortizing dispatch well past the knee; 64-lane
 // batches pay cache misses for little extra amortization.
 const batchLanes = 16
+
+// scoreLanes is the lane width of the score matrices' scenario batch:
+// a pair pool is loaded this many scenario lanes (half as many pairs)
+// at a time, and each candidate runs once per chunk. Measured on the
+// SWAN and 2-region bodies, 128 lanes beat 16, 32 and 64 lanes and one
+// batch over a whole 600-pair pool.
+const scoreLanes = 128
 
 // sampleBlock is the draw granularity of the batched sampling stages:
 // RNG rows are drawn this many at a time, independent of the lane
@@ -59,7 +68,10 @@ type Batch struct {
 	lanes int
 	dim   int
 
-	pt *expr.PointBatch // point lanes
+	// pt is the sweeps' scenario batch of the sketch body, turned to
+	// hole-vector lanes; diff keeps a constraint's better-side column.
+	pt   *expr.ScenarioBatch
+	diff []float64
 	// box is the box batch of the prune waves: the sketch body over the
 	// constraint sides, loaded from constraint version boxVer. It is
 	// built on the first span a Batch decides (see boxLanes).
@@ -86,7 +98,8 @@ func (s *System) NewBatch(lanes int) *Batch {
 	return &Batch{
 		lanes:   lanes,
 		dim:     dim,
-		pt:      expr.NewPointBatch(0, dim, lanes),
+		pt:      expr.NewScenarioBatch(s.sk.Program(), lanes),
+		diff:    make([]float64, lanes),
 		mids:    make([]float64, lanes*dim),
 		corners: make([]float64, lanes*dim),
 		block:   make([]float64, sampleBlock*dim),
@@ -160,10 +173,9 @@ func (s *System) putScenarios(sl *scenarioLanes) { s.scnPool.Put(sl) }
 
 // scenarioOuts evaluates the sketch body at one hole vector over every
 // constraint side in one full pass of sl's batch. Each constraint is
-// the difference of its pair of outputs, the value its fused difference
-// program computes (specialization is bit-exact). The column aliases
-// the batch. Point checks are not counted in Stats.BatchedEvals, which
-// counts constraint-program lanes.
+// the difference of its pair of outputs. The column aliases the batch.
+// Point checks are not counted in Stats.BatchedEvals, which counts the
+// sweeps' and prune waves' constraint evaluations.
 func (s *System) scenarioOuts(sl *scenarioLanes, holes []float64) []float64 {
 	return sl.sb.Eval(holes, s.sides())
 }
@@ -193,19 +205,28 @@ func (s *System) satisfied(out []float64) bool {
 	return true
 }
 
-// pointLanes evaluates prog over the listed rows of the row-major point
-// storage (stride dim) in one batch pass, returning the output column
-// parallel to lanes. The column aliases b.pt and is overwritten by the
-// next pass.
-func (s *System) pointLanes(b *Batch, prog *expr.Program, rows []float64, dim int, lanes []int, stats *Stats) []float64 {
+// pointLanes evaluates constraint c, f(better) − f(worse), at the
+// hole vectors in the listed rows of the row-major point storage
+// (stride dim): it loads them as lanes of b's sweep batch, runs the
+// body at the better side and keeps that column, runs it at the worse
+// side, and subtracts lane by lane — the float operations of the
+// constraint's two sketch evaluations, in their order. The returned
+// column, parallel to lanes, aliases b and is overwritten by the next
+// call.
+func (s *System) pointLanes(b *Batch, c Pref, rows []float64, dim int, lanes []int, stats *Stats) []float64 {
 	for x, r := range lanes {
 		b.pt.SetHoles(x, rows[r*dim:(r+1)*dim])
 	}
-	prog.EvalBatch(b.pt, len(lanes))
-	if stats != nil {
-		stats.BatchedEvals.Add(int64(len(lanes)))
+	n := len(lanes)
+	d := b.diff[:n]
+	copy(d, b.pt.EvalVars(c.Better, n))
+	for x, w := range b.pt.EvalVars(c.Worse, n) {
+		d[x] -= w
 	}
-	return b.pt.Outs(len(lanes))
+	if stats != nil {
+		stats.BatchedEvals.Add(int64(n))
+	}
+	return d
 }
 
 // boxLanes returns b's box batch loaded with the current constraint
@@ -240,8 +261,8 @@ func (s *System) boxLanes(b *Batch) *expr.ScenarioBoxBatch {
 // must copy it first — see evalPruneSpan.
 func (s *System) sweepSurvivors(b *Batch, rows []float64, dim int, lanesIn []int, stats *Stats) []int {
 	active := append(b.act[:0], lanesIn...)
-	for i := 0; i < len(s.cps) && len(active) > 0; i++ {
-		outs := s.pointLanes(b, s.cps[i].diff, rows, dim, active, stats)
+	for i := 0; i < len(s.prefs) && len(active) > 0; i++ {
+		outs := s.pointLanes(b, s.prefs[i], rows, dim, active, stats)
 		keep := active[:0]
 		for x, r := range active {
 			if outs[x] > s.margin {
@@ -357,18 +378,18 @@ func (s *System) cornerWitnessBatch(b *Batch, box []interval.Interval, stats *St
 // batch held before; see the file comment for the determinism argument.
 //
 // Each box is a pure function of the System and its constraint set
-// (compiled programs are read-only), so spans are safe and
+// (the compiled body is read-only), so spans are safe and
 // result-identical under any evaluation order.
 //
 // The decision runs in three steps. First each box, in span order, is
 // bounded over every constraint at once: b's box batch moves to the box
 // (re-running only the cones of the holes that differ from the previous
 // box) and each constraint's interval is the Sub of its pair of output
-// lanes, the interval its fused difference program computes. A box is
-// refuted when some constraint's upper bound is at most the margin, and
-// fully feasible, its midpoint accepted on interval evidence alone,
-// when every lower bound exceeds it. Then the rest take the batched
-// midpoint probe, and then split-or-floor.
+// lanes, the interval bound of f(better) − f(worse) over the box. A
+// box is refuted when some constraint's upper bound is at most the
+// margin, and fully feasible, its midpoint accepted on interval
+// evidence alone, when every lower bound exceeds it. Then the rest
+// take the batched midpoint probe, and then split-or-floor.
 func (s *System) evalPruneSpan(wave [][]interval.Interval, lo, hi int, results []pruneResult, minWidths []float64, b *Batch, stats *Stats) {
 	boxes := wave[lo:hi]
 	n := s.sides()
@@ -401,7 +422,7 @@ func (s *System) evalPruneSpan(wave [][]interval.Interval, lo, hi int, results [
 		}
 	}
 	if stats != nil && n > 0 {
-		stats.BatchedEvals.Add(int64(len(boxes) * len(s.cps)))
+		stats.BatchedEvals.Add(int64(len(boxes) * len(s.prefs)))
 	}
 	if len(midL) == 0 {
 		return

@@ -144,7 +144,9 @@ func TestSystemPointChecks(t *testing.T) {
 
 // TestScoreMatrixMatchesEval pins the score matrix bit for bit to two
 // Sketch.Eval calls per entry, on sketches with and without branches
-// and over a pair pool that holds a signed-zero pair.
+// and over a pair pool that holds a signed-zero pair. The pool's 70
+// pairs span more than one chunk of scoreLanes lanes and end on a
+// partial one.
 func TestScoreMatrixMatchesEval(t *testing.T) {
 	mr, err := sketch.MultiRegion(2)
 	if err != nil {
@@ -156,7 +158,11 @@ func TestScoreMatrixMatchesEval(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			cands = append(cands, randomVector(sk.Domains(), rng))
 		}
-		x1s, x2s := sk.Space().RandomN(rng, 70), sk.Space().RandomN(rng, 70)
+		const pairs = 70
+		if chunk := scoreLanes / 2; pairs <= chunk || pairs%chunk == 0 {
+			t.Fatalf("%d pairs fill whole chunks of %d pairs", pairs, chunk)
+		}
+		x1s, x2s := sk.Space().RandomN(rng, pairs), sk.Space().RandomN(rng, pairs)
 		x1s[3] = scenario.Scenario{0, 0.5}
 		x2s[3] = scenario.Scenario{math.Copysign(0, -1), 0.5}
 		scores, err := scoreMatrix(context.Background(), sk, cands, x1s, x2s)
