@@ -75,14 +75,16 @@ effort-gate:
 	$(GO) run ./cmd/effortgate
 
 # Fuzz each differential evaluation target for 10 s: random programs,
-# deep ones included, through Program.Eval, the point lanes of the one
-# tape, a box batch's interval pass over scenario lanes, and a scenario
-# batch's hole moves and commits, checked against the AST interpreter,
-# with every move that Unchanged proves a no-op held to its kept rows
-# and a box batch moved through a chain of boxes held row by row to a
-# full pass at each. Then fuzz the two parsers of network input for
-# 10 s each: the transcript decoder (PUT …/transcript) and the
-# expression parser (inline spec sketches). Part of tier-1 `all`.
+# deep ones included, through Program.Eval, a scenario batch's full
+# pass over scenario lanes at one hole vector and over hole-vector
+# lanes at one variable vector, a box batch's interval pass over
+# scenario lanes, and a scenario batch's hole moves and commits,
+# checked against the AST interpreter, with every move that Unchanged
+# proves a no-op held to its kept rows and a box batch moved through a
+# chain of boxes held row by row to a full pass at each. Then fuzz the
+# two parsers of network input for 10 s each: the transcript decoder
+# (PUT …/transcript) and the expression parser (inline spec sketches).
+# Part of tier-1 `all`.
 fuzz-smoke:
 	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzDifferentialEval$$' -fuzztime 10s
 	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzDifferentialBatch$$' -fuzztime 10s
