@@ -14,8 +14,10 @@ GO ?= go
 # replays off the manager lock racing Get, Delete and Abort, and ten
 # runs each over the
 # point checks' pooled lane scratch, repairs holding
-# pooled scenario batches on one shared system, and Program.Eval's
-# pooled 1-lane batches from concurrent goroutines), a
+# pooled scenario batches on one shared system, Program.Eval's
+# pooled 1-lane batches from concurrent goroutines, a stepper's Close
+# racing its in-flight NextBatch, and recovered sessions that compute
+# nothing until polled), a
 # one-iteration compile check of every benchmark, smoke tests of the
 # observability HTTP endpoint, the compsynthd service layer, the
 # structured log stream, the multi-node fleet (router + daemons + chaos
@@ -40,6 +42,7 @@ race:
 	$(GO) test -race -count=10 -run '^TestSystemPointChecks$$' ./internal/solver/
 	$(GO) test -race -count=10 -run '^TestRepairMatchesReference$$' ./internal/solver/
 	$(GO) test -race -count=10 -run '^TestProgramEvalConcurrent$$' ./internal/expr/
+	$(GO) test -race -count=10 -run '^(TestStepperClose|TestRecoveryIdleUntilPolled)$$' ./internal/core/ ./internal/service/
 	$(GO) test -race ./internal/sketch/ ./internal/solver/ ./internal/core/ ./internal/obs/ ./internal/service/ ./internal/fleet/ ./internal/expr/
 
 cover:

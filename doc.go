@@ -44,8 +44,10 @@
 //   - internal/core — the comparative synthesizer, the paper's
 //     contribution: initial ranking, distinguishing queries,
 //     convergence detection (two consecutive UNSAT verdicts),
-//     transcripts for bit-exact replay, and the Stepper, which inverts
-//     the oracle callback into a pull API for serving layers.
+//     transcripts for bit-exact replay. The loop is a round machine
+//     that computes only when asked for the next round: Run drives it
+//     against an Oracle, and the Stepper exposes it as a pull API for
+//     serving layers, computing on its caller's goroutine.
 //
 // # Serving, observability, and tooling
 //

@@ -79,7 +79,10 @@ type Config struct {
 	MaxIterations int
 	// OnIteration, when set, is called after every completed iteration
 	// with its statistics — a progress hook for interactive frontends.
-	// It runs synchronously on the synthesis goroutine.
+	// It runs synchronously inside the call that closes the iteration:
+	// the answer to its last question, or the search that found no
+	// question to ask. A Stepper runs it with the stepper locked, so it
+	// must not call the stepper.
 	OnIteration func(IterationStat)
 	// Noise selects the inconsistent-answer policy.
 	Noise NoisePolicy
@@ -232,7 +235,7 @@ type Synthesizer struct {
 	sys      *solver.System
 	sysEdges []prefgraph.Edge
 	// search is the context-first view over sys; every solver query the
-	// loop issues goes through it so RunContext's ctx reaches down to
+	// loop issues goes through it so next's ctx reaches down to
 	// individual samples, repair restarts, and prune waves.
 	search solver.Search
 	// hints are warm-start hole vectors carried between iterations:
@@ -242,12 +245,9 @@ type Synthesizer struct {
 	// preloaded marks a session resumed from a Transcript; the initial
 	// ranking is skipped because the transcript already contains it.
 	preloaded bool
-	// user wraps cfg.Oracle with timing/counting (see timedOracle); all
-	// comparisons go through it.
-	user oracle.Oracle
 	// batch is the batch view of cfg.Oracle (native when the oracle
-	// implements oracle.BatchOracle, an adapter otherwise); the planner
-	// path asks whole rounds through it.
+	// implements oracle.BatchOracle, an adapter otherwise); RunContext
+	// asks planner rounds through it.
 	batch oracle.BatchOracle
 	// planner is the active query planner (nil when DisablePlanner).
 	planner *planner.Planner
@@ -257,6 +257,39 @@ type Synthesizer struct {
 	// publishes them on the Result.
 	oracleTime time.Duration
 	queries    int
+
+	// The round machine (next and answer): what a loop calling the
+	// oracle in place would keep on its stack. res is nil until the
+	// first next.
+	res *Result
+	// rank is the initial ranking while it runs, over the scenarios in
+	// ranked; spInit and initStart time the init phase.
+	rank      *oracle.Ranker
+	ranked    []scenario.Scenario
+	spInit    obs.Span
+	initStart time.Time
+	// iter is the index of the open (or last) iteration, unsat the
+	// streak of unsat verdicts, stat and spIter the open iteration's
+	// record and span. wits are its witnesses; with the planner off
+	// they are asked one per round, and nextWit is the next to ask.
+	iter    int
+	unsat   int
+	stat    IterationStat
+	spIter  obs.Span
+	wits    []*solver.Distinguishing
+	nextWit int
+	// pending is the published round awaiting its answers.
+	pending *round
+}
+
+// round is one round of questions: a single Compare (the initial
+// ranking, or one witness with the planner off) or a planner batch.
+// Its oracle time runs from start, when next published it, to answer.
+type round struct {
+	qs    []oracle.Query
+	batch bool
+	start time.Time
+	sp    obs.Span
 }
 
 // maxHints caps the warm-start pool.
@@ -294,11 +327,17 @@ func (s *Synthesizer) solverOpts(escalation int) solver.Options {
 
 // New validates the config and creates a synthesizer.
 func New(cfg Config) (*Synthesizer, error) {
-	if cfg.Sketch == nil {
-		return nil, errors.New("core: Config.Sketch is required")
-	}
 	if cfg.Oracle == nil {
 		return nil, errors.New("core: Config.Oracle is required")
+	}
+	return newSynthesizer(cfg)
+}
+
+// newSynthesizer is New without the oracle, which only RunContext asks:
+// a Stepper's caller answers its rounds instead.
+func newSynthesizer(cfg Config) (*Synthesizer, error) {
+	if cfg.Sketch == nil {
+		return nil, errors.New("core: Config.Sketch is required")
 	}
 	cfg = cfg.withDefaults()
 	if cfg.Obs.Reg() != nil && cfg.Solver.Stats == nil {
@@ -321,7 +360,6 @@ func New(cfg Config) (*Synthesizer, error) {
 		sys:   solver.NewSystem(cfg.Sketch, 0, cfg.Solver.Stats),
 	}
 	s.search = solver.NewSearch(s.sys)
-	s.user = timedOracle{s}
 	s.batch = oracle.AsBatch(cfg.Oracle)
 	if !cfg.DisablePlanner {
 		s.planner = planner.New(cfg.Planner)
@@ -344,43 +382,52 @@ func (s *Synthesizer) Run() (*Result, error) {
 // RunContext is Run with cancellation: the session stops at the next
 // iteration boundary when ctx is done and returns ctx's error. Long
 // interactive sessions (and servers embedding the synthesizer) should
-// prefer it.
+// prefer it. It drives the round machine that Stepper drives too:
+// compute the next round, put it to the oracle, apply the answers.
 func (s *Synthesizer) RunContext(ctx context.Context) (*Result, error) {
-	res := &Result{Graph: s.graph, Store: s.store}
-	s.om.sessionStart()
-	tr := s.tracer()
-	s.log().Info("core.session.start",
-		"seed", s.cfg.Seed,
-		"initial_scenarios", s.cfg.InitialScenarios,
-		"pairs_per_iteration", s.cfg.PairsPerIteration,
-		"max_iterations", s.cfg.MaxIterations)
-
-	spInit := tr.Begin("init")
-	initStart := time.Now()
-	if err := s.initGraph(res); err != nil {
-		spInit.End()
-		s.log().Error("core.session.fail", "phase", "init", "error", err.Error())
-		return nil, err
-	}
-	res.InitTime = time.Since(initStart)
-	if spInit.Active() {
-		spInit.End(
-			obs.Num("edges", float64(s.graph.NumEdges())),
-			obs.Num("queries", float64(s.queries)))
-	}
-	s.log().Debug("core.init",
-		"edges", s.graph.NumEdges(),
-		"queries", s.queries,
-		"dur_ms", res.InitTime.Seconds()*1e3)
-	res.TotalSynthTime += res.InitTime
-
-	unsatStreak := 0
-	for iter := 1; iter <= s.cfg.MaxIterations; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: session canceled after %d iterations: %w", iter-1, err)
+	for {
+		r, res, err := s.next(ctx)
+		if r == nil {
+			return res, err
 		}
-		stat := IterationStat{Index: iter}
-		spIter := tr.Begin("iteration")
+		if err := s.answer(s.ask(r)); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// ask puts a round to the configured oracle: a planner round as one
+// batch, any other round as one Compare.
+func (s *Synthesizer) ask(r *round) []oracle.Judgment {
+	if r.batch {
+		return s.batch.AnswerBatch(r.qs)
+	}
+	return []oracle.Judgment{{Pref: s.cfg.Oracle.Compare(r.qs[0].A, r.qs[0].B)}}
+}
+
+// next computes until the next round of questions, which it returns
+// as the pending round, or until the session ends, when it returns the
+// Result (or the error that ended it). Callers answer a round before
+// they call next again.
+func (s *Synthesizer) next(ctx context.Context) (*round, *Result, error) {
+	if s.res == nil {
+		s.begin()
+	}
+	if s.rank != nil {
+		i, j, _ := s.rank.Next() // answer ends the ranking once no question is left
+		return s.publish(false, []oracle.Query{{A: s.ranked[i], B: s.ranked[j]}}), nil, nil
+	}
+	if s.nextWit < len(s.wits) {
+		return s.askWitnesses(), nil, nil
+	}
+	tr := s.tracer()
+	for s.iter < s.cfg.MaxIterations {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, fmt.Errorf("core: session canceled after %d iterations: %w", s.iter, err)
+		}
+		s.iter++
+		s.stat = IterationStat{Index: s.iter}
+		s.spIter = tr.Begin("iteration")
 
 		solveStart := time.Now()
 		spSolve := tr.Begin("solve")
@@ -389,8 +436,8 @@ func (s *Synthesizer) RunContext(ctx context.Context) (*Result, error) {
 			spSolve.End(obs.Num("escalation", 0), obs.Num("status", float64(status)))
 		}
 		if err != nil {
-			spIter.End()
-			return nil, fmt.Errorf("core: session canceled after %d iterations: %w", iter-1, err)
+			s.spIter.End()
+			return nil, nil, fmt.Errorf("core: session canceled after %d iterations: %w", s.iter-1, err)
 		}
 		if status == solver.StatusUnknown {
 			// No consistent candidate found at the base budget. Escalate
@@ -401,8 +448,8 @@ func (s *Synthesizer) RunContext(ctx context.Context) (*Result, error) {
 				spSolve.End(obs.Num("escalation", 2), obs.Num("status", float64(status)))
 			}
 			if err != nil {
-				spIter.End()
-				return nil, fmt.Errorf("core: session canceled after %d iterations: %w", iter-1, err)
+				s.spIter.End()
+				return nil, nil, fmt.Errorf("core: session canceled after %d iterations: %w", s.iter-1, err)
 			}
 		}
 		if status == solver.StatusUnknown {
@@ -415,70 +462,174 @@ func (s *Synthesizer) RunContext(ctx context.Context) (*Result, error) {
 				spRelax.End(obs.Num("dropped", float64(dropped)))
 			}
 			s.log().Warn("core.relax",
-				"iteration", iter, "dropped", dropped,
+				"iteration", s.iter, "dropped", dropped,
 				"error", errString(relaxErr))
 			if relaxErr != nil {
-				spIter.End()
-				return nil, fmt.Errorf("%w (after %d iterations)", relaxErr, iter-1)
+				s.spIter.End()
+				return nil, nil, fmt.Errorf("%w (after %d iterations)", relaxErr, s.iter-1)
 			}
-			stat.Rejected += dropped
-			stat.SynthTime = time.Since(solveStart)
-			stat.Status = status
-			res.TotalSynthTime += stat.SynthTime
-			s.endIteration(res, stat, spIter)
+			s.stat.Rejected += dropped
+			s.stat.SynthTime = time.Since(solveStart)
+			s.stat.Status = status
+			s.res.TotalSynthTime += s.stat.SynthTime
+			s.endIteration()
 			continue
 		}
-		stat.SynthTime = time.Since(solveStart)
-		stat.Status = status
-		res.TotalSynthTime += stat.SynthTime
+		s.stat.SynthTime = time.Since(solveStart)
+		s.stat.Status = status
+		s.res.TotalSynthTime += s.stat.SynthTime
 
-		switch status {
-		case solver.StatusUnsat:
-			unsatStreak++
-			s.endIteration(res, stat, spIter)
-			if unsatStreak >= convergenceChecks {
-				res.Converged = true
-				return s.finish(ctx, res)
+		if status == solver.StatusUnsat {
+			s.unsat++
+			s.endIteration()
+			if s.unsat >= convergenceChecks {
+				s.res.Converged = true
+				break
 			}
 			continue
 		}
-		unsatStreak = 0
-
+		s.unsat = 0
 		for _, w := range wits {
 			s.addHints(w.A, w.B)
 		}
-		oracleBefore := s.oracleTime
-		if s.planner != nil {
-			// Planned rounds go to the oracle as one batch and come back
-			// as graded judgments recorded with weighted-edge semantics.
-			judgments := s.askBatch(wits)
-			stat.Queries += len(wits)
-			for i, w := range wits {
-				added, rejected, err := s.recordJudgment(w.X1, w.X2, judgments[i])
-				if err != nil {
-					spIter.End()
-					return nil, err
-				}
-				stat.NewEdges += added
-				stat.Rejected += rejected
-			}
+		s.wits, s.nextWit = wits, 0
+		return s.askWitnesses(), nil, nil
+	}
+	res, err := s.finish(ctx)
+	return nil, res, err
+}
+
+// begin opens the session: its Result, the init phase and, unless a
+// transcript supplied the early answers, the initial ranking of random
+// scenarios (paper: "the synthesizer generates a set of randomly
+// generated scenarios and asks the user to indicate her preferences").
+func (s *Synthesizer) begin() {
+	s.res = &Result{Graph: s.graph, Store: s.store}
+	s.om.sessionStart()
+	s.log().Info("core.session.start",
+		"seed", s.cfg.Seed,
+		"initial_scenarios", s.cfg.InitialScenarios,
+		"pairs_per_iteration", s.cfg.PairsPerIteration,
+		"max_iterations", s.cfg.MaxIterations)
+	s.spInit = s.tracer().Begin("init")
+	s.initStart = time.Now()
+	if n := s.cfg.InitialScenarios; !s.preloaded && n >= 2 {
+		s.ranked = s.cfg.Sketch.Space().RandomN(s.rng, n)
+		s.rank = oracle.NewRanker(n)
+		return
+	}
+	s.endInit()
+}
+
+// askWitnesses publishes the open iteration's next round: every
+// witness at once for the planner, the next one alone without it.
+func (s *Synthesizer) askWitnesses() *round {
+	ws := s.wits[s.nextWit:]
+	if s.planner == nil {
+		ws = ws[:1]
+	}
+	s.nextWit += len(ws)
+	qs := make([]oracle.Query, len(ws))
+	for i, w := range ws {
+		qs[i] = oracle.Query{A: w.X1, B: w.X2}
+	}
+	return s.publish(s.planner != nil, qs)
+}
+
+// publish makes qs the pending round and starts its oracle clock and
+// "oracle" span.
+func (s *Synthesizer) publish(batch bool, qs []oracle.Query) *round {
+	sp := s.tracer().Begin("oracle")
+	s.pending = &round{qs: qs, batch: batch, start: time.Now(), sp: sp}
+	return s.pending
+}
+
+// answer applies the pending round's judgments, one per question in
+// order, and does no solver work. It times and counts the round, then
+// advances the initial ranking (recording it when it ends) or records
+// the round's answers, closing the iteration after its last question.
+// A planner round is recorded with weighted-edge semantics; any other
+// round records its preference alone.
+func (s *Synthesizer) answer(js []oracle.Judgment) error {
+	r := s.pending
+	s.pending = nil
+	d := time.Since(r.start)
+	s.oracleTime += d
+	s.queries += len(r.qs)
+	if m := s.om; m != nil {
+		m.queries.Add(int64(len(r.qs)))
+		m.oracleSeconds.Observe(d.Seconds())
+	}
+	r.sp.End()
+	if l := s.log(); l.Enabled(slog.LevelDebug) {
+		l.Event(slog.LevelDebug, "core.oracle",
+			obs.Num("queries", float64(len(r.qs))),
+			obs.Num("dur_ms", d.Seconds()*1e3))
+	}
+	if s.rank != nil {
+		s.rank.Answer(js[0].Pref)
+		if _, _, ok := s.rank.Next(); ok {
+			return nil
+		}
+		return s.endRanking()
+	}
+	s.stat.OracleTime += d
+	s.stat.Queries += len(r.qs)
+	for i, q := range r.qs {
+		var added, rejected int
+		var err error
+		if r.batch {
+			added, rejected, err = s.recordJudgment(q.A, q.B, js[i])
 		} else {
-			for _, w := range wits {
-				pref := s.user.Compare(w.X1, w.X2)
-				stat.Queries++
-				added, rejected, err := s.record(w.X1, w.X2, pref)
-				if err != nil {
-					spIter.End()
-					return nil, err
+			added, rejected, err = s.record(q.A, q.B, js[i].Pref)
+		}
+		if err != nil {
+			s.spIter.End()
+			return err
+		}
+		s.stat.NewEdges += added
+		s.stat.Rejected += rejected
+	}
+	if s.nextWit == len(s.wits) {
+		s.endIteration()
+	}
+	return nil
+}
+
+// endRanking records the finished initial ranking as edges between the
+// members of consecutive groups (transitivity supplies the rest) and
+// closes the init phase.
+func (s *Synthesizer) endRanking() error {
+	groups, scs := s.rank.Groups(), s.ranked
+	s.rank, s.ranked = nil, nil
+	for gi := 0; gi+1 < len(groups); gi++ {
+		for _, hi := range groups[gi] {
+			for _, lo := range groups[gi+1] {
+				if _, _, err := s.record(scs[hi], scs[lo], oracle.PrefersFirst); err != nil {
+					s.spInit.End()
+					s.log().Error("core.session.fail", "phase", "init", "error", err.Error())
+					return err
 				}
-				stat.NewEdges += added
-				stat.Rejected += rejected
 			}
 		}
-		stat.OracleTime = s.oracleTime - oracleBefore
-		s.endIteration(res, stat, spIter)
 	}
-	return s.finish(ctx, res)
+	s.endInit()
+	return nil
+}
+
+// endInit closes the init phase and books its time as synthesis time.
+func (s *Synthesizer) endInit() {
+	s.res.InitTime = time.Since(s.initStart)
+	if s.spInit.Active() {
+		s.spInit.End(
+			obs.Num("edges", float64(s.graph.NumEdges())),
+			obs.Num("queries", float64(s.queries)))
+	}
+	s.log().Debug("core.init",
+		"edges", s.graph.NumEdges(),
+		"queries", s.queries,
+		"dur_ms", s.res.InitTime.Seconds()*1e3)
+	s.res.TotalSynthTime += s.res.InitTime
 }
 
 // findQueries produces the iteration's query round: the active planner
@@ -509,24 +660,25 @@ func (s *Synthesizer) known(x1, x2 scenario.Scenario) bool {
 	return id1 == id2 || s.graph.Comparable(id1, id2)
 }
 
-// endIteration publishes one completed round: loop metrics, the
+// endIteration publishes the open iteration: loop metrics, the
 // "iteration" span, the per-iteration stats entry, and the progress
 // hook. Every iteration exit path funnels through here.
-func (s *Synthesizer) endIteration(res *Result, stat IterationStat, sp obs.Span) {
+func (s *Synthesizer) endIteration() {
+	stat := s.stat
 	s.om.observeIteration(stat)
-	if sp.Active() {
-		sp.End(
+	if s.spIter.Active() {
+		s.spIter.End(
 			obs.Num("index", float64(stat.Index)),
 			obs.Num("queries", float64(stat.Queries)),
 			obs.Num("new_edges", float64(stat.NewEdges)),
 			obs.Num("rejected", float64(stat.Rejected)),
 			obs.Num("status", float64(stat.Status)))
 	}
-	res.Stats = append(res.Stats, stat)
+	s.res.Stats = append(s.res.Stats, stat)
 	if s.cfg.OnIteration != nil {
 		s.cfg.OnIteration(stat)
 	}
-	res.Iterations = stat.Index
+	s.res.Iterations = stat.Index
 	if l := s.log(); l.Enabled(slog.LevelDebug) {
 		l.Event(slog.LevelDebug, "core.iteration",
 			obs.Num("index", float64(stat.Index)),
@@ -545,34 +697,6 @@ func errString(err error) string {
 		return ""
 	}
 	return err.Error()
-}
-
-// initGraph seeds the preference graph with a ranking of random
-// scenarios (paper: "the synthesizer generates a set of randomly
-// generated scenarios and asks the user to indicate her preferences").
-func (s *Synthesizer) initGraph(res *Result) error {
-	if s.preloaded {
-		return nil // transcript already supplied the early answers
-	}
-	n := s.cfg.InitialScenarios
-	if n < 2 {
-		return nil // nothing rankable
-	}
-	scs := s.cfg.Sketch.Space().RandomN(s.rng, n)
-	groups := oracle.Rank(s.user, scs)
-	// Edges between members of consecutive groups carry the full
-	// ranking (transitivity supplies the rest).
-	for gi := 0; gi+1 < len(groups); gi++ {
-		for _, hi := range groups[gi] {
-			for _, lo := range groups[gi+1] {
-				_, _, err := s.record(scs[hi], scs[lo], oracle.PrefersFirst)
-				if err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // record stores the user's answer for the (a, b) pair, returning the
@@ -786,7 +910,8 @@ func (s *Synthesizer) relax(ctx context.Context) (int, error) {
 
 // finish extracts the final representative candidate and seals the
 // session's effort accounting onto the Result.
-func (s *Synthesizer) finish(ctx context.Context, res *Result) (*Result, error) {
+func (s *Synthesizer) finish(ctx context.Context) (*Result, error) {
+	res := s.res
 	sp := s.tracer().Begin("finish")
 	start := time.Now()
 	holes, status, err := s.search.FindCandidate(ctx, s.solverOpts(0), s.rng)

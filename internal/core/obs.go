@@ -2,14 +2,10 @@ package core
 
 import (
 	"fmt"
-	"log/slog"
 	"strings"
 	"time"
 
 	"compsynth/internal/obs"
-	"compsynth/internal/oracle"
-	"compsynth/internal/scenario"
-	"compsynth/internal/solver"
 )
 
 // coreMetrics are the synthesis-loop instruments. A nil *coreMetrics
@@ -40,7 +36,7 @@ func newCoreMetrics(reg *obs.Registry) *coreMetrics {
 		rebuilds:      reg.Counter("compsynth_core_system_rebuilds_total", "Full constraint-system recompiles (cycle repair, preload)."),
 		converged:     reg.Counter("compsynth_core_converged_total", "Sessions that ended converged (vs hitting the iteration cap)."),
 		iterSeconds:   reg.Histogram("compsynth_core_iteration_seconds", "Wall time per interaction round.", obs.SecondsBuckets()),
-		oracleSeconds: reg.Histogram("compsynth_core_oracle_seconds", "Wall time per oracle comparison.", obs.SecondsBuckets()),
+		oracleSeconds: reg.Histogram("compsynth_core_oracle_seconds", "Wall time per oracle round (one comparison, or a planner batch).", obs.SecondsBuckets()),
 	}
 }
 
@@ -79,65 +75,6 @@ func (s *Synthesizer) tracer() *obs.Tracer {
 // off; obs.Logger methods are nil-safe).
 func (s *Synthesizer) log() *obs.Logger {
 	return s.cfg.Obs.Log()
-}
-
-// timedOracle wraps the user's oracle so every comparison is timed and
-// counted. It is installed unconditionally — Result.OracleTime and
-// Result.Queries are part of the session outcome, not optional
-// telemetry — and only reads the clock and bumps plain ints on the
-// synthesis goroutine, so it cannot perturb determinism (the transcript
-// serializes no timing fields).
-type timedOracle struct {
-	s *Synthesizer
-}
-
-func (t timedOracle) Compare(a, b scenario.Scenario) oracle.Preference {
-	sp := t.s.tracer().Begin("oracle")
-	start := time.Now()
-	pref := t.s.cfg.Oracle.Compare(a, b)
-	d := time.Since(start)
-	t.s.oracleTime += d
-	t.s.queries++
-	if m := t.s.om; m != nil {
-		m.queries.Inc()
-		m.oracleSeconds.Observe(d.Seconds())
-	}
-	sp.End()
-	if l := t.s.log(); l.Enabled(slog.LevelDebug) {
-		l.Event(slog.LevelDebug, "core.oracle",
-			obs.Num("pref", float64(pref)),
-			obs.Num("dur_ms", d.Seconds()*1e3))
-	}
-	return pref
-}
-
-// askBatch sends one planned round to the oracle's batch view, with
-// the same timing/counting the per-query timedOracle does: the round's
-// wall time lands on oracleTime once and every query in it is counted.
-func (s *Synthesizer) askBatch(wits []*solver.Distinguishing) []oracle.Judgment {
-	qs := make([]oracle.Query, len(wits))
-	for i, w := range wits {
-		qs[i] = oracle.Query{A: w.X1, B: w.X2}
-	}
-	sp := s.tracer().Begin("oracle")
-	start := time.Now()
-	judgments := s.batch.AnswerBatch(qs)
-	d := time.Since(start)
-	s.oracleTime += d
-	s.queries += len(qs)
-	if m := s.om; m != nil {
-		for range qs {
-			m.queries.Inc()
-		}
-		m.oracleSeconds.Observe(d.Seconds())
-	}
-	sp.End()
-	if l := s.log(); l.Enabled(slog.LevelDebug) {
-		l.Event(slog.LevelDebug, "core.oracle.batch",
-			obs.Num("queries", float64(len(qs))),
-			obs.Num("dur_ms", d.Seconds()*1e3))
-	}
-	return judgments
 }
 
 // EffortReport renders the session's effort accounting as a short

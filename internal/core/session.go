@@ -152,8 +152,8 @@ func (t *Transcript) Validate() error {
 // Preload must be called before Run and skips the initial-scenario
 // ranking (the transcript already contains the user's earlier answers).
 func (s *Synthesizer) Preload(t *Transcript) error {
-	if s.graph.NumEdges() > 0 || s.store.Len() > 0 {
-		return fmt.Errorf("core: Preload on a non-fresh synthesizer")
+	if s.res != nil || s.graph.NumEdges() > 0 || s.store.Len() > 0 {
+		return fmt.Errorf("core: Preload on a started or non-fresh synthesizer")
 	}
 	sk := s.cfg.Sketch
 	if t.SketchName != "" && t.SketchName != sk.Name() {

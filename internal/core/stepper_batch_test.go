@@ -10,6 +10,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -171,8 +172,19 @@ func TestStepperBatchSeqContract(t *testing.T) {
 		t.Errorf("NextBatch after out-of-order answer returned %v, want seqs %d..%d",
 			open, qs[0].Seq, qs[len(qs)-2].Seq)
 	}
-	if got := st.Pending(); len(got) != len(qs)-1 {
-		t.Errorf("Pending returned %d queries, want %d", len(got), len(qs)-1)
+	// With the round still open, NextBatch computes nothing: even an
+	// expired context gets the same open queries.
+	expired, cancelExpired := context.WithCancel(context.Background())
+	cancelExpired()
+	again, err := st.NextBatch(expired)
+	seqs := func(qs []core.Query) (out []int) {
+		for _, q := range qs {
+			out = append(out, q.Seq)
+		}
+		return out
+	}
+	if err != nil || !slices.Equal(seqs(again), seqs(open)) {
+		t.Errorf("NextBatch again with the round open: seqs %v, %v; want %v", seqs(again), err, seqs(open))
 	}
 	// Resolve the rest of the round, lowest seq first.
 	for i := 0; i+1 < len(qs); i++ {

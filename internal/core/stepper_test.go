@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -103,8 +106,29 @@ func TestStepperMatchesBatch(t *testing.T) {
 	}
 }
 
+// hasEdge reports whether the transcript records the user's answer to
+// q as a direct preference edge.
+func hasEdge(tr *core.Transcript, q core.Query, pref oracle.Preference) bool {
+	id := func(sc []float64) int {
+		for i, s := range tr.Scenarios {
+			if slices.Equal(s, sc) {
+				return i
+			}
+		}
+		return -1
+	}
+	edge := [2]int{id(q.A), id(q.B)}
+	if pref == oracle.PrefersSecond {
+		edge[0], edge[1] = edge[1], edge[0]
+	}
+	return slices.Contains(tr.Preferences, edge)
+}
+
 // TestStepperSnapshotResume checkpoints a half-finished session and
 // resumes it in a fresh stepper, the service layer's recovery shape.
+// AnswerSeq applies a completed round before it returns, so a Snapshot
+// taken right after an answer, before any NextBatch, already holds the
+// edge that answer recorded.
 func TestStepperSnapshotResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full synthesis runs are not -short friendly")
@@ -117,7 +141,10 @@ func TestStepperSnapshotResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// Answer a prefix of the session, then abandon it.
+	// Answer a prefix of the session, then abandon it. Ranking the five
+	// initial scenarios asks at most ten questions, so every answer
+	// from the eleventh on is a query-loop answer that adds an edge.
+	var snap *core.Transcript
 	for i := 0; i < 12; i++ {
 		qs, err := st.NextBatch(ctx)
 		if err != nil {
@@ -130,21 +157,10 @@ func TestStepperSnapshotResume(t *testing.T) {
 			t.Fatalf("round %d is %v, want one query with Seq=%d", i, qs, i)
 		}
 		answer(t, st, user, qs[0])
-	}
-	// Immediately after an answer the loop is computing, so Snapshot
-	// refuses; once the next query is parked the state is stable.
-	if _, err := st.Snapshot(); err != core.ErrSessionBusy {
-		t.Fatalf("Snapshot while computing: got %v, want ErrSessionBusy", err)
-	}
-	if qs, err := st.NextBatch(ctx); err != nil || qs == nil {
-		t.Fatalf("NextBatch before snapshot: qs=%v err=%v", qs, err)
-	}
-	snap, err := st.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	if len(snap.Preferences) == 0 {
-		t.Fatal("snapshot has no preference edges")
+		snap = st.Snapshot()
+		if pref := user.Compare(qs[0].A, qs[0].B); i >= 10 && !hasEdge(snap, qs[0], pref) {
+			t.Fatalf("snapshot right after answer %d lacks its edge", i)
+		}
 	}
 	st.Close()
 
@@ -185,20 +201,16 @@ func TestStepperAPIErrors(t *testing.T) {
 		t.Errorf("Result before completion: got %v, want ErrSessionRunning", err)
 	}
 	// A fresh stepper snapshots to an empty transcript.
-	snap, err := st.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := st.Snapshot()
 	if len(snap.Scenarios) != 0 || len(snap.Preferences) != 0 {
 		t.Errorf("fresh snapshot not empty: %d scenarios, %d prefs",
 			len(snap.Scenarios), len(snap.Preferences))
 	}
-	if st.Done() {
-		t.Error("fresh stepper reports Done")
-	}
 
-	// Start the session, then verify Preload is rejected and a
-	// NextBatch with an expired context still returns the pending round.
+	// Start the session, then verify Preload is rejected, the session
+	// is still running, and a NextBatch with an expired context returns
+	// the pending round: with a round pending, NextBatch computes
+	// nothing.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	qs, err := st.NextBatch(ctx)
@@ -208,11 +220,9 @@ func TestStepperAPIErrors(t *testing.T) {
 	if err := st.Preload(&core.Transcript{}); err == nil {
 		t.Error("Preload after start succeeded")
 	}
-	if p := st.Pending(); len(p) != 1 || p[0].Seq != qs[0].Seq {
-		t.Errorf("Pending() = %v, want one query with seq %d", p, qs[0].Seq)
+	if _, err := st.Result(); err != core.ErrSessionRunning {
+		t.Errorf("Result with a round pending: got %v, want ErrSessionRunning", err)
 	}
-	// NextBatch with an expired context still returns the pending round
-	// immediately (no blocking needed).
 	expired, cancel2 := context.WithCancel(context.Background())
 	cancel2()
 	qs2, err := st.NextBatch(expired)
@@ -221,32 +231,88 @@ func TestStepperAPIErrors(t *testing.T) {
 	}
 }
 
-// TestStepperClose ensures Close terminates a mid-session loop without
-// hanging, and Result reports the cancellation.
+// TestStepperClose races Close against an in-flight NextBatch: Close
+// returns at once, without waiting for the computation, the NextBatch
+// fails, Result reports the failure, and every later call fails too.
+// The first iteration finds no question (a huge Gamma makes it unsat),
+// so its OnIteration hook runs inside NextBatch and holds it there
+// until Close has returned.
 func TestStepperClose(t *testing.T) {
-	st, err := core.NewStepper(stepperConfig(9))
+	cfg := stepperConfig(9)
+	cfg.InitialScenarios = -1
+	cfg.Distinguish.Gamma = 1e9
+	inHook, release := make(chan struct{}), make(chan struct{})
+	cfg.OnIteration = func(core.IterationStat) {
+		close(inHook)
+		<-release
+	}
+	st, err := core.NewStepper(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if _, err := st.NextBatch(ctx); err != nil {
-		t.Fatal(err)
-	}
-	doneClose := make(chan struct{})
+	errc := make(chan error, 1)
 	go func() {
-		st.Close()
-		close(doneClose)
+		qs, err := st.NextBatch(context.Background())
+		if err == nil {
+			err = fmt.Errorf("NextBatch returned round %v after Close", qs)
+		}
+		errc <- err
 	}()
 	select {
-	case <-doneClose:
-	case <-time.After(60 * time.Second):
-		t.Fatal("Close did not return")
+	case <-inHook:
+	case <-time.After(time.Minute):
+		t.Fatal("NextBatch never reached its first iteration")
 	}
-	if !st.Done() {
-		t.Error("stepper not Done after Close")
+	closed := make(chan struct{})
+	go func() {
+		st.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close waited for the in-flight NextBatch")
 	}
-	if _, err := st.Result(); err == nil {
-		t.Error("Result after mid-session Close returned no error")
+	close(release)
+	var stepErr error
+	select {
+	case stepErr = <-errc:
+	case <-time.After(time.Minute):
+		t.Fatal("NextBatch did not return after Close")
+	}
+	if !errors.Is(stepErr, context.Canceled) {
+		t.Errorf("NextBatch after Close: %v, want context.Canceled", stepErr)
+	}
+	if _, err := st.Result(); err == nil || err == core.ErrSessionRunning {
+		t.Errorf("Result after Close during NextBatch: %v, want the failure", err)
+	}
+	if qs, err := st.NextBatch(context.Background()); err == nil {
+		t.Errorf("NextBatch after Close returned %v, nil", qs)
+	}
+	if err := st.AnswerSeq(0, oracle.Judgment{Pref: oracle.PrefersFirst}); err == nil {
+		t.Error("AnswerSeq after Close succeeded")
+	}
+}
+
+// TestStepperParkedHoldsNoGoroutine parks sessions at their first round:
+// a parked session is state, not a goroutine, so the process's
+// goroutine count does not grow with the number of parked sessions.
+func TestStepperParkedHoldsNoGoroutine(t *testing.T) {
+	const n = 16
+	before := runtime.NumGoroutine()
+	var parked []*core.Stepper
+	for i := range n {
+		st, err := core.NewStepper(stepperConfig(int64(100 + i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if qs, err := st.NextBatch(context.Background()); err != nil || len(qs) == 0 {
+			t.Fatalf("session %d did not park: %v (round=%v)", i, err, qs)
+		}
+		parked = append(parked, st)
+	}
+	if grown := runtime.NumGoroutine() - before; grown >= n/4 {
+		t.Errorf("%d parked sessions grew the goroutine count by %d", len(parked), grown)
 	}
 }

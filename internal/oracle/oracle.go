@@ -15,6 +15,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"compsynth/internal/scenario"
@@ -222,33 +223,60 @@ func (ia *Interactive) Compare(a, b scenario.Scenario) Preference {
 // worst case but answers are safe even for inconsistent (noisy)
 // oracles — it always terminates with some total preorder.
 func Rank(o Oracle, scs []scenario.Scenario) [][]int {
-	var groups [][]int
-	for i, s := range scs {
-		placed := false
-		for gi, g := range groups {
-			// Compare with the group's representative.
-			rep := scs[g[0]]
-			switch o.Compare(s, rep) {
-			case PrefersFirst:
-				// s beats this group: insert a new group before it.
-				groups = append(groups, nil)
-				copy(groups[gi+1:], groups[gi:])
-				groups[gi] = []int{i}
-				placed = true
-			case Indifferent:
-				groups[gi] = append(groups[gi], i)
-				placed = true
-			}
-			if placed {
-				break
-			}
-		}
-		if !placed {
-			groups = append(groups, []int{i})
-		}
+	r := NewRanker(len(scs))
+	for i, j, ok := r.Next(); ok; i, j, ok = r.Next() {
+		r.Answer(o.Compare(scs[i], scs[j]))
 	}
-	return groups
+	return r.Groups()
 }
+
+// Ranker is Rank's insertion sort as explicit state, for a caller that
+// cannot block on an oracle: Next names the next pair to compare and
+// Answer takes the oracle's preference for it. Each scenario is
+// compared with the representative (first member) of every group in
+// turn, best group first. Preferred, it opens a new group before that
+// one; indifferent, it joins it; beaten by every group, it opens a new
+// last group.
+type Ranker struct {
+	n      int
+	groups [][]int
+	i, gi  int // the scenario being placed and the group it meets next
+}
+
+// NewRanker starts ranking n scenarios, identified by index.
+func NewRanker(n int) *Ranker { return &Ranker{n: n} }
+
+// Next returns the pair the sort asks about next: scenario i against
+// scenario j, the representative of a group. ok is false once every
+// scenario is placed. Ranking two or more scenarios asks at least one
+// question. Next is idempotent until the next Answer.
+func (r *Ranker) Next() (i, j int, ok bool) {
+	for r.i < r.n && r.gi == len(r.groups) {
+		r.groups = append(r.groups, []int{r.i})
+		r.i, r.gi = r.i+1, 0
+	}
+	if r.i == r.n {
+		return 0, 0, false
+	}
+	return r.i, r.groups[r.gi][0], true
+}
+
+// Answer applies the oracle's preference for the pair Next returned.
+func (r *Ranker) Answer(p Preference) {
+	switch p {
+	case PrefersFirst:
+		r.groups = slices.Insert(r.groups, r.gi, []int{r.i})
+	case Indifferent:
+		r.groups[r.gi] = append(r.groups[r.gi], r.i)
+	default:
+		r.gi++
+		return
+	}
+	r.i, r.gi = r.i+1, 0
+}
+
+// Groups returns the ranking so far, best group first.
+func (r *Ranker) Groups() [][]int { return r.groups }
 
 // Agreement measures how often two oracles order scenario pairs the
 // same way over a set of probe pairs, counting only pairs where both

@@ -953,9 +953,7 @@ func (m *Manager) rebuild(ctx context.Context, id string) (s *Session, parsed bo
 	// first post-rebuild append resynchronizes them with the full file.
 	jr.count = len(recs)
 	if s, err = m.buildSession(id, spec, jr); err == nil {
-		if err = m.replay(ctx, s, recs); err != nil {
-			s.stepper.Close()
-		}
+		err = m.replay(ctx, s, recs)
 	}
 	if err != nil {
 		jr.close()
@@ -970,7 +968,9 @@ func (m *Manager) rebuild(ctx context.Context, id string) (s *Session, parsed bo
 // generation is deterministic in (spec, imported transcript, answers),
 // so the replayed queries must reproduce the journaled pairs exactly —
 // a mismatch means the code changed under the journal, and resuming
-// would silently answer different questions.
+// would silently answer different questions. NextBatch runs only to
+// regenerate the rounds journaled answers match; the round after the
+// last one waits for a client's poll.
 func (m *Manager) replay(ctx context.Context, s *Session, recs []journalRecord) error {
 	recs = replayRecords(recs)
 	if len(recs) > 1 && recs[1].Type == recCheckpoint {

@@ -16,7 +16,9 @@ import (
 	"testing"
 	"time"
 
+	"compsynth/internal/core"
 	"compsynth/internal/obs"
+	"compsynth/internal/oracle"
 )
 
 // lockedBuffer is a goroutine-safe log sink for tests.
@@ -297,56 +299,104 @@ func TestProgressEndpoint(t *testing.T) {
 }
 
 // TestPanicContainment pins the flight-recorder panic path: a synthesis
-// step that panics fails its own session (reason "panic", dump written)
-// and the manager keeps serving other sessions.
+// step that panics fails its own session (reason "panic", dump written),
+// gives its worker slot back, and the manager keeps serving other
+// sessions. The step panics on a nil stepper, inside the computation
+// NextBatch runs, or inside the judgment that completes a round. In the
+// last two an OnIteration hook panics: "in-search" makes the first
+// iteration unsat with a huge Gamma, so it closes inside the search;
+// "in-answer" panics once an iteration's question is answered.
 func TestPanicContainment(t *testing.T) {
-	var sink lockedBuffer
-	dir := t.TempDir()
-	cfg := testConfig(dir)
-	cfg.Log = obs.NewLogger(&sink, slog.LevelDebug)
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	hooked := func(gamma float64, panics func(core.IterationStat) bool) func(*testing.T, *Session) *core.Stepper {
+		return func(t *testing.T, s *Session) *core.Stepper {
+			cfg, err := s.spec.config(nil, s.stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.InitialScenarios = -1
+			if gamma > 0 {
+				cfg.Distinguish.Gamma = gamma
+			}
+			cfg.OnIteration = func(st core.IterationStat) {
+				if panics(st) {
+					panic("injected")
+				}
+			}
+			st, err := core.NewStepper(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}
 	}
-	defer m.Abort()
+	cases := []struct {
+		name     string
+		sabotage func(t *testing.T, s *Session) *core.Stepper
+	}{
+		{"nil-stepper", func(*testing.T, *Session) *core.Stepper { return nil }},
+		{"in-search", hooked(1e9, func(st core.IterationStat) bool { return st.Queries == 0 })},
+		{"in-answer", hooked(0, func(st core.IterationStat) bool { return st.Queries > 0 })},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var sink lockedBuffer
+			dir := t.TempDir()
+			cfg := testConfig(dir)
+			cfg.Log = obs.NewLogger(&sink, slog.LevelDebug)
+			m, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Abort()
 
-	s, err := m.Create(context.Background(), testSpec(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	s.stepper.Close() // release the real stepper before sabotaging
-	s.stepper = nil   // the next advance will panic in stepper.NextBatch
-	s.mu.Unlock()
+			s, err := m.Create(context.Background(), testSpec(21))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.mu.Lock()
+			s.stepper.Close() // release the real stepper before sabotaging
+			s.stepper = tc.sabotage(t, s)
+			s.mu.Unlock()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	_, state, err := s.AwaitQueries(ctx)
-	if err != nil || state != StateFailed {
-		t.Fatalf("AwaitQueries after panic: state %v err %v, want failed", state, err)
-	}
-	if !strings.Contains(s.Status().Error, "panic in synthesis step") {
-		t.Errorf("failure = %q, want panic message", s.Status().Error)
-	}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			qs, state, err := s.AwaitQueries(ctx)
+			if len(qs) > 0 {
+				if _, err := s.Judge(ctx, qs[0].Seq, oracle.Judgment{Pref: oracle.PrefersFirst}); err == nil {
+					t.Fatal("the judgment completing the round did not fail")
+				}
+				qs, state, err = s.AwaitQueries(ctx)
+			}
+			if err != nil || state != StateFailed {
+				t.Fatalf("AwaitQueries after panic: state %v err %v round %v, want failed", state, err, qs)
+			}
+			if !strings.Contains(s.Status().Error, "panic in synthesis step") {
+				t.Errorf("failure = %q, want panic message", s.Status().Error)
+			}
+			if held := len(m.slots); held != 0 {
+				t.Errorf("%d worker slots still held after the panic", held)
+			}
 
-	dump, err := obs.ReadFlightDump(flightPath(dir, s.ID))
-	if err != nil {
-		t.Fatalf("panic flight dump: %v", err)
-	}
-	if dump.Reason != "panic" {
-		t.Errorf("dump reason = %q, want panic", dump.Reason)
-	}
-	if len(findLines(sink.lines(t), "session.panic")) == 0 {
-		t.Error("no session.panic log event")
-	}
+			dump, err := obs.ReadFlightDump(flightPath(dir, s.ID))
+			if err != nil {
+				t.Fatalf("panic flight dump: %v", err)
+			}
+			if dump.Reason != "panic" {
+				t.Errorf("dump reason = %q, want panic", dump.Reason)
+			}
+			if len(findLines(sink.lines(t), "session.panic")) == 0 {
+				t.Error("no session.panic log event")
+			}
 
-	// The fleet survives: a fresh session still runs to its first query.
-	s2, err := m.Create(context.Background(), testSpec(22))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qs, _, err := s2.AwaitQueries(ctx); err != nil || len(qs) == 0 {
-		t.Fatalf("sibling session after panic: round=%v err=%v", qs, err)
+			// The fleet survives: a fresh session still runs to its first query.
+			s2, err := m.Create(context.Background(), testSpec(22))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if qs, _, err := s2.AwaitQueries(ctx); err != nil || len(qs) == 0 {
+				t.Fatalf("sibling session after panic: round=%v err=%v", qs, err)
+			}
+		})
 	}
 }
 

@@ -17,7 +17,10 @@ import (
 	"strings"
 	"testing"
 
+	"compsynth/internal/core"
 	"compsynth/internal/obs"
+	"compsynth/internal/oracle"
+	"compsynth/internal/solver"
 )
 
 // residency reports whether id is resident and whether a rebuild of it
@@ -176,11 +179,6 @@ func TestRecoveryParallel(t *testing.T) {
 		defer m.Abort()
 
 		st := m.List()
-		for i := range st {
-			// A replayed stepper computes its next round in the
-			// background, so the effort counters are still moving.
-			st[i].Iterations, st[i].SolverEffort = 0, nil
-		}
 		statuses = append(statuses, st)
 		var ids []string
 		for _, s := range st {
@@ -247,6 +245,111 @@ func TestRecoveryParallel(t *testing.T) {
 		}
 		if s.State != want {
 			t.Errorf("recovered %s is %s, want %s", s.ID, s.State, want)
+		}
+	}
+}
+
+// steppedEffort drives a fresh stepper for spec through the first n
+// answers of user, lowest seq first as answerN answers, with no
+// NextBatch after the last, and returns its solver counters and
+// completed iterations.
+func steppedEffort(t *testing.T, spec SessionSpec, user oracle.Oracle, n int) (solver.StatsSnapshot, int64) {
+	t.Helper()
+	stats := &solver.Stats{}
+	cfg, err := spec.config(nil, stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var iterations int64
+	cfg.OnIteration = func(core.IterationStat) { iterations++ }
+	st, err := core.NewStepper(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for answered := 0; answered < n; {
+		qs, err := st.NextBatch(context.Background())
+		if err != nil || len(qs) == 0 {
+			t.Fatalf("reference stepper after %d answers: %v (round=%v)", answered, err, qs)
+		}
+		for _, q := range qs[:min(len(qs), n-answered)] {
+			if err := st.AnswerSeq(q.Seq, oracle.Judgment{Pref: user.Compare(q.A, q.B)}); err != nil {
+				t.Fatal(err)
+			}
+			answered++
+		}
+	}
+	return stats.Snapshot(), iterations
+}
+
+// TestRecoveryIdleUntilPolled recovers idle journals with one replay
+// worker. A replay searches only for the rounds its journaled answers
+// need: each recovered session's solver counters and iterations equal
+// those of a fresh stepper driven through the same answers with no
+// NextBatch after the last, and they stay there until the session's
+// own poll computes its next round under a worker slot.
+func TestRecoveryIdleUntilPolled(t *testing.T) {
+	user := swanUser(t)
+	dir := t.TempDir()
+	m, err := New(testConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type journaled struct {
+		id      string
+		spec    SessionSpec
+		answers int
+	}
+	var sessions []journaled
+	for i, seed := range []int64{80, 81, 82} {
+		s, err := m.Create(context.Background(), testSpec(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 11 + 2*i // past the initial ranking, which asks at most ten questions
+		answerN(t, s, user, n)
+		parkQuery(t, s)
+		sessions = append(sessions, journaled{s.ID, testSpec(seed), n})
+	}
+	m.Abort()
+
+	cfg := testConfig(dir)
+	cfg.Workers = 1
+	m2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Abort()
+	type effort struct {
+		solver     solver.StatsSnapshot
+		iterations int64
+	}
+	want := make([]effort, len(sessions))
+	for i, j := range sessions {
+		want[i].solver, want[i].iterations = steppedEffort(t, j.spec, user, j.answers)
+	}
+	current := func(j journaled) effort {
+		s, err := m2.Get(j.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := s.Status()
+		return effort{*st.SolverEffort, st.Iterations}
+	}
+	for polled, j := range sessions {
+		for i, other := range sessions[polled:] {
+			if got := current(other); got != want[polled+i] {
+				t.Errorf("before polling %s: recovered %s has effort %+v, want the replayed answers' %+v",
+					j.id, other.id, got, want[polled+i])
+			}
+		}
+		s, err := m2.Get(j.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parkQuery(t, s)
+		if got := current(j); got.solver.Samples <= want[polled].solver.Samples {
+			t.Errorf("polling %s ran no search: %d samples, %d before", j.id, got.solver.Samples, want[polled].solver.Samples)
 		}
 	}
 }

@@ -29,10 +29,10 @@ type State string
 //	any non-computing state ──(TTL, shutdown, DELETE)──► evicted
 //
 // "computing" means an advance goroutine holds a worker-pool slot and
-// the synthesis loop is searching for the next distinguishing pair;
-// sessions parked in awaiting_answer hold no slot at all, which is what
-// lets a small pool serve many architects who answer over minutes or
-// days.
+// runs the session's synthesis step inside stepper.NextBatch; nothing
+// else computes for the session. Sessions parked in awaiting_answer
+// hold no slot and no goroutine, which is what lets a small pool serve
+// many architects who answer over minutes or days.
 const (
 	StateIdle      State = "idle"
 	StateComputing State = "computing"
@@ -71,8 +71,8 @@ var (
 
 // Session is one architect's synthesis campaign: a stepper plus the
 // serving state around it (journal, pending query, idle clock). All
-// fields behind mu; the iterations counter is written by the synthesis
-// goroutine and therefore atomic.
+// fields behind mu; the iterations counter is also written by advance
+// outside mu and is therefore atomic.
 type Session struct {
 	ID string
 
@@ -146,24 +146,18 @@ func (s *Session) startAdvanceLocked(release func()) {
 }
 
 // advance runs one synthesis step — from an accepted answer (or session
-// start) to the next parked query or completion — while holding a
-// worker-pool slot.
+// start) to the next parked query or completion — inside
+// stepper.NextBatch on this goroutine, while holding a worker-pool
+// slot; the step timeout cancels the search itself.
 func (s *Session) advance(release func()) {
 	// Registered first so it runs last, after release() and the normal
-	// path's unlock: a panicking synthesis step must fail its own session
-	// (with a flight dump) without taking the rest of the fleet down.
+	// path's unlock.
 	defer func() {
-		r := recover()
-		if r == nil {
-			return
+		if r := recover(); r != nil {
+			s.mu.Lock()
+			s.containLocked(r)
+			s.mu.Unlock()
 		}
-		s.log.Error("session.panic",
-			"panic", fmt.Sprint(r),
-			"stack", string(debug.Stack()))
-		s.mu.Lock()
-		s.failWithReasonLocked(fmt.Errorf("panic in synthesis step: %v", r), "panic")
-		s.bumpLocked()
-		s.mu.Unlock()
 	}()
 	defer release()
 	sp := s.m.span("advance")
@@ -196,9 +190,6 @@ func (s *Session) advance(release func()) {
 	}
 	if err != nil {
 		s.failLocked(fmt.Errorf("synthesis step: %w", err))
-		// The loop may still be computing; cut it loose without holding
-		// the session lock for the duration.
-		go s.stepper.Close()
 		return
 	}
 	if qs != nil {
@@ -208,6 +199,18 @@ func (s *Session) advance(release func()) {
 		return
 	}
 	s.finishLocked()
+}
+
+// containLocked fails the session after a panic in its synthesis code
+// (solver, planner, answer recording or hook) and returns the failure:
+// a panicking step must fail its own session, with a flight dump,
+// without taking the rest of the fleet down.
+func (s *Session) containLocked(r any) error {
+	s.log.Error("session.panic", "panic", fmt.Sprint(r), "stack", string(debug.Stack()))
+	err := fmt.Errorf("panic in synthesis step: %v", r)
+	s.failWithReasonLocked(err, "panic")
+	s.bumpLocked()
+	return err
 }
 
 // finishLocked records the completed session outcome and journals the
@@ -344,7 +347,7 @@ func (s *Session) AwaitQueries(ctx context.Context) ([]core.Query, State, error)
 // round's last judgment hands a slot to the next synthesis step. ctx
 // carries the request-correlation IDs; it is not used for
 // cancellation.
-func (s *Session) Judge(ctx context.Context, seq int, j oracle.Judgment) (State, error) {
+func (s *Session) Judge(ctx context.Context, seq int, j oracle.Judgment) (state State, err error) {
 	// Acquire the compute slot first: accepting the round's last answer
 	// commits us to running the next step, and the pool is the
 	// backpressure boundary. Mid-round judgments release it immediately
@@ -358,6 +361,14 @@ func (s *Session) Judge(ctx context.Context, seq int, j oracle.Judgment) (State,
 	sp := s.m.span("answer")
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// The round's last judgment records the round inside AnswerSeq,
+	// hooks included: a panic there fails the session and frees the slot.
+	defer func() {
+		if r := recover(); r != nil {
+			release()
+			state, err = StateFailed, s.containLocked(r)
+		}
+	}()
 	s.touchLocked()
 	if sp.Active() {
 		defer sp.End(obs.Str("session", s.ID), obs.Num("seq", float64(seq)))
@@ -472,11 +483,7 @@ func (s *Session) Transcript() (*core.Transcript, error) {
 	if s.stepper == nil {
 		return nil, fmt.Errorf("%w: no live state", ErrNotFound)
 	}
-	t, err := s.stepper.Snapshot()
-	if errors.Is(err, core.ErrSessionBusy) {
-		return nil, ErrBusy
-	}
-	return t, err
+	return s.stepper.Snapshot(), nil
 }
 
 // MigrationBundle is the portable form of a live session: everything a
@@ -541,13 +548,7 @@ func (s *Session) Bundle() (*MigrationBundle, error) {
 		b.Journal = append(b.Journal, line)
 	}
 	if s.answers > 0 || s.imported {
-		t, err := s.stepper.Snapshot()
-		if err != nil {
-			if errors.Is(err, core.ErrSessionBusy) {
-				return nil, ErrBusy
-			}
-			return nil, err
-		}
+		t := s.stepper.Snapshot()
 		t.SessionID = s.ID
 		b.Transcript = t
 	}
@@ -608,19 +609,14 @@ func (s *Session) evictIfIdle(now time.Time, ttl time.Duration) bool {
 func (s *Session) shutdown(ctx context.Context) {
 	s.mu.Lock()
 	s.closing = true
-	forced := false
 	for s.state == StateComputing {
 		ch := s.changed
 		s.mu.Unlock()
-		if forced {
-			<-ch // the canceled advance is about to publish
-		} else {
-			select {
-			case <-ch:
-			case <-ctx.Done():
-				forced = true
-				s.stepper.Close() // cancels the loop; advance parks as idle
-			}
+		select {
+		case <-ch:
+		case <-ctx.Done():
+			s.stepper.Close() // cancels the search; advance parks as idle
+			<-ch
 		}
 		s.mu.Lock()
 	}
@@ -635,8 +631,8 @@ func (s *Session) abort() {
 }
 
 // teardownLocked finalizes the session: journal close and stepper
-// cancellation. Releases s.mu; runs the blocking stepper.Close outside
-// the lock.
+// close, which cancels an in-flight step's search. Releases s.mu and
+// closes the journal outside the lock.
 func (s *Session) teardownLocked() {
 	s.closing = true
 	s.state = StateEvicted
